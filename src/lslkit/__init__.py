@@ -38,6 +38,7 @@ from .pipeline import (
     PipelineContext,
     PipelineState,
     Region,
+    internal_fields,
     invert_born,
     metrics,
     run_algorithm,
@@ -94,6 +95,7 @@ __all__ = [
     "PipelineContext",
     "PipelineState",
     "Region",
+    "internal_fields",
     "invert_born",
     "metrics",
     "run_algorithm",

@@ -10,17 +10,17 @@ Artifact names inside the output directory:
     q_true.lslf            true model on the simulation grid
     siso.lslt              measured diagonal record (noise applied here)
     mimo.lslt              clean full record, reference/oracle use
-    background.lslt        full zero-potential record
-    background_u0/         zero-potential fields, n samples per source
-    background_w0/         their running time integrals
     q_born.lslf            Born reconstruction
-    q_siso.lslf            first-pass reconstruction, fields_siso/
+    q_siso.lslf            first-pass reconstruction
     lifted.lslt            completed data (lifted_2.lslt, ... per round)
-    q_mimo.lslf            post-completion reconstruction, fields_mimo/
+    q_mimo.lslf            post-completion reconstruction (q_mimo_2.lslf, ...)
     q_final.lslf           last stage of `pipeline`, plus metrics.txt
 
-`pipeline` is byte-identical to chaining simulate, invert, lift and
-invert by hand with the same config and seed.
+Nothing else is stored. The zero-potential background is a function of
+the config and is recomputed in closed form by every command that needs
+it; internal fields are re-synthesized from the record they came from
+(`lift --data`). `pipeline` is byte-identical to chaining simulate,
+invert, lift and invert by hand with the same config and seed.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, FormatError
 from .pipeline import (
     PipelineContext,
     PipelineState,
+    internal_fields,
     invert_born,
     metrics,
     run_lift_step,
     run_mimo_step,
     run_siso_step,
 )
-from .wavesim import BackgroundArtifacts, add_noise, simulate_background, simulate_transfer
+from .wavesim import add_noise, simulate_background, simulate_transfer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,18 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lslkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("simulate", parents=[common], help="emit data and background artifacts")
+    sub.add_parser("simulate", parents=[common], help="emit the true model and data records")
 
     p_invert = sub.add_parser("invert", parents=[common], help="reconstruct the potential")
     p_invert.add_argument("--method", choices=("born", "lsl"), required=True)
     p_invert.add_argument("--data", default=None, help="transfer record (default siso.lslt)")
     p_invert.add_argument("--q-out", default=None, help="reconstruction output file")
-    p_invert.add_argument("--fields-out", default=None, help="internal-field output directory")
     p_invert.add_argument("--positivity", action="store_true", help="clamp negative values")
 
     p_lift = sub.add_parser("lift", parents=[common], help="complete off-diagonal data")
     p_lift.add_argument("--q", default=None, help="potential estimate (default q_siso.lslf)")
-    p_lift.add_argument("--fields", default=None, help="internal fields (default fields_siso)")
+    p_lift.add_argument("--data", default=None,
+                        help="record whose internal fields go with --q (default siso.lslt)")
     p_lift.add_argument("--data-out", default=None, help="output record (default lifted.lslt)")
 
     p_pipe = sub.add_parser("pipeline", parents=[common], help="simulate and invert end to end")
@@ -110,23 +111,19 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _load_background(config: ExperimentConfig, out: Path) -> BackgroundArtifacts:
-    data = lio.load_transfer(out / "background.lslt")
-    u0 = lio.load_snapshot_sets(out / "background_u0", config.tau, "background")
-    w0 = lio.load_snapshot_sets(out / "background_w0", config.tau, "background-antiderivative")
-    return BackgroundArtifacts(data, tuple(u0), tuple(w0))
-
-
-def _context(config: ExperimentConfig, measured: TransferData,
-             background: BackgroundArtifacts, threads: int) -> PipelineContext:
+def _context(config: ExperimentConfig, measured: TransferData, threads: int) -> PipelineContext:
+    grid = config.sim_grid()
+    sources = config.sources()
+    axis = config.axis()
+    settings = config.settings()
     return PipelineContext(
-        config.sim_grid(),
+        grid,
         config.inv_grid(),
-        config.sources(),
-        config.axis(),
-        config.settings(),
+        sources,
+        axis,
+        settings,
         measured,
-        background,
+        simulate_background(grid, sources, axis, settings),
         tsvd_siso=config.tsvd_siso,
         tsvd_mimo=config.tsvd_mimo,
         tsvd_born=config.tsvd_born,
@@ -141,7 +138,7 @@ def _save_potential(path: Path, potential: Potential, positivity: bool) -> None:
     lio.save_field(path, potential.grid, values)
 
 
-def _simulate_artifacts(config: ExperimentConfig, out: Path, threads: int):
+def _simulate_artifacts(config: ExperimentConfig, out: Path, threads: int) -> TransferData:
     """Shared by `simulate` and `pipeline` so both produce identical bytes."""
     q_true = config.true_potential()
     sources = config.sources()
@@ -153,18 +150,14 @@ def _simulate_artifacts(config: ExperimentConfig, out: Path, threads: int):
     siso = simulate_transfer(q_true, sources, axis, settings, mode="siso", threads=threads)
     siso = add_noise(siso, config.noise_level, config.seed)
     lio.save_transfer(out / "siso.lslt", siso)
-    background = simulate_background(q_true.grid, sources, axis, settings, threads=threads)
-    lio.save_transfer(out / "background.lslt", background.data)
-    lio.save_snapshot_sets(out / "background_u0", list(background.fields))
-    lio.save_snapshot_sets(out / "background_w0", list(background.antiderivatives))
-    return siso, background
+    return siso
 
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     _simulate_artifacts(config, out, args.threads)
-    print(f"wrote data and background artifacts to {out}")
+    print(f"wrote true model and data records to {out}")
     return EXIT_OK
 
 
@@ -172,10 +165,9 @@ def _cmd_invert(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
-    background = _load_background(config, out)
     data_path = Path(args.data) if args.data else out / "siso.lslt"
     data = lio.load_transfer(data_path)
-    ctx = _context(config, measured, background, args.threads)
+    ctx = _context(config, measured, args.threads)
     positivity = args.positivity or config.positivity
 
     if args.method == "born":
@@ -189,15 +181,10 @@ def _cmd_invert(args) -> int:
         state = PipelineState(0, data, None, None, data.num_samples)
         state = run_mimo_step(ctx, state)
         q_path = Path(args.q_out) if args.q_out else out / "q_mimo.lslf"
-        fields_dir = Path(args.fields_out) if args.fields_out else out / "fields_mimo"
     else:
-        if data_path != out / "siso.lslt":
-            ctx = _context(config, data, background, args.threads)
-        state = run_siso_step(ctx)
+        state = run_siso_step(replace(ctx, measured=data))
         q_path = Path(args.q_out) if args.q_out else out / "q_siso.lslf"
-        fields_dir = Path(args.fields_out) if args.fields_out else out / "fields_siso"
     _save_potential(q_path, state.q_est, positivity)
-    lio.save_snapshot_sets(fields_dir, list(state.fields))
     record = state.history[-1]
     print(f"lsl reconstruction -> {q_path} (stage {record.name}, N={record.active_length}, "
           f"residual {record.residual:.3e})")
@@ -208,14 +195,14 @@ def _cmd_lift(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
-    background = _load_background(config, out)
     q_path = Path(args.q) if args.q else out / "q_siso.lslf"
-    fields_dir = Path(args.fields) if args.fields else out / "fields_siso"
+    data_path = Path(args.data) if args.data else out / "siso.lslt"
     grid, values = lio.load_field(q_path)
-    q_est = Potential(grid, values)
-    fields = lio.load_snapshot_sets(fields_dir, config.tau, "data-generated")
-    ctx = _context(config, measured, background, args.threads)
-    state = PipelineState(0, measured, q_est, tuple(fields), fields[0].num_samples)
+    data = lio.load_transfer(data_path)
+    ctx = _context(config, measured, args.threads)
+    fields = internal_fields(ctx, data)
+    state = PipelineState(0, data, Potential(grid, values), tuple(fields),
+                          fields[0].num_samples)
     state = run_lift_step(ctx, state)
     data_out = Path(args.data_out) if args.data_out else out / "lifted.lslt"
     lio.save_transfer(data_out, state.data)
@@ -228,19 +215,17 @@ def _cmd_pipeline(args) -> int:
     out = _out_dir(config)
     iterations = config.iterations if args.iterations is None else args.iterations
     positivity = args.positivity or config.positivity
-    siso, background = _simulate_artifacts(config, out, args.threads)
-    ctx = _context(config, siso, background, args.threads)
+    siso = _simulate_artifacts(config, out, args.threads)
+    ctx = _context(config, siso, args.threads)
 
     state = run_siso_step(ctx)
     _save_potential(out / "q_siso.lslf", state.q_est, positivity)
-    lio.save_snapshot_sets(out / "fields_siso", list(state.fields))
     for round_index in range(1, iterations + 1):
         suffix = "" if round_index == 1 else f"_{round_index}"
         state = run_lift_step(ctx, state)
         lio.save_transfer(out / f"lifted{suffix}.lslt", state.data)
         state = run_mimo_step(ctx, state)
         _save_potential(out / f"q_mimo{suffix}.lslf", state.q_est, positivity)
-        lio.save_snapshot_sets(out / f"fields_mimo{suffix}", list(state.fields))
     _save_potential(out / "q_final.lslf", state.q_est, positivity)
 
     q_true = config.true_potential()

@@ -41,7 +41,7 @@ import numpy as np
 from .core import Grid2D, Potential, SourceSet, TimeAxis
 from .errors import ConfigurationError
 from .pipeline import Region
-from .wavesim import SolverSettings, max_stable_dt
+from .wavesim import SolverSettings, check_cfl
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class ExperimentConfig:
         return TimeAxis(self.tau, self.n)
 
     def settings(self) -> SolverSettings:
-        return SolverSettings(self.substeps, self.cfl_safety, self.noise_level, self.seed)
+        return SolverSettings(self.substeps, self.cfl_safety)
 
     def true_potential(self) -> Potential:
         grid = self.sim_grid()
@@ -222,44 +222,43 @@ class ExperimentConfig:
                     f"inclusion {inc.name} violates model.margin {self.margin}"
                 )
         # the CFL check uses the worst-case amplitude over the model
-        grid = self.sim_grid()
         qmax = max((inc.amplitude for inc in self.inclusions), default=0.0)
-        limit = max_stable_dt(grid, np.asarray([[qmax]]), self.cfl_safety)
-        if self.tau / self.substeps >= limit:
-            need = int(np.ceil(self.tau / limit))
-            if self.tau / need >= limit:
-                need += 1
-            raise ConfigurationError(
-                f"time.tau {self.tau} with solver.substeps {self.substeps} violates the "
-                f"CFL bound (fine step {self.tau / self.substeps:.4g} >= {limit:.4g}); "
-                f"raise solver.substeps to at least {need}"
-            )
+        check_cfl(self.sim_grid(), np.asarray([qmax]), self.tau, self.settings())
 
 
+#: (section, key) -> (type, ExperimentConfig attribute); model.inclusions
+#: names the [inclusion X] sections and has no attribute of its own
 _SCHEMA = {
-    "domain": {"width": float, "height": float, "origin_x": float, "origin_y": float},
-    "simulation": {"nx": int, "ny": int, "inversion_ratio": int},
-    "sources": {
-        "count": int,
-        "sigma": float,
-        "amplitude": float,
-        "depth": float,
-        "first_x": float,
-        "last_x": float,
-    },
-    "time": {"tau": float, "n": int},
-    "solver": {"substeps": int, "cfl_safety": float},
-    "inversion": {
-        "tsvd_born": float,
-        "tsvd_siso": float,
-        "tsvd_mimo": float,
-        "iterations": int,
-        "positivity": bool,
-    },
-    "noise": {"level": float, "seed": int},
-    "model": {"margin": float, "inclusions": str},
-    "output": {"directory": str},
+    ("domain", "width"): (float, "width"),
+    ("domain", "height"): (float, "height"),
+    ("domain", "origin_x"): (float, "origin_x"),
+    ("domain", "origin_y"): (float, "origin_y"),
+    ("simulation", "nx"): (int, "nx"),
+    ("simulation", "ny"): (int, "ny"),
+    ("simulation", "inversion_ratio"): (int, "inversion_ratio"),
+    ("sources", "count"): (int, "source_count"),
+    ("sources", "sigma"): (float, "source_sigma"),
+    ("sources", "amplitude"): (float, "source_amplitude"),
+    ("sources", "depth"): (float, "source_depth"),
+    ("sources", "first_x"): (float, "first_x"),
+    ("sources", "last_x"): (float, "last_x"),
+    ("time", "tau"): (float, "tau"),
+    ("time", "n"): (int, "n"),
+    ("solver", "substeps"): (int, "substeps"),
+    ("solver", "cfl_safety"): (float, "cfl_safety"),
+    ("inversion", "tsvd_born"): (float, "tsvd_born"),
+    ("inversion", "tsvd_siso"): (float, "tsvd_siso"),
+    ("inversion", "tsvd_mimo"): (float, "tsvd_mimo"),
+    ("inversion", "iterations"): (int, "iterations"),
+    ("inversion", "positivity"): (bool, "positivity"),
+    ("noise", "level"): (float, "noise_level"),
+    ("noise", "seed"): (int, "seed"),
+    ("model", "margin"): (float, "margin"),
+    ("model", "inclusions"): (str, None),
+    ("output", "directory"): (str, "output_directory"),
 }
+
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 _INCLUSION_SCHEMA = {
     "shape": str,
@@ -269,35 +268,6 @@ _INCLUSION_SCHEMA = {
     "height": float,
     "amplitude": float,
     "angle": float,
-}
-
-_KEY_MAP = {
-    ("domain", "width"): "width",
-    ("domain", "height"): "height",
-    ("domain", "origin_x"): "origin_x",
-    ("domain", "origin_y"): "origin_y",
-    ("simulation", "nx"): "nx",
-    ("simulation", "ny"): "ny",
-    ("simulation", "inversion_ratio"): "inversion_ratio",
-    ("sources", "count"): "source_count",
-    ("sources", "sigma"): "source_sigma",
-    ("sources", "amplitude"): "source_amplitude",
-    ("sources", "depth"): "source_depth",
-    ("sources", "first_x"): "first_x",
-    ("sources", "last_x"): "last_x",
-    ("time", "tau"): "tau",
-    ("time", "n"): "n",
-    ("solver", "substeps"): "substeps",
-    ("solver", "cfl_safety"): "cfl_safety",
-    ("inversion", "tsvd_born"): "tsvd_born",
-    ("inversion", "tsvd_siso"): "tsvd_siso",
-    ("inversion", "tsvd_mimo"): "tsvd_mimo",
-    ("inversion", "iterations"): "iterations",
-    ("inversion", "positivity"): "positivity",
-    ("noise", "level"): "noise_level",
-    ("noise", "seed"): "seed",
-    ("model", "margin"): "margin",
-    ("output", "directory"): "output_directory",
 }
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -335,15 +305,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             name = section.split(None, 1)[1]
             inclusion_sections[name] = dict(parser.items(section))
             continue
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
-            if (section, key) == ("model", "inclusions"):
+            kind, attribute = _SCHEMA[(section, key)]
+            if attribute is None:
                 inclusion_order = [t for t in raw.replace(",", " ").split() if t]
                 continue
-            fields[_KEY_MAP[(section, key)]] = _convert(raw, _SCHEMA[section][key], f"{section}.{key}")
+            fields[attribute] = _convert(raw, kind, f"{section}.{key}")
 
     unreferenced = set(inclusion_sections) - set(inclusion_order)
     if unreferenced:

@@ -377,10 +377,6 @@ class TransferData:
         if not self.is_full:
             raise PreconditionError("transfer data has absent entries")
 
-    def matrix_at(self, k: int) -> np.ndarray:
-        """The K x K matrix of values at sample k."""
-        return self.values[:, :, k]
-
     def reciprocity_defect(self) -> float:
         """Max |F_ij - F_ji| over present pairs, relative to the data scale."""
         present = np.asarray(self.mask) != MaskState.ABSENT

@@ -1,4 +1,4 @@
-"""Artifact persistence: LSLF/LSLT binary formats, CSV export, PGM images.
+"""Artifact persistence: LSLF/LSLT binary formats and PGM images.
 
 LSLF (single field), little endian:
     magic "LSLF" | u32 version=1 | u64 samples_x | u64 samples_y |
@@ -11,19 +11,23 @@ LSLT (transfer record), little endian:
     K*K mask bytes (0 absent, 1 measured, 2 lifted), row major |
     T f64 values for every non-absent (i, j) pair in row-major order
 
-Both formats round-trip bit exactly. PGM output is 16-bit binary (P5,
-big-endian samples per the format), mapping values linearly between two
-clip percentiles; image rows run from the top of the domain downward.
+Both formats round-trip bit exactly. Loading checks the size a header
+implies against the file before allocating it and rejects non-finite
+values, so a malformed artifact ends in FormatError. PGM output is
+16-bit binary (P5, big-endian samples per the format), mapping values
+linearly between two clip percentiles; image rows run from the top of
+the domain downward.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .core import Grid2D, MaskState, SnapshotSet, TransferData
+from .core import Grid2D, MaskState, TransferData
 from .errors import DomainError, FormatError
 
 _FIELD_MAGIC = b"LSLF"
@@ -52,10 +56,21 @@ def save_field(path: str | Path, grid: Grid2D, values: np.ndarray) -> None:
 
 
 def _read_exactly(handle, count: int, what: str) -> bytes:
+    """Read count bytes; a header asking for more than the file holds is
+    refused before anything is allocated."""
+    if count > os.fstat(handle.fileno()).st_size - handle.tell():
+        raise FormatError(f"truncated file: expected {count} bytes of {what}")
     data = handle.read(count)
     if len(data) != count:
         raise FormatError(f"truncated file: expected {count} bytes of {what}")
     return data
+
+
+def _finite_values(raw: bytes, what: str) -> np.ndarray:
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise FormatError(f"non-finite {what}")
+    return values
 
 
 def load_field(path: str | Path) -> tuple[Grid2D, np.ndarray]:
@@ -72,8 +87,7 @@ def load_field(path: str | Path) -> tuple[Grid2D, np.ndarray]:
         if handle.read(1):
             raise FormatError("trailing bytes after field values")
     grid = Grid2D(int(sx) - 1, int(sy) - 1, hx, hy, (ox, oy))
-    values = np.frombuffer(raw, dtype="<f8").reshape(sy, sx).astype(np.float64)
-    return grid, values
+    return grid, _finite_values(raw, "field values").reshape(sy, sx)
 
 
 def save_transfer(path: str | Path, data: TransferData) -> None:
@@ -102,27 +116,14 @@ def load_transfer(path: str | Path) -> TransferData:
         mask = mask.reshape(K, K)
         if not np.isin(mask, (0, 1, 2)).all():
             raise FormatError("mask bytes must be 0, 1 or 2")
-        values = np.zeros((K, K, T))
-        for i in range(K):
-            for j in range(K):
-                if mask[i, j] != MaskState.ABSENT:
-                    raw = _read_exactly(handle, 8 * T, f"series ({i},{j})")
-                    values[i, j] = np.frombuffer(raw, dtype="<f8")
+        present = mask != MaskState.ABSENT
+        count = int(present.sum())
+        raw = _read_exactly(handle, 8 * T * count, f"{count} series of {T} samples")
         if handle.read(1):
             raise FormatError("trailing bytes after transfer values")
+    values = np.zeros((K, K, T))
+    values[present] = _finite_values(raw, "transfer values").reshape(count, T)
     return TransferData(values, mask.astype(np.int8), tau)
-
-
-def save_field_csv(path: str | Path, grid: Grid2D, values: np.ndarray) -> None:
-    """Plain-text export, one row of comma-separated values per grid row."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise FormatError(f"field shape {values.shape} does not match grid {grid.shape}")
-    header = (
-        f"samples_x={grid.nx + 1} samples_y={grid.ny + 1} "
-        f"origin={grid.origin[0]},{grid.origin[1]} spacing={grid.hx},{grid.hy}"
-    )
-    np.savetxt(path, values, delimiter=",", header=header)
 
 
 def render_pgm(
@@ -160,40 +161,3 @@ def load_pgm(path: str | Path) -> np.ndarray:
         width, height = int(dims[0]), int(dims[1])
         raw = _read_exactly(handle, 2 * width * height, "pixels")
     return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)
-
-
-def save_snapshot_sets(directory: str | Path, sets: list[SnapshotSet]) -> None:
-    """One LSLF file per sample: <dir>/srcNNN/kKKKK.lslf."""
-    directory = Path(directory)
-    for snapshots in sets:
-        sub = directory / f"src{snapshots.source_index:03d}"
-        sub.mkdir(parents=True, exist_ok=True)
-        for k in range(snapshots.num_samples):
-            save_field(sub / f"k{k:04d}.lslf", snapshots.grid, snapshots.samples[k])
-
-
-def load_snapshot_sets(directory: str | Path, tau: float, kind: str) -> list[SnapshotSet]:
-    directory = Path(directory)
-    sub_dirs = sorted(directory.glob("src*"))
-    if not sub_dirs:
-        raise FormatError(f"no snapshot directories under {directory}")
-    out = []
-    for index, sub in enumerate(sub_dirs):
-        if sub.name != f"src{index:03d}":
-            raise FormatError(f"unexpected snapshot directory {sub.name}")
-        files = sorted(sub.glob("k*.lslf"))
-        if not files:
-            raise FormatError(f"no snapshots under {sub}")
-        grid = None
-        samples = []
-        for k, file in enumerate(files):
-            if file.name != f"k{k:04d}.lslf":
-                raise FormatError(f"snapshot files under {sub} are not contiguous")
-            file_grid, values = load_field(file)
-            if grid is None:
-                grid = file_grid
-            elif file_grid != grid:
-                raise FormatError(f"snapshot grids differ under {sub}")
-            samples.append(values)
-        out.append(SnapshotSet(grid, index, tau, kind, np.stack(samples)))
-    return out

@@ -21,7 +21,6 @@ from .core import (
     TimeAxis,
     TransferData,
     inner_product,
-    prolong,
     restrict,
 )
 from .errors import FactorizationError, IterationBudgetError, PreconditionError
@@ -86,19 +85,40 @@ def _factor_with_fallback(mass):
         return cholesky_upper(regularize_spd(mass))
 
 
+def internal_fields(ctx: PipelineContext, data: TransferData) -> list[SnapshotSet]:
+    """Data-generated internal fields of a transfer record, one set per source.
+
+    A diagonal-only record gets the scalar ROM of each source over n
+    samples. A completed record gets the block ROM over its whole length,
+    which leaves floor((N-1)/2) + 1 samples per field.
+    """
+    if not data.is_full:
+        data.require_measured_diagonal()
+        n, tau = ctx.axis.n, ctx.axis.tau
+        fields = []
+        for j in range(ctx.sources.count):
+            basis = _factor_with_fallback(siso_mass_from_data(data.diagonal(j), n, tau))
+            basis0 = _factor_with_fallback(
+                siso_mass_from_data(ctx.background.data.diagonal(j), n, tau)
+            )
+            fields.extend(synthesize_internal(basis, basis0, [ctx.background.fields[j]]))
+        return fields
+    record = data.num_samples
+    if halved_length(record) < 2:
+        raise IterationBudgetError(
+            f"time axis exhausted: {record} samples leave no usable equations"
+        )
+    mass = regularize_spd(block_mass_from_data(data, record))
+    mass0 = regularize_spd(block_mass_from_data(_truncated(ctx.background.data, record)))
+    return synthesize_internal(
+        cholesky_upper(mass), cholesky_upper(mass0), list(ctx.background.fields)
+    )
+
+
 def run_siso_step(ctx: PipelineContext) -> PipelineState:
     """Per-source ROM internal fields and the first reconstruction."""
-    ctx.measured.require_measured_diagonal()
     n = ctx.axis.n
-    fields = []
-    for j in range(ctx.sources.count):
-        basis = _factor_with_fallback(
-            siso_mass_from_data(ctx.measured.diagonal(j), n, ctx.axis.tau)
-        )
-        basis0 = _factor_with_fallback(
-            siso_mass_from_data(ctx.background.data.diagonal(j), n, ctx.axis.tau)
-        )
-        fields.extend(synthesize_internal(basis, basis0, [ctx.background.fields[j]]))
+    fields = internal_fields(ctx, ctx.measured)
     system = assemble_system(
         list(ctx.background.antiderivatives),
         fields,
@@ -132,16 +152,8 @@ def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
 def run_mimo_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
     """Block ROM on completed data, then re-invert measured diagonals."""
     state.data.require_full()
-    record = state.data.num_samples
-    if halved_length(record) < 2:
-        raise IterationBudgetError(
-            f"time axis exhausted: {record} samples leave no usable equations"
-        )
-    mass = regularize_spd(block_mass_from_data(state.data, record))
-    mass0 = regularize_spd(block_mass_from_data(_truncated(ctx.background.data, record)))
-    basis = cholesky_upper(mass)
-    basis0 = cholesky_upper(mass0)
-    fields = synthesize_internal(basis, basis0, list(ctx.background.fields))
+    fields = internal_fields(ctx, state.data)
+    steps = fields[0].num_samples
     system = assemble_system(
         list(ctx.background.antiderivatives),
         fields,
@@ -154,11 +166,9 @@ def run_mimo_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
     state.iteration += 1
     state.q_est = q_est
     state.fields = tuple(fields)
-    state.active_length = mass.num_steps
+    state.active_length = steps
     state.history.append(
-        StageRecord(
-            f"mimo-{state.iteration}", mass.num_steps, q_est, residual_norm(system, q_est)
-        )
+        StageRecord(f"mimo-{state.iteration}", steps, q_est, residual_norm(system, q_est))
     )
     return state
 
@@ -272,7 +282,3 @@ def metrics(q_est: Potential, q_true: Potential, regions: tuple[Region, ...] = (
         offsets[region.name] = float(np.hypot(px_e - px_t, py_e - py_t))
     return ErrorReport(_rel_l2(grid, diff, true), region_err, offsets)
 
-
-def prolong_potential(q: Potential, fine: Grid2D) -> Potential:
-    """Potential re-sampled on a nested finer grid (bilinear)."""
-    return Potential(fine, prolong(q.values, q.grid, fine))

@@ -1,4 +1,4 @@
-"""Leapfrog wave solver: snapshots, boundary transfer data, noise.
+"""Leapfrog wave solver, closed-form background, boundary transfer data, noise.
 
 The model is u_tt + A u = 0 on a closed rectangle with homogeneous
 Neumann walls, A = -laplacian + q, advanced by
@@ -17,6 +17,16 @@ continuum cosine solution. Downstream, that turns the data-to-mass-matrix
 step into an identity for synthetic data instead of an approximation.
 Stability requires dt^2 * rho(A_h) < 4; `SolverSettings.cfl_safety`
 shrinks that bound.
+
+For the zero potential the recurrence need not be run: DCT-I
+diagonalizes the mirror-Neumann A_h under trapezoidal weights (Strang,
+"The discrete cosine transform", SIAM Rev. 1999), with eigenvalue
+lambda and S = cos(theta) per mode. `simulate_background` evaluates the
+Chebyshev polynomials mode by mode: cos(kp theta) for the cosine start,
+sin(kp theta) / sin(theta) times the first step for the antiderivative
+start, and the transfer record as a spectral sum. `simulate_snapshots`
+and `simulate_transfer` remain the leapfrog reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .core import (
     Grid2D,
@@ -44,16 +55,12 @@ class SolverSettings:
 
     substeps: int
     cfl_safety: float = 0.9
-    noise_level: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ConfigurationError("solver substeps must be a positive integer")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ConfigurationError("cfl_safety must lie in (0, 1]")
-        if self.noise_level < 0.0:
-            raise ConfigurationError("noise level must be nonnegative")
 
 
 def spectral_bound(grid: Grid2D, q_values: np.ndarray) -> float:
@@ -74,7 +81,7 @@ def check_cfl(grid: Grid2D, q_values: np.ndarray, tau: float, settings: SolverSe
         if tau / need >= limit:
             need += 1
         raise ConfigurationError(
-            f"fine step {dt:.4g} violates the CFL bound {limit:.4g}; "
+            f"fine step tau/substeps = {dt:.4g} violates the CFL bound {limit:.4g}; "
             f"raise solver.substeps to at least {need}"
         )
 
@@ -243,22 +250,49 @@ def simulate_background(
     sources: SourceSet,
     axis: TimeAxis,
     settings: SolverSettings,
-    threads: int = 1,
 ) -> BackgroundArtifacts:
-    """Full zero-potential transfer matrix plus per-source field histories."""
-    zero = Potential.zeros(grid)
-    data = simulate_transfer(zero, sources, axis, settings, mode="mimo", threads=threads)
+    """Full zero-potential transfer matrix plus per-source field histories.
 
-    def run(i: int):
-        u0 = simulate_snapshots(zero, sources, i, axis, settings, "cosine", axis.n)
-        w0 = simulate_snapshots(zero, sources, i, axis, settings, "antiderivative", axis.n)
-        return u0, w0
+    Closed form of the leapfrog result: each source is transformed once
+    by DCT-I, its n-sample u0 and w0 stacks come from one inverse
+    transform each, and the 2n-1 samples of F0_ij = <g_j, u0_i> are
+    summed over modes with the Parseval weights, one sample at a time.
+    """
+    check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
+    dt = axis.tau / settings.substeps
+    # eigenvalues of the zero-potential A_h on the DCT-I modes cos(pi a ix / nx) cos(pi b iy / ny)
+    sx = np.sin(np.pi * np.arange(grid.nx + 1) / (2 * grid.nx))
+    sy = np.sin(np.pi * np.arange(grid.ny + 1) / (2 * grid.ny))
+    lam = (4.0 / grid.hy**2) * sy[:, None] ** 2 + (4.0 / grid.hx**2) * sx[None, :] ** 2
+    theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(lam))  # = arccos(1 - dt^2 lam / 2)
+    steps = settings.substeps * np.arange(axis.n)
+    phase = np.multiply.outer(steps, theta)
+    cosine = np.cos(phase)
+    # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
+    sin_theta = np.sin(theta)
+    constant = sin_theta == 0.0
+    growth = np.sin(phase) / np.where(constant, 1.0, sin_theta)
+    growth[:, constant] = steps[:, None]
+    growth *= dt - (dt**3 / 6.0) * lam
+    del phase
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(run, range(sources.count)))
-    else:
-        pairs = [run(i) for i in range(sources.count)]
+    fields, antiderivatives, spectra = [], [], []
+    for i in range(sources.count):
+        g_hat = scipy.fft.dctn(sources.field(grid, i), type=1)
+        u0 = scipy.fft.idctn(cosine * g_hat, type=1, axes=(1, 2))
+        w0 = scipy.fft.idctn(growth * g_hat, type=1, axes=(1, 2))
+        fields.append(SnapshotSet(grid, i, axis.tau, "background", u0))
+        antiderivatives.append(SnapshotSet(grid, i, axis.tau, "background-antiderivative", w0))
+        spectra.append(g_hat.ravel())
+
+    spectra = np.stack(spectra)
+    # Parseval for DCT-I under trapezoidal weights: <f, g> = sum w_ab f_ab g_ab / (4 nx ny)
+    weighted = spectra * (grid.node_weights.ravel() / (4.0 * grid.nx * grid.ny))
+    theta = theta.ravel()
+    values = np.empty((sources.count, sources.count, axis.total_samples))
+    for k in range(axis.total_samples):
+        values[:, :, k] = (weighted * np.cos(k * settings.substeps * theta)) @ spectra.T
+    mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
     return BackgroundArtifacts(
-        data, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+        TransferData(values, mask, axis.tau), tuple(fields), tuple(antiderivatives)
     )

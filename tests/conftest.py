@@ -35,7 +35,7 @@ def build_context(cfg, noise_level=None, threads=1, with_true_mimo=True):
     data = simulate_transfer(q_true, sources, axis, settings, mode="siso", threads=threads)
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(data, level, cfg.seed)
-    background = simulate_background(grid, sources, axis, settings, threads=threads)
+    background = simulate_background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
         cfg.inv_grid(),

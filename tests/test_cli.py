@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,12 @@ class TestSurface:
     def test_simulate_artifacts(self, tmp_path, config_path):
         assert run("simulate", "--config", config_path) == 0
         out = tmp_path / "out"
-        for name in ("q_true.lslf", "siso.lslt", "mimo.lslt", "background.lslt"):
-            assert (out / name).exists()
+        # the background is recomputed by every command, never stored
+        assert sorted(p.name for p in out.iterdir()) == ["mimo.lslt", "q_true.lslf", "siso.lslt"]
         siso = load_transfer(out / "siso.lslt")
         assert not siso.is_full
         mimo = load_transfer(out / "mimo.lslt")
         assert mimo.is_full
-        assert len(list((out / "background_u0").glob("src*"))) == 3
 
     def test_full_chain_matches_pipeline_bitwise(self, tmp_path, config_path):
         pipe_dir = tmp_path / "pipe"
@@ -79,6 +80,30 @@ class TestSurface:
         final = (pipe_dir / "q_final.lslf").read_bytes()
         chained = (chain_dir / "q_mimo.lslf").read_bytes()
         assert final == chained
+        assert not [p for p in pipe_dir.iterdir() if p.is_dir()]
+
+    def test_second_round_chain_matches_pipeline_bitwise(self, tmp_path, config_path):
+        pipe_dir = tmp_path / "pipe"
+        assert run("pipeline", "--config", config_path, "--iterations", 2,
+                   "--out", pipe_dir) == 0
+        chain_dir = tmp_path / "chain"
+        common = ("--config", config_path, "--out", chain_dir)
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common) == 0
+        assert run("lift", *common) == 0
+        assert run("invert", "--method", "lsl", *common, "--data", chain_dir / "lifted.lslt") == 0
+        # round two re-synthesizes the block-ROM fields from the completed record
+        assert run("lift", *common, "--q", chain_dir / "q_mimo.lslf",
+                   "--data", chain_dir / "lifted.lslt",
+                   "--data-out", chain_dir / "lifted_2.lslt") == 0
+        assert run("invert", "--method", "lsl", *common, "--data", chain_dir / "lifted_2.lslt",
+                   "--q-out", chain_dir / "q_mimo_2.lslf") == 0
+        assert (chain_dir / "lifted_2.lslt").read_bytes() == (
+            pipe_dir / "lifted_2.lslt"
+        ).read_bytes()
+        assert (chain_dir / "q_mimo_2.lslf").read_bytes() == (
+            pipe_dir / "q_final.lslf"
+        ).read_bytes()
 
     def test_born_and_compare_and_render(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
@@ -152,3 +177,28 @@ class TestExitCodes:
         code = run("invert", "--method", "lsl", "--config", config_path,
                    "--data", out / "evil.lslt")
         assert code == 3
+
+    def test_non_finite_artifacts(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        values = np.array(siso.values)
+        values[1, 1, 5] = np.nan
+        save_transfer(out / "nan.lslt", TransferData(values, siso.mask, siso.tau))
+        assert run("invert", "--method", "lsl", "--config", config_path,
+                   "--data", out / "nan.lslt") == 4
+        assert "non-finite" in capsys.readouterr().err
+        blob = bytearray((out / "q_true.lslf").read_bytes())
+        blob[-8:] = struct.pack("<d", np.inf)
+        (out / "inf.lslf").write_bytes(bytes(blob))
+        assert run("lift", "--config", config_path, "--q", out / "inf.lslf") == 4
+
+    def test_oversized_header(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        # K=3 and T=2^40 would ask for 72 TiB; the file holds a few bytes
+        header = struct.pack("<4sIQQd", b"LSLT", 1, 3, 2**40, 2.0)
+        (out / "huge.lslt").write_bytes(header + bytes([1, 0, 0, 0, 1, 0, 0, 0, 1]) + b"\0" * 64)
+        assert run("invert", "--method", "lsl", "--config", config_path,
+                   "--data", out / "huge.lslt") == 4
+        assert "truncated" in capsys.readouterr().err

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from lslkit.core import Grid2D, MaskState, SnapshotSet, TransferData
+from lslkit.core import Grid2D, MaskState, TransferData
 from lslkit.errors import DomainError, FormatError
 from lslkit.io import (
     load_field,
     load_pgm,
-    load_snapshot_sets,
     load_transfer,
     render_pgm,
     save_field,
-    save_field_csv,
-    save_snapshot_sets,
     save_transfer,
 )
 
@@ -83,14 +80,6 @@ class TestFieldFormat:
     def test_shape_mismatch_on_save(self, tmp_path, grid):
         with pytest.raises(FormatError):
             save_field(tmp_path / "x.lslf", grid, np.zeros((2, 2)))
-
-    def test_csv_export(self, tmp_path, grid):
-        rng = np.random.default_rng(1)
-        values = rng.standard_normal(grid.shape)
-        path = tmp_path / "field.csv"
-        save_field_csv(path, grid, values)
-        back = np.loadtxt(path, delimiter=",")
-        assert back == pytest.approx(values)
 
 
 class TestTransferFormat:
@@ -218,28 +207,3 @@ class TestPgm:
             matched.add(int(np.argmin(dists)))
         assert matched == {0, 1}
 
-
-class TestSnapshotDirectories:
-    def test_round_trip(self, tmp_path, grid):
-        rng = np.random.default_rng(4)
-        sets = [
-            SnapshotSet(grid, i, 0.5, "background", rng.standard_normal((3,) + grid.shape))
-            for i in range(2)
-        ]
-        save_snapshot_sets(tmp_path / "snaps", sets)
-        loaded = load_snapshot_sets(tmp_path / "snaps", 0.5, "background")
-        assert len(loaded) == 2
-        for a, b in zip(loaded, sets):
-            assert a.samples.tobytes() == b.samples.tobytes()
-            assert a.grid == grid
-
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(FormatError):
-            load_snapshot_sets(tmp_path / "nothing", 1.0, "background")
-
-    def test_gap_detected(self, tmp_path, grid):
-        sets = [SnapshotSet(grid, 0, 0.5, "background", np.zeros((3,) + grid.shape))]
-        save_snapshot_sets(tmp_path / "snaps", sets)
-        (tmp_path / "snaps" / "src000" / "k0001.lslf").unlink()
-        with pytest.raises(FormatError, match="contiguous"):
-            load_snapshot_sets(tmp_path / "snaps", 0.5, "background")

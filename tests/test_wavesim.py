@@ -121,7 +121,43 @@ class TestSnapshots:
         grid, potential, sources, axis, settings = small_setup()
         direct = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", axis.n)
         bg = simulate_background(grid, sources, axis, settings)
-        assert np.array_equal(direct.samples, bg.fields[0].samples)
+        scale = np.abs(direct.samples).max()
+        assert np.abs(bg.fields[0].samples - direct.samples).max() <= 1e-12 * scale
+
+
+class TestClosedFormBackground:
+    """The DCT-I background against the leapfrog it replaces, to 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def anisotropic(self):
+        grid = Grid2D(36, 22, 1.1, 0.8, origin=(2.0, -1.0))
+        xs = np.linspace(10.0, 32.0, 3)
+        sources = SourceSet(np.column_stack([xs, np.full(3, 13.0)]), 2.0)
+        axis = TimeAxis(1.5, 10)
+        settings = SolverSettings(substeps=3)
+        return grid, sources, axis, settings, simulate_background(grid, sources, axis, settings)
+
+    @staticmethod
+    def rel_dev(a, b):
+        return np.abs(a - b).max() / np.abs(b).max()
+
+    def test_transfer_record(self, anisotropic):
+        grid, sources, axis, settings, bg = anisotropic
+        leapfrog = simulate_transfer(Potential.zeros(grid), sources, axis, settings, mode="mimo")
+        assert bg.data.num_samples == axis.total_samples
+        assert np.array_equal(bg.data.mask, leapfrog.mask)
+        assert self.rel_dev(bg.data.values, leapfrog.values) <= 1e-12
+
+    def test_field_histories(self, anisotropic):
+        grid, sources, axis, settings, bg = anisotropic
+        zero = Potential.zeros(grid)
+        for i in range(sources.count):
+            u0 = simulate_snapshots(zero, sources, i, axis, settings, "cosine", axis.n)
+            w0 = simulate_snapshots(zero, sources, i, axis, settings, "antiderivative", axis.n)
+            assert bg.fields[i].kind == u0.kind == "background"
+            assert bg.antiderivatives[i].kind == w0.kind
+            assert self.rel_dev(bg.fields[i].samples, u0.samples) <= 1e-12
+            assert self.rel_dev(bg.antiderivatives[i].samples, w0.samples) <= 1e-12
 
 
 class TestTransfer:
