@@ -45,6 +45,7 @@ from .pipeline import (
     run_lift_step,
     run_mimo_step,
     run_siso_step,
+    stages,
 )
 from .rom import (
     MassMatrix,
@@ -102,6 +103,7 @@ __all__ = [
     "run_lift_step",
     "run_mimo_step",
     "run_siso_step",
+    "stages",
     "MassMatrix",
     "OrthogonalizedBasis",
     "block_mass_from_data",

@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Subcommands: simulate, invert, lift, pipeline, compare, render. Global
-flags --config/--seed/--threads/--out apply to each. Exit codes: 0 on
+flags --config/--seed/--out apply to each. Exit codes: 0 on
 success, 2 for configuration problems, 3 for numerical failures, 4 for
 file/I-O problems.
 
 Artifact names inside the output directory:
 
     q_true.lslf            true model on the simulation grid
-    siso.lslt              measured diagonal record (noise applied here)
+    siso.lslt              measured diagonal record: the diagonal of mimo.lslt
+                           with noise applied
     mimo.lslt              clean full record, reference/oracle use
     q_born.lslf            Born reconstruction
     q_siso.lslf            first-pass reconstruction
@@ -45,6 +46,7 @@ from .pipeline import (
     run_lift_step,
     run_mimo_step,
     run_siso_step,
+    stages,
 )
 from .wavesim import add_noise, simulate_background, simulate_transfer
 
@@ -58,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment configuration file")
     common.add_argument("--seed", type=int, default=None, help="override the noise seed")
-    common.add_argument("--threads", type=int, default=1, help="worker thread cap")
     common.add_argument("--out", default=None, help="override the output directory")
 
     parser = argparse.ArgumentParser(prog="lslkit", description=__doc__.splitlines()[0])
@@ -111,7 +112,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _context(config: ExperimentConfig, measured: TransferData, threads: int) -> PipelineContext:
+def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContext:
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()
@@ -127,7 +128,6 @@ def _context(config: ExperimentConfig, measured: TransferData, threads: int) -> 
         tsvd_siso=config.tsvd_siso,
         tsvd_mimo=config.tsvd_mimo,
         tsvd_born=config.tsvd_born,
-        threads=threads,
     )
 
 
@@ -138,16 +138,17 @@ def _save_potential(path: Path, potential: Potential, positivity: bool) -> None:
     lio.save_field(path, potential.grid, values)
 
 
-def _simulate_artifacts(config: ExperimentConfig, out: Path, threads: int) -> TransferData:
-    """Shared by `simulate` and `pipeline` so both produce identical bytes."""
+def _simulate_artifacts(config: ExperimentConfig, out: Path) -> TransferData:
+    """Shared by `simulate` and `pipeline` so both produce identical bytes;
+    the measured record is the diagonal of the one true-medium simulation."""
     q_true = config.true_potential()
     sources = config.sources()
     axis = config.axis()
     settings = config.settings()
     lio.save_field(out / "q_true.lslf", q_true.grid, q_true.values)
-    mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo", threads=threads)
+    mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo")
     lio.save_transfer(out / "mimo.lslt", mimo)
-    siso = simulate_transfer(q_true, sources, axis, settings, mode="siso", threads=threads)
+    siso = TransferData(mimo.values, np.diag(np.diag(mimo.mask)), mimo.tau)
     siso = add_noise(siso, config.noise_level, config.seed)
     lio.save_transfer(out / "siso.lslt", siso)
     return siso
@@ -156,7 +157,7 @@ def _simulate_artifacts(config: ExperimentConfig, out: Path, threads: int) -> Tr
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    _simulate_artifacts(config, out, args.threads)
+    _simulate_artifacts(config, out)
     print(f"wrote true model and data records to {out}")
     return EXIT_OK
 
@@ -167,11 +168,11 @@ def _cmd_invert(args) -> int:
     measured = lio.load_transfer(out / "siso.lslt")
     data_path = Path(args.data) if args.data else out / "siso.lslt"
     data = lio.load_transfer(data_path)
-    ctx = _context(config, measured, args.threads)
+    ctx = _context(config, measured)
     positivity = args.positivity or config.positivity
 
     if args.method == "born":
-        potential, residual = invert_born(ctx)
+        potential, residual = invert_born(replace(ctx, measured=data))
         q_path = Path(args.q_out) if args.q_out else out / "q_born.lslf"
         _save_potential(q_path, potential, positivity)
         print(f"born reconstruction -> {q_path} (residual {residual:.3e})")
@@ -199,7 +200,7 @@ def _cmd_lift(args) -> int:
     data_path = Path(args.data) if args.data else out / "siso.lslt"
     grid, values = lio.load_field(q_path)
     data = lio.load_transfer(data_path)
-    ctx = _context(config, measured, args.threads)
+    ctx = _context(config, measured)
     fields = internal_fields(ctx, data)
     state = PipelineState(0, data, Potential(grid, values), tuple(fields),
                           fields[0].num_samples)
@@ -215,17 +216,14 @@ def _cmd_pipeline(args) -> int:
     out = _out_dir(config)
     iterations = config.iterations if args.iterations is None else args.iterations
     positivity = args.positivity or config.positivity
-    siso = _simulate_artifacts(config, out, args.threads)
-    ctx = _context(config, siso, args.threads)
+    ctx = _context(config, _simulate_artifacts(config, out))
 
-    state = run_siso_step(ctx)
-    _save_potential(out / "q_siso.lslf", state.q_est, positivity)
-    for round_index in range(1, iterations + 1):
-        suffix = "" if round_index == 1 else f"_{round_index}"
-        state = run_lift_step(ctx, state)
-        lio.save_transfer(out / f"lifted{suffix}.lslt", state.data)
-        state = run_mimo_step(ctx, state)
-        _save_potential(out / f"q_mimo{suffix}.lslf", state.q_est, positivity)
+    for step, round_index, state in stages(ctx, iterations):
+        suffix = "" if round_index <= 1 else f"_{round_index}"
+        if step == "lift":
+            lio.save_transfer(out / f"lifted{suffix}.lslt", state.data)
+        else:
+            _save_potential(out / f"q_{step}{suffix}.lslf", state.q_est, positivity)
     _save_potential(out / "q_final.lslf", state.q_est, positivity)
 
     q_true = config.true_potential()

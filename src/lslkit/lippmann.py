@@ -7,15 +7,15 @@ Both directions discretize the same space-time integral
 with the trapezoidal rule in time on the sample grid and trapezoidal
 node weights in space. `assemble_system` leaves q unknown and stacks one
 row per (source, time index) against measured diagonal data;
-`forward_lift` dots the same rows with a potential estimate to predict
-the unmeasured off-diagonal series. Replacing the unknown internal field
-u by the background field gives the Born linearization; replacing it by
-the data-generated field gives the sharper variant.
+`forward_lift` evaluates the same quadrature with a potential estimate
+for all source pairs at once to predict the unmeasured off-diagonal
+series. Replacing the unknown internal field u by the background field
+gives the Born linearization; replacing it by the data-generated field
+gives the sharper variant.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,10 @@ from .errors import (
     OverRegularizationError,
     PreconditionError,
 )
+
+#: nodes per block of the `forward_lift` product; its scratch arrays hold
+#: 2 * K * n_out * LIFT_CHUNK_NODES doubles however large the grid is
+LIFT_CHUNK_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,8 @@ def convolution_rows(
 
     rows[k, c] = tau * sum_t c_t w0[k-t, c] field[t, c] weights[c] with
     trapezoidal endpoint weights c_0 = c_k = 1/2; row 0 (empty interval)
-    is zero. This one kernel backs both system assembly and lifting.
+    is zero. System assembly uses it per source; `forward_lift`
+    evaluates the same quadrature for all source pairs at once.
     """
     if w0_samples.shape[0] < num_out or field_samples.shape[0] < num_out:
         raise DimensionError(
@@ -183,7 +188,6 @@ def forward_lift(
     data0: TransferData,
     n_out: int,
     measured: TransferData,
-    threads: int = 1,
 ) -> TransferData:
     """Predict off-diagonal transfer data from a potential estimate.
 
@@ -191,6 +195,11 @@ def forward_lift(
     prolonged there if it lives on a coarser nested grid) for every pair
     i != j; diagonals are copied verbatim from the measured record. The
     output holds n_out samples.
+
+    One matrix product, accumulated over node blocks, gives the space
+    integrals C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c];
+    entry (i, j) at time k tau subtracts tau times the trapezoid sum of C
+    over a + b = k, the quadrature of `convolution_rows`.
     """
     K = len(fields)
     if len(w0) != K or data0.num_sources != K or measured.num_sources != K:
@@ -217,27 +226,24 @@ def forward_lift(
         q_flat = q_est.values.ravel()
     else:
         q_flat = prolong(q_est.values, q_est.grid, grid).ravel()
-    weights = grid.node_weights.ravel()
-    u_flat = [s.matrix(n_out) for s in fields]
-    w_flat = [s.matrix(n_out) for s in w0]
+    weighted_q = grid.node_weights.ravel() * q_flat
 
-    def lift_pair(pair):
-        i, j = pair
-        rows = convolution_rows(w_flat[j], u_flat[i], weights, tau, n_out)
-        return data0.values[i, j, :n_out] - rows @ q_flat
+    gram = np.zeros((K * n_out, K * n_out))
+    for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
+        block = slice(start, start + LIFT_CHUNK_NODES)
+        w = np.concatenate([s.matrix(n_out)[:, block] for s in w0]) * weighted_q[block]
+        u = np.concatenate([s.matrix(n_out)[:, block] for s in fields])
+        gram += w @ u.T
+    gram = gram.reshape(K, n_out, K, n_out)
+    # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
+    gram[:, 0] *= 0.5
+    gram[..., 0] *= 0.5
+    integral = np.zeros((K, K, n_out))  # [j, i, k]
+    for a in range(n_out):
+        integral[:, :, a:] += gram[:, a, :, : n_out - a]
+    integral[:, :, 0] = 0.0
 
-    pairs = [(i, j) for i in range(K) for j in range(K) if i != j]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lifted = list(pool.map(lift_pair, pairs))
-    else:
-        lifted = [lift_pair(p) for p in pairs]
-
-    values = np.zeros((K, K, n_out))
-    mask = np.full((K, K), MaskState.LIFTED, dtype=np.int8)
-    for (i, j), series in zip(pairs, lifted):
-        values[i, j] = series
-    for i in range(K):
-        values[i, i] = measured.values[i, i, :n_out]
-        mask[i, i] = MaskState.MEASURED
-    return TransferData(values, mask, tau)
+    values = data0.values[:, :, :n_out] - tau * integral.transpose(1, 0, 2)
+    diagonal = np.eye(K, dtype=bool)
+    values[diagonal] = measured.values[diagonal, :n_out]
+    return TransferData(values, np.where(diagonal, MaskState.MEASURED, MaskState.LIFTED), tau)

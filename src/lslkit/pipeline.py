@@ -9,6 +9,7 @@ entries exist solely to synthesize better internal fields.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from .core import (
     inner_product,
     restrict,
 )
-from .errors import FactorizationError, IterationBudgetError, PreconditionError
+from .errors import IterationBudgetError, PreconditionError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     block_mass_from_data,
@@ -53,7 +54,6 @@ class PipelineContext:
     tsvd_siso: float = 1.0e-2
     tsvd_mimo: float = 1.0e-2
     tsvd_born: float = 1.0e-2
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -77,30 +77,22 @@ class PipelineState:
     history: list[StageRecord] = field(default_factory=list)
 
 
-def _factor_with_fallback(mass):
-    """Scalar factors are regularized only when factorization fails."""
-    try:
-        return cholesky_upper(mass)
-    except FactorizationError:
-        return cholesky_upper(regularize_spd(mass))
-
-
 def internal_fields(ctx: PipelineContext, data: TransferData) -> list[SnapshotSet]:
     """Data-generated internal fields of a transfer record, one set per source.
 
     A diagonal-only record gets the scalar ROM of each source over n
     samples. A completed record gets the block ROM over its whole length,
-    which leaves floor((N-1)/2) + 1 samples per field.
+    which leaves floor((N-1)/2) + 1 samples per field. Every mass matrix,
+    scalar or block, goes through `regularize_spd` before its Cholesky
+    factorization.
     """
     if not data.is_full:
         data.require_measured_diagonal()
         n, tau = ctx.axis.n, ctx.axis.tau
         fields = []
         for j in range(ctx.sources.count):
-            basis = _factor_with_fallback(siso_mass_from_data(data.diagonal(j), n, tau))
-            basis0 = _factor_with_fallback(
-                siso_mass_from_data(ctx.background.data.diagonal(j), n, tau)
-            )
+            basis = _factor(siso_mass_from_data(data.diagonal(j), n, tau))
+            basis0 = _factor(siso_mass_from_data(ctx.background.data.diagonal(j), n, tau))
             fields.extend(synthesize_internal(basis, basis0, [ctx.background.fields[j]]))
         return fields
     record = data.num_samples
@@ -108,11 +100,13 @@ def internal_fields(ctx: PipelineContext, data: TransferData) -> list[SnapshotSe
         raise IterationBudgetError(
             f"time axis exhausted: {record} samples leave no usable equations"
         )
-    mass = regularize_spd(block_mass_from_data(data, record))
-    mass0 = regularize_spd(block_mass_from_data(_truncated(ctx.background.data, record)))
-    return synthesize_internal(
-        cholesky_upper(mass), cholesky_upper(mass0), list(ctx.background.fields)
-    )
+    basis = _factor(block_mass_from_data(data, record))
+    basis0 = _factor(block_mass_from_data(_truncated(ctx.background.data, record)))
+    return synthesize_internal(basis, basis0, list(ctx.background.fields))
+
+
+def _factor(mass):
+    return cholesky_upper(regularize_spd(mass))
 
 
 def run_siso_step(ctx: PipelineContext) -> PipelineState:
@@ -144,7 +138,6 @@ def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
         ctx.background.data,
         state.active_length,
         ctx.measured,
-        threads=ctx.threads,
     )
     return state
 
@@ -177,23 +170,37 @@ def _truncated(data: TransferData, count: int) -> TransferData:
     return TransferData(data.values[:, :, :count], data.mask, data.tau)
 
 
+def stages(
+    ctx: PipelineContext, iterations: int = 1
+) -> Iterator[tuple[str, int, PipelineState]]:
+    """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO.
+
+    Yields (step, round, state) after every step, with step one of
+    "siso", "lift" and "mimo" and round 0 for the SISO step. The state is
+    updated in place, so read it before resuming the generator.
+    """
+    if iterations < 0:
+        raise IterationBudgetError("iteration count must be nonnegative")
+    state = run_siso_step(ctx)
+    yield "siso", 0, state
+    for round_index in range(1, iterations + 1):
+        yield "lift", round_index, run_lift_step(ctx, state)
+        yield "mimo", round_index, run_mimo_step(ctx, state)
+
+
 def run_algorithm(
     ctx: PipelineContext,
     iterations: int = 1,
     q_true: Potential | None = None,
     regions: tuple[Region, ...] = (),
 ) -> PipelineState:
-    """SISO step followed by `iterations` rounds of lift + MIMO.
+    """Run every step of `stages` and return the final state.
 
     With a reference potential the history records the relative error of
     every stage alongside its data residual.
     """
-    if iterations < 0:
-        raise IterationBudgetError("iteration count must be nonnegative")
-    state = run_siso_step(ctx)
-    for _ in range(iterations):
-        state = run_lift_step(ctx, state)
-        state = run_mimo_step(ctx, state)
+    for _step, _round, state in stages(ctx, iterations):
+        pass
     if q_true is not None:
         state.history = [
             replace(rec, rel_error=metrics(rec.potential, q_true, regions).global_rel_l2)

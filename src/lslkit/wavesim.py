@@ -31,7 +31,6 @@ against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +168,6 @@ def simulate_transfer(
     axis: TimeAxis,
     settings: SolverSettings,
     mode: str = "siso",
-    threads: int = 1,
 ) -> TransferData:
     """Record receiver inner products over 2n-1 samples.
 
@@ -183,38 +181,20 @@ def simulate_transfer(
     num = axis.total_samples
     K = sources.count
     dt = axis.tau / settings.substeps
-    weights = grid.node_weights
-
-    def run(i: int) -> np.ndarray:
-        g = sources.field(grid, i)
-        if mode == "mimo":
-            receivers = (weights * sources.fields(grid)).reshape(K, -1)
-        else:
-            receivers = (weights * g).reshape(1, -1)
-        start0, start1 = _starts(grid, potential.values, g, dt, "cosine")
-        rows = np.empty((receivers.shape[0], num))
-
-        def emit(k, state):
-            rows[:, k] = receivers @ state.ravel()
-
-        _leapfrog(grid, potential.values, start0, start1, dt, settings.substeps, num, emit)
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(K)))
-    else:
-        results = [run(i) for i in range(K)]
+    receivers = (grid.node_weights * sources.fields(grid)).reshape(K, -1)
 
     values = np.zeros((K, K, num))
     mask = np.full((K, K), MaskState.ABSENT, dtype=np.int8)
-    for i, rows in enumerate(results):
-        if mode == "mimo":
-            values[i] = rows
-            mask[i, :] = MaskState.MEASURED
-        else:
-            values[i, i] = rows[0]
-            mask[i, i] = MaskState.MEASURED
+    for i in range(K):
+        # mimo records at every receiver, siso only at the source itself
+        rows = slice(None) if mode == "mimo" else slice(i, i + 1)
+        start0, start1 = _starts(grid, potential.values, sources.field(grid, i), dt, "cosine")
+
+        def emit(k, state):
+            values[i, rows, k] = receivers[rows] @ state.ravel()
+
+        _leapfrog(grid, potential.values, start0, start1, dt, settings.substeps, num, emit)
+        mask[i, rows] = MaskState.MEASURED
     return TransferData(values, mask, axis.tau)
 
 

@@ -25,14 +25,14 @@ from lslkit.pipeline import (
 from lslkit.wavesim import simulate_background, simulate_transfer
 
 
-def build_context(cfg, noise_level=None, threads=1, with_true_mimo=True):
+def build_context(cfg, noise_level=None, with_true_mimo=True):
     """Simulate a configuration and wrap everything in a PipelineContext."""
     q_true = cfg.true_potential()
     grid = cfg.sim_grid()
     sources = cfg.sources()
     axis = cfg.axis()
     settings = cfg.settings()
-    data = simulate_transfer(q_true, sources, axis, settings, mode="siso", threads=threads)
+    data = simulate_transfer(q_true, sources, axis, settings, mode="siso")
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(data, level, cfg.seed)
     background = simulate_background(grid, sources, axis, settings)
@@ -47,11 +47,10 @@ def build_context(cfg, noise_level=None, threads=1, with_true_mimo=True):
         tsvd_siso=cfg.tsvd_siso,
         tsvd_mimo=cfg.tsvd_mimo,
         tsvd_born=cfg.tsvd_born,
-        threads=threads,
     )
     true_mimo = None
     if with_true_mimo:
-        true_mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo", threads=threads)
+        true_mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo")
     return ctx, q_true, true_mimo
 
 

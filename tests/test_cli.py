@@ -133,13 +133,33 @@ class TestSurface:
         c = load_transfer(tmp_path / "n3" / "siso.lslt")
         assert np.array_equal(a.values, c.values)
 
-    def test_threads_flag_keeps_results(self, tmp_path, config_path):
-        assert run("pipeline", "--config", config_path, "--out", tmp_path / "t1") == 0
-        assert run("pipeline", "--config", config_path, "--out", tmp_path / "t2",
-                   "--threads", 3) == 0
-        assert (tmp_path / "t1" / "q_final.lslf").read_bytes() == (
-            tmp_path / "t2" / "q_final.lslf"
-        ).read_bytes()
+    def test_siso_is_the_mimo_diagonal(self, tmp_path, config_path):
+        # noise-free: the measured record is the diagonal of the one simulation
+        assert run("simulate", "--config", config_path) == 0
+        siso = load_transfer(tmp_path / "out" / "siso.lslt")
+        mimo = load_transfer(tmp_path / "out" / "mimo.lslt")
+        K = mimo.num_sources
+        for i in range(K):
+            assert np.array_equal(siso.values[i, i], mimo.values[i, i])
+        off = ~np.eye(K, dtype=bool)
+        assert (siso.mask[off] == MaskState.ABSENT).all()
+        assert (siso.values[off] == 0.0).all()
+
+    def test_born_reads_data_flag(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        assert run("invert", "--method", "born", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        save_transfer(out / "scaled.lslt", TransferData(1.3 * siso.values, siso.mask, siso.tau))
+        assert run("invert", "--method", "born", "--config", config_path,
+                   "--data", out / "scaled.lslt", "--q-out", out / "q_scaled.lslf") == 0
+        assert (out / "q_scaled.lslf").read_bytes() != (out / "q_born.lslf").read_bytes()
+
+    def test_threads_flag_rejected(self, config_path):
+        # parallelism is BLAS's alone; argparse exits 2 on the unknown flag
+        with pytest.raises(SystemExit) as exc:
+            run("pipeline", "--config", config_path, "--threads", 2)
+        assert exc.value.code == 2
 
     def test_positivity_flag(self, tmp_path, config_path):
         assert run("simulate", "--config", config_path) == 0

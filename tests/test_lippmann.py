@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 import lslkit as lk
-from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, prolong, restrict
+from lslkit.core import (
+    Grid2D,
+    Potential,
+    SnapshotSet,
+    SourceSet,
+    TimeAxis,
+    TransferData,
+    prolong,
+    restrict,
+)
 from lslkit.errors import DimensionError, OverRegularizationError, PreconditionError
 from lslkit.lippmann import (
+    LIFT_CHUNK_NODES,
     LSSystem,
     assemble_system,
     convolution_rows,
@@ -170,6 +180,40 @@ class TestSolveTsvd:
 
 
 class TestForwardLift:
+    def test_matches_per_pair_reference(self):
+        # two node blocks, an estimate on the coarser inversion grid and
+        # fewer output samples than available; random stacks break the
+        # symmetry that could hide a swapped source/receiver index, and a
+        # nonzero first kernel sample exercises every trapezoid endpoint
+        grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
+        assert LIFT_CHUNK_NODES < grid.num_nodes < 2 * LIFT_CHUNK_NODES  # one full, one partial
+        rng = np.random.default_rng(5)
+
+        def random_stacks():
+            shape = (axis.n,) + grid.shape
+            return [
+                SnapshotSet(grid, i, axis.tau, "true", rng.standard_normal(shape))
+                for i in range(sources.count)
+            ]
+
+        fields, kernels = random_stacks(), random_stacks()
+        q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
+        n_out = 13
+        lifted = forward_lift(fields, q_est, kernels, bg.data, n_out, data)
+        assert lifted.num_samples == n_out
+        q_fine = prolong(q_est.values, inv_grid, grid).ravel()
+        weights = grid.node_weights.ravel()
+        for i in range(sources.count):
+            for j in range(sources.count):
+                if i == j:
+                    continue
+                rows = convolution_rows(
+                    kernels[j].matrix(n_out), fields[i].matrix(n_out), weights, axis.tau, n_out
+                )
+                integral = rows @ q_fine
+                deviation = bg.data.values[i, j, :n_out] - lifted.values[i, j] - integral
+                assert np.abs(deviation).max() <= 1e-12 * np.abs(integral).max()
+
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = Potential.zeros(inv_grid)

@@ -15,6 +15,7 @@ from lslkit.pipeline import (
     run_lift_step,
     run_mimo_step,
     run_siso_step,
+    stages,
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 
@@ -52,6 +53,11 @@ class TestSchedule:
             expected.append(halved_length(expected[-1]))
         assert lengths == expected
         assert [rec.name for rec in state.history] == ["siso", "mimo-1", "mimo-2"]
+
+    def test_stages_yield_every_step(self):
+        ctx, _ = tiny_context(n=16)
+        steps = [(step, round_index) for step, round_index, _ in stages(ctx, iterations=2)]
+        assert steps == [("siso", 0), ("lift", 1), ("mimo", 1), ("lift", 2), ("mimo", 2)]
 
     def test_budget_exhaustion(self):
         ctx, _ = tiny_context(n=4)
