@@ -166,8 +166,7 @@ def _cmd_invert(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
-    data_path = Path(args.data) if args.data else out / "siso.lslt"
-    data = lio.load_transfer(data_path)
+    data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured)
     positivity = args.positivity or config.positivity
 
@@ -197,9 +196,8 @@ def _cmd_lift(args) -> int:
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     q_path = Path(args.q) if args.q else out / "q_siso.lslf"
-    data_path = Path(args.data) if args.data else out / "siso.lslt"
     grid, values = lio.load_field(q_path)
-    data = lio.load_transfer(data_path)
+    data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured)
     fields = internal_fields(ctx, data)
     state = PipelineState(0, data, Potential(grid, values), tuple(fields),

@@ -16,6 +16,7 @@ Schema (every key optional, defaults in parentheses):
     [solver]      substeps (5), cfl_safety (0.9)
     [inversion]   tsvd_born (0.03), tsvd_siso (0.03), tsvd_mimo (0.03),
                   iterations (1), positivity (false)
+                  Each tsvd_* level lies in [1e-4, 1).
     [noise]       level (0.0), seed (20250811)
     [model]       margin (4.0), inclusions (empty, whitespace/comma list)
     [inclusion X] shape (rectangle|ellipse), x, y (center), width, height,
@@ -40,6 +41,7 @@ import numpy as np
 
 from .core import Grid2D, Potential, SourceSet, TimeAxis
 from .errors import ConfigurationError
+from .lippmann import TSVD_MIN_THRESHOLD
 from .pipeline import Region
 from .wavesim import SolverSettings, check_cfl
 
@@ -194,8 +196,8 @@ class ExperimentConfig:
             ("inversion.tsvd_siso", self.tsvd_siso),
             ("inversion.tsvd_mimo", self.tsvd_mimo),
         ):
-            if not 0 < value < 1:
-                raise ConfigurationError(f"{key} must lie in (0, 1)")
+            if not TSVD_MIN_THRESHOLD <= value < 1:
+                raise ConfigurationError(f"{key} must lie in [{TSVD_MIN_THRESHOLD:g}, 1)")
         if self.iterations < 0:
             raise ConfigurationError("inversion.iterations must be nonnegative")
         if self.noise_level < 0:

@@ -40,6 +40,10 @@ from .errors import (
 #: 2 * K * n_out * LIFT_CHUNK_NODES doubles however large the grid is
 LIFT_CHUNK_NODES = 1024
 
+#: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
+#: cut then sits at 1e-8 * lambda_max of the Gram matrix, far above roundoff
+TSVD_MIN_THRESHOLD = 1e-4
+
 
 @dataclass(frozen=True)
 class LSSystem:
@@ -63,6 +67,10 @@ class LSSystem:
             raise DimensionError("system columns do not match the inversion grid")
         if not np.isfinite(self.matrix).all() or not np.isfinite(self.rhs).all():
             raise PreconditionError("system contains non-finite entries")
+        if not self.tsvd_threshold >= TSVD_MIN_THRESHOLD:
+            raise PreconditionError(
+                f"TSVD threshold {self.tsvd_threshold} is below the floor {TSVD_MIN_THRESHOLD}"
+            )
 
 
 def convolution_rows(
@@ -158,18 +166,32 @@ def assemble_system(
 
 def solve_tsvd(system: LSSystem) -> Potential:
     """Minimum-norm solution after truncating singular values below
-    threshold * sigma_max. The result is sign-unconstrained."""
-    u, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    threshold * sigma_max. The result is sign-unconstrained.
+
+    The SVD comes from the Gram matrix G G^T = U Lambda U^T, whose side
+    is the row count K (N-1), smaller than the node count in every
+    configuration. Singular values are sigma = sqrt(lambda), so the kept
+    set is lambda >= threshold^2 * lambda_max, and with V_k =
+    G^T U_k Lambda_k^{-1/2} the solution is x = G^T U_k Lambda_k^{-1}
+    U_k^T b; the right singular vectors are never formed. Forming G G^T
+    squares the condition number, but eigenvalues come out accurate to
+    about machine epsilon times lambda_max, and the floor
+    `TSVD_MIN_THRESHOLD` keeps the cut at or above 1e-8 * lambda_max,
+    so every kept eigenpair lies far above roundoff.
+    """
+    matrix = system.matrix
+    lam, u = np.linalg.eigh(matrix @ matrix.T)
+    lam, u = lam[::-1], u[:, ::-1]  # descending, like singular values
+    if lam.size == 0 or lam[0] <= 0.0:
         raise OverRegularizationError("system matrix is zero")
-    keep = s >= system.tsvd_threshold * s[0]
+    keep = lam >= system.tsvd_threshold**2 * lam[0]
     if not keep.any():
         raise OverRegularizationError(
             f"threshold {system.tsvd_threshold} removed all "
-            f"{s.size} singular values"
+            f"{lam.size} singular values"
         )
-    coeff = (u[:, keep].T @ system.rhs) / s[keep]
-    values = vt[keep].T @ coeff
+    basis = u[:, keep]
+    values = matrix.T @ (basis @ ((basis.T @ system.rhs) / lam[keep]))
     return Potential(system.grid, values.reshape(system.grid.shape))
 
 

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import lslkit.cli
 from lslkit.cli import main
 from lslkit.core import MaskState, TransferData
 from lslkit.io import load_field, load_pgm, load_transfer, save_transfer
@@ -155,6 +156,19 @@ class TestSurface:
                    "--data", out / "scaled.lslt", "--q-out", out / "q_scaled.lslf") == 0
         assert (out / "q_scaled.lslf").read_bytes() != (out / "q_born.lslf").read_bytes()
 
+    def test_invert_reads_measured_record_once(self, tmp_path, config_path, monkeypatch):
+        # with --data left at its default, siso.lslt is both measured and data
+        assert run("simulate", "--config", config_path) == 0
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_transfer(path)
+
+        monkeypatch.setattr(lslkit.cli.lio, "load_transfer", counting_load)
+        assert run("invert", "--method", "lsl", "--config", config_path) == 0
+        assert calls == [tmp_path / "out" / "siso.lslt"]
+
     def test_threads_flag_rejected(self, config_path):
         # parallelism is BLAS's alone; argparse exits 2 on the unknown flag
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +192,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[solver]\nsubsteps = 1\n[time]\ntau = 5.0\n")
         assert run("simulate", "--config", bad) == 2
+
+    def test_tsvd_below_floor(self, tmp_path, config_path, capsys):
+        low = tmp_path / "low.cfg"
+        low.write_text(config_path.read_text() + "\n[inversion]\ntsvd_siso = 1e-5\n")
+        assert run("pipeline", "--config", low) == 2
+        assert "inversion.tsvd_siso" in capsys.readouterr().err
 
     def test_io_error(self, tmp_path, config_path):
         out = tmp_path / "out"

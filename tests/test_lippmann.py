@@ -15,6 +15,7 @@ from lslkit.core import (
 from lslkit.errors import DimensionError, OverRegularizationError, PreconditionError
 from lslkit.lippmann import (
     LIFT_CHUNK_NODES,
+    TSVD_MIN_THRESHOLD,
     LSSystem,
     assemble_system,
     convolution_rows,
@@ -166,6 +167,43 @@ class TestSolveTsvd:
         coeff = np.linalg.solve(reduced.T @ reduced, reduced.T @ rhs)
         oracle = basis @ coeff
         assert np.linalg.norm(q.values.ravel() - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_matches_svd_reference(self):
+        # the Gram-eigh solve against a full SVD of a wave system, at the
+        # desk level and at a deeper cut; a match far tighter than the gap
+        # to the neighbouring ranks' solutions pins the kept rank too. The
+        # symmetric setup leaves some singular directions out of its own
+        # rhs, so a random rhs stands in for it.
+        _, inv_grid, _, _, _, _, data, bg = wave_setup()
+        matrix = assemble_system(
+            list(bg.antiderivatives), list(bg.fields), data, bg.data, inv_grid, 0.03
+        ).matrix
+        assert matrix.shape[0] < matrix.shape[1]
+        rhs = np.random.default_rng(6).standard_normal(matrix.shape[0])
+        index = tuple((0, k) for k in range(rhs.size))
+        for theta in (0.03, 1e-3):
+            system = LSSystem(matrix, rhs, index, inv_grid, theta)
+            u, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
+            coeff = (u.T @ system.rhs) / s
+
+            def svd_solve(rank):
+                return vt[:rank].T @ coeff[:rank]
+
+            kept = int(np.count_nonzero(s >= theta * s[0]))
+            reference = svd_solve(kept)
+            scale = np.linalg.norm(reference)
+            for other in (kept - 1, kept + 1):
+                assert np.linalg.norm(svd_solve(other) - reference) > 1e-6 * scale
+            q = solve_tsvd(system).values.ravel()
+            assert np.linalg.norm(q - reference) <= 1e-10 * scale
+
+    def test_threshold_floor(self):
+        grid = Grid2D(4, 4, 1.0, 1.0)
+        m = grid.num_nodes
+        index = tuple((0, k) for k in range(m))
+        LSSystem(np.eye(m), np.ones(m), index, grid, TSVD_MIN_THRESHOLD)
+        with pytest.raises(PreconditionError, match="floor"):
+            LSSystem(np.eye(m), np.ones(m), index, grid, 1e-5)
 
     def test_residual_monotone_in_threshold(self):
         rng = np.random.default_rng(3)

@@ -48,6 +48,30 @@ class TestOperator:
         right = inner_product(grid, f, apply_operator(grid, q, g))
         assert left == pytest.approx(right, rel=1e-12)
 
+    def test_batched_matches_padded_stencil(self):
+        # reference: the mirror-Neumann stencil through np.pad, one field at a time
+        grid = Grid2D(13, 8, 0.7, 0.45)
+        rng = np.random.default_rng(5)
+        q = rng.random(grid.shape)
+        stack = rng.standard_normal((3,) + grid.shape)
+
+        def padded(f):
+            p = np.pad(f, 1, mode="reflect")
+            lap = (p[1:-1, 2:] - 2.0 * f + p[1:-1, :-2]) / grid.hx**2 + (
+                p[2:, 1:-1] - 2.0 * f + p[:-2, 1:-1]
+            ) / grid.hy**2
+            return q * f - lap
+
+        reference = np.stack([padded(f) for f in stack])
+        out = np.full_like(stack, np.nan)
+        assert apply_operator(grid, q, stack, out=out) is out
+        scale = np.abs(reference).max()
+        assert np.abs(out - reference).max() <= 1e-14 * scale
+        assert np.abs(apply_operator(grid, q, stack[1]) - reference[1]).max() <= 1e-14 * scale
+        strided = np.empty(stack.shape[:-1] + (2 * stack.shape[-1],))[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            apply_operator(grid, q, stack, out=strided)
+
 
 class TestSnapshots:
     def test_constant_initial_state_stays_constant(self):
@@ -183,6 +207,26 @@ class TestTransfer:
         a = simulate_transfer(potential, sources, axis, settings, mode="mimo")
         b = simulate_transfer(potential, sources, axis, settings, mode="mimo")
         assert np.array_equal(a.values, b.values)
+
+    def test_mimo_matches_per_source_snapshots(self):
+        # the batched record against <g_j, u_i(k tau)> from one-source runs
+        grid = Grid2D(30, 18, 1.1, 0.8)
+        x, y = grid.meshgrid()
+        potential = Potential(grid, 0.2 * np.exp(-((x - 16.0) ** 2 + (y - 6.0) ** 2) / 20.0))
+        xs = np.linspace(8.0, 26.0, 4)
+        sources = SourceSet(np.column_stack([xs, np.full(4, 10.0)]), 2.0)
+        axis = TimeAxis(1.5, 7)
+        settings = SolverSettings(substeps=3)
+        data = simulate_transfer(potential, sources, axis, settings, mode="mimo")
+        expected = np.empty_like(data.values)
+        for i in range(sources.count):
+            snaps = simulate_snapshots(
+                potential, sources, i, axis, settings, "cosine", axis.total_samples
+            )
+            for j in range(sources.count):
+                g = sources.field(grid, j)
+                expected[i, j] = [inner_product(grid, g, u) for u in snaps.samples]
+        assert np.abs(data.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_exact_angle_sum_identity(self):
         # <u_k, u_l> = (F((k+l)tau) + F(|k-l|tau)) / 2 to roundoff
