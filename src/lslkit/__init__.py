@@ -38,7 +38,7 @@ from .pipeline import (
     PipelineContext,
     PipelineState,
     Region,
-    internal_fields,
+    internal_transform,
     invert_born,
     metrics,
     run_algorithm,
@@ -52,6 +52,7 @@ from .rom import (
     OrthogonalizedBasis,
     block_mass_from_data,
     cholesky_upper,
+    field_transform,
     regularize_spd,
     siso_mass_from_data,
     synthesize_internal,
@@ -96,7 +97,7 @@ __all__ = [
     "PipelineContext",
     "PipelineState",
     "Region",
-    "internal_fields",
+    "internal_transform",
     "invert_born",
     "metrics",
     "run_algorithm",
@@ -108,6 +109,7 @@ __all__ = [
     "OrthogonalizedBasis",
     "block_mass_from_data",
     "cholesky_upper",
+    "field_transform",
     "regularize_spd",
     "siso_mass_from_data",
     "synthesize_internal",

@@ -19,9 +19,11 @@ Artifact names inside the output directory:
 
 Nothing else is stored. The zero-potential background is a function of
 the config and is recomputed in closed form by every command that needs
-it; internal fields are re-synthesized from the record they came from
-(`lift --data`). `pipeline` is byte-identical to chaining simulate,
-invert, lift and invert by hand with the same config and seed.
+it; the internal fields that go with an estimate are the background
+times the ROM transform T of the record they came from (`lift --data`),
+and T is recomputed from that record. `pipeline` is byte-identical to
+chaining simulate, invert, lift and invert by hand with the same config
+and seed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, FormatError
 from .pipeline import (
     PipelineContext,
     PipelineState,
-    internal_fields,
+    internal_transform,
     invert_born,
     metrics,
     run_lift_step,
@@ -199,9 +201,9 @@ def _cmd_lift(args) -> int:
     grid, values = lio.load_field(q_path)
     data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured)
-    fields = internal_fields(ctx, data)
-    state = PipelineState(0, data, Potential(grid, values), tuple(fields),
-                          fields[0].num_samples)
+    transform = internal_transform(ctx, data)
+    state = PipelineState(0, data, Potential(grid, values), transform,
+                          transform.shape[0] // ctx.sources.count)
     state = run_lift_step(ctx, state)
     data_out = Path(args.data_out) if args.data_out else out / "lifted.lslt"
     lio.save_transfer(data_out, state.data)

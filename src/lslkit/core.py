@@ -191,10 +191,6 @@ class Potential:
     def zeros(cls, grid: Grid2D) -> "Potential":
         return cls(grid, np.zeros(grid.shape))
 
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def validate_true_model(self, margin: float) -> None:
         """Check nonnegativity and a support margin to every boundary."""
         if np.any(self.values < 0.0):

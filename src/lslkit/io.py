@@ -13,7 +13,8 @@ LSLT (transfer record), little endian:
 
 Both formats round-trip bit exactly. Loading checks the size a header
 implies against the file before allocating it and rejects non-finite
-values, so a malformed artifact ends in FormatError. PGM output is
+values, a non-finite origin and a non-finite or non-positive spacing or
+sample interval, so a malformed artifact ends in FormatError. PGM output is
 16-bit binary (P5, big-endian samples per the format), mapping values
 linearly between two clip percentiles; image rows run from the top of
 the domain downward.
@@ -73,6 +74,10 @@ def _finite_values(raw: bytes, what: str) -> np.ndarray:
     return values
 
 
+def _positive(value: float) -> bool:
+    return bool(np.isfinite(value)) and value > 0.0
+
+
 def load_field(path: str | Path) -> tuple[Grid2D, np.ndarray]:
     with open(path, "rb") as handle:
         header = _read_exactly(handle, 56, "field header")
@@ -83,6 +88,8 @@ def load_field(path: str | Path) -> tuple[Grid2D, np.ndarray]:
             raise FormatError(f"unsupported field format version {version}")
         if sx < 3 or sy < 3:
             raise FormatError(f"field of {sx}x{sy} samples is too small")
+        if not (np.isfinite([ox, oy]).all() and _positive(hx) and _positive(hy)):
+            raise FormatError(f"bad field geometry: origin ({ox}, {oy}), spacing ({hx}, {hy})")
         raw = _read_exactly(handle, 8 * sx * sy, "field values")
         if handle.read(1):
             raise FormatError("trailing bytes after field values")
@@ -112,6 +119,8 @@ def load_transfer(path: str | Path) -> TransferData:
             raise FormatError(f"unsupported transfer format version {version}")
         if K < 1 or T < 1:
             raise FormatError(f"degenerate transfer record {K}x{T}")
+        if not _positive(tau):
+            raise FormatError(f"sample interval {tau} is not a positive finite number")
         mask = np.frombuffer(_read_exactly(handle, K * K, "mask"), dtype=np.uint8)
         mask = mask.reshape(K, K)
         if not np.isin(mask, (0, 1, 2)).all():

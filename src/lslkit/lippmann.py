@@ -11,7 +11,10 @@ row per (source, time index) against measured diagonal data;
 for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
-gives the sharper variant.
+u = u0 * T (`rom.field_transform`) gives the sharper variant. Assembly
+takes the data-generated fields already mixed on the inversion grid;
+the lift takes the background u0 and T and applies T to the Gram matrix
+of the background, so no data-generated field exists on the fine grid.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .core import (
     Grid2D,
@@ -37,7 +40,7 @@ from .errors import (
 )
 
 #: nodes per block of the `forward_lift` product; its scratch arrays hold
-#: 2 * K * n_out * LIFT_CHUNK_NODES doubles however large the grid is
+#: K * (n_out + steps) * LIFT_CHUNK_NODES doubles however large the grid is
 LIFT_CHUNK_NODES = 1024
 
 #: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
@@ -98,7 +101,9 @@ def convolution_rows(
     u = field_samples[:num_out]
     if num_out == 1:
         return np.zeros((1, w.shape[1]))
-    rows = fftconvolve(w, u, mode="full", axes=0)[:num_out]
+    length = scipy.fft.next_fast_len(2 * num_out - 1, real=True)
+    spectrum = scipy.fft.rfft(w, length, axis=0) * scipy.fft.rfft(u, length, axis=0)
+    rows = scipy.fft.irfft(spectrum, length, axis=0)[:num_out]
     rows -= 0.5 * (w * u[0] + w[0] * u)
     rows *= tau
     rows[0] = 0.0
@@ -119,7 +124,7 @@ def _common_sample_count(sets: list[SnapshotSet]) -> int:
 
 def _check_time_axes(tau: float, *others: float) -> None:
     for other in others:
-        if abs(other - tau) > 1e-12 * tau:
+        if not abs(other - tau) <= 1e-12 * tau:
             raise DimensionError(f"sample intervals differ: {tau} vs {other}")
 
 
@@ -133,9 +138,10 @@ def assemble_system(
 ) -> LSSystem:
     """Stack rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `fields` may be data-generated internal fields or plain background
-    fields (the Born variant). The right-hand side uses measured diagonal
-    data only.
+    `fields` may be data-generated internal fields, which the pipeline
+    mixes on the inversion grid as u0 * T, or plain background fields
+    (the Born variant). The right-hand side uses measured diagonal data
+    only.
     """
     K = len(fields)
     if len(w0) != K or data.num_sources != K or data0.num_sources != K:
@@ -205,6 +211,7 @@ def residual_norm(system: LSSystem, potential: Potential) -> float:
 
 def forward_lift(
     fields: list[SnapshotSet],
+    transform: np.ndarray,
     q_est: Potential,
     w0: list[SnapshotSet],
     data0: TransferData,
@@ -213,19 +220,29 @@ def forward_lift(
 ) -> TransferData:
     """Predict off-diagonal transfer data from a potential estimate.
 
-    Evaluates the forward integral on the field grid (the estimate is
-    prolonged there if it lives on a coarser nested grid) for every pair
-    i != j; diagonals are copied verbatim from the measured record. The
-    output holds n_out samples.
+    `fields` are the background sets u0, one per source, and the
+    internal fields are u0 * T with T = `transform` in the time-major
+    order of `rom.field_transform`, (steps K) square. Evaluates the
+    forward integral on the field grid (the estimate is prolonged there
+    if it lives on a coarser nested grid) for every pair i != j;
+    diagonals are copied verbatim from the measured record. The output
+    holds n_out <= steps samples.
 
     One matrix product, accumulated over node blocks, gives the space
-    integrals C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c];
-    entry (i, j) at time k tau subtracts tau times the trapezoid sum of C
-    over a + b = k, the quadrature of `convolution_rows`.
+    integrals of the background, C0[j, a, (a', l)] = sum_c w0_j(a tau)[c]
+    weight[c] q[c] u0_l(a' tau)[c] over all `steps` samples a'; then
+    C = C0 T holds those of the internal fields, C[j, a, i, b] = sum_c
+    w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c]. Entry (i, j) at time
+    k tau subtracts tau times the trapezoid sum of C over a + b = k, the
+    quadrature of `convolution_rows`.
     """
     K = len(fields)
     if len(w0) != K or data0.num_sources != K or measured.num_sources != K:
         raise DimensionError("source counts of fields, antiderivatives and data differ")
+    size = transform.shape[0]
+    if transform.shape != (size, size) or size % K:
+        raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
+    steps = size // K
     data0.require_full()
     measured.require_measured_diagonal()
     grid = fields[0].grid
@@ -234,12 +251,9 @@ def forward_lift(
             raise DimensionError("field and antiderivative sets live on different grids")
     tau = measured.tau
     _check_time_axes(tau, data0.tau, *(s.tau for s in w0), *(s.tau for s in fields))
-    available = min(
-        _common_sample_count(list(fields)),
-        min(s.num_samples for s in w0),
-        data0.num_samples,
-        measured.num_samples,
-    )
+    if min(s.num_samples for s in fields) < steps:
+        raise DimensionError(f"background fields hold fewer than the {steps} transform samples")
+    available = min(steps, min(s.num_samples for s in w0), data0.num_samples, measured.num_samples)
     if n_out < 1 or n_out > available:
         raise DimensionError(
             f"cannot produce {n_out} lifted samples from {available} available"
@@ -250,13 +264,16 @@ def forward_lift(
         q_flat = prolong(q_est.values, q_est.grid, grid).ravel()
     weighted_q = grid.node_weights.ravel() * q_flat
 
-    gram = np.zeros((K * n_out, K * n_out))
+    # rows (j, a) source-major; columns (a', l) time-major, the row order of T
+    gram0 = np.zeros((K * n_out, size))
     for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
         block = slice(start, start + LIFT_CHUNK_NODES)
         w = np.concatenate([s.matrix(n_out)[:, block] for s in w0]) * weighted_q[block]
-        u = np.concatenate([s.matrix(n_out)[:, block] for s in fields])
-        gram += w @ u.T
-    gram = gram.reshape(K, n_out, K, n_out)
+        u = np.stack([s.matrix(steps)[:, block] for s in fields], axis=1)
+        gram0 += w @ u.reshape(size, -1).T
+    # columns (i, b) source-major for b < n_out
+    columns = transform.reshape(size, steps, K)[:, :n_out].transpose(0, 2, 1)
+    gram = (gram0 @ columns.reshape(size, K * n_out)).reshape(K, n_out, K, n_out)
     # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
     gram[:, 0] *= 0.5
     gram[..., 0] *= 0.5

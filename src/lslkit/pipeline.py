@@ -5,6 +5,12 @@ completion round lifts a record of the current length N and the block
 mass matrix then halves it to floor((N-1)/2) + 1. Every inversion,
 including post-completion ones, fits measured diagonal data only; lifted
 entries exist solely to synthesize better internal fields.
+
+A data-generated internal field is the background times one matrix,
+u = u0 * T (`rom.field_transform`), and a stage carries only T. Each
+consumer applies it where it is cheapest: assembly mixes the background
+injected onto the inversion grid (injection commutes with T), and the
+lift multiplies the fine-grid Gram matrix of the background by T.
 """
 
 from __future__ import annotations
@@ -22,16 +28,18 @@ from .core import (
     TimeAxis,
     TransferData,
     inner_product,
+    refinement_ratio,
     restrict,
 )
 from .errors import IterationBudgetError, PreconditionError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
+    apply_transform,
     block_mass_from_data,
     cholesky_upper,
+    field_transform,
     regularize_spd,
     siso_mass_from_data,
-    synthesize_internal,
 )
 from .wavesim import BackgroundArtifacts, SolverSettings
 
@@ -72,29 +80,30 @@ class PipelineState:
     iteration: int
     data: TransferData
     q_est: Potential | None
-    fields: tuple[SnapshotSet, ...] | None
+    transform: np.ndarray | None
     active_length: int
     history: list[StageRecord] = field(default_factory=list)
 
 
-def internal_fields(ctx: PipelineContext, data: TransferData) -> list[SnapshotSet]:
-    """Data-generated internal fields of a transfer record, one set per source.
+def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
+    """ROM transform T of a transfer record: its internal fields are u0 * T.
 
     A diagonal-only record gets the scalar ROM of each source over n
-    samples. A completed record gets the block ROM over its whole length,
-    which leaves floor((N-1)/2) + 1 samples per field. Every mass matrix,
-    scalar or block, goes through `regularize_spd` before its Cholesky
-    factorization.
+    samples, so T is block diagonal with the n x n block of source j at
+    [j::K, j::K]. A completed record gets the block ROM over its whole
+    length, which leaves floor((N-1)/2) + 1 samples per field. Every mass
+    matrix, scalar or block, goes through `regularize_spd` before its
+    Cholesky factorization.
     """
     if not data.is_full:
         data.require_measured_diagonal()
-        n, tau = ctx.axis.n, ctx.axis.tau
-        fields = []
-        for j in range(ctx.sources.count):
+        n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
+        transform = np.zeros((n * K, n * K))
+        for j in range(K):
             basis = _factor(siso_mass_from_data(data.diagonal(j), n, tau))
             basis0 = _factor(siso_mass_from_data(ctx.background.data.diagonal(j), n, tau))
-            fields.extend(synthesize_internal(basis, basis0, [ctx.background.fields[j]]))
-        return fields
+            transform[j::K, j::K] = field_transform(basis, basis0)
+        return transform
     record = data.num_samples
     if halved_length(record) < 2:
         raise IterationBudgetError(
@@ -102,37 +111,58 @@ def internal_fields(ctx: PipelineContext, data: TransferData) -> list[SnapshotSe
         )
     basis = _factor(block_mass_from_data(data, record))
     basis0 = _factor(block_mass_from_data(_truncated(ctx.background.data, record)))
-    return synthesize_internal(basis, basis0, list(ctx.background.fields))
+    return field_transform(basis, basis0)
+
+
+def inversion_fields(ctx: PipelineContext, transform: np.ndarray) -> list[SnapshotSet]:
+    """The internal fields u0 * T on the inversion grid, one set per source.
+
+    Only the background is injected onto the inversion grid; the fine
+    grid never holds a data-generated field.
+    """
+    ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
+    coarse = [
+        SnapshotSet(ctx.inv_grid, s.source_index, s.tau, s.kind, s.samples[:, ::ratio, ::ratio])
+        for s in ctx.background.fields
+    ]
+    return apply_transform(transform, coarse)
 
 
 def _factor(mass):
     return cholesky_upper(regularize_spd(mass))
 
 
-def run_siso_step(ctx: PipelineContext) -> PipelineState:
-    """Per-source ROM internal fields and the first reconstruction."""
-    n = ctx.axis.n
-    fields = internal_fields(ctx, ctx.measured)
+def _invert(ctx: PipelineContext, fields: list[SnapshotSet], threshold: float):
+    """TSVD fit of the measured diagonal with the given internal fields."""
     system = assemble_system(
         list(ctx.background.antiderivatives),
         fields,
         ctx.measured,
         ctx.background.data,
         ctx.inv_grid,
-        ctx.tsvd_siso,
+        threshold,
     )
     q_est = solve_tsvd(system)
-    state = PipelineState(0, ctx.measured, q_est, tuple(fields), n)
-    state.history.append(StageRecord("siso", n, q_est, residual_norm(system, q_est)))
+    return q_est, residual_norm(system, q_est)
+
+
+def run_siso_step(ctx: PipelineContext) -> PipelineState:
+    """Per-source ROM internal fields and the first reconstruction."""
+    n = ctx.axis.n
+    transform = internal_transform(ctx, ctx.measured)
+    q_est, residual = _invert(ctx, inversion_fields(ctx, transform), ctx.tsvd_siso)
+    state = PipelineState(0, ctx.measured, q_est, transform, n)
+    state.history.append(StageRecord("siso", n, q_est, residual))
     return state
 
 
 def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
     """Populate off-diagonal data from the current estimate and fields."""
-    if state.q_est is None or state.fields is None:
+    if state.q_est is None or state.transform is None:
         raise PreconditionError("lifting requires a prior inversion stage")
     state.data = forward_lift(
-        list(state.fields),
+        list(ctx.background.fields),
+        state.transform,
         state.q_est,
         list(ctx.background.antiderivatives),
         ctx.background.data,
@@ -145,24 +175,14 @@ def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
 def run_mimo_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
     """Block ROM on completed data, then re-invert measured diagonals."""
     state.data.require_full()
-    fields = internal_fields(ctx, state.data)
-    steps = fields[0].num_samples
-    system = assemble_system(
-        list(ctx.background.antiderivatives),
-        fields,
-        ctx.measured,
-        ctx.background.data,
-        ctx.inv_grid,
-        ctx.tsvd_mimo,
-    )
-    q_est = solve_tsvd(system)
+    transform = internal_transform(ctx, state.data)
+    steps = transform.shape[0] // ctx.sources.count
+    q_est, residual = _invert(ctx, inversion_fields(ctx, transform), ctx.tsvd_mimo)
     state.iteration += 1
     state.q_est = q_est
-    state.fields = tuple(fields)
+    state.transform = transform
     state.active_length = steps
-    state.history.append(
-        StageRecord(f"mimo-{state.iteration}", steps, q_est, residual_norm(system, q_est))
-    )
+    state.history.append(StageRecord(f"mimo-{state.iteration}", steps, q_est, residual))
     return state
 
 
@@ -211,16 +231,7 @@ def run_algorithm(
 
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
     """Reconstruction with background fields in place of internal ones."""
-    system = assemble_system(
-        list(ctx.background.antiderivatives),
-        list(ctx.background.fields),
-        ctx.measured,
-        ctx.background.data,
-        ctx.inv_grid,
-        ctx.tsvd_born,
-    )
-    q_est = solve_tsvd(system)
-    return q_est, residual_norm(system, q_est)
+    return _invert(ctx, list(ctx.background.fields), ctx.tsvd_born)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,17 @@ alone through the cosine angle-sum identity
 
 scalar per source for diagonal-only data and blockwise for a full
 transfer matrix. Factoring M = U^T U and the background Gram the same
-way yields the data-generated internal fields u0 * inv(U0) * U: true
-orthogonalization coefficients re-expanded in the orthonormalized
-background snapshots.
+way yields the data-generated internal fields u = u0 * T with
+T = inv(U0) * U: true orthogonalization coefficients re-expanded in the
+orthonormalized background snapshots.
+
+`field_transform` returns T, and T is the only form in which the
+inversion carries a data-generated field: u is linear in T, and so are
+both of its consumers. `apply_transform` mixes background snapshots by
+T on whatever grid they live on (the pipeline hands it the background
+injected onto the inversion grid); `synthesize_internal` is T applied to
+the fine-grid background, the reference the factored path is tested
+against.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
@@ -178,30 +186,37 @@ def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
     return OrthogonalizedBasis(upper, mass.block_size, mass.num_steps, mass.tau)
 
 
-def synthesize_internal(
-    basis: OrthogonalizedBasis,
-    basis0: OrthogonalizedBasis,
-    background: list[SnapshotSet],
-) -> list[SnapshotSet]:
-    """Data-generated internal fields u0 * inv(U0) * U.
+def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> np.ndarray:
+    """T = inv(U0) * U, the map from background to data-generated snapshots.
 
-    `background` holds one snapshot set per source (block_size of the
-    bases); columns are ordered time-major, all sources at sample 0,
-    then all at sample 1, and so on. Identical factors return the
-    background snapshots unchanged.
+    Rows and columns are time-major, all sources at sample 0, then all
+    at sample 1, and so on: T has side num_steps * block_size, and field
+    i at sample b is sum over (a, l) of T[a K + l, b K + i] u0_l(a tau).
+    Identical factors give the identity.
     """
     if basis.size != basis0.size or basis.block_size != basis0.block_size:
         raise DimensionError(
             f"factor shapes differ: {basis.size}/{basis.block_size} vs "
             f"{basis0.size}/{basis0.block_size}"
         )
-    if len(background) != basis.block_size:
+    return scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
+
+
+def apply_transform(transform: np.ndarray, background: list[SnapshotSet]) -> list[SnapshotSet]:
+    """Data-generated fields u = u0 * T from one background set per source.
+
+    The sets share one grid, any grid: the result lives on it too. With
+    K sets, T is (steps K) square in the time-major order of
+    `field_transform` and every set needs at least `steps` samples.
+    """
+    K = len(background)
+    size = transform.shape[0]
+    if transform.shape != (size, size) or size % K:
         raise DimensionError(
-            f"expected {basis.block_size} background sets, got {len(background)}"
+            f"transform of shape {transform.shape} does not fit {K} background sets"
         )
+    steps = size // K
     grid = background[0].grid
-    steps = basis.num_steps
-    K = basis.block_size
     for s in background:
         if s.grid != grid:
             raise DimensionError("background snapshot sets live on different grids")
@@ -209,20 +224,27 @@ def synthesize_internal(
             raise DimensionError(
                 f"background set holds {s.num_samples} samples, factors need {steps}"
             )
-    stacked = np.empty((steps * K, grid.num_nodes))
-    for i, s in enumerate(background):
-        stacked[i::K] = s.matrix(steps)
-    transform = scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
-    synthesized = transform.T @ stacked
-    out = []
-    for i, s in enumerate(background):
-        out.append(
-            SnapshotSet(
-                grid,
-                s.source_index,
-                basis.tau,
-                "data-generated",
-                synthesized[i::K].reshape((steps,) + grid.shape),
-            )
+    stacked = np.stack([s.samples[:steps] for s in background], axis=1)  # (steps, K) + shape
+    mixed = (transform.T @ stacked.reshape(size, -1)).reshape(stacked.shape)
+    return [
+        SnapshotSet(grid, s.source_index, s.tau, "data-generated", mixed[:, i])
+        for i, s in enumerate(background)
+    ]
+
+
+def synthesize_internal(
+    basis: OrthogonalizedBasis,
+    basis0: OrthogonalizedBasis,
+    background: list[SnapshotSet],
+) -> list[SnapshotSet]:
+    """Data-generated internal fields u0 * inv(U0) * U, materialized.
+
+    `background` holds one snapshot set per source (block_size of the
+    bases). Identical factors return the background snapshots unchanged.
+    The inversion never calls this: it carries `field_transform` instead.
+    """
+    if len(background) != basis.block_size:
+        raise DimensionError(
+            f"expected {basis.block_size} background sets, got {len(background)}"
         )
-    return out
+    return apply_transform(field_transform(basis, basis0), background)

@@ -74,11 +74,11 @@ def two_target_run():
     q_ref = reference_potential(ctx, q_true)
     born_potential, born_residual = invert_born(ctx)
     state = run_siso_step(ctx)
-    siso_fields = state.fields
+    siso_transform = state.transform
     state = run_lift_step(ctx, state)
     lifted_first = state.data
     state = run_mimo_step(ctx, state)
-    mimo_fields = state.fields
+    mimo_transform = state.transform
     state = run_lift_step(ctx, state)
     state = run_mimo_step(ctx, state)
     elapsed = time.monotonic() - started
@@ -94,8 +94,8 @@ def two_target_run():
         q_ref=q_ref,
         true_mimo=true_mimo,
         lifted_first=lifted_first,
-        siso_fields=siso_fields,
-        mimo_fields=mimo_fields,
+        siso_transform=siso_transform,
+        mimo_transform=mimo_transform,
         state=state,
         errors=errors,
         potentials=potentials,

@@ -1,4 +1,7 @@
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +178,15 @@ class TestSurface:
             run("pipeline", "--config", config_path, "--threads", 2)
         assert exc.value.code == 2
 
+    def test_import_leaves_out_scipy_signal(self):
+        # scipy.signal takes most of a second to import; nothing needs it
+        src = Path(lslkit.cli.__file__).parents[1]
+        probe = "import sys, lslkit.cli; sys.exit('scipy.signal' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], cwd=src, capture_output=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr.decode()
+
     def test_positivity_flag(self, tmp_path, config_path):
         assert run("simulate", "--config", config_path) == 0
         assert run("invert", "--method", "born", "--config", config_path,
@@ -232,6 +244,22 @@ class TestExitCodes:
         blob[-8:] = struct.pack("<d", np.inf)
         (out / "inf.lslf").write_bytes(bytes(blob))
         assert run("lift", "--config", config_path, "--q", out / "inf.lslf") == 4
+
+    def test_malformed_header_floats(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        siso = (out / "siso.lslt").read_bytes()
+        for tau in (np.nan, 0.0):  # the header's f64 tau sits at byte 24
+            bad = out / "bad_tau.lslt"
+            bad.write_bytes(siso[:24] + struct.pack("<d", tau) + siso[32:])
+            assert run("invert", "--method", "lsl", "--config", config_path,
+                       "--data", bad) == 4
+            assert "sample interval" in capsys.readouterr().err
+        field = (out / "q_true.lslf").read_bytes()
+        bad = out / "bad_hx.lslf"  # origin x, y then spacing x, y from byte 24
+        bad.write_bytes(field[:40] + struct.pack("<d", np.nan) + field[48:])
+        assert run("lift", "--config", config_path, "--q", bad) == 4
+        assert "bad field geometry" in capsys.readouterr().err
 
     def test_oversized_header(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

@@ -23,6 +23,7 @@ from lslkit.lippmann import (
     residual_norm,
     solve_tsvd,
 )
+from lslkit.rom import OrthogonalizedBasis, apply_transform, field_transform, synthesize_internal
 from lslkit.wavesim import (
     SolverSettings,
     simulate_background,
@@ -54,6 +55,24 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
     return grid, inv_grid, potential, sources, axis, settings, data, background
 
 
+def assert_per_pair_lift(lifted, fields, kernels, q_est, data0):
+    """Every off-diagonal series of `lifted` against the per-pair quadrature
+    of `convolution_rows` with the materialized fields, to 1e-12."""
+    grid, n_out, tau = fields[0].grid, lifted.num_samples, lifted.tau
+    q_fine = prolong(q_est.values, q_est.grid, grid).ravel()
+    weights = grid.node_weights.ravel()
+    for i in range(len(fields)):
+        for j in range(len(fields)):
+            if i == j:
+                continue
+            rows = convolution_rows(
+                kernels[j].matrix(n_out), fields[i].matrix(n_out), weights, tau, n_out
+            )
+            integral = rows @ q_fine
+            deviation = data0.values[i, j, :n_out] - lifted.values[i, j] - integral
+            assert np.abs(deviation).max() <= 1e-12 * np.abs(integral).max()
+
+
 class TestConvolutionRows:
     def test_against_direct_trapezoid(self):
         rng = np.random.default_rng(0)
@@ -70,6 +89,22 @@ class TestConvolutionRows:
                 direct += c * w[k - t] * u[t] * weights
             direct *= tau
             assert rows[k] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("num_out", [1, 2, 13, 88])
+    def test_matches_np_convolve(self, num_out):
+        rng = np.random.default_rng(num_out)
+        w = rng.standard_normal((num_out, 7))
+        u = rng.standard_normal((num_out, 7))
+        weights = rng.random(7) + 0.5
+        tau = 0.7
+        rows = convolution_rows(w, u, weights, tau, num_out)
+        reference = np.zeros((num_out, 7))
+        for c in range(7):
+            wc = w[:, c] * weights[c]
+            full = np.convolve(wc, u[:, c])[:num_out]
+            reference[:, c] = tau * (full - 0.5 * (wc * u[0, c] + wc[0] * u[:, c]))
+        reference[0] = 0.0
+        assert np.abs(rows - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -115,6 +150,17 @@ class TestAssemble:
             assemble_system(
                 list(bg.antiderivatives), list(bg.fields), shifted, bg.data, inv_grid, 1e-2
             )
+
+    def test_nan_sample_interval_rejected(self):
+        # NaN compares false both ways, so the check must not pass it
+        grid, inv_grid, _, _, axis, _, data, bg = wave_setup(n=10)
+        nan_data = TransferData(data.values, data.mask, np.nan)
+        nan_data0 = TransferData(bg.data.values, bg.data.mask, np.nan)
+        for measured, data0 in ((nan_data, bg.data), (data, nan_data0)):
+            with pytest.raises(DimensionError, match="sample intervals differ"):
+                assemble_system(
+                    list(bg.antiderivatives), list(bg.fields), measured, data0, inv_grid, 1e-2
+                )
 
     def test_born_error_decreases_with_amplitude(self):
         errors = {}
@@ -237,26 +283,70 @@ class TestForwardLift:
         fields, kernels = random_stacks(), random_stacks()
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         n_out = 13
-        lifted = forward_lift(fields, q_est, kernels, bg.data, n_out, data)
+        identity = np.eye(sources.count * axis.n)
+        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, n_out, data)
         assert lifted.num_samples == n_out
-        q_fine = prolong(q_est.values, inv_grid, grid).ravel()
-        weights = grid.node_weights.ravel()
-        for i in range(sources.count):
-            for j in range(sources.count):
-                if i == j:
-                    continue
-                rows = convolution_rows(
-                    kernels[j].matrix(n_out), fields[i].matrix(n_out), weights, axis.tau, n_out
-                )
-                integral = rows @ q_fine
-                deviation = bg.data.values[i, j, :n_out] - lifted.values[i, j] - integral
-                assert np.abs(deviation).max() <= 1e-12 * np.abs(integral).max()
+        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data)
+
+    @pytest.mark.parametrize("kind", ["siso", "block", "dense"])
+    def test_factored_matches_materialized_fields(self, kind):
+        # the lift of u0 * T against the per-pair lift of the fields
+        # materialized from the same factors: a block-diagonal T (one
+        # scalar ROM per source), a block-ROM T and, beyond what a ROM
+        # yields, a dense T that is not triangular; random stacks on the
+        # two-block grid, fewer output samples than transform samples
+        grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
+        K, steps, n_out = sources.count, axis.n, 13
+        rng = np.random.default_rng(11)
+        shape = (steps,) + grid.shape
+        background = [
+            SnapshotSet(grid, i, axis.tau, "background", rng.standard_normal(shape))
+            for i in range(K)
+        ]
+        kernels = [
+            SnapshotSet(grid, i, axis.tau, "true", rng.standard_normal(shape)) for i in range(K)
+        ]
+
+        def random_basis(block_size):
+            m = block_size * steps
+            upper = np.triu(rng.standard_normal((m, m)), 1) * (0.3 / np.sqrt(m))
+            upper += np.diag(rng.uniform(0.5, 1.5, m))
+            return OrthogonalizedBasis(upper, block_size, steps, axis.tau)
+
+        if kind == "siso":
+            transform = np.zeros((K * steps, K * steps))
+            fields = []
+            for j in range(K):
+                basis, basis0 = random_basis(1), random_basis(1)
+                fields += synthesize_internal(basis, basis0, [background[j]])
+                transform[j::K, j::K] = field_transform(basis, basis0)
+        elif kind == "block":
+            basis, basis0 = random_basis(K), random_basis(K)
+            fields = synthesize_internal(basis, basis0, background)
+            transform = field_transform(basis, basis0)
+        else:
+            transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
+            fields = apply_transform(transform, background)
+        q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
+        lifted = forward_lift(background, transform, q_est, kernels, bg.data, n_out, data)
+        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data)
+
+    def test_transform_must_fit_sources(self):
+        grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
+        zero = Potential.zeros(inv_grid)
+        w0 = list(bg.antiderivatives)
+        for transform in (np.eye(sources.count * axis.n + 1), np.eye(sources.count * 11)):
+            with pytest.raises(DimensionError):
+                forward_lift(list(bg.fields), transform, zero, w0, bg.data, 5, data)
 
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = Potential.zeros(inv_grid)
         fields = list(bg.fields)
-        lifted = forward_lift(fields, zero, list(bg.antiderivatives), bg.data, axis.n, data)
+        identity = np.eye(sources.count * axis.n)
+        lifted = forward_lift(
+            fields, identity, zero, list(bg.antiderivatives), bg.data, axis.n, data
+        )
         K = sources.count
         for i in range(K):
             for j in range(K):
@@ -267,8 +357,9 @@ class TestForwardLift:
     def test_diagonal_copied_bitwise(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         q_est = Potential(inv_grid, np.full(inv_grid.shape, 0.01))
+        identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            list(bg.fields), q_est, list(bg.antiderivatives), bg.data, axis.n, data
+            list(bg.fields), identity, q_est, list(bg.antiderivatives), bg.data, axis.n, data
         )
         for i in range(sources.count):
             assert np.array_equal(lifted.values[i, i], data.values[i, i, : axis.n])
@@ -283,8 +374,9 @@ class TestForwardLift:
             list(bg.antiderivatives), fields, data, bg.data, grid, 1e-2
         )  # inversion grid = field grid here
         q_vals = potential.values
+        identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            fields, potential, list(bg.antiderivatives), bg.data, axis.n, data
+            fields, identity, potential, list(bg.antiderivatives), bg.data, axis.n, data
         )
         K, n = sources.count, axis.n
         for j in range(K):
@@ -310,7 +402,8 @@ class TestForwardLift:
         combo = Potential(inv_grid, 2.0 * np.asarray(q1.values) - 0.5 * np.asarray(q2.values))
         fields = list(bg.fields)
         w0 = list(bg.antiderivatives)
-        lift = lambda q: forward_lift(fields, q, w0, bg.data, axis.n, data)
+        identity = np.eye(sources.count * axis.n)
+        lift = lambda q: forward_lift(fields, identity, q, w0, bg.data, axis.n, data)
         r1 = bg.data.values[:, :, : axis.n] - lift(q1).values
         r2 = bg.data.values[:, :, : axis.n] - lift(q2).values
         rc = bg.data.values[:, :, : axis.n] - lift(combo).values
@@ -330,6 +423,7 @@ class TestForwardLift:
         ]
         lifted = forward_lift(
             true_fields,
+            np.eye(ctx.sources.count * n),
             two_target_run.q_true,
             list(ctx.background.antiderivatives),
             ctx.background.data,
@@ -365,7 +459,10 @@ class TestForwardLift:
                 for i in range(K)
             ]
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
-            lifted = forward_lift(fields, q_est, list(bg.antiderivatives), bg.data, n, data)
+            identity = np.eye(K * n)
+            lifted = forward_lift(
+                fields, identity, q_est, list(bg.antiderivatives), bg.data, n, data
+            )
             off = ~np.eye(K, dtype=bool)
             truth = mimo.values[off][:, :n]
             defects.append(np.linalg.norm(lifted.values[off] - truth) / np.linalg.norm(truth))
@@ -376,6 +473,7 @@ class TestForwardLift:
         with pytest.raises(PreconditionError):
             forward_lift(
                 list(bg.fields),
+                np.eye(sources.count * axis.n),
                 Potential.zeros(inv_grid),
                 list(bg.antiderivatives),
                 data,  # diagonal-only record cannot provide off-diagonal reference

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lslkit as lk
-from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis
+from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
 from lslkit.errors import IterationBudgetError
 from lslkit.lippmann import assemble_system, solve_tsvd
 from lslkit.pipeline import (
@@ -10,12 +10,21 @@ from lslkit.pipeline import (
     PipelineContext,
     Region,
     halved_length,
+    internal_transform,
+    inversion_fields,
     metrics,
     run_algorithm,
     run_lift_step,
     run_mimo_step,
     run_siso_step,
     stages,
+)
+from lslkit.rom import (
+    block_mass_from_data,
+    cholesky_upper,
+    regularize_spd,
+    siso_mass_from_data,
+    synthesize_internal,
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 
@@ -68,6 +77,44 @@ class TestSchedule:
             run_algorithm(ctx, iterations=-1)
 
 
+class TestInternalFields:
+    @staticmethod
+    def assert_restricted(ctx, fields, reference):
+        ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
+        for got, ref in zip(fields, reference, strict=True):
+            assert got.grid == ctx.inv_grid
+            fine = ref.samples[:, ::ratio, ::ratio]
+            assert np.abs(got.samples - fine).max() <= 1e-13 * np.abs(fine).max()
+
+    def test_inversion_fields_are_restricted_reference(self):
+        # u0 * T mixed on the inversion grid equals the fine fields that
+        # synthesize_internal materializes, injected onto that grid
+        ctx, _ = tiny_context()
+        K, n, tau = ctx.sources.count, ctx.axis.n, ctx.axis.tau
+        factor = lambda mass: cholesky_upper(regularize_spd(mass))
+        reference = []
+        for j in range(K):
+            basis, basis0 = (
+                factor(siso_mass_from_data(d.diagonal(j), n, tau))
+                for d in (ctx.measured, ctx.background.data)
+            )
+            reference += synthesize_internal(basis, basis0, [ctx.background.fields[j]])
+        fields = inversion_fields(ctx, internal_transform(ctx, ctx.measured))
+        self.assert_restricted(ctx, fields, reference)
+
+        lifted = run_lift_step(ctx, run_siso_step(ctx)).data
+        record = lifted.num_samples
+        bg = ctx.background.data
+        basis = factor(block_mass_from_data(lifted, record))
+        basis0 = factor(
+            block_mass_from_data(TransferData(bg.values[:, :, :record], bg.mask, bg.tau))
+        )
+        reference = synthesize_internal(basis, basis0, list(ctx.background.fields))
+        fields = inversion_fields(ctx, internal_transform(ctx, lifted))
+        assert fields[0].num_samples == halved_length(record)
+        self.assert_restricted(ctx, fields, reference)
+
+
 class TestZeroPotential:
     def test_everything_stays_zero(self):
         ctx, _ = tiny_context(q_amp=0.0)
@@ -109,13 +156,13 @@ class TestStages:
         assert state.data.num_samples == ctx.axis.n
 
     def test_final_inversion_uses_measured_data_only(self):
-        # rebuilding the last stage from its fields and the measured record
+        # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
         ctx, _ = tiny_context()
         state = run_algorithm(ctx, iterations=1)
         system = assemble_system(
             list(ctx.background.antiderivatives),
-            list(state.fields),
+            inversion_fields(ctx, state.transform),
             ctx.measured,
             ctx.background.data,
             ctx.inv_grid,

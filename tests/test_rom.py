@@ -6,8 +6,10 @@ from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, Trans
 from lslkit.errors import DegenerateDataError, DimensionError, FactorizationError, PreconditionError
 from lslkit.rom import (
     MassMatrix,
+    apply_transform,
     block_mass_from_data,
     cholesky_upper,
+    field_transform,
     gram_mass_matrix,
     regularize_spd,
     siso_mass_from_data,
@@ -209,12 +211,34 @@ class TestSynthesize:
         with pytest.raises(DimensionError):
             synthesize_internal(b6, b6, [bg, bg])
 
+    def test_transform_must_fit_background(self):
+        grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
+        bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
+        with pytest.raises(DimensionError):
+            apply_transform(np.eye(7), [bg, bg])  # 7 rows do not split over 2 sources
+        with pytest.raises(DimensionError):
+            apply_transform(np.eye(8), [bg])  # 8 samples from a 6-sample set
+        with pytest.raises(DimensionError):
+            apply_transform(np.ones((6, 4)), [bg])
+        assert np.array_equal(apply_transform(np.eye(6), [bg])[0].samples, bg.samples)
+
     def test_spherical_averages_improve_on_background(self, two_target_run):
         # circular averages around the source: the data-generated field
         # tracks the true one much closer than the background does
         ctx = two_target_run.ctx
         grid = ctx.sim_grid
-        j = ctx.sources.count // 2
+        K, n, tau = ctx.sources.count, ctx.axis.n, ctx.axis.tau
+        j = K // 2
+        # the fine field through the reference path, from the bases the
+        # SISO step factors; the stage itself carries only their transform
+        basis, basis0 = (
+            cholesky_upper(regularize_spd(siso_mass_from_data(d.diagonal(j), n, tau)))
+            for d in (ctx.measured, ctx.background.data)
+        )
+        assert np.array_equal(
+            two_target_run.siso_transform[j::K, j::K], field_transform(basis, basis0)
+        )
+        generated = synthesize_internal(basis, basis0, [ctx.background.fields[j]])[0]
         true_snaps = simulate_snapshots(
             two_target_run.q_true, ctx.sources, j, ctx.axis, ctx.settings, "cosine", ctx.axis.n
         )
@@ -232,7 +256,7 @@ class TestSynthesize:
         picks = list(range(8, ctx.axis.n, 8))
         ra_true = radial(true_snaps.samples[picks])
         ra_bg = radial(ctx.background.fields[j].samples[picks])
-        ra_gen = radial(np.asarray(two_target_run.siso_fields[j].samples)[picks])
+        ra_gen = radial(generated.samples[picks])
         err_bg = np.linalg.norm(ra_bg - ra_true)
         err_gen = np.linalg.norm(ra_gen - ra_true)
         assert err_gen < 0.5 * err_bg
