@@ -12,7 +12,6 @@ from .core import (
     Grid2D,
     MaskState,
     Potential,
-    SnapshotSet,
     SourceSet,
     TimeAxis,
     TransferData,
@@ -72,7 +71,6 @@ __all__ = [
     "Grid2D",
     "MaskState",
     "Potential",
-    "SnapshotSet",
     "SourceSet",
     "TimeAxis",
     "TransferData",

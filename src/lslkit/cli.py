@@ -38,7 +38,7 @@ import numpy as np
 from . import io as lio
 from .config import ExperimentConfig, parse_config
 from .core import Potential, TransferData
-from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, FormatError
+from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, ConfigurationError, FormatError
 from .pipeline import (
     PipelineContext,
     PipelineState,
@@ -256,9 +256,15 @@ def _cmd_compare(args) -> int:
 
 def _cmd_render(args) -> int:
     _load_config(args)
+    lo, hi = args.clip_lo, args.clip_hi
+    for flag, value in (("--clip-lo", lo), ("--clip-hi", hi)):
+        if not 0.0 <= value <= 100.0:
+            raise ConfigurationError(f"{flag} {value} must lie in [0, 100]")
+    if not lo < hi:
+        raise ConfigurationError(f"--clip-lo {lo} must lie below --clip-hi {hi}")
     _, values = lio.load_field(args.input)
     out_file = Path(args.out_file) if args.out_file else Path(args.input).with_suffix(".pgm")
-    lio.render_pgm(values, out_file, (args.clip_lo, args.clip_hi))
+    lio.render_pgm(values, out_file, (lo, hi))
     print(f"rendered {args.input} -> {out_file}")
     return EXIT_OK
 

@@ -18,6 +18,7 @@ Schema (every key optional, defaults in parentheses):
                   iterations (1), positivity (false)
                   Each tsvd_* level lies in [1e-4, 1).
     [noise]       level (0.0), seed (20250811)
+                  Both are nonnegative.
     [model]       margin (4.0), inclusions (empty, whitespace/comma list)
     [inclusion X] shape (rectangle|ellipse), x, y (center), width, height,
                   amplitude, angle (0.0, degrees counterclockwise)
@@ -202,6 +203,8 @@ class ExperimentConfig:
             raise ConfigurationError("inversion.iterations must be nonnegative")
         if self.noise_level < 0:
             raise ConfigurationError("noise.level must be nonnegative")
+        if self.seed < 0:
+            raise ConfigurationError(f"noise.seed {self.seed} must be nonnegative")
         if self.margin < 0:
             raise ConfigurationError("model.margin must be nonnegative")
         for inc in self.inclusions:

@@ -7,8 +7,11 @@ product the mirror-image Neumann Laplacian is self-adjoint, which every
 data-to-mass-matrix identity downstream relies on.
 
 Fields are dense float64 arrays of shape (ny+1, nx+1), indexed [iy, ix],
-node (ix, iy) sitting at origin + (ix*hx, iy*hy). All containers freeze
-their arrays after construction and are safe to share between threads.
+node (ix, iy) sitting at origin + (ix*hx, iy*hy). A wavefield history
+is a plain (K, N, ny+1, nx+1) snapshot stack (see `wavesim`): it carries
+no grid, so each consumer takes the grid it lives on and checks the
+trailing shape with `check_stack`. The containers below freeze their
+arrays after construction and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-
-#: kinds a snapshot set can be tagged with
-SNAPSHOT_KINDS = ("true", "background", "background-antiderivative", "data-generated")
 
 #: sources are hard-truncated at this many standard deviations
 SOURCE_CUTOFF_SIGMAS = 6.0
@@ -128,6 +128,16 @@ def _check_field(grid: Grid2D, values: np.ndarray, name: str) -> np.ndarray:
             f"{name} has shape {values.shape}, grid expects {grid.shape}"
         )
     return values
+
+
+def check_stack(grid: Grid2D, stack: np.ndarray, name: str) -> np.ndarray:
+    """A (K, N, ny+1, nx+1) snapshot stack on `grid`, or raise."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 4 or stack.shape[2:] != grid.shape:
+        raise DimensionError(
+            f"{name} stack has shape {stack.shape}, expected (K, N)+{grid.shape}"
+        )
+    return stack
 
 
 def inner_product(grid: Grid2D, f: np.ndarray, g: np.ndarray) -> float:
@@ -273,44 +283,6 @@ class TimeAxis:
 
     def times(self, count: int | None = None) -> np.ndarray:
         return self.tau * np.arange(self.total_samples if count is None else count)
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    """Wavefield samples u(k tau) for one source on one grid."""
-
-    grid: Grid2D
-    source_index: int
-    tau: float
-    kind: str
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in SNAPSHOT_KINDS:
-            raise ConfigurationError(
-                f"unknown snapshot kind {self.kind!r}, expected one of {SNAPSHOT_KINDS}"
-            )
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 3 or samples.shape[1:] != self.grid.shape:
-            raise DimensionError(
-                f"snapshot stack has shape {samples.shape}, expected (N,)+{self.grid.shape}"
-            )
-        if self.kind == "background-antiderivative" and np.any(samples[0] != 0.0):
-            raise PreconditionError("antiderivative snapshots must start at zero")
-        object.__setattr__(self, "samples", _frozen(samples))
-
-    @property
-    def num_samples(self) -> int:
-        return self.samples.shape[0]
-
-    def matrix(self, count: int | None = None) -> np.ndarray:
-        """Samples flattened to (count, num_nodes)."""
-        count = self.num_samples if count is None else count
-        if count > self.num_samples:
-            raise DimensionError(
-                f"requested {count} snapshots, set holds {self.num_samples}"
-            )
-        return self.samples[:count].reshape(count, -1)
 
 
 class MaskState(IntEnum):

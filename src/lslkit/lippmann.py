@@ -11,10 +11,13 @@ row per (source, time index) against measured diagonal data;
 for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
-u = u0 * T (`rom.field_transform`) gives the sharper variant. Assembly
-takes the data-generated fields already mixed on the inversion grid;
-the lift takes the background u0 and T and applies T to the Gram matrix
-of the background, so no data-generated field exists on the fine grid.
+u = u0 * T (`rom.field_transform`) gives the sharper variant. Every
+wavefield input is a (K, N, ny+1, nx+1) snapshot stack passed together
+with the grid it lives on. Assembly takes the w0 stack and the fields
+already on the inversion grid (the data-generated ones mixed there);
+the lift takes the fine background stacks u0 and w0 and T and applies T
+to the Gram matrix of the background, so no data-generated field exists
+on the fine grid.
 """
 
 from __future__ import annotations
@@ -24,15 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import (
-    Grid2D,
-    MaskState,
-    Potential,
-    SnapshotSet,
-    TransferData,
-    prolong,
-    refinement_ratio,
-)
+from .core import Grid2D, MaskState, Potential, TransferData, check_stack, prolong
 from .errors import (
     DimensionError,
     OverRegularizationError,
@@ -110,27 +105,14 @@ def convolution_rows(
     return rows
 
 
-def _flat_restricted(snapshots: SnapshotSet, grid: Grid2D, count: int) -> np.ndarray:
-    ratio = refinement_ratio(snapshots.grid, grid)
-    return snapshots.samples[:count, ::ratio, ::ratio].reshape(count, -1)
-
-
-def _common_sample_count(sets: list[SnapshotSet]) -> int:
-    counts = {s.num_samples for s in sets}
-    if len(counts) != 1:
-        raise DimensionError(f"snapshot sets have differing lengths {sorted(counts)}")
-    return counts.pop()
-
-
-def _check_time_axes(tau: float, *others: float) -> None:
-    for other in others:
-        if not abs(other - tau) <= 1e-12 * tau:
-            raise DimensionError(f"sample intervals differ: {tau} vs {other}")
+def _check_time_axes(tau: float, other: float) -> None:
+    if not abs(other - tau) <= 1e-12 * tau:
+        raise DimensionError(f"sample intervals differ: {tau} vs {other}")
 
 
 def assemble_system(
-    w0: list[SnapshotSet],
-    fields: list[SnapshotSet],
+    w0: np.ndarray,
+    fields: np.ndarray,
     data: TransferData,
     data0: TransferData,
     inv_grid: Grid2D,
@@ -138,30 +120,32 @@ def assemble_system(
 ) -> LSSystem:
     """Stack rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `fields` may be data-generated internal fields, which the pipeline
-    mixes on the inversion grid as u0 * T, or plain background fields
-    (the Born variant). The right-hand side uses measured diagonal data
-    only.
+    `w0` and `fields` are (K, N, ny+1, nx+1) stacks on `inv_grid`; N is
+    the field stack's sample count. The fields may be data-generated
+    internal fields, which the pipeline mixes on the inversion grid as
+    u0 * T, or plain background fields (the Born variant). The
+    right-hand side uses measured diagonal data only.
     """
-    K = len(fields)
+    w0 = check_stack(inv_grid, w0, "antiderivative")
+    fields = check_stack(inv_grid, fields, "field")
+    K, num = fields.shape[:2]
     if len(w0) != K or data.num_sources != K or data0.num_sources != K:
         raise DimensionError("source counts of fields, antiderivatives and data differ")
     data.require_measured_diagonal()
     tau = data.tau
-    _check_time_axes(tau, data0.tau, *(s.tau for s in w0), *(s.tau for s in fields))
-    num = _common_sample_count(fields)
-    if data.num_samples < num or data0.num_samples < num:
+    _check_time_axes(tau, data0.tau)
+    if min(w0.shape[1], data.num_samples, data0.num_samples) < num:
         raise DimensionError(
-            f"transfer records ({data.num_samples}, {data0.num_samples}) shorter "
-            f"than the {num} field samples"
+            f"antiderivatives ({w0.shape[1]}) or transfer records ({data.num_samples}, "
+            f"{data0.num_samples}) shorter than the {num} field samples"
         )
     weights = inv_grid.node_weights.ravel()
     blocks = []
     rhs = []
     index = []
     for j in range(K):
-        wj = _flat_restricted(w0[j], inv_grid, num)
-        uj = _flat_restricted(fields[j], inv_grid, num)
+        wj = w0[j, :num].reshape(num, -1)
+        uj = fields[j].reshape(num, -1)
         blocks.append(convolution_rows(wj, uj, weights, tau, num)[1:])
         rhs.append(data0.values[j, j, 1:num] - data.values[j, j, 1:num])
         index.extend((j, k) for k in range(1, num))
@@ -210,23 +194,25 @@ def residual_norm(system: LSSystem, potential: Potential) -> float:
 
 
 def forward_lift(
-    fields: list[SnapshotSet],
+    fields: np.ndarray,
     transform: np.ndarray,
     q_est: Potential,
-    w0: list[SnapshotSet],
+    w0: np.ndarray,
     data0: TransferData,
     n_out: int,
     measured: TransferData,
+    grid: Grid2D,
 ) -> TransferData:
     """Predict off-diagonal transfer data from a potential estimate.
 
-    `fields` are the background sets u0, one per source, and the
-    internal fields are u0 * T with T = `transform` in the time-major
-    order of `rom.field_transform`, (steps K) square. Evaluates the
-    forward integral on the field grid (the estimate is prolonged there
-    if it lives on a coarser nested grid) for every pair i != j;
-    diagonals are copied verbatim from the measured record. The output
-    holds n_out <= steps samples.
+    `fields` is the background stack u0 and `w0` its antiderivative
+    stack, both (K, N, ny+1, nx+1) on `grid`; the internal fields are
+    u0 * T with T = `transform` in the time-major order of
+    `rom.field_transform`, (steps K) square. Evaluates the forward
+    integral on `grid` (the estimate is prolonged there if it lives on a
+    coarser nested grid) for every pair i != j; diagonals are copied
+    verbatim from the measured record. The output holds n_out <= steps
+    samples.
 
     One matrix product, accumulated over node blocks, gives the space
     integrals of the background, C0[j, a, (a', l)] = sum_c w0_j(a tau)[c]
@@ -236,6 +222,8 @@ def forward_lift(
     k tau subtracts tau times the trapezoid sum of C over a + b = k, the
     quadrature of `convolution_rows`.
     """
+    fields = check_stack(grid, fields, "field")
+    w0 = check_stack(grid, w0, "antiderivative")
     K = len(fields)
     if len(w0) != K or data0.num_sources != K or measured.num_sources != K:
         raise DimensionError("source counts of fields, antiderivatives and data differ")
@@ -245,15 +233,11 @@ def forward_lift(
     steps = size // K
     data0.require_full()
     measured.require_measured_diagonal()
-    grid = fields[0].grid
-    for s in list(fields) + list(w0):
-        if s.grid != grid:
-            raise DimensionError("field and antiderivative sets live on different grids")
     tau = measured.tau
-    _check_time_axes(tau, data0.tau, *(s.tau for s in w0), *(s.tau for s in fields))
-    if min(s.num_samples for s in fields) < steps:
+    _check_time_axes(tau, data0.tau)
+    if fields.shape[1] < steps:
         raise DimensionError(f"background fields hold fewer than the {steps} transform samples")
-    available = min(steps, min(s.num_samples for s in w0), data0.num_samples, measured.num_samples)
+    available = min(steps, w0.shape[1], data0.num_samples, measured.num_samples)
     if n_out < 1 or n_out > available:
         raise DimensionError(
             f"cannot produce {n_out} lifted samples from {available} available"
@@ -265,12 +249,14 @@ def forward_lift(
     weighted_q = grid.node_weights.ravel() * q_flat
 
     # rows (j, a) source-major; columns (a', l) time-major, the row order of T
+    w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :n_out]
+    u0_flat = fields.reshape(K, fields.shape[1], -1)[:, :steps]
     gram0 = np.zeros((K * n_out, size))
     for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
         block = slice(start, start + LIFT_CHUNK_NODES)
-        w = np.concatenate([s.matrix(n_out)[:, block] for s in w0]) * weighted_q[block]
-        u = np.stack([s.matrix(steps)[:, block] for s in fields], axis=1)
-        gram0 += w @ u.reshape(size, -1).T
+        w = (w0_flat[..., block] * weighted_q[block]).reshape(K * n_out, -1)
+        u = u0_flat[..., block].transpose(1, 0, 2).reshape(size, -1)
+        gram0 += w @ u.T
     # columns (i, b) source-major for b < n_out
     columns = transform.reshape(size, steps, K)[:, :n_out].transpose(0, 2, 1)
     gram = (gram0 @ columns.reshape(size, K * n_out)).reshape(K, n_out, K, n_out)

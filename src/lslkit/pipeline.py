@@ -10,7 +10,11 @@ A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T. Each
 consumer applies it where it is cheapest: assembly mixes the background
 injected onto the inversion grid (injection commutes with T), and the
-lift multiplies the fine-grid Gram matrix of the background by T.
+lift multiplies the fine-grid Gram matrix of the background by T. The
+background stacks are injected as `[:, :, ::r, ::r]` views, so the
+only whole-stack copies on the inversion grid are the one
+`apply_transform` reshapes and its product; the fine stacks are never
+copied.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 from .core import (
     Grid2D,
     Potential,
-    SnapshotSet,
     SourceSet,
     TimeAxis,
     TransferData,
@@ -31,7 +34,7 @@ from .core import (
     refinement_ratio,
     restrict,
 )
-from .errors import IterationBudgetError, PreconditionError
+from .errors import DimensionError, IterationBudgetError, PreconditionError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     apply_transform,
@@ -93,11 +96,16 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     [j::K, j::K]. A completed record gets the block ROM over its whole
     length, which leaves floor((N-1)/2) + 1 samples per field. Every mass
     matrix, scalar or block, goes through `regularize_spd` before its
-    Cholesky factorization.
+    Cholesky factorization. A record whose source count or sample
+    interval differs from the context's raises DimensionError.
     """
+    n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
+    if data.num_sources != K:
+        raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
+    if not abs(data.tau - tau) <= 1e-12 * tau:
+        raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
     if not data.is_full:
         data.require_measured_diagonal()
-        n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
         transform = np.zeros((n * K, n * K))
         for j in range(K):
             basis = _factor(siso_mass_from_data(data.diagonal(j), n, tau))
@@ -114,28 +122,29 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     return field_transform(basis, basis0)
 
 
-def inversion_fields(ctx: PipelineContext, transform: np.ndarray) -> list[SnapshotSet]:
-    """The internal fields u0 * T on the inversion grid, one set per source.
+def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
+    """A fine-grid stack injected onto the inversion grid, as a view."""
+    ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
+    return stack[:, :, ::ratio, ::ratio]
+
+
+def inversion_fields(ctx: PipelineContext, transform: np.ndarray) -> np.ndarray:
+    """The internal fields u0 * T on the inversion grid, a (K, steps) stack.
 
     Only the background is injected onto the inversion grid; the fine
     grid never holds a data-generated field.
     """
-    ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
-    coarse = [
-        SnapshotSet(ctx.inv_grid, s.source_index, s.tau, s.kind, s.samples[:, ::ratio, ::ratio])
-        for s in ctx.background.fields
-    ]
-    return apply_transform(transform, coarse)
+    return apply_transform(transform, _injected(ctx, ctx.background.fields))
 
 
 def _factor(mass):
     return cholesky_upper(regularize_spd(mass))
 
 
-def _invert(ctx: PipelineContext, fields: list[SnapshotSet], threshold: float):
-    """TSVD fit of the measured diagonal with the given internal fields."""
+def _invert(ctx: PipelineContext, fields: np.ndarray, threshold: float):
+    """TSVD fit of the measured diagonal with internal fields on the inversion grid."""
     system = assemble_system(
-        list(ctx.background.antiderivatives),
+        _injected(ctx, ctx.background.antiderivatives),
         fields,
         ctx.measured,
         ctx.background.data,
@@ -161,13 +170,14 @@ def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
     if state.q_est is None or state.transform is None:
         raise PreconditionError("lifting requires a prior inversion stage")
     state.data = forward_lift(
-        list(ctx.background.fields),
+        ctx.background.fields,
         state.transform,
         state.q_est,
-        list(ctx.background.antiderivatives),
+        ctx.background.antiderivatives,
         ctx.background.data,
         state.active_length,
         ctx.measured,
+        ctx.sim_grid,
     )
     return state
 
@@ -231,7 +241,7 @@ def run_algorithm(
 
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
     """Reconstruction with background fields in place of internal ones."""
-    return _invert(ctx, list(ctx.background.fields), ctx.tsvd_born)
+    return _invert(ctx, _injected(ctx, ctx.background.fields), ctx.tsvd_born)
 
 
 @dataclass(frozen=True)

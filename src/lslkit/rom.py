@@ -13,10 +13,11 @@ orthonormalized background snapshots.
 
 `field_transform` returns T, and T is the only form in which the
 inversion carries a data-generated field: u is linear in T, and so are
-both of its consumers. `apply_transform` mixes background snapshots by
-T on whatever grid they live on (the pipeline hands it the background
-injected onto the inversion grid); `synthesize_internal` is T applied to
-the fine-grid background, the reference the factored path is tested
+both of its consumers. `apply_transform` mixes a (K, N, rows, cols)
+background stack by T, one transpose-reshape and one matrix product, on
+whatever grid it lives on (the pipeline hands it the background injected
+onto the inversion grid); `synthesize_internal` is T applied to the
+fine-grid background, the reference the factored path is tested
 against.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SnapshotSet, TransferData
+from .core import Grid2D, TransferData, check_stack
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -131,18 +132,16 @@ def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix
     return MassMatrix(values, block_size=K, num_steps=nb, tau=data.tau)
 
 
-def gram_mass_matrix(sets: list[SnapshotSet], num_steps: int) -> MassMatrix:
-    """Direct snapshot Gram matrix, the independent cross-check for the
-    data formulas (time-major ordering for several sources)."""
-    K = len(sets)
-    grid = sets[0].grid
-    weights = grid.node_weights.ravel()
-    stacked = np.empty((num_steps * K, grid.num_nodes))
-    for i, s in enumerate(sets):
-        stacked[i::K] = s.matrix(num_steps)
-    values = (stacked * weights) @ stacked.T
+def gram_mass_matrix(stack: np.ndarray, grid: Grid2D, tau: float) -> MassMatrix:
+    """Direct Gram matrix of a (K, N, ny+1, nx+1) snapshot stack on `grid`,
+    the independent cross-check for the data formulas (time-major
+    ordering for several sources)."""
+    stack = check_stack(grid, stack, "snapshot")
+    K, num_steps = stack.shape[:2]
+    stacked = stack.transpose(1, 0, 2, 3).reshape(num_steps * K, -1)
+    values = (stacked * grid.node_weights.ravel()) @ stacked.T
     values = 0.5 * (values + values.T)
-    return MassMatrix(values, block_size=K, num_steps=num_steps, tau=sets[0].tau)
+    return MassMatrix(values, block_size=K, num_steps=num_steps, tau=tau)
 
 
 def regularize_spd(mass: MassMatrix) -> MassMatrix:
@@ -202,49 +201,46 @@ def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> 
     return scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
 
 
-def apply_transform(transform: np.ndarray, background: list[SnapshotSet]) -> list[SnapshotSet]:
-    """Data-generated fields u = u0 * T from one background set per source.
+def apply_transform(transform: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """Data-generated fields u = u0 * T from a (K, N, rows, cols) background stack.
 
-    The sets share one grid, any grid: the result lives on it too. With
-    K sets, T is (steps K) square in the time-major order of
-    `field_transform` and every set needs at least `steps` samples.
+    The stack may live on any grid, and the result, a (K, steps, rows,
+    cols) stack, lives on it too. T is (steps K) square in the time-major
+    order of `field_transform`, and N must be at least `steps`.
     """
-    K = len(background)
+    background = np.asarray(background, dtype=np.float64)
+    if background.ndim != 4:
+        raise DimensionError(
+            f"background stack has shape {background.shape}, expected (K, N, rows, cols)"
+        )
+    K, num = background.shape[:2]
     size = transform.shape[0]
     if transform.shape != (size, size) or size % K:
         raise DimensionError(
-            f"transform of shape {transform.shape} does not fit {K} background sets"
+            f"transform of shape {transform.shape} does not fit {K} background sources"
         )
     steps = size // K
-    grid = background[0].grid
-    for s in background:
-        if s.grid != grid:
-            raise DimensionError("background snapshot sets live on different grids")
-        if s.num_samples < steps:
-            raise DimensionError(
-                f"background set holds {s.num_samples} samples, factors need {steps}"
-            )
-    stacked = np.stack([s.samples[:steps] for s in background], axis=1)  # (steps, K) + shape
-    mixed = (transform.T @ stacked.reshape(size, -1)).reshape(stacked.shape)
-    return [
-        SnapshotSet(grid, s.source_index, s.tau, "data-generated", mixed[:, i])
-        for i, s in enumerate(background)
-    ]
+    if num < steps:
+        raise DimensionError(f"background stack holds {num} samples, factors need {steps}")
+    stacked = background[:, :steps].transpose(1, 0, 2, 3)  # time-major (steps, K, rows, cols)
+    mixed = transform.T @ stacked.reshape(size, -1)
+    return mixed.reshape(stacked.shape).transpose(1, 0, 2, 3)
 
 
 def synthesize_internal(
     basis: OrthogonalizedBasis,
     basis0: OrthogonalizedBasis,
-    background: list[SnapshotSet],
-) -> list[SnapshotSet]:
+    background: np.ndarray,
+) -> np.ndarray:
     """Data-generated internal fields u0 * inv(U0) * U, materialized.
 
-    `background` holds one snapshot set per source (block_size of the
-    bases). Identical factors return the background snapshots unchanged.
-    The inversion never calls this: it carries `field_transform` instead.
+    `background` is a (K, N, rows, cols) stack with K the block_size of
+    the bases. Identical factors return the background snapshots
+    unchanged. The inversion never calls this: it carries
+    `field_transform` instead.
     """
     if len(background) != basis.block_size:
         raise DimensionError(
-            f"expected {basis.block_size} background sets, got {len(background)}"
+            f"expected {basis.block_size} background sources, got {len(background)}"
         )
     return apply_transform(field_transform(basis, basis0), background)

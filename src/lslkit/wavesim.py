@@ -33,6 +33,12 @@ There is one stepping loop, `_leapfrog`. It advances states of shape
 steps all K sources as one (K, ny+1, nx+1) array and records each
 sample as a single product with the receiver weights;
 `simulate_snapshots` runs the same loop on one source.
+
+This module defines the one wavefield format: a history is a plain
+float64 array. `simulate_snapshots` returns one source's (N, ny+1, nx+1)
+samples; `simulate_background` returns the source-major, read-only
+(K, n, ny+1, nx+1) stacks u0 and w0, which every consumer takes together
+with the grid they live on.
 """
 
 from __future__ import annotations
@@ -42,15 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import (
-    Grid2D,
-    MaskState,
-    Potential,
-    SnapshotSet,
-    SourceSet,
-    TimeAxis,
-    TransferData,
-)
+from .core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData
 from .errors import ConfigurationError, DomainError
 
 
@@ -181,12 +179,13 @@ def simulate_snapshots(
     settings: SolverSettings,
     ic_kind: str = "cosine",
     num_samples: int | None = None,
-) -> SnapshotSet:
+) -> np.ndarray:
     """Propagate one source and sample the field every tau.
 
-    ic_kind "cosine" gives the field excited by initial value g_i;
-    "antiderivative" gives its running time integral for the zero
-    potential (initial value 0, initial velocity g_i).
+    Returns the (num_samples, ny+1, nx+1) snapshots. ic_kind "cosine"
+    gives the field excited by initial value g_i; "antiderivative" gives
+    its running time integral for the zero potential (initial value 0,
+    initial velocity g_i).
     """
     _validate_inputs(potential, axis, settings)
     grid = potential.grid
@@ -202,11 +201,7 @@ def simulate_snapshots(
         samples[k] = state
 
     _leapfrog(grid, potential.values, start0, start1, dt, settings.substeps, num, emit)
-    if ic_kind == "antiderivative":
-        kind = "background-antiderivative"
-    else:
-        kind = "true" if potential.values.any() else "background"
-    return SnapshotSet(grid, source_index, axis.tau, kind, samples)
+    return samples
 
 
 def simulate_transfer(
@@ -265,11 +260,15 @@ def add_noise(data: TransferData, level: float, seed: int) -> TransferData:
 
 @dataclass(frozen=True)
 class BackgroundArtifacts:
-    """Everything the inversion assumes known for the zero potential."""
+    """Everything the inversion assumes known for the zero potential.
+
+    `fields` (u0) and `antiderivatives` (w0) are read-only snapshot
+    stacks of shape (K, n, ny+1, nx+1) on the simulation grid.
+    """
 
     data: TransferData
-    fields: tuple[SnapshotSet, ...]
-    antiderivatives: tuple[SnapshotSet, ...]
+    fields: np.ndarray
+    antiderivatives: np.ndarray
 
 
 def simulate_background(
@@ -278,12 +277,13 @@ def simulate_background(
     axis: TimeAxis,
     settings: SolverSettings,
 ) -> BackgroundArtifacts:
-    """Full zero-potential transfer matrix plus per-source field histories.
+    """Full zero-potential transfer matrix plus the u0 and w0 stacks.
 
     Closed form of the leapfrog result: each source is transformed once
-    by DCT-I, its n-sample u0 and w0 stacks come from one inverse
-    transform each, and the 2n-1 samples of F0_ij = <g_j, u0_i> are
-    summed over modes with the Parseval weights, one sample at a time.
+    by DCT-I, its n samples of u0 and w0 come from one inverse transform
+    each, written into the preallocated stacks, and the 2n-1 samples of
+    F0_ij = <g_j, u0_i> are summed over modes with the Parseval weights,
+    one sample at a time.
     """
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
@@ -303,16 +303,17 @@ def simulate_background(
     growth *= dt - (dt**3 / 6.0) * lam
     del phase
 
-    fields, antiderivatives, spectra = [], [], []
+    fields = np.empty((sources.count, axis.n) + grid.shape)
+    antiderivatives = np.empty_like(fields)
+    spectra = np.empty((sources.count, grid.num_nodes))
     for i in range(sources.count):
         g_hat = scipy.fft.dctn(sources.field(grid, i), type=1)
-        u0 = scipy.fft.idctn(cosine * g_hat, type=1, axes=(1, 2))
-        w0 = scipy.fft.idctn(growth * g_hat, type=1, axes=(1, 2))
-        fields.append(SnapshotSet(grid, i, axis.tau, "background", u0))
-        antiderivatives.append(SnapshotSet(grid, i, axis.tau, "background-antiderivative", w0))
-        spectra.append(g_hat.ravel())
+        fields[i] = scipy.fft.idctn(cosine * g_hat, type=1, axes=(1, 2))
+        antiderivatives[i] = scipy.fft.idctn(growth * g_hat, type=1, axes=(1, 2))
+        spectra[i] = g_hat.ravel()
+    fields.setflags(write=False)
+    antiderivatives.setflags(write=False)
 
-    spectra = np.stack(spectra)
     # Parseval for DCT-I under trapezoidal weights: <f, g> = sum w_ab f_ab g_ab / (4 nx ny)
     weighted = spectra * (grid.node_weights.ravel() / (4.0 * grid.nx * grid.ny))
     theta = theta.ravel()
@@ -320,6 +321,4 @@ def simulate_background(
     for k in range(axis.total_samples):
         values[:, :, k] = (weighted * np.cos(k * settings.substeps * theta)) @ spectra.T
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
-    return BackgroundArtifacts(
-        TransferData(values, mask, axis.tau), tuple(fields), tuple(antiderivatives)
-    )
+    return BackgroundArtifacts(TransferData(values, mask, axis.tau), fields, antiderivatives)

@@ -261,6 +261,51 @@ class TestExitCodes:
         assert run("lift", "--config", config_path, "--q", bad) == 4
         assert "bad field geometry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, record",
+        [("invert", "two_sources"), ("lift", "two_sources"),
+         ("lift", "four_sources"), ("lift", "double_tau")],
+    )
+    def test_record_must_fit_config(self, tmp_path, config_path, capsys, command, record):
+        # the config has 3 sources at tau = 2; every other record is refused
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        assert run("invert", "--method", "lsl", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        if record == "two_sources":
+            bad = TransferData(siso.values[:2, :2], siso.mask[:2, :2], siso.tau)
+        elif record == "four_sources":
+            values = np.zeros((4, 4, siso.num_samples))
+            values[:3, :3] = siso.values
+            values[3, 3] = siso.values[0, 0]
+            bad = TransferData(values, np.eye(4, dtype=np.int8), siso.tau)
+        else:
+            bad = TransferData(siso.values, siso.mask, 2.0 * siso.tau)
+        save_transfer(out / "bad.lslt", bad)
+        argv = ["--method", "lsl"] if command == "invert" else []
+        assert run(command, *argv, "--config", config_path, "--data", out / "bad.lslt") == 2
+        err = capsys.readouterr().err
+        assert ("sources.count" if record.endswith("sources") else "time.tau") in err
+        assert not (out / "lifted.lslt").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(("--clip-lo", 150), "--clip-lo"), (("--clip-lo", "nan"), "--clip-lo"),
+         (("--clip-hi", -1), "--clip-hi"), (("--clip-lo", 60, "--clip-hi", 40), "--clip-lo")],
+    )
+    def test_render_clip_percentiles(self, tmp_path, config_path, capsys, flags, named):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        assert run("render", "--config", config_path, "--in", out / "q_true.lslf", *flags) == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "q_true.pgm").exists()
+
+    def test_negative_seed(self, tmp_path, config_path, capsys):
+        noisy = tmp_path / "noisy.cfg"
+        noisy.write_text(config_path.read_text() + "\n[noise]\nlevel = 0.05\n")
+        assert run("simulate", "--config", noisy, "--seed", -1) == 2
+        assert "noise.seed" in capsys.readouterr().err
+
     def test_oversized_header(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0

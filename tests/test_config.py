@@ -79,6 +79,12 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="inversion_ratio"):
             parse_config(write(tmp_path, text))
 
+    def test_negative_noise_seed(self, tmp_path):
+        # numpy's generator rejects a negative seed only once noise is drawn
+        text = "[noise]\nlevel = 0.05\nseed = -5\n"
+        with pytest.raises(ConfigurationError, match="noise.seed"):
+            parse_config(write(tmp_path, text))
+
 
 class TestDerivedObjects:
     def test_grids_nest(self, tmp_path):

@@ -5,7 +5,6 @@ from lslkit.core import (
     Grid2D,
     MaskState,
     Potential,
-    SnapshotSet,
     SourceSet,
     TimeAxis,
     TransferData,
@@ -196,18 +195,6 @@ class TestContainers:
             TimeAxis(0.0, 4)
         with pytest.raises(ConfigurationError):
             TimeAxis(1.0, 1)
-
-    def test_snapshot_kinds(self):
-        grid = Grid2D(4, 4, 1.0, 1.0)
-        samples = np.ones((3,) + grid.shape)
-        with pytest.raises(ConfigurationError):
-            SnapshotSet(grid, 0, 1.0, "bogus", samples)
-        with pytest.raises(PreconditionError):
-            SnapshotSet(grid, 0, 1.0, "background-antiderivative", samples)
-        samples[0] = 0.0
-        s = SnapshotSet(grid, 0, 1.0, "background-antiderivative", samples)
-        assert s.num_samples == 3
-        assert s.matrix().shape == (3, grid.num_nodes)
 
     def test_transfer_validation(self):
         values = np.zeros((2, 2, 5))

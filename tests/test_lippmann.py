@@ -5,7 +5,6 @@ import lslkit as lk
 from lslkit.core import (
     Grid2D,
     Potential,
-    SnapshotSet,
     SourceSet,
     TimeAxis,
     TransferData,
@@ -55,10 +54,15 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
     return grid, inv_grid, potential, sources, axis, settings, data, background
 
 
-def assert_per_pair_lift(lifted, fields, kernels, q_est, data0):
+def on_inversion_grid(bg):
+    """The w0 and u0 stacks injected onto `wave_setup`'s inversion grid."""
+    return bg.antiderivatives[:, :, ::2, ::2], bg.fields[:, :, ::2, ::2]
+
+
+def assert_per_pair_lift(lifted, fields, kernels, q_est, data0, grid):
     """Every off-diagonal series of `lifted` against the per-pair quadrature
     of `convolution_rows` with the materialized fields, to 1e-12."""
-    grid, n_out, tau = fields[0].grid, lifted.num_samples, lifted.tau
+    n_out, tau = lifted.num_samples, lifted.tau
     q_fine = prolong(q_est.values, q_est.grid, grid).ravel()
     weights = grid.node_weights.ravel()
     for i in range(len(fields)):
@@ -66,7 +70,11 @@ def assert_per_pair_lift(lifted, fields, kernels, q_est, data0):
             if i == j:
                 continue
             rows = convolution_rows(
-                kernels[j].matrix(n_out), fields[i].matrix(n_out), weights, tau, n_out
+                kernels[j, :n_out].reshape(n_out, -1),
+                fields[i, :n_out].reshape(n_out, -1),
+                weights,
+                tau,
+                n_out,
             )
             integral = rows @ q_fine
             deviation = data0.values[i, j, :n_out] - lifted.values[i, j] - integral
@@ -117,7 +125,7 @@ class TestAssemble:
     def test_zero_potential_zero_rhs(self):
         grid, inv_grid, _, sources, axis, settings, _, bg = wave_setup(amp=0.0)
         system = assemble_system(
-            list(bg.antiderivatives), list(bg.fields), bg.data, bg.data, inv_grid, 1e-2
+            *on_inversion_grid(bg), bg.data, bg.data, inv_grid, 1e-2
         )
         assert np.all(system.rhs == 0.0)
         q = solve_tsvd(system)
@@ -126,7 +134,7 @@ class TestAssemble:
     def test_row_layout_drops_k0(self):
         grid, inv_grid, _, sources, axis, settings, data, bg = wave_setup(n=10)
         system = assemble_system(
-            list(bg.antiderivatives), list(bg.fields), data, bg.data, inv_grid, 1e-2
+            *on_inversion_grid(bg), data, bg.data, inv_grid, 1e-2
         )
         K, n = sources.count, axis.n
         assert system.matrix.shape == (K * (n - 1), inv_grid.num_nodes)
@@ -140,7 +148,7 @@ class TestAssemble:
         )
         with pytest.raises(PreconditionError):
             assemble_system(
-                list(bg.antiderivatives), list(bg.fields), broken, bg.data, inv_grid, 1e-2
+                *on_inversion_grid(bg), broken, bg.data, inv_grid, 1e-2
             )
 
     def test_time_axis_mismatch(self):
@@ -148,8 +156,13 @@ class TestAssemble:
         shifted = TransferData(data.values, data.mask, data.tau * 2.0)
         with pytest.raises(DimensionError):
             assemble_system(
-                list(bg.antiderivatives), list(bg.fields), shifted, bg.data, inv_grid, 1e-2
+                *on_inversion_grid(bg), shifted, bg.data, inv_grid, 1e-2
             )
+        # stacks must already live on the inversion grid
+        w0, fields = on_inversion_grid(bg)
+        for stacks in ((bg.antiderivatives, fields), (w0, bg.fields)):
+            with pytest.raises(DimensionError, match="stack has shape"):
+                assemble_system(*stacks, data, bg.data, inv_grid, 1e-2)
 
     def test_nan_sample_interval_rejected(self):
         # NaN compares false both ways, so the check must not pass it
@@ -159,7 +172,7 @@ class TestAssemble:
         for measured, data0 in ((nan_data, bg.data), (data, nan_data0)):
             with pytest.raises(DimensionError, match="sample intervals differ"):
                 assemble_system(
-                    list(bg.antiderivatives), list(bg.fields), measured, data0, inv_grid, 1e-2
+                    *on_inversion_grid(bg), measured, data0, inv_grid, 1e-2
                 )
 
     def test_born_error_decreases_with_amplitude(self):
@@ -167,7 +180,7 @@ class TestAssemble:
         for amp in (0.04, 0.02, 0.01):
             grid, inv_grid, potential, _, axis, _, data, bg = wave_setup(K=6, n=24, amp=amp)
             system = assemble_system(
-                list(bg.antiderivatives), list(bg.fields), data, bg.data, inv_grid, 1e-2
+                *on_inversion_grid(bg), data, bg.data, inv_grid, 1e-2
             )
             q_hat = solve_tsvd(system)
             truth = restrict(potential.values, grid, inv_grid)
@@ -222,7 +235,7 @@ class TestSolveTsvd:
         # rhs, so a random rhs stands in for it.
         _, inv_grid, _, _, _, _, data, bg = wave_setup()
         matrix = assemble_system(
-            list(bg.antiderivatives), list(bg.fields), data, bg.data, inv_grid, 0.03
+            *on_inversion_grid(bg), data, bg.data, inv_grid, 0.03
         ).matrix
         assert matrix.shape[0] < matrix.shape[1]
         rhs = np.random.default_rng(6).standard_normal(matrix.shape[0])
@@ -273,20 +286,14 @@ class TestForwardLift:
         assert LIFT_CHUNK_NODES < grid.num_nodes < 2 * LIFT_CHUNK_NODES  # one full, one partial
         rng = np.random.default_rng(5)
 
-        def random_stacks():
-            shape = (axis.n,) + grid.shape
-            return [
-                SnapshotSet(grid, i, axis.tau, "true", rng.standard_normal(shape))
-                for i in range(sources.count)
-            ]
-
-        fields, kernels = random_stacks(), random_stacks()
+        shape = (sources.count, axis.n) + grid.shape
+        fields, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         n_out = 13
         identity = np.eye(sources.count * axis.n)
-        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, n_out, data)
+        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, n_out, data, grid)
         assert lifted.num_samples == n_out
-        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data)
+        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
     @pytest.mark.parametrize("kind", ["siso", "block", "dense"])
     def test_factored_matches_materialized_fields(self, kind):
@@ -298,14 +305,8 @@ class TestForwardLift:
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
         K, steps, n_out = sources.count, axis.n, 13
         rng = np.random.default_rng(11)
-        shape = (steps,) + grid.shape
-        background = [
-            SnapshotSet(grid, i, axis.tau, "background", rng.standard_normal(shape))
-            for i in range(K)
-        ]
-        kernels = [
-            SnapshotSet(grid, i, axis.tau, "true", rng.standard_normal(shape)) for i in range(K)
-        ]
+        shape = (K, steps) + grid.shape
+        background, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
 
         def random_basis(block_size):
             m = block_size * steps
@@ -315,10 +316,10 @@ class TestForwardLift:
 
         if kind == "siso":
             transform = np.zeros((K * steps, K * steps))
-            fields = []
+            fields = np.empty(shape)
             for j in range(K):
                 basis, basis0 = random_basis(1), random_basis(1)
-                fields += synthesize_internal(basis, basis0, [background[j]])
+                fields[j] = synthesize_internal(basis, basis0, background[j : j + 1])[0]
                 transform[j::K, j::K] = field_transform(basis, basis0)
         elif kind == "block":
             basis, basis0 = random_basis(K), random_basis(K)
@@ -328,24 +329,29 @@ class TestForwardLift:
             transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
             fields = apply_transform(transform, background)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        lifted = forward_lift(background, transform, q_est, kernels, bg.data, n_out, data)
-        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data)
+        lifted = forward_lift(background, transform, q_est, kernels, bg.data, n_out, data, grid)
+        assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
     def test_transform_must_fit_sources(self):
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
         zero = Potential.zeros(inv_grid)
-        w0 = list(bg.antiderivatives)
+        w0 = bg.antiderivatives
         for transform in (np.eye(sources.count * axis.n + 1), np.eye(sources.count * 11)):
             with pytest.raises(DimensionError):
-                forward_lift(list(bg.fields), transform, zero, w0, bg.data, 5, data)
+                forward_lift(bg.fields, transform, zero, w0, bg.data, 5, data, grid)
+        # both stacks must live on the fine grid passed with them
+        identity = np.eye(sources.count * axis.n)
+        coarse_w0, coarse_u0 = on_inversion_grid(bg)
+        for u0, kernels in ((coarse_u0, w0), (bg.fields, coarse_w0)):
+            with pytest.raises(DimensionError, match="stack has shape"):
+                forward_lift(u0, identity, zero, kernels, bg.data, 5, data, grid)
 
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = Potential.zeros(inv_grid)
-        fields = list(bg.fields)
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            fields, identity, zero, list(bg.antiderivatives), bg.data, axis.n, data
+            bg.fields, identity, zero, bg.antiderivatives, bg.data, axis.n, data, grid
         )
         K = sources.count
         for i in range(K):
@@ -359,7 +365,7 @@ class TestForwardLift:
         q_est = Potential(inv_grid, np.full(inv_grid.shape, 0.01))
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            list(bg.fields), identity, q_est, list(bg.antiderivatives), bg.data, axis.n, data
+            bg.fields, identity, q_est, bg.antiderivatives, bg.data, axis.n, data, grid
         )
         for i in range(sources.count):
             assert np.array_equal(lifted.values[i, i], data.values[i, i, : axis.n])
@@ -369,14 +375,14 @@ class TestForwardLift:
     def test_adjoint_consistency_with_assembly(self):
         # identical inputs: assembled row dotted with q equals the lift residual
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=12)
-        fields = list(bg.fields)
+        fields = bg.fields
         system = assemble_system(
-            list(bg.antiderivatives), fields, data, bg.data, grid, 1e-2
+            bg.antiderivatives, fields, data, bg.data, grid, 1e-2
         )  # inversion grid = field grid here
         q_vals = potential.values
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            fields, identity, potential, list(bg.antiderivatives), bg.data, axis.n, data
+            fields, identity, potential, bg.antiderivatives, bg.data, axis.n, data, grid
         )
         K, n = sources.count, axis.n
         for j in range(K):
@@ -385,8 +391,8 @@ class TestForwardLift:
                 residual = bg.data.values[j, j, k] - lifted.values[j, j, k]
                 # diagonal entries are copies; recompute the lift integral directly
                 rows = convolution_rows(
-                    bg.antiderivatives[j].matrix(n),
-                    fields[j].matrix(n),
+                    bg.antiderivatives[j, :n].reshape(n, -1),
+                    fields[j, :n].reshape(n, -1),
                     grid.node_weights.ravel(),
                     axis.tau,
                     n,
@@ -400,10 +406,10 @@ class TestForwardLift:
         q1 = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         q2 = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         combo = Potential(inv_grid, 2.0 * np.asarray(q1.values) - 0.5 * np.asarray(q2.values))
-        fields = list(bg.fields)
-        w0 = list(bg.antiderivatives)
         identity = np.eye(sources.count * axis.n)
-        lift = lambda q: forward_lift(fields, identity, q, w0, bg.data, axis.n, data)
+        lift = lambda q: forward_lift(
+            bg.fields, identity, q, bg.antiderivatives, bg.data, axis.n, data, grid
+        )
         r1 = bg.data.values[:, :, : axis.n] - lift(q1).values
         r2 = bg.data.values[:, :, : axis.n] - lift(q2).values
         rc = bg.data.values[:, :, : axis.n] - lift(combo).values
@@ -415,20 +421,21 @@ class TestForwardLift:
     def test_true_inputs_match_brute_force_mimo(self, two_target_run):
         ctx = two_target_run.ctx
         n = ctx.axis.n
-        true_fields = [
+        true_fields = np.stack([
             simulate_snapshots(
                 two_target_run.q_true, ctx.sources, i, ctx.axis, ctx.settings, "cosine", n
             )
             for i in range(ctx.sources.count)
-        ]
+        ])
         lifted = forward_lift(
             true_fields,
             np.eye(ctx.sources.count * n),
             two_target_run.q_true,
-            list(ctx.background.antiderivatives),
+            ctx.background.antiderivatives,
             ctx.background.data,
             n,
             ctx.measured,
+            ctx.sim_grid,
         )
         off = ~np.eye(ctx.sources.count, dtype=bool)
         truth = two_target_run.true_mimo.values[off][:, :n]
@@ -454,14 +461,14 @@ class TestForwardLift:
             data = simulate_transfer(potential, sources, axis, settings, mode="siso")
             bg = simulate_background(grid, sources, axis, settings)
             mimo = simulate_transfer(potential, sources, axis, settings, mode="mimo")
-            fields = [
+            fields = np.stack([
                 simulate_snapshots(potential, sources, i, axis, settings, "cosine", n)
                 for i in range(K)
-            ]
+            ])
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
             identity = np.eye(K * n)
             lifted = forward_lift(
-                fields, identity, q_est, list(bg.antiderivatives), bg.data, n, data
+                fields, identity, q_est, bg.antiderivatives, bg.data, n, data, grid
             )
             off = ~np.eye(K, dtype=bool)
             truth = mimo.values[off][:, :n]
@@ -472,11 +479,12 @@ class TestForwardLift:
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         with pytest.raises(PreconditionError):
             forward_lift(
-                list(bg.fields),
+                bg.fields,
                 np.eye(sources.count * axis.n),
                 Potential.zeros(inv_grid),
-                list(bg.antiderivatives),
+                bg.antiderivatives,
                 data,  # diagonal-only record cannot provide off-diagonal reference
                 axis.n,
                 data,
+                grid,
             )

@@ -49,7 +49,7 @@ class TestSisoMass:
         for j in range(sources.count):
             mass = siso_mass_from_data(data.diagonal(j), axis.n, axis.tau)
             snaps = simulate_snapshots(potential, sources, j, axis, settings, "cosine", axis.n)
-            gram = gram_mass_matrix([snaps], axis.n)
+            gram = gram_mass_matrix(snaps[None], grid, axis.tau)
             dev = np.abs(mass.values - gram.values).max()
             assert dev <= 1e-9 * np.abs(mass.values).max()
 
@@ -85,11 +85,11 @@ class TestBlockMass:
         grid, potential, sources, axis, settings = wave_setup(K=3, n=9)
         data = simulate_transfer(potential, sources, axis, settings, mode="mimo")
         mass = block_mass_from_data(data, axis.n)
-        snaps = [
+        snaps = np.stack([
             simulate_snapshots(potential, sources, j, axis, settings, "cosine", mass.num_steps)
             for j in range(sources.count)
-        ]
-        gram = gram_mass_matrix(snaps, mass.num_steps)
+        ])
+        gram = gram_mass_matrix(snaps, grid, axis.tau)
         dev = np.abs(mass.values - gram.values).max()
         assert dev <= 1e-9 * np.abs(mass.values).max()
 
@@ -182,10 +182,9 @@ class TestSynthesize:
         bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
         data = simulate_transfer(potential, sources, axis, settings, mode="siso")
         basis = cholesky_upper(siso_mass_from_data(data.diagonal(0), 6, axis.tau))
-        out = synthesize_internal(basis, basis, [bg])[0]
-        assert out.kind == "data-generated"
-        scale = np.abs(bg.samples).max()
-        assert np.abs(out.samples - bg.samples).max() <= 1e-13 * scale
+        out = synthesize_internal(basis, basis, bg[None])[0]
+        scale = np.abs(bg).max()
+        assert np.abs(out - bg).max() <= 1e-13 * scale
 
     def test_first_snapshot_preserved(self):
         # same pulse in both factors pins the leading Cholesky entry
@@ -196,9 +195,9 @@ class TestSynthesize:
         bg = simulate_snapshots(bg_pot, sources, 0, axis, settings, "cosine", axis.n)
         basis = cholesky_upper(siso_mass_from_data(data.diagonal(0), axis.n, axis.tau))
         basis0 = cholesky_upper(siso_mass_from_data(data0.diagonal(0), axis.n, axis.tau))
-        out = synthesize_internal(basis, basis0, [bg])[0]
+        out = synthesize_internal(basis, basis0, bg[None])[0]
         g = sources.field(grid, 0)
-        assert np.abs(out.samples[0] - g).max() <= 1e-10 * np.abs(g).max()
+        assert np.abs(out[0] - g).max() <= 1e-10 * np.abs(g).max()
 
     def test_dimension_mismatch(self):
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
@@ -207,20 +206,22 @@ class TestSynthesize:
         b6 = cholesky_upper(siso_mass_from_data(data.diagonal(0), 6, axis.tau))
         b5 = cholesky_upper(siso_mass_from_data(data.diagonal(0), 5, axis.tau))
         with pytest.raises(DimensionError):
-            synthesize_internal(b6, b5, [bg])
+            synthesize_internal(b6, b5, bg[None])
         with pytest.raises(DimensionError):
-            synthesize_internal(b6, b6, [bg, bg])
+            synthesize_internal(b6, b6, np.stack([bg, bg]))
 
     def test_transform_must_fit_background(self):
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
         bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
         with pytest.raises(DimensionError):
-            apply_transform(np.eye(7), [bg, bg])  # 7 rows do not split over 2 sources
+            apply_transform(np.eye(7), np.stack([bg, bg]))  # 7 rows do not split over 2 sources
         with pytest.raises(DimensionError):
-            apply_transform(np.eye(8), [bg])  # 8 samples from a 6-sample set
+            apply_transform(np.eye(8), bg[None])  # 8 samples from a 6-sample stack
         with pytest.raises(DimensionError):
-            apply_transform(np.ones((6, 4)), [bg])
-        assert np.array_equal(apply_transform(np.eye(6), [bg])[0].samples, bg.samples)
+            apply_transform(np.ones((6, 4)), bg[None])
+        with pytest.raises(DimensionError):
+            apply_transform(np.eye(6), bg.reshape(1, 6, -1))  # trailing shape is no grid's
+        assert np.array_equal(apply_transform(np.eye(6), bg[None])[0], bg)
 
     def test_spherical_averages_improve_on_background(self, two_target_run):
         # circular averages around the source: the data-generated field
@@ -238,7 +239,7 @@ class TestSynthesize:
         assert np.array_equal(
             two_target_run.siso_transform[j::K, j::K], field_transform(basis, basis0)
         )
-        generated = synthesize_internal(basis, basis0, [ctx.background.fields[j]])[0]
+        generated = synthesize_internal(basis, basis0, ctx.background.fields[j : j + 1])[0]
         true_snaps = simulate_snapshots(
             two_target_run.q_true, ctx.sources, j, ctx.axis, ctx.settings, "cosine", ctx.axis.n
         )
@@ -254,9 +255,9 @@ class TestSynthesize:
             )
 
         picks = list(range(8, ctx.axis.n, 8))
-        ra_true = radial(true_snaps.samples[picks])
-        ra_bg = radial(ctx.background.fields[j].samples[picks])
-        ra_gen = radial(generated.samples[picks])
+        ra_true = radial(true_snaps[picks])
+        ra_bg = radial(ctx.background.fields[j][picks])
+        ra_gen = radial(generated[picks])
         err_bg = np.linalg.norm(ra_bg - ra_true)
         err_gen = np.linalg.norm(ra_gen - ra_true)
         assert err_gen < 0.5 * err_bg
@@ -268,11 +269,11 @@ class TestSynthesize:
         data = simulate_transfer(zero, sources, axis, settings, mode="mimo")
         mass = regularize_spd(block_mass_from_data(data, axis.n))
         basis = cholesky_upper(mass)
-        bg = [
+        bg = np.stack([
             simulate_snapshots(zero, sources, j, axis, settings, "cosine", mass.num_steps)
             for j in range(2)
-        ]
+        ])
         out = synthesize_internal(basis, basis, bg)
         for got, ref in zip(out, bg):
-            scale = np.abs(ref.samples).max()
-            assert np.abs(got.samples - ref.samples).max() <= 1e-10 * scale
+            scale = np.abs(ref).max()
+            assert np.abs(got - ref).max() <= 1e-10 * scale

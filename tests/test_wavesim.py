@@ -89,15 +89,13 @@ class TestSnapshots:
     def test_cosine_start_is_source(self):
         grid, potential, sources, axis, settings = small_setup()
         snaps = simulate_snapshots(potential, sources, 1, axis, settings, "cosine", 4)
-        assert np.array_equal(snaps.samples[0], sources.field(grid, 1))
-        assert snaps.kind == "background"
+        assert snaps.shape == (4,) + grid.shape
+        assert np.array_equal(snaps[0], sources.field(grid, 1))
 
-    def test_kind_tags(self):
+    def test_antiderivative_start_is_zero(self):
         grid, potential, sources, axis, settings = small_setup(q_amp=0.2)
-        assert simulate_snapshots(potential, sources, 0, axis, settings).kind == "true"
         w = simulate_snapshots(potential, sources, 0, axis, settings, "antiderivative", 4)
-        assert w.kind == "background-antiderivative"
-        assert np.all(w.samples[0] == 0.0)
+        assert np.all(w[0] == 0.0)
 
     def test_chebyshev_recursion_oracle(self):
         # sampled snapshots must equal T_{k p}(S) g via the three-term recursion
@@ -111,10 +109,10 @@ class TestSnapshots:
         for _ in range(2, 5 * settings.substeps + 1):
             prev, cur = cur, 2.0 * apply_s(cur) - prev
             states.append(cur.copy())
-        scale = np.abs(snaps.samples).max()
+        scale = np.abs(snaps).max()
         for k in range(6):
             oracle = states[k * settings.substeps]
-            assert np.abs(snaps.samples[k] - oracle).max() <= 1e-10 * scale
+            assert np.abs(snaps[k] - oracle).max() <= 1e-10 * scale
 
     def test_energy_conservation(self):
         # with one substep the samples are the fine steps themselves
@@ -124,7 +122,7 @@ class TestSnapshots:
         dt = axis.tau
         energies = []
         for k in range(19):
-            u0, u1 = snaps.samples[k], snaps.samples[k + 1]
+            u0, u1 = snaps[k], snaps[k + 1]
             diff = (u1 - u0) / dt
             energies.append(
                 inner_product(grid, diff, diff)
@@ -145,8 +143,8 @@ class TestSnapshots:
         grid, potential, sources, axis, settings = small_setup()
         direct = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", axis.n)
         bg = simulate_background(grid, sources, axis, settings)
-        scale = np.abs(direct.samples).max()
-        assert np.abs(bg.fields[0].samples - direct.samples).max() <= 1e-12 * scale
+        scale = np.abs(direct).max()
+        assert np.abs(bg.fields[0] - direct).max() <= 1e-12 * scale
 
 
 class TestClosedFormBackground:
@@ -175,13 +173,14 @@ class TestClosedFormBackground:
     def test_field_histories(self, anisotropic):
         grid, sources, axis, settings, bg = anisotropic
         zero = Potential.zeros(grid)
+        for stack in (bg.fields, bg.antiderivatives):
+            assert stack.shape == (sources.count, axis.n) + grid.shape
+            assert not stack.flags.writeable
         for i in range(sources.count):
             u0 = simulate_snapshots(zero, sources, i, axis, settings, "cosine", axis.n)
             w0 = simulate_snapshots(zero, sources, i, axis, settings, "antiderivative", axis.n)
-            assert bg.fields[i].kind == u0.kind == "background"
-            assert bg.antiderivatives[i].kind == w0.kind
-            assert self.rel_dev(bg.fields[i].samples, u0.samples) <= 1e-12
-            assert self.rel_dev(bg.antiderivatives[i].samples, w0.samples) <= 1e-12
+            assert self.rel_dev(bg.fields[i], u0) <= 1e-12
+            assert self.rel_dev(bg.antiderivatives[i], w0) <= 1e-12
 
 
 class TestTransfer:
@@ -225,7 +224,7 @@ class TestTransfer:
             )
             for j in range(sources.count):
                 g = sources.field(grid, j)
-                expected[i, j] = [inner_product(grid, g, u) for u in snaps.samples]
+                expected[i, j] = [inner_product(grid, g, u) for u in snaps]
         assert np.abs(data.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_exact_angle_sum_identity(self):
@@ -237,7 +236,7 @@ class TestTransfer:
         scale = np.abs(series).max()
         for k in range(6):
             for l in range(6):
-                gram = inner_product(grid, snaps.samples[k], snaps.samples[l])
+                gram = inner_product(grid, snaps[k], snaps[l])
                 formula = 0.5 * (series[k + l] + series[abs(k - l)])
                 assert abs(gram - formula) <= 1e-10 * scale
 
