@@ -35,15 +35,13 @@ from .lippmann import LSSystem, assemble_system, forward_lift, solve_tsvd
 from .pipeline import (
     ErrorReport,
     PipelineContext,
-    PipelineState,
     Region,
+    StageRecord,
     internal_transform,
     invert_born,
     metrics,
-    run_algorithm,
     run_lift_step,
-    run_mimo_step,
-    run_siso_step,
+    run_lsl_step,
     stages,
 )
 from .rom import (
@@ -93,15 +91,13 @@ __all__ = [
     "solve_tsvd",
     "ErrorReport",
     "PipelineContext",
-    "PipelineState",
     "Region",
+    "StageRecord",
     "internal_transform",
     "invert_born",
     "metrics",
-    "run_algorithm",
     "run_lift_step",
-    "run_mimo_step",
-    "run_siso_step",
+    "run_lsl_step",
     "stages",
     "MassMatrix",
     "OrthogonalizedBasis",

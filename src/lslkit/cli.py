@@ -17,6 +17,13 @@ Artifact names inside the output directory:
     q_mimo.lslf            post-completion reconstruction (q_mimo_2.lslf, ...)
     q_final.lslf           last stage of `pipeline`, plus metrics.txt
 
+`invert --method lsl` runs one LSL step (`pipeline.run_lsl_step`): the
+SISO step on a diagonal-only record, a MIMO step on a lifted one.
+`pipeline` writes each record that `pipeline.stages` yields; round r's
+lifted record goes to lifted_r.lslt beside q_mimo_r.lslf once its
+inversion succeeds. `--iterations` is validated like
+`inversion.iterations`, before anything is simulated.
+
 Nothing else is stored. The zero-potential background is a function of
 the config and is recomputed in closed form by every command that needs
 it; the internal fields that go with an estimate are the background
@@ -41,13 +48,11 @@ from .core import Potential, TransferData
 from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, ConfigurationError, FormatError
 from .pipeline import (
     PipelineContext,
-    PipelineState,
     internal_transform,
     invert_born,
     metrics,
     run_lift_step,
-    run_mimo_step,
-    run_siso_step,
+    run_lsl_step,
     stages,
 )
 from .wavesim import add_noise, simulate_background, simulate_transfer
@@ -118,15 +123,13 @@ def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContex
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()
-    settings = config.settings()
     return PipelineContext(
         grid,
         config.inv_grid(),
         sources,
         axis,
-        settings,
         measured,
-        simulate_background(grid, sources, axis, settings),
+        simulate_background(grid, sources, axis, config.settings()),
         tsvd_siso=config.tsvd_siso,
         tsvd_mimo=config.tsvd_mimo,
         tsvd_born=config.tsvd_born,
@@ -180,14 +183,12 @@ def _cmd_invert(args) -> int:
         return EXIT_OK
 
     if data.is_full:
-        state = PipelineState(0, data, None, None, data.num_samples)
-        state = run_mimo_step(ctx, state)
+        record = run_lsl_step(ctx, data, round=1)
         q_path = Path(args.q_out) if args.q_out else out / "q_mimo.lslf"
     else:
-        state = run_siso_step(replace(ctx, measured=data))
+        record = run_lsl_step(replace(ctx, measured=data), data)
         q_path = Path(args.q_out) if args.q_out else out / "q_siso.lslf"
-    _save_potential(q_path, state.q_est, positivity)
-    record = state.history[-1]
+    _save_potential(q_path, record.potential, positivity)
     print(f"lsl reconstruction -> {q_path} (stage {record.name}, N={record.active_length}, "
           f"residual {record.residual:.3e})")
     return EXIT_OK
@@ -201,43 +202,40 @@ def _cmd_lift(args) -> int:
     grid, values = lio.load_field(q_path)
     data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured)
-    transform = internal_transform(ctx, data)
-    state = PipelineState(0, data, Potential(grid, values), transform,
-                          transform.shape[0] // ctx.sources.count)
-    state = run_lift_step(ctx, state)
+    lifted = run_lift_step(ctx, Potential(grid, values), internal_transform(ctx, data))
     data_out = Path(args.data_out) if args.data_out else out / "lifted.lslt"
-    lio.save_transfer(data_out, state.data)
-    print(f"lifted record ({state.data.num_samples} samples) -> {data_out}")
+    lio.save_transfer(data_out, lifted)
+    print(f"lifted record ({lifted.num_samples} samples) -> {data_out}")
     return EXIT_OK
 
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
+    if args.iterations is not None:
+        config = replace(config, iterations=args.iterations)
+        config.validate()
     out = _out_dir(config)
-    iterations = config.iterations if args.iterations is None else args.iterations
     positivity = args.positivity or config.positivity
     ctx = _context(config, _simulate_artifacts(config, out))
-
-    for step, round_index, state in stages(ctx, iterations):
-        suffix = "" if round_index <= 1 else f"_{round_index}"
-        if step == "lift":
-            lio.save_transfer(out / f"lifted{suffix}.lslt", state.data)
-        else:
-            _save_potential(out / f"q_{step}{suffix}.lslf", state.q_est, positivity)
-    _save_potential(out / "q_final.lslf", state.q_est, positivity)
-
     q_true = config.true_potential()
     regions = config.regions()
+
     lines = []
-    for record in state.history:
+    for record in stages(ctx, config.iterations):
+        step = "mimo" if record.round else "siso"
+        suffix = "" if record.round <= 1 else f"_{record.round}"
+        if record.round:
+            lio.save_transfer(out / f"lifted{suffix}.lslt", record.data)
+        _save_potential(out / f"q_{step}{suffix}.lslf", record.potential, positivity)
         report = metrics(record.potential, q_true, regions)
         line = (f"stage={record.name} N={record.active_length} "
                 f"residual={record.residual:.6e} rel_l2={report.global_rel_l2:.6f}")
         for name, value in report.region_rel_l2.items():
             line += f" {name}={value:.6f}"
-        lines.append(line)
-        print(line)
-    (out / "metrics.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append(line + "\n")
+    _save_potential(out / "q_final.lslf", record.potential, positivity)
+    print("".join(lines), end="")
+    (out / "metrics.txt").write_text("".join(lines), encoding="utf-8")
     print(f"final reconstruction -> {out / 'q_final.lslf'}")
     return EXIT_OK
 

@@ -16,7 +16,10 @@ Schema (every key optional, defaults in parentheses):
     [solver]      substeps (5), cfl_safety (0.9)
     [inversion]   tsvd_born (0.03), tsvd_siso (0.03), tsvd_mimo (0.03),
                   iterations (1), positivity (false)
-                  Each tsvd_* level lies in [1e-4, 1).
+                  Each tsvd_* level lies in [1e-4, 1). Every completion
+                  round halves the record, N -> floor((N-1)/2) + 1 from
+                  N = n, and must leave at least 2 samples: n = 12
+                  allows 3 iterations, n = 80 allows 6.
     [noise]       level (0.0), seed (20250811)
                   Both are nonnegative.
     [model]       margin (4.0), inclusions (empty, whitespace/comma list)
@@ -25,10 +28,11 @@ Schema (every key optional, defaults in parentheses):
                   One section per name listed under model.inclusions.
     [output]      directory (out)
 
-Values are combined with max() where inclusions overlap. Validation
-covers grid nesting, the CFL bound, source-line placement and the
-compact-support margin before anything is simulated; error messages name
-the offending key path (e.g. "solver.substeps").
+Every float must be finite. Values are combined with max() where
+inclusions overlap. Validation covers grid nesting, the CFL bound,
+source-line placement and the compact-support margin before anything is
+simulated; error messages name the offending key path (e.g.
+"solver.substeps").
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 from .core import Grid2D, Potential, SourceSet, TimeAxis
 from .errors import ConfigurationError
 from .lippmann import TSVD_MIN_THRESHOLD
-from .pipeline import Region
+from .pipeline import Region, halved_length
 from .wavesim import SolverSettings, check_cfl
 
 
@@ -201,6 +205,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{key} must lie in [{TSVD_MIN_THRESHOLD:g}, 1)")
         if self.iterations < 0:
             raise ConfigurationError("inversion.iterations must be nonnegative")
+        length = self.n
+        for _ in range(self.iterations):
+            length = halved_length(length)
+            if length < 2:
+                raise ConfigurationError(
+                    f"inversion.iterations {self.iterations} exhausts time.n {self.n}: "
+                    "every round halves the record and must leave 2 samples"
+                )
         if self.noise_level < 0:
             raise ConfigurationError("noise.level must be nonnegative")
         if self.seed < 0:
@@ -285,9 +297,12 @@ def _convert(raw: str, kind, path: str):
             if value is None:
                 raise ValueError(raw)
             return value
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigurationError(f"{path}: cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is float and not np.isfinite(value):
+        raise ConfigurationError(f"{path}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

@@ -1,10 +1,17 @@
-"""End-to-end inversion: SISO step, data completion, MIMO step, iteration.
+"""End-to-end inversion: one LSL step, data completion, iteration.
+
+An LSL step builds internal fields from the ROM of one transfer record,
+puts them into the Lippmann-Schwinger system and fits the measured
+diagonal. The SISO step runs it on the measured record (a scalar ROM per
+source); each completion round lifts the previous estimate to a full
+record and runs it again (the block ROM). Every inversion, including
+post-completion ones, fits measured diagonal data only; lifted entries
+exist solely to synthesize better internal fields. Each step returns a
+frozen `StageRecord`, and `stages` is the one loop over rounds.
 
 Stage schedule: the SISO step works with the first n field samples; each
 completion round lifts a record of the current length N and the block
-mass matrix then halves it to floor((N-1)/2) + 1. Every inversion,
-including post-completion ones, fits measured diagonal data only; lifted
-entries exist solely to synthesize better internal fields.
+mass matrix then halves it to floor((N-1)/2) + 1.
 
 A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T. Each
@@ -20,7 +27,7 @@ copied.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .core import (
     refinement_ratio,
     restrict,
 )
-from .errors import DimensionError, IterationBudgetError, PreconditionError
+from .errors import DimensionError, IterationBudgetError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     apply_transform,
@@ -44,7 +51,7 @@ from .rom import (
     regularize_spd,
     siso_mass_from_data,
 )
-from .wavesim import BackgroundArtifacts, SolverSettings
+from .wavesim import BackgroundArtifacts
 
 
 def halved_length(n: int) -> int:
@@ -59,7 +66,6 @@ class PipelineContext:
     inv_grid: Grid2D
     sources: SourceSet
     axis: TimeAxis
-    settings: SolverSettings
     measured: TransferData
     background: BackgroundArtifacts
     tsvd_siso: float = 1.0e-2
@@ -69,23 +75,27 @@ class PipelineContext:
 
 @dataclass(frozen=True)
 class StageRecord:
-    name: str
-    active_length: int
+    """One LSL step: the record its internal fields came from, their ROM
+    transform T, and the fit of the measured diagonal.
+
+    Round 0 is the SISO step on the measured record; round r >= 1 is the
+    MIMO step on the record lifted in completion round r.
+    """
+
+    round: int
+    data: TransferData
+    transform: np.ndarray
     potential: Potential
     residual: float
-    rel_error: float | None = None
 
+    @property
+    def name(self) -> str:
+        return f"mimo-{self.round}" if self.round else "siso"
 
-@dataclass
-class PipelineState:
-    """Mutable carrier threaded through the stages."""
-
-    iteration: int
-    data: TransferData
-    q_est: Potential | None
-    transform: np.ndarray | None
-    active_length: int
-    history: list[StageRecord] = field(default_factory=list)
+    @property
+    def active_length(self) -> int:
+        """Samples per internal field: the side of T over the source count."""
+        return self.transform.shape[0] // self.data.num_sources
 
 
 def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
@@ -155,88 +165,52 @@ def _invert(ctx: PipelineContext, fields: np.ndarray, threshold: float):
     return q_est, residual_norm(system, q_est)
 
 
-def run_siso_step(ctx: PipelineContext) -> PipelineState:
-    """Per-source ROM internal fields and the first reconstruction."""
-    n = ctx.axis.n
-    transform = internal_transform(ctx, ctx.measured)
-    q_est, residual = _invert(ctx, inversion_fields(ctx, transform), ctx.tsvd_siso)
-    state = PipelineState(0, ctx.measured, q_est, transform, n)
-    state.history.append(StageRecord("siso", n, q_est, residual))
-    return state
+def run_lsl_step(ctx: PipelineContext, data: TransferData, round: int = 0) -> StageRecord:
+    """Internal fields from the ROM of `data`, then the TSVD fit of the measured diagonal.
+
+    A diagonal-only record takes the scalar ROM and `tsvd_siso`; a
+    completed record takes the block ROM and `tsvd_mimo`.
+    """
+    transform = internal_transform(ctx, data)
+    threshold = ctx.tsvd_mimo if data.is_full else ctx.tsvd_siso
+    potential, residual = _invert(ctx, inversion_fields(ctx, transform), threshold)
+    return StageRecord(round, data, transform, potential, residual)
 
 
-def run_lift_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
-    """Populate off-diagonal data from the current estimate and fields."""
-    if state.q_est is None or state.transform is None:
-        raise PreconditionError("lifting requires a prior inversion stage")
-    state.data = forward_lift(
+def run_lift_step(
+    ctx: PipelineContext, potential: Potential, transform: np.ndarray
+) -> TransferData:
+    """The full record of an estimate whose internal fields are u0 * T."""
+    return forward_lift(
         ctx.background.fields,
-        state.transform,
-        state.q_est,
+        transform,
+        potential,
         ctx.background.antiderivatives,
         ctx.background.data,
-        state.active_length,
+        transform.shape[0] // ctx.sources.count,
         ctx.measured,
         ctx.sim_grid,
     )
-    return state
-
-
-def run_mimo_step(ctx: PipelineContext, state: PipelineState) -> PipelineState:
-    """Block ROM on completed data, then re-invert measured diagonals."""
-    state.data.require_full()
-    transform = internal_transform(ctx, state.data)
-    steps = transform.shape[0] // ctx.sources.count
-    q_est, residual = _invert(ctx, inversion_fields(ctx, transform), ctx.tsvd_mimo)
-    state.iteration += 1
-    state.q_est = q_est
-    state.transform = transform
-    state.active_length = steps
-    state.history.append(StageRecord(f"mimo-{state.iteration}", steps, q_est, residual))
-    return state
 
 
 def _truncated(data: TransferData, count: int) -> TransferData:
     return TransferData(data.values[:, :, :count], data.mask, data.tau)
 
 
-def stages(
-    ctx: PipelineContext, iterations: int = 1
-) -> Iterator[tuple[str, int, PipelineState]]:
-    """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO.
+def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
+    """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO step.
 
-    Yields (step, round, state) after every step, with step one of
-    "siso", "lift" and "mimo" and round 0 for the SISO step. The state is
-    updated in place, so read it before resuming the generator.
+    Yields one record per inversion. Round r's `.data` is the record
+    lifted from round r-1's estimate and internal fields.
     """
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
-    state = run_siso_step(ctx)
-    yield "siso", 0, state
+    record = run_lsl_step(ctx, ctx.measured)
+    yield record
     for round_index in range(1, iterations + 1):
-        yield "lift", round_index, run_lift_step(ctx, state)
-        yield "mimo", round_index, run_mimo_step(ctx, state)
-
-
-def run_algorithm(
-    ctx: PipelineContext,
-    iterations: int = 1,
-    q_true: Potential | None = None,
-    regions: tuple[Region, ...] = (),
-) -> PipelineState:
-    """Run every step of `stages` and return the final state.
-
-    With a reference potential the history records the relative error of
-    every stage alongside its data residual.
-    """
-    for _step, _round, state in stages(ctx, iterations):
-        pass
-    if q_true is not None:
-        state.history = [
-            replace(rec, rel_error=metrics(rec.potential, q_true, regions).global_rel_l2)
-            for rec in state.history
-        ]
-    return state
+        lifted = run_lift_step(ctx, record.potential, record.transform)
+        record = run_lsl_step(ctx, lifted, round_index)
+        yield record
 
 
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:

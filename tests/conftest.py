@@ -14,14 +14,7 @@ import pytest
 import lslkit as lk
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import restrict
-from lslkit.pipeline import (
-    PipelineContext,
-    invert_born,
-    metrics,
-    run_lift_step,
-    run_mimo_step,
-    run_siso_step,
-)
+from lslkit.pipeline import PipelineContext, invert_born, metrics, stages
 from lslkit.wavesim import simulate_background, simulate_transfer
 
 
@@ -41,7 +34,6 @@ def build_context(cfg, noise_level=None, with_true_mimo=True):
         cfg.inv_grid(),
         sources,
         axis,
-        settings,
         data,
         background,
         tsvd_siso=cfg.tsvd_siso,
@@ -73,18 +65,11 @@ def two_target_run():
     ctx, q_true, true_mimo = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
     born_potential, born_residual = invert_born(ctx)
-    state = run_siso_step(ctx)
-    siso_transform = state.transform
-    state = run_lift_step(ctx, state)
-    lifted_first = state.data
-    state = run_mimo_step(ctx, state)
-    mimo_transform = state.transform
-    state = run_lift_step(ctx, state)
-    state = run_mimo_step(ctx, state)
+    records = list(stages(ctx, iterations=2))
     elapsed = time.monotonic() - started
     errors = {"born": metrics(born_potential, q_ref).global_rel_l2}
     potentials = {"born": born_potential}
-    for record in state.history:
+    for record in records:
         errors[record.name] = metrics(record.potential, q_ref).global_rel_l2
         potentials[record.name] = record.potential
     return SimpleNamespace(
@@ -93,10 +78,8 @@ def two_target_run():
         q_true=q_true,
         q_ref=q_ref,
         true_mimo=true_mimo,
-        lifted_first=lifted_first,
-        siso_transform=siso_transform,
-        mimo_transform=mimo_transform,
-        state=state,
+        lifted_first=records[1].data,
+        siso_transform=records[0].transform,
         errors=errors,
         potentials=potentials,
         born_residual=born_residual,
@@ -113,13 +96,10 @@ def box_runs():
     for label, level in (("clean", 0.0), ("noisy", cfg.noise_level)):
         ctx, q_true, _ = build_context(cfg, noise_level=level, with_true_mimo=False)
         q_ref = reference_potential(ctx, q_true)
-        state = run_siso_step(ctx)
-        state = run_lift_step(ctx, state)
-        state = run_mimo_step(ctx, state)
+        *_, record = stages(ctx, iterations=1)
         results[label] = SimpleNamespace(
             ctx=ctx,
-            state=state,
-            error=metrics(state.q_est, q_ref).global_rel_l2,
+            error=metrics(record.potential, q_ref).global_rel_l2,
         )
     results["elapsed"] = time.monotonic() - started
     results["cfg"] = cfg
@@ -134,17 +114,12 @@ def three_object_run():
     ctx, q_true, _ = build_context(cfg, with_true_mimo=False)
     q_ref = reference_potential(ctx, q_true)
     regions = cfg.regions()
-    state = run_siso_step(ctx)
-    state = run_lift_step(ctx, state)
-    state = run_mimo_step(ctx, state)
-    state = run_lift_step(ctx, state)
-    state = run_mimo_step(ctx, state)
-    reports = {rec.name: metrics(rec.potential, q_ref, regions) for rec in state.history}
+    records = list(stages(ctx, iterations=2))
+    reports = {rec.name: metrics(rec.potential, q_ref, regions) for rec in records}
     return SimpleNamespace(
         cfg=cfg,
         ctx=ctx,
         q_ref=q_ref,
-        state=state,
         reports=reports,
         elapsed=time.monotonic() - started,
     )

@@ -306,6 +306,32 @@ class TestExitCodes:
         assert run("simulate", "--config", noisy, "--seed", -1) == 2
         assert "noise.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    @pytest.mark.parametrize("iterations, code", [(-1, 2), (3, 0), (4, 2)])
+    def test_pipeline_iterations(self, tmp_path, config_path, capsys, source, iterations, code):
+        # the flag is validated like the config key, before anything is written;
+        # n = 12 halves to 6, 3 and 2 samples, so a fourth round cannot run
+        if source == "flag":
+            argv = ("--config", config_path, "--iterations", iterations)
+        else:
+            rounds = tmp_path / "rounds.cfg"
+            key = f"\n[inversion]\niterations = {iterations}\n"
+            rounds.write_text(config_path.read_text() + key)
+            argv = ("--config", rounds)
+        assert run("pipeline", *argv) == code
+        if code:
+            assert "inversion.iterations" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert (tmp_path / "out" / "q_mimo_3.lslf").exists()
+
+    def test_non_finite_config_float(self, tmp_path, config_path, capsys):
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(config_path.read_text().replace("width = 40.0", "width = nan"))
+        assert run("simulate", "--config", bad) == 2
+        assert "domain.width" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_header(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,32 @@ class TestParsing:
         # numpy's generator rejects a negative seed only once noise is drawn
         text = "[noise]\nlevel = 0.05\nseed = -5\n"
         with pytest.raises(ConfigurationError, match="noise.seed"):
+            parse_config(write(tmp_path, text))
+
+    def test_iterations_fit_the_halving_schedule(self, tmp_path):
+        # n = 12 halves to 6, 3 and 2 samples; a fourth round would leave 1
+        cfg = parse_config(write(tmp_path, "[time]\nn = 12\n[inversion]\niterations = 3\n"))
+        assert cfg.iterations == 3
+        text = "[time]\nn = 12\n[inversion]\niterations = 4\n"
+        with pytest.raises(ConfigurationError, match=r"inversion\.iterations.*time\.n"):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("domain", "width", "nan"), ("domain", "width", "inf"), ("noise", "level", "nan"),
+         ("time", "tau", "inf"), ("time", "tau", "nan"), ("sources", "sigma", "inf"),
+         ("sources", "first_x", "-inf"), ("inclusion blob", "amplitude", "nan")],
+    )
+    def test_non_finite_floats_name_the_key(self, tmp_path, section, key, value):
+        blob = {"shape": "ellipse", "x": "50", "y": "25", "width": "10", "height": "6",
+                "amplitude": "0.05"}
+        text = "[model]\ninclusions = blob\n"
+        if section == "inclusion blob":
+            blob[key] = value
+        else:
+            text += f"[{section}]\n{key} = {value}\n"
+        text += "[inclusion blob]\n" + "".join(f"{k} = {v}\n" for k, v in blob.items())
+        with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}")):
             parse_config(write(tmp_path, text))
 
 

@@ -421,9 +421,10 @@ class TestForwardLift:
     def test_true_inputs_match_brute_force_mimo(self, two_target_run):
         ctx = two_target_run.ctx
         n = ctx.axis.n
+        settings = two_target_run.cfg.settings()
         true_fields = np.stack([
             simulate_snapshots(
-                two_target_run.q_true, ctx.sources, i, ctx.axis, ctx.settings, "cosine", n
+                two_target_run.q_true, ctx.sources, i, ctx.axis, settings, "cosine", n
             )
             for i in range(ctx.sources.count)
         ])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,8 @@ from lslkit.pipeline import (
     internal_transform,
     inversion_fields,
     metrics,
-    run_algorithm,
     run_lift_step,
-    run_mimo_step,
-    run_siso_step,
+    run_lsl_step,
     stages,
 )
 from lslkit.rom import (
@@ -42,7 +42,7 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     settings = SolverSettings(substeps=4)
     data = simulate_transfer(potential, sources, axis, settings, mode="siso")
     background = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, settings, data, background)
+    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background)
     return ctx, potential
 
 
@@ -55,26 +55,28 @@ class TestSchedule:
 
     def test_history_matches_recurrence(self):
         ctx, _ = tiny_context(n=16)
-        state = run_algorithm(ctx, iterations=2)
-        lengths = [rec.active_length for rec in state.history]
+        lengths = [rec.active_length for rec in stages(ctx, iterations=2)]
         expected = [16]
         while len(expected) < 3:
             expected.append(halved_length(expected[-1]))
         assert lengths == expected
-        assert [rec.name for rec in state.history] == ["siso", "mimo-1", "mimo-2"]
 
     def test_stages_yield_every_step(self):
         ctx, _ = tiny_context(n=16)
-        steps = [(step, round_index) for step, round_index, _ in stages(ctx, iterations=2)]
-        assert steps == [("siso", 0), ("lift", 1), ("mimo", 1), ("lift", 2), ("mimo", 2)]
+        records = list(stages(ctx, iterations=2))
+        assert [(rec.round, rec.name) for rec in records] == [
+            (0, "siso"), (1, "mimo-1"), (2, "mimo-2")
+        ]
+        assert records[0].data is ctx.measured
+        assert all(rec.data.is_full for rec in records[1:])
 
     def test_budget_exhaustion(self):
         ctx, _ = tiny_context(n=4)
         # n=4 -> 2 -> halved 2... next round leaves a single usable sample
         with pytest.raises(IterationBudgetError):
-            run_algorithm(ctx, iterations=3)
+            list(stages(ctx, iterations=3))
         with pytest.raises(IterationBudgetError):
-            run_algorithm(ctx, iterations=-1)
+            list(stages(ctx, iterations=-1))
 
 
 class TestInternalFields:
@@ -104,7 +106,8 @@ class TestInternalFields:
         fields = inversion_fields(ctx, internal_transform(ctx, ctx.measured))
         self.assert_restricted(ctx, fields, reference)
 
-        lifted = run_lift_step(ctx, run_siso_step(ctx)).data
+        siso = run_lsl_step(ctx, ctx.measured)
+        lifted = run_lift_step(ctx, siso.potential, siso.transform)
         record = lifted.num_samples
         bg = ctx.background.data
         basis = factor(block_mass_from_data(lifted, record))
@@ -120,67 +123,84 @@ class TestInternalFields:
 class TestZeroPotential:
     def test_everything_stays_zero(self):
         ctx, _ = tiny_context(q_amp=0.0)
-        state = run_algorithm(ctx, iterations=1)
-        assert np.abs(np.asarray(state.history[0].potential.values)).max() <= 1e-8
-        assert np.abs(np.asarray(state.q_est.values)).max() <= 1e-8
+        first, final = stages(ctx, iterations=1)
+        assert np.abs(np.asarray(first.potential.values)).max() <= 1e-8
+        assert np.abs(np.asarray(final.potential.values)).max() <= 1e-8
 
     def test_lift_reproduces_background(self):
         # the reconstructed estimate is zero only to roundoff, so the lifted
         # record matches the background one to roundoff as well
         ctx, _ = tiny_context(q_amp=0.0)
-        state = run_siso_step(ctx)
-        state = run_lift_step(ctx, state)
-        n = state.data.num_samples
+        siso = run_lsl_step(ctx, ctx.measured)
+        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        n = lifted.num_samples
         reference = ctx.background.data.values[:, :, :n]
         scale = np.abs(reference).max()
-        assert np.abs(state.data.values - reference).max() <= 1e-12 * scale
+        assert np.abs(lifted.values - reference).max() <= 1e-12 * scale
 
 
 class TestStages:
     def test_iterations_zero_is_siso_step(self):
         ctx, _ = tiny_context()
-        alone = run_siso_step(ctx)
-        ran = run_algorithm(ctx, iterations=0)
-        assert np.array_equal(alone.q_est.values, ran.q_est.values)
-        assert len(ran.history) == 1
+        alone = run_lsl_step(ctx, ctx.measured)
+        ran = list(stages(ctx, iterations=0))
+        assert len(ran) == 1
+        assert np.array_equal(alone.potential.values, ran[0].potential.values)
 
     def test_deterministic(self):
         ctx, _ = tiny_context()
-        a = run_algorithm(ctx, iterations=1)
-        b = run_algorithm(ctx, iterations=1)
-        assert np.array_equal(a.q_est.values, b.q_est.values)
+        *_, a = stages(ctx, iterations=1)
+        *_, b = stages(ctx, iterations=1)
+        assert np.array_equal(a.potential.values, b.potential.values)
 
     def test_lift_fills_every_pair(self):
         ctx, _ = tiny_context()
-        state = run_siso_step(ctx)
-        state = run_lift_step(ctx, state)
-        assert state.data.is_full
-        assert state.data.num_samples == ctx.axis.n
+        siso = run_lsl_step(ctx, ctx.measured)
+        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        assert lifted.is_full
+        assert lifted.num_samples == ctx.axis.n
 
     def test_final_inversion_uses_measured_data_only(self):
         # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
         ctx, _ = tiny_context()
-        state = run_algorithm(ctx, iterations=1)
+        *_, final = stages(ctx, iterations=1)
         system = assemble_system(
             ctx.background.antiderivatives[:, :, ::2, ::2],
-            inversion_fields(ctx, state.transform),
+            inversion_fields(ctx, final.transform),
             ctx.measured,
             ctx.background.data,
             ctx.inv_grid,
             ctx.tsvd_mimo,
         )
         again = solve_tsvd(system)
-        assert np.array_equal(again.values, state.q_est.values)
+        assert np.array_equal(again.values, final.potential.values)
+
+    def test_each_step_fits_at_its_own_threshold(self):
+        # distinct levels: the SISO step cuts at tsvd_siso, every MIMO step
+        # at tsvd_mimo, each on the fields of its own record's transform
+        ctx, _ = tiny_context()
+        ctx = replace(ctx, tsvd_siso=0.05, tsvd_mimo=1e-3)
+        records = list(stages(ctx, iterations=2))
+        for record in records:
+            threshold = ctx.tsvd_mimo if record.round else ctx.tsvd_siso
+            system = assemble_system(
+                ctx.background.antiderivatives[:, :, ::2, ::2],
+                inversion_fields(ctx, record.transform),
+                ctx.measured,
+                ctx.background.data,
+                ctx.inv_grid,
+                threshold,
+            )
+            assert np.array_equal(solve_tsvd(system).values, record.potential.values)
 
     def test_mimo_with_true_data_beats_siso(self, two_target_run):
         # controlled comparison: completed step fed the exact record
         ctx = two_target_run.ctx
         truth = two_target_run.true_mimo
         first_n = lk.TransferData(truth.values[:, :, : ctx.axis.n], truth.mask, ctx.axis.tau)
-        state = lk.PipelineState(0, first_n, None, None, ctx.axis.n)
-        state = run_mimo_step(ctx, state)
-        err_true = metrics(state.q_est, two_target_run.q_ref).global_rel_l2
+        record = run_lsl_step(ctx, first_n, round=1)
+        err_true = metrics(record.potential, two_target_run.q_ref).global_rel_l2
         assert err_true <= two_target_run.errors["siso"]
 
 
@@ -233,11 +253,3 @@ class TestMetrics:
 def test_born_residual_smaller_than_one(two_target_run):
     assert 0.0 < two_target_run.born_residual < 10.0
 
-
-def test_run_algorithm_logs_errors_with_truth():
-    ctx, potential = tiny_context()
-    state = run_algorithm(ctx, iterations=1, q_true=potential)
-    assert all(rec.rel_error is not None for rec in state.history)
-    assert state.history[0].rel_error > 0.0
-    plain = run_algorithm(ctx, iterations=1)
-    assert all(rec.rel_error is None for rec in plain.history)

@@ -228,6 +228,7 @@ class TestSynthesize:
         # tracks the true one much closer than the background does
         ctx = two_target_run.ctx
         grid = ctx.sim_grid
+        settings = two_target_run.cfg.settings()
         K, n, tau = ctx.sources.count, ctx.axis.n, ctx.axis.tau
         j = K // 2
         # the fine field through the reference path, from the bases the
@@ -241,7 +242,7 @@ class TestSynthesize:
         )
         generated = synthesize_internal(basis, basis0, ctx.background.fields[j : j + 1])[0]
         true_snaps = simulate_snapshots(
-            two_target_run.q_true, ctx.sources, j, ctx.axis, ctx.settings, "cosine", ctx.axis.n
+            two_target_run.q_true, ctx.sources, j, ctx.axis, settings, "cosine", ctx.axis.n
         )
         cx, cy = ctx.sources.centers[j]
         x, y = grid.meshgrid()
