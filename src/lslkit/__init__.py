@@ -51,7 +51,6 @@ from .rom import (
     cholesky_upper,
     field_transform,
     regularize_spd,
-    siso_mass_from_data,
     synthesize_internal,
 )
 from .wavesim import (
@@ -105,7 +104,6 @@ __all__ = [
     "cholesky_upper",
     "field_transform",
     "regularize_spd",
-    "siso_mass_from_data",
     "synthesize_internal",
     "BackgroundArtifacts",
     "SolverSettings",

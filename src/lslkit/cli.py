@@ -18,7 +18,8 @@ Artifact names inside the output directory:
     q_final.lslf           last stage of `pipeline`, plus metrics.txt
 
 `invert --method lsl` runs one LSL step (`pipeline.run_lsl_step`): the
-SISO step on a diagonal-only record, a MIMO step on a lifted one.
+SISO step on a diagonal-only record, a MIMO step on a lifted one, whose
+round follows from the record's length.
 `pipeline` writes each record that `pipeline.stages` yields; round r's
 lifted record goes to lifted_r.lslt beside q_mimo_r.lslf once its
 inversion succeeds. `--iterations` is validated like
@@ -182,12 +183,9 @@ def _cmd_invert(args) -> int:
         print(f"born reconstruction -> {q_path} (residual {residual:.3e})")
         return EXIT_OK
 
-    if data.is_full:
-        record = run_lsl_step(ctx, data, round=1)
-        q_path = Path(args.q_out) if args.q_out else out / "q_mimo.lslf"
-    else:
-        record = run_lsl_step(replace(ctx, measured=data), data)
-        q_path = Path(args.q_out) if args.q_out else out / "q_siso.lslf"
+    record = run_lsl_step(ctx if data.is_full else replace(ctx, measured=data), data)
+    step = "mimo" if record.round else "siso"
+    q_path = Path(args.q_out) if args.q_out else out / f"q_{step}.lslf"
     _save_potential(q_path, record.potential, positivity)
     print(f"lsl reconstruction -> {q_path} (stage {record.name}, N={record.active_length}, "
           f"residual {record.residual:.3e})")

@@ -47,7 +47,8 @@ import numpy as np
 from .core import Grid2D, Potential, SourceSet, TimeAxis
 from .errors import ConfigurationError
 from .lippmann import TSVD_MIN_THRESHOLD
-from .pipeline import Region, halved_length
+from .pipeline import Region
+from .rom import halved_length
 from .wavesim import SolverSettings, check_cfl
 
 

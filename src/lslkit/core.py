@@ -334,9 +334,6 @@ class TransferData:
     def is_full(self) -> bool:
         return bool((self.mask != MaskState.ABSENT).all())
 
-    def diagonal(self, j: int) -> np.ndarray:
-        return self.values[j, j]
-
     def require_measured_diagonal(self) -> None:
         if np.any(np.diag(self.mask) != MaskState.MEASURED):
             raise PreconditionError("diagonal transfer entries must be measured")

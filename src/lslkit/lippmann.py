@@ -207,15 +207,15 @@ def forward_lift(
 
     `fields` is the background stack u0 and `w0` its antiderivative
     stack, both (K, N, ny+1, nx+1) on `grid`; the internal fields are
-    u0 * T with T = `transform` in the time-major order of
-    `rom.field_transform`, (steps K) square. Evaluates the forward
+    u0 * T with T = `transform` in the source-major order of
+    `rom.field_transform`, (K steps) square. Evaluates the forward
     integral on `grid` (the estimate is prolonged there if it lives on a
     coarser nested grid) for every pair i != j; diagonals are copied
     verbatim from the measured record. The output holds n_out <= steps
     samples.
 
     One matrix product, accumulated over node blocks, gives the space
-    integrals of the background, C0[j, a, (a', l)] = sum_c w0_j(a tau)[c]
+    integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
     weight[c] q[c] u0_l(a' tau)[c] over all `steps` samples a'; then
     C = C0 T holds those of the internal fields, C[j, a, i, b] = sum_c
     w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c]. Entry (i, j) at time
@@ -248,18 +248,17 @@ def forward_lift(
         q_flat = prolong(q_est.values, q_est.grid, grid).ravel()
     weighted_q = grid.node_weights.ravel() * q_flat
 
-    # rows (j, a) source-major; columns (a', l) time-major, the row order of T
+    # rows (j, a) and columns (l, a'), the row order of T
     w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :n_out]
     u0_flat = fields.reshape(K, fields.shape[1], -1)[:, :steps]
     gram0 = np.zeros((K * n_out, size))
     for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
         block = slice(start, start + LIFT_CHUNK_NODES)
         w = (w0_flat[..., block] * weighted_q[block]).reshape(K * n_out, -1)
-        u = u0_flat[..., block].transpose(1, 0, 2).reshape(size, -1)
-        gram0 += w @ u.T
-    # columns (i, b) source-major for b < n_out
-    columns = transform.reshape(size, steps, K)[:, :n_out].transpose(0, 2, 1)
-    gram = (gram0 @ columns.reshape(size, K * n_out)).reshape(K, n_out, K, n_out)
+        gram0 += w @ u0_flat[..., block].reshape(size, -1).T
+    # columns (i, b) for b < n_out
+    columns = transform.reshape(size, K, steps)[:, :, :n_out].reshape(size, K * n_out)
+    gram = (gram0 @ columns).reshape(K, n_out, K, n_out)
     # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
     gram[:, 0] *= 0.5
     gram[..., 0] *= 0.5

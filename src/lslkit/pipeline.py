@@ -2,19 +2,20 @@
 
 An LSL step builds internal fields from the ROM of one transfer record,
 puts them into the Lippmann-Schwinger system and fits the measured
-diagonal. The SISO step runs it on the measured record (a scalar ROM per
+diagonal. The SISO step runs it on the measured record (one ROM per
 source); each completion round lifts the previous estimate to a full
-record and runs it again (the block ROM). Every inversion, including
-post-completion ones, fits measured diagonal data only; lifted entries
-exist solely to synthesize better internal fields. Each step returns a
-frozen `StageRecord`, and `stages` is the one loop over rounds.
+record and runs it again (one ROM of all sources). Every inversion,
+including post-completion ones, fits measured diagonal data only; lifted
+entries exist solely to synthesize better internal fields. Each step
+returns a frozen `StageRecord`, and `stages` is the one loop over rounds.
 
 Stage schedule: the SISO step works with the first n field samples; each
 completion round lifts a record of the current length N and the block
 mass matrix then halves it to floor((N-1)/2) + 1.
 
 A data-generated internal field is the background times one matrix,
-u = u0 * T (`rom.field_transform`), and a stage carries only T. Each
+u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
+source-major order of the (K, N, ...) background stacks. Each
 consumer applies it where it is cheapest: assembly mixes the background
 injected onto the inversion grid (injection commutes with T), and the
 lift multiplies the fine-grid Gram matrix of the background by T. The
@@ -30,6 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     Grid2D,
@@ -48,14 +50,10 @@ from .rom import (
     block_mass_from_data,
     cholesky_upper,
     field_transform,
+    halved_length,
     regularize_spd,
-    siso_mass_from_data,
 )
 from .wavesim import BackgroundArtifacts
-
-
-def halved_length(n: int) -> int:
-    return (n - 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,9 @@ class StageRecord:
     """One LSL step: the record its internal fields came from, their ROM
     transform T, and the fit of the measured diagonal.
 
-    Round 0 is the SISO step on the measured record; round r >= 1 is the
-    MIMO step on the record lifted in completion round r.
+    Round 0 is the SISO step on a diagonal-only record. Round r >= 1 is
+    the MIMO step on a full record: the first r whose lift length L_r
+    fits in it, L_1 = n and L_(r+1) = `halved_length(L_r)`.
     """
 
     round: int
@@ -101,35 +100,56 @@ class StageRecord:
 def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     """ROM transform T of a transfer record: its internal fields are u0 * T.
 
-    A diagonal-only record gets the scalar ROM of each source over n
-    samples, so T is block diagonal with the n x n block of source j at
-    [j::K, j::K]. A completed record gets the block ROM over its whole
-    length, which leaves floor((N-1)/2) + 1 samples per field. Every mass
-    matrix, scalar or block, goes through `regularize_spd` before its
-    Cholesky factorization. A record whose source count or sample
-    interval differs from the context's raises DimensionError.
+    A diagonal-only record of at least 2n-1 samples gets the ROM of each
+    source's 1 x 1 record over 2n-1 samples, so T is block diagonal with
+    one n x n block per source. A full record of N <= 2n-1 samples gets
+    the block ROM over all N, leaving floor((N-1)/2) + 1 samples per
+    field. Every mass matrix is passed through `regularize_spd` before
+    it is factored. A record that does not fit the context raises
+    DimensionError naming the config key.
     """
     n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
     if data.num_sources != K:
         raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
     if not abs(data.tau - tau) <= 1e-12 * tau:
         raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
-    if not data.is_full:
+    length, limit, full = data.num_samples, ctx.axis.total_samples, data.is_full
+    if (length > limit) if full else (length < limit):
+        bound = "at most" if full else "at least"
+        raise DimensionError(f"record holds {length} samples, time.n {n} takes {bound} {limit}")
+    background = ctx.background.data
+    if not full:
         data.require_measured_diagonal()
-        transform = np.zeros((n * K, n * K))
-        for j in range(K):
-            basis = _factor(siso_mass_from_data(data.diagonal(j), n, tau))
-            basis0 = _factor(siso_mass_from_data(ctx.background.data.diagonal(j), n, tau))
-            transform[j::K, j::K] = field_transform(basis, basis0)
-        return transform
-    record = data.num_samples
-    if halved_length(record) < 2:
+        return scipy.linalg.block_diag(*(
+            _rom_transform(_source(data, j), _source(background, j), limit) for j in range(K)
+        ))
+    if halved_length(length) < 2:
         raise IterationBudgetError(
-            f"time axis exhausted: {record} samples leave no usable equations"
+            f"time axis exhausted: {length} samples leave no usable equations"
         )
-    basis = _factor(block_mass_from_data(data, record))
-    basis0 = _factor(block_mass_from_data(_truncated(ctx.background.data, record)))
+    return _rom_transform(data, background, length)
+
+
+def _source(data: TransferData, j: int) -> TransferData:
+    """The 1 x 1 record of source j's diagonal series."""
+    pair = (slice(j, j + 1), slice(j, j + 1))
+    return TransferData(data.values[pair], data.mask[pair], data.tau)
+
+
+def _rom_transform(data: TransferData, data0: TransferData, length: int) -> np.ndarray:
+    """T of the block ROM of `data` against the background record `data0`
+    over the same sources and their first `length` samples."""
+    basis = _factor(block_mass_from_data(data, length))
+    basis0 = _factor(block_mass_from_data(data0, length))
     return field_transform(basis, basis0)
+
+
+def _round(ctx: PipelineContext, data: TransferData) -> int:
+    """The `StageRecord.round` of an LSL step on `data`."""
+    round_index, lift_length = 1, ctx.axis.n
+    while lift_length > data.num_samples:
+        round_index, lift_length = round_index + 1, halved_length(lift_length)
+    return round_index if data.is_full else 0
 
 
 def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
@@ -165,16 +185,16 @@ def _invert(ctx: PipelineContext, fields: np.ndarray, threshold: float):
     return q_est, residual_norm(system, q_est)
 
 
-def run_lsl_step(ctx: PipelineContext, data: TransferData, round: int = 0) -> StageRecord:
+def run_lsl_step(ctx: PipelineContext, data: TransferData) -> StageRecord:
     """Internal fields from the ROM of `data`, then the TSVD fit of the measured diagonal.
 
-    A diagonal-only record takes the scalar ROM and `tsvd_siso`; a
+    A diagonal-only record takes the per-source ROM and `tsvd_siso`; a
     completed record takes the block ROM and `tsvd_mimo`.
     """
     transform = internal_transform(ctx, data)
     threshold = ctx.tsvd_mimo if data.is_full else ctx.tsvd_siso
     potential, residual = _invert(ctx, inversion_fields(ctx, transform), threshold)
-    return StageRecord(round, data, transform, potential, residual)
+    return StageRecord(_round(ctx, data), data, transform, potential, residual)
 
 
 def run_lift_step(
@@ -193,10 +213,6 @@ def run_lift_step(
     )
 
 
-def _truncated(data: TransferData, count: int) -> TransferData:
-    return TransferData(data.values[:, :, :count], data.mask, data.tau)
-
-
 def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
     """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO step.
 
@@ -207,9 +223,9 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
         raise IterationBudgetError("iteration count must be nonnegative")
     record = run_lsl_step(ctx, ctx.measured)
     yield record
-    for round_index in range(1, iterations + 1):
+    for _ in range(iterations):
         lifted = run_lift_step(ctx, record.potential, record.transform)
-        record = run_lsl_step(ctx, lifted, round_index)
+        record = run_lsl_step(ctx, lifted)
         yield record
 
 

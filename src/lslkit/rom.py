@@ -5,20 +5,19 @@ alone through the cosine angle-sum identity
 
     M_kl = ( F((k-l) tau) + F((k+l) tau) ) / 2 ,
 
-scalar per source for diagonal-only data and blockwise for a full
-transfer matrix. Factoring M = U^T U and the background Gram the same
-way yields the data-generated internal fields u = u0 * T with
-T = inv(U0) * U: true orthogonalization coefficients re-expanded in the
-orthonormalized background snapshots.
+blockwise for a full transfer record and scalar for the 1 x 1 record of
+one source's diagonal series. Factoring M = U^T U and the background
+Gram the same way yields the data-generated internal fields u = u0 * T
+with T = inv(U0) * U: true orthogonalization coefficients re-expanded
+in the orthonormalized background snapshots.
 
-`field_transform` returns T, and T is the only form in which the
-inversion carries a data-generated field: u is linear in T, and so are
-both of its consumers. `apply_transform` mixes a (K, N, rows, cols)
-background stack by T, one transpose-reshape and one matrix product, on
-whatever grid it lives on (the pipeline hands it the background injected
-onto the inversion grid); `synthesize_internal` is T applied to the
-fine-grid background, the reference the factored path is tested
-against.
+Only this module knows the time-major order of M (all sources at sample
+0, then all at sample 1, ...), which makes U block upper triangular;
+`field_transform` returns T in the source-major order of a (K, N, ...)
+stack, so `apply_transform` and the lift multiply stacks by T as they
+are. T is the only form in which the inversion carries a data-generated
+field; `synthesize_internal` applies it to the fine-grid background,
+the reference the factored path is tested against.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
@@ -57,7 +56,6 @@ class MassMatrix:
     values: np.ndarray
     block_size: int
     num_steps: int
-    tau: float
     regularization: RegularizationRecord | None = None
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class MassMatrix:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class OrthogonalizedBasis:
@@ -83,7 +77,6 @@ class OrthogonalizedBasis:
     matrix: np.ndarray
     block_size: int
     num_steps: int
-    tau: float
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
@@ -95,24 +88,17 @@ class OrthogonalizedBasis:
         return self.matrix.shape[0]
 
 
-def siso_mass_from_data(diagonal_series: np.ndarray, n: int, tau: float) -> MassMatrix:
-    """n x n mass matrix of one source from its 2n-1 diagonal samples."""
-    series = np.asarray(diagonal_series, dtype=np.float64)
-    if series.ndim != 1 or series.size < 2 * n - 1:
-        raise DimensionError(
-            f"need at least {2 * n - 1} diagonal samples for n={n}, got {series.shape}"
-        )
-    k = np.arange(n)
-    values = 0.5 * (series[np.abs(k[:, None] - k[None, :])] + series[k[:, None] + k[None, :]])
-    return MassMatrix(values, block_size=1, num_steps=n, tau=tau)
+def halved_length(n: int) -> int:
+    """Samples per field of the block ROM of an n-sample record."""
+    return (n - 1) // 2 + 1
 
 
 def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix:
-    """Block mass matrix of a full transfer record of n samples.
+    """Block mass matrix of a full transfer record over its first n samples.
 
-    Blocks (k, l) for k, l = 0 .. floor((n-1)/2) are the symmetrized
-    transfer matrices combined by the angle-sum rule, so the result is
-    (floor((n-1)/2)+1) * K square.
+    Blocks (k, l) for k, l < `halved_length(n)` are the symmetrized
+    transfer matrices combined by the angle-sum rule. A one-source record
+    gives the scalar mass matrix of its series exactly: 0.5 (v + v) = v.
     """
     data.require_full()
     n = data.num_samples if n is None else n
@@ -120,19 +106,16 @@ def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix
         raise DimensionError(
             f"requested {n} samples, transfer record holds {data.num_samples}"
         )
-    nb = (n - 1) // 2 + 1
+    nb = halved_length(n)
     K = data.num_sources
     sym = 0.5 * (data.values[:, :, :n] + data.values[:, :, :n].transpose(1, 0, 2))
-    values = np.empty((nb * K, nb * K))
-    for k in range(nb):
-        for l in range(nb):
-            values[k * K : (k + 1) * K, l * K : (l + 1) * K] = 0.5 * (
-                sym[:, :, abs(k - l)] + sym[:, :, k + l]
-            )
-    return MassMatrix(values, block_size=K, num_steps=nb, tau=data.tau)
+    k = np.arange(nb)
+    blocks = 0.5 * (sym[:, :, np.abs(k[:, None] - k)] + sym[:, :, k[:, None] + k])
+    values = blocks.transpose(2, 0, 3, 1).reshape(nb * K, nb * K)
+    return MassMatrix(values, block_size=K, num_steps=nb)
 
 
-def gram_mass_matrix(stack: np.ndarray, grid: Grid2D, tau: float) -> MassMatrix:
+def gram_mass_matrix(stack: np.ndarray, grid: Grid2D) -> MassMatrix:
     """Direct Gram matrix of a (K, N, ny+1, nx+1) snapshot stack on `grid`,
     the independent cross-check for the data formulas (time-major
     ordering for several sources)."""
@@ -141,7 +124,7 @@ def gram_mass_matrix(stack: np.ndarray, grid: Grid2D, tau: float) -> MassMatrix:
     stacked = stack.transpose(1, 0, 2, 3).reshape(num_steps * K, -1)
     values = (stacked * grid.node_weights.ravel()) @ stacked.T
     values = 0.5 * (values + values.T)
-    return MassMatrix(values, block_size=K, num_steps=num_steps, tau=tau)
+    return MassMatrix(values, block_size=K, num_steps=num_steps)
 
 
 def regularize_spd(mass: MassMatrix) -> MassMatrix:
@@ -164,7 +147,7 @@ def regularize_spd(mass: MassMatrix) -> MassMatrix:
         lifted = (vec * np.maximum(lam, eps0)) @ vec.T
         sym = 0.5 * (lifted + lifted.T)
     record = RegularizationRecord(bool(clipped.any()), eps0, lam_min, lam_max)
-    return MassMatrix(sym, mass.block_size, mass.num_steps, mass.tau, record)
+    return MassMatrix(sym, mass.block_size, mass.num_steps, record)
 
 
 def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
@@ -182,38 +165,42 @@ def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
             f"mass matrix is not numerically positive definite ({exc}); "
             "apply regularize_spd first"
         ) from exc
-    return OrthogonalizedBasis(upper, mass.block_size, mass.num_steps, mass.tau)
+    return OrthogonalizedBasis(upper, mass.block_size, mass.num_steps)
 
 
 def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> np.ndarray:
     """T = inv(U0) * U, the map from background to data-generated snapshots.
 
-    Rows and columns are time-major, all sources at sample 0, then all
-    at sample 1, and so on: T has side num_steps * block_size, and field
-    i at sample b is sum over (a, l) of T[a K + l, b K + i] u0_l(a tau).
-    Identical factors give the identity.
+    The factors are time-major, like their mass matrices; T comes out
+    source-major, the order of a (K, N, ...) stack: with S = num_steps,
+    T has side K S, and field i at sample b is sum over (l, a) of
+    T[l S + a, i S + b] u0_l(a tau). Identical factors give the identity.
     """
     if basis.size != basis0.size or basis.block_size != basis0.block_size:
         raise DimensionError(
             f"factor shapes differ: {basis.size}/{basis.block_size} vs "
             f"{basis0.size}/{basis0.block_size}"
         )
-    return scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
+    transform = scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
+    # source-major position l S + a holds time-major index a K + l
+    order = np.arange(basis.size).reshape(basis.num_steps, basis.block_size).T.ravel()
+    return transform[np.ix_(order, order)]
 
 
 def apply_transform(transform: np.ndarray, background: np.ndarray) -> np.ndarray:
     """Data-generated fields u = u0 * T from a (K, N, rows, cols) background stack.
 
     The stack may live on any grid, and the result, a (K, steps, rows,
-    cols) stack, lives on it too. T is (steps K) square in the time-major
-    order of `field_transform`, and N must be at least `steps`.
+    cols) stack, lives on it too. T is (K steps) square in the
+    source-major order of `field_transform`, and N must be at least
+    `steps`.
     """
     background = np.asarray(background, dtype=np.float64)
     if background.ndim != 4:
         raise DimensionError(
             f"background stack has shape {background.shape}, expected (K, N, rows, cols)"
         )
-    K, num = background.shape[:2]
+    K, num, rows, cols = background.shape
     size = transform.shape[0]
     if transform.shape != (size, size) or size % K:
         raise DimensionError(
@@ -222,9 +209,8 @@ def apply_transform(transform: np.ndarray, background: np.ndarray) -> np.ndarray
     steps = size // K
     if num < steps:
         raise DimensionError(f"background stack holds {num} samples, factors need {steps}")
-    stacked = background[:, :steps].transpose(1, 0, 2, 3)  # time-major (steps, K, rows, cols)
-    mixed = transform.T @ stacked.reshape(size, -1)
-    return mixed.reshape(stacked.shape).transpose(1, 0, 2, 3)
+    mixed = transform.T @ background[:, :steps].reshape(size, -1)
+    return mixed.reshape(K, steps, rows, cols)
 
 
 def synthesize_internal(

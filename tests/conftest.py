@@ -50,6 +50,12 @@ def reference_potential(ctx, q_true):
     return lk.Potential(ctx.inv_grid, restrict(q_true.values, q_true.grid, ctx.inv_grid))
 
 
+def source_record(data, j):
+    """Source j's diagonal series as a 1 x 1 full record: its scalar ROM input."""
+    pair = (slice(j, j + 1), slice(j, j + 1))
+    return lk.TransferData(data.values[pair], data.mask[pair], data.tau)
+
+
 def off_diagonal_error(data, oracle, count):
     """Relative Frobenius distance of off-diagonal series over `count` samples."""
     off = ~np.eye(oracle.num_sources, dtype=bool)

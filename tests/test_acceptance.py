@@ -16,10 +16,10 @@ from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, prolong
 from lslkit.lippmann import assemble_system, solve_tsvd
 from lslkit.pipeline import PipelineContext, stages
 from lslkit.rom import (
+    block_mass_from_data,
     cholesky_upper,
     gram_mass_matrix,
     regularize_spd,
-    siso_mass_from_data,
     synthesize_internal,
 )
 from lslkit.wavesim import (
@@ -28,7 +28,7 @@ from lslkit.wavesim import (
     simulate_snapshots,
     simulate_transfer,
 )
-from conftest import off_diagonal_error
+from conftest import off_diagonal_error, source_record
 
 
 def report(number: int, description: str, passed: bool, detail: str) -> None:
@@ -55,9 +55,9 @@ def test_c01_exact_mass_identity():
     data = simulate_transfer(potential, sources, axis, settings, mode="siso")
     worst = 0.0
     for j in range(sources.count):
-        mass = siso_mass_from_data(data.diagonal(j), axis.n, axis.tau)
+        mass = block_mass_from_data(source_record(data, j), axis.total_samples)
         snaps = simulate_snapshots(potential, sources, j, axis, settings, "cosine", axis.n)
-        gram = gram_mass_matrix(snaps[None], grid, axis.tau)
+        gram = gram_mass_matrix(snaps[None], grid)
         worst = max(
             worst,
             np.abs(mass.values - gram.values).max() / np.abs(mass.values).max(),
@@ -84,9 +84,9 @@ def test_c02_zero_potential_round_trip():
     background = simulate_background(grid, sources, axis, settings)
     worst_field = 0.0
     for j in range(sources.count):
-        basis = cholesky_upper(siso_mass_from_data(data.diagonal(j), axis.n, axis.tau))
-        basis0 = cholesky_upper(
-            siso_mass_from_data(background.data.diagonal(j), axis.n, axis.tau)
+        basis, basis0 = (
+            cholesky_upper(block_mass_from_data(source_record(d, j), axis.total_samples))
+            for d in (data, background.data)
         )
         synthesized = synthesize_internal(basis, basis0, background.fields[j : j + 1])[0]
         ref = background.fields[j]
@@ -167,7 +167,7 @@ def test_c05_regularization_contract():
         size = int(rng.integers(5, 30))
         a = rng.standard_normal((size, size))
         sym = 0.5 * (a + a.T)
-        mass = lk.MassMatrix(sym, block_size=1, num_steps=size, tau=1.0)
+        mass = lk.MassMatrix(sym, block_size=1, num_steps=size)
         out = regularize_spd(mass)
         lam = np.linalg.eigvalsh(sym)
         positive = lam[lam > 0]

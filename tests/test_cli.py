@@ -86,7 +86,7 @@ class TestSurface:
         assert final == chained
         assert not [p for p in pipe_dir.iterdir() if p.is_dir()]
 
-    def test_second_round_chain_matches_pipeline_bitwise(self, tmp_path, config_path):
+    def test_second_round_chain_matches_pipeline_bitwise(self, tmp_path, config_path, capsys):
         pipe_dir = tmp_path / "pipe"
         assert run("pipeline", "--config", config_path, "--iterations", 2,
                    "--out", pipe_dir) == 0
@@ -100,8 +100,11 @@ class TestSurface:
         assert run("lift", *common, "--q", chain_dir / "q_mimo.lslf",
                    "--data", chain_dir / "lifted.lslt",
                    "--data-out", chain_dir / "lifted_2.lslt") == 0
+        capsys.readouterr()
         assert run("invert", "--method", "lsl", *common, "--data", chain_dir / "lifted_2.lslt",
                    "--q-out", chain_dir / "q_mimo_2.lslf") == 0
+        # the round follows from the record's length, as in `pipeline`
+        assert "stage mimo-2, N=3" in capsys.readouterr().out
         assert (chain_dir / "lifted_2.lslt").read_bytes() == (
             pipe_dir / "lifted_2.lslt"
         ).read_bytes()
@@ -287,6 +290,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("sources.count" if record.endswith("sources") else "time.tau") in err
         assert not (out / "lifted.lslt").exists()
+
+    @pytest.mark.parametrize("record", ["short_diagonal", "long_full"])
+    def test_record_length_names_time_n(self, tmp_path, config_path, capsys, record):
+        # n = 12: a diagonal record needs 23 samples, a full one holds at most 23
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        if record == "short_diagonal":
+            siso = load_transfer(out / "siso.lslt")
+            bad = TransferData(siso.values[:, :, :20], siso.mask, siso.tau)
+        else:
+            mimo = load_transfer(out / "mimo.lslt")
+            values = np.concatenate([mimo.values, mimo.values[:, :, -4:]], axis=2)
+            bad = TransferData(values, mimo.mask, mimo.tau)
+        save_transfer(out / "bad.lslt", bad)
+        assert run("invert", "--method", "lsl", "--config", config_path,
+                   "--data", out / "bad.lslt") == 2
+        assert "time.n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -312,7 +312,7 @@ class TestForwardLift:
             m = block_size * steps
             upper = np.triu(rng.standard_normal((m, m)), 1) * (0.3 / np.sqrt(m))
             upper += np.diag(rng.uniform(0.5, 1.5, m))
-            return OrthogonalizedBasis(upper, block_size, steps, axis.tau)
+            return OrthogonalizedBasis(upper, block_size, steps)
 
         if kind == "siso":
             transform = np.zeros((K * steps, K * steps))
@@ -320,7 +320,8 @@ class TestForwardLift:
             for j in range(K):
                 basis, basis0 = random_basis(1), random_basis(1)
                 fields[j] = synthesize_internal(basis, basis0, background[j : j + 1])[0]
-                transform[j::K, j::K] = field_transform(basis, basis0)
+                block = slice(j * steps, (j + 1) * steps)
+                transform[block, block] = field_transform(basis, basis0)
         elif kind == "block":
             basis, basis0 = random_basis(K), random_basis(K)
             fields = synthesize_internal(basis, basis0, background)

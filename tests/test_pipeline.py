@@ -11,7 +11,6 @@ from lslkit.pipeline import (
     ErrorReport,
     PipelineContext,
     Region,
-    halved_length,
     internal_transform,
     inversion_fields,
     metrics,
@@ -22,11 +21,12 @@ from lslkit.pipeline import (
 from lslkit.rom import (
     block_mass_from_data,
     cholesky_upper,
+    halved_length,
     regularize_spd,
-    siso_mass_from_data,
     synthesize_internal,
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
+from conftest import source_record
 
 
 def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
@@ -92,12 +92,12 @@ class TestInternalFields:
         # u0 * T mixed on the inversion grid equals the fine fields that
         # synthesize_internal materializes, injected onto that grid
         ctx, _ = tiny_context()
-        K, n, tau = ctx.sources.count, ctx.axis.n, ctx.axis.tau
+        K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass))
         reference = []
         for j in range(K):
             basis, basis0 = (
-                factor(siso_mass_from_data(d.diagonal(j), n, tau))
+                factor(block_mass_from_data(source_record(d, j), length))
                 for d in (ctx.measured, ctx.background.data)
             )
             reference.append(
@@ -118,6 +118,15 @@ class TestInternalFields:
         fields = inversion_fields(ctx, internal_transform(ctx, lifted))
         assert fields.shape[1] == halved_length(record)
         self.assert_restricted(ctx, fields, reference)
+
+    def test_diagonal_record_transform_is_block_diagonal(self):
+        # one n x n block per source; every block between two sources is exactly zero
+        ctx, _ = tiny_context()
+        K, n = ctx.sources.count, ctx.axis.n
+        blocks = internal_transform(ctx, ctx.measured).reshape(K, n, K, n)
+        for i in range(K):
+            for j in range(K):
+                assert (i == j) == bool(np.any(blocks[i, :, j]))
 
 
 class TestZeroPotential:
@@ -199,7 +208,8 @@ class TestStages:
         ctx = two_target_run.ctx
         truth = two_target_run.true_mimo
         first_n = lk.TransferData(truth.values[:, :, : ctx.axis.n], truth.mask, ctx.axis.tau)
-        record = run_lsl_step(ctx, first_n, round=1)
+        record = run_lsl_step(ctx, first_n)
+        assert record.name == "mimo-1"
         err_true = metrics(record.potential, two_target_run.q_ref).global_rel_l2
         assert err_true <= two_target_run.errors["siso"]
 

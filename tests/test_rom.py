@@ -6,16 +6,21 @@ from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, Trans
 from lslkit.errors import DegenerateDataError, DimensionError, FactorizationError, PreconditionError
 from lslkit.rom import (
     MassMatrix,
+    OrthogonalizedBasis,
     apply_transform,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
     gram_mass_matrix,
     regularize_spd,
-    siso_mass_from_data,
     synthesize_internal,
 )
 from lslkit.wavesim import SolverSettings, simulate_snapshots, simulate_transfer
+from conftest import source_record
+
+
+def series_record(series):
+    return TransferData(np.reshape(series, (1, 1, -1)), np.ones((1, 1), dtype=np.int8), 1.0)
 
 
 def wave_setup(nx=40, ny=20, K=3, n=10, tau=2.0, q_amp=0.25):
@@ -33,7 +38,8 @@ def wave_setup(nx=40, ny=20, K=3, n=10, tau=2.0, q_amp=0.25):
 class TestSisoMass:
     def test_first_entries_match_series(self):
         series = np.arange(1.0, 12.0)
-        mass = siso_mass_from_data(series, 4, 1.0)
+        mass = block_mass_from_data(series_record(series), 7)
+        assert mass.num_steps == 4 and mass.block_size == 1
         assert mass.values[0, 0] == series[0]
         assert mass.values[0, 1] == series[1]
         assert mass.values[2, 3] == 0.5 * (series[1] + series[5])
@@ -41,15 +47,15 @@ class TestSisoMass:
 
     def test_too_few_samples(self):
         with pytest.raises(DimensionError):
-            siso_mass_from_data(np.ones(6), 4, 1.0)
+            block_mass_from_data(series_record(np.ones(6)), 7)
 
     def test_matches_snapshot_gram(self):
         grid, potential, sources, axis, settings = wave_setup()
         data = simulate_transfer(potential, sources, axis, settings, mode="siso")
         for j in range(sources.count):
-            mass = siso_mass_from_data(data.diagonal(j), axis.n, axis.tau)
+            mass = block_mass_from_data(source_record(data, j), axis.total_samples)
             snaps = simulate_snapshots(potential, sources, j, axis, settings, "cosine", axis.n)
-            gram = gram_mass_matrix(snaps[None], grid, axis.tau)
+            gram = gram_mass_matrix(snaps[None], grid)
             dev = np.abs(mass.values - gram.values).max()
             assert dev <= 1e-9 * np.abs(mass.values).max()
 
@@ -69,11 +75,27 @@ class TestBlockMass:
     def test_single_source_reduces_to_scalar_formula(self):
         rng = np.random.default_rng(1)
         series = rng.standard_normal(15)
-        data = TransferData(series.reshape(1, 1, -1), np.ones((1, 1), dtype=np.int8), 0.7)
-        block = block_mass_from_data(data, 15)
-        scalar = siso_mass_from_data(series, 8, 0.7)
-        nb = block.num_steps
-        assert np.array_equal(block.values, scalar.values[:nb, :nb])
+        block = block_mass_from_data(series_record(series), 15)
+        k = np.arange(8)
+        scalar = 0.5 * (series[np.abs(k[:, None] - k[None, :])] + series[k[:, None] + k[None, :]])
+        assert np.array_equal(block.values, scalar)
+
+    def test_matches_double_loop_reference(self):
+        # the index-array blocks against the block-by-block angle-sum rule
+        rng = np.random.default_rng(7)
+        K, n = 3, 9
+        values = rng.standard_normal((K, K, 11))
+        data = TransferData(values, np.full((K, K), MaskState.LIFTED, dtype=np.int8), 1.0)
+        mass = block_mass_from_data(data, n)
+        nb = (n - 1) // 2 + 1
+        sym = 0.5 * (values[:, :, :n] + values[:, :, :n].transpose(1, 0, 2))
+        reference = np.empty((nb * K, nb * K))
+        for k in range(nb):
+            for l in range(nb):
+                reference[k * K : (k + 1) * K, l * K : (l + 1) * K] = 0.5 * (
+                    sym[:, :, abs(k - l)] + sym[:, :, k + l]
+                )
+        assert np.array_equal(mass.values, reference)
 
     def test_absent_entries_rejected(self):
         values = np.zeros((2, 2, 5))
@@ -89,14 +111,14 @@ class TestBlockMass:
             simulate_snapshots(potential, sources, j, axis, settings, "cosine", mass.num_steps)
             for j in range(sources.count)
         ])
-        gram = gram_mass_matrix(snaps, grid, axis.tau)
+        gram = gram_mass_matrix(snaps, grid)
         dev = np.abs(mass.values - gram.values).max()
         assert dev <= 1e-9 * np.abs(mass.values).max()
 
 
 class TestRegularize:
     def as_mass(self, matrix):
-        return MassMatrix(matrix, block_size=1, num_steps=matrix.shape[0], tau=1.0)
+        return MassMatrix(matrix, block_size=1, num_steps=matrix.shape[0])
 
     def test_direct_formula_example(self):
         out = regularize_spd(self.as_mass(np.diag([3.0, -1.0])))
@@ -141,7 +163,7 @@ class TestRegularize:
 
 class TestCholesky:
     def as_mass(self, matrix, block_size=1):
-        return MassMatrix(matrix, block_size, matrix.shape[0] // block_size, 1.0)
+        return MassMatrix(matrix, block_size, matrix.shape[0] // block_size)
 
     def test_identity(self):
         basis = cholesky_upper(self.as_mass(np.eye(5)))
@@ -181,7 +203,7 @@ class TestSynthesize:
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
         bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
         data = simulate_transfer(potential, sources, axis, settings, mode="siso")
-        basis = cholesky_upper(siso_mass_from_data(data.diagonal(0), 6, axis.tau))
+        basis = cholesky_upper(block_mass_from_data(source_record(data, 0), 11))
         out = synthesize_internal(basis, basis, bg[None])[0]
         scale = np.abs(bg).max()
         assert np.abs(out - bg).max() <= 1e-13 * scale
@@ -193,8 +215,8 @@ class TestSynthesize:
         bg_pot = Potential.zeros(grid)
         data0 = simulate_transfer(bg_pot, sources, axis, settings, mode="siso")
         bg = simulate_snapshots(bg_pot, sources, 0, axis, settings, "cosine", axis.n)
-        basis = cholesky_upper(siso_mass_from_data(data.diagonal(0), axis.n, axis.tau))
-        basis0 = cholesky_upper(siso_mass_from_data(data0.diagonal(0), axis.n, axis.tau))
+        basis = cholesky_upper(block_mass_from_data(source_record(data, 0), axis.total_samples))
+        basis0 = cholesky_upper(block_mass_from_data(source_record(data0, 0), axis.total_samples))
         out = synthesize_internal(basis, basis0, bg[None])[0]
         g = sources.field(grid, 0)
         assert np.abs(out[0] - g).max() <= 1e-10 * np.abs(g).max()
@@ -203,8 +225,8 @@ class TestSynthesize:
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
         bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
         data = simulate_transfer(potential, sources, axis, settings, mode="siso")
-        b6 = cholesky_upper(siso_mass_from_data(data.diagonal(0), 6, axis.tau))
-        b5 = cholesky_upper(siso_mass_from_data(data.diagonal(0), 5, axis.tau))
+        b6 = cholesky_upper(block_mass_from_data(source_record(data, 0), 11))
+        b5 = cholesky_upper(block_mass_from_data(source_record(data, 0), 9))
         with pytest.raises(DimensionError):
             synthesize_internal(b6, b5, bg[None])
         with pytest.raises(DimensionError):
@@ -223,22 +245,46 @@ class TestSynthesize:
             apply_transform(np.eye(6), bg.reshape(1, 6, -1))  # trailing shape is no grid's
         assert np.array_equal(apply_transform(np.eye(6), bg[None])[0], bg)
 
+    def test_source_major_transform_matches_time_major_sum(self):
+        # u_i(b) = sum over (a, l) of X[a K + l, b K + i] u0_l(a) with X
+        # the time-major triangular solve: T is X permuted, nothing more
+        rng = np.random.default_rng(12)
+        K, steps = 3, 5
+        m = K * steps
+
+        def random_basis():
+            upper = np.triu(rng.standard_normal((m, m)), 1) * (0.3 / np.sqrt(m))
+            return OrthogonalizedBasis(upper + np.diag(rng.uniform(0.5, 1.5, m)), K, steps)
+
+        basis, basis0 = random_basis(), random_basis()
+        stack = rng.standard_normal((K, steps + 2, 4, 6))
+        got = apply_transform(field_transform(basis, basis0), stack)
+        time_major = scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
+        expected = np.zeros((K, steps, 4, 6))
+        for i in range(K):
+            for b in range(steps):
+                for l in range(K):
+                    for a in range(steps):
+                        expected[i, b] += time_major[a * K + l, b * K + i] * stack[l, a]
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_spherical_averages_improve_on_background(self, two_target_run):
         # circular averages around the source: the data-generated field
         # tracks the true one much closer than the background does
         ctx = two_target_run.ctx
         grid = ctx.sim_grid
         settings = two_target_run.cfg.settings()
-        K, n, tau = ctx.sources.count, ctx.axis.n, ctx.axis.tau
+        K, n = ctx.sources.count, ctx.axis.n
         j = K // 2
         # the fine field through the reference path, from the bases the
         # SISO step factors; the stage itself carries only their transform
         basis, basis0 = (
-            cholesky_upper(regularize_spd(siso_mass_from_data(d.diagonal(j), n, tau)))
+            cholesky_upper(regularize_spd(block_mass_from_data(source_record(d, j), 2 * n - 1)))
             for d in (ctx.measured, ctx.background.data)
         )
+        block = slice(j * n, (j + 1) * n)
         assert np.array_equal(
-            two_target_run.siso_transform[j::K, j::K], field_transform(basis, basis0)
+            two_target_run.siso_transform[block, block], field_transform(basis, basis0)
         )
         generated = synthesize_internal(basis, basis0, ctx.background.fields[j : j + 1])[0]
         true_snaps = simulate_snapshots(

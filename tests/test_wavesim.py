@@ -232,7 +232,7 @@ class TestTransfer:
         grid, potential, sources, axis, settings = small_setup(q_amp=0.3, n=6)
         data = simulate_transfer(potential, sources, axis, settings, mode="siso")
         snaps = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
-        series = data.diagonal(0)
+        series = data.values[0, 0]
         scale = np.abs(series).max()
         for k in range(6):
             for l in range(6):
