@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import Grid2D, MaskState, Potential, TransferData, check_stack, prolong
 from .errors import (
@@ -96,9 +95,9 @@ def convolution_rows(
     u = field_samples[:num_out]
     if num_out == 1:
         return np.zeros((1, w.shape[1]))
-    length = scipy.fft.next_fast_len(2 * num_out - 1, real=True)
-    spectrum = scipy.fft.rfft(w, length, axis=0) * scipy.fft.rfft(u, length, axis=0)
-    rows = scipy.fft.irfft(spectrum, length, axis=0)[:num_out]
+    length = 1 << (2 * num_out - 2).bit_length()  # power of two >= 2 num_out - 1
+    spectrum = np.fft.rfft(w, length, axis=0) * np.fft.rfft(u, length, axis=0)
+    rows = np.fft.irfft(spectrum, length, axis=0)[:num_out]
     rows -= 0.5 * (w * u[0] + w[0] * u)
     rows *= tau
     rows[0] = 0.0

@@ -31,7 +31,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     Grid2D,
@@ -120,9 +119,11 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     background = ctx.background.data
     if not full:
         data.require_measured_diagonal()
-        return scipy.linalg.block_diag(*(
-            _rom_transform(_source(data, j), _source(background, j), limit) for j in range(K)
-        ))
+        transform = np.zeros((K * n, K * n))
+        for j in range(K):
+            block = slice(j * n, (j + 1) * n)
+            transform[block, block] = _rom_transform(_source(data, j), _source(background, j), limit)
+        return transform
     if halved_length(length) < 2:
         raise IterationBudgetError(
             f"time axis exhausted: {length} samples leave no usable equations"

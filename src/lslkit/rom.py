@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import Grid2D, TransferData, check_stack
 from .errors import (
@@ -66,6 +65,9 @@ class MassMatrix:
                 f"mass matrix shape {values.shape} does not match "
                 f"{self.num_steps} steps of block size {self.block_size}"
             )
+        # eigh passes NaN through silently and Cholesky would return a NaN factor
+        if not np.isfinite(values).all():
+            raise DegenerateDataError("mass matrix contains non-finite entries")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -159,7 +161,8 @@ def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
     orthogonal.
     """
     try:
-        upper = scipy.linalg.cholesky(mass.values, lower=False)
+        # the transposed lower factor: numpy's `upper=` needs numpy >= 2.0
+        upper = np.linalg.cholesky(mass.values).T
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"mass matrix is not numerically positive definite ({exc}); "
@@ -181,7 +184,8 @@ def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> 
             f"factor shapes differ: {basis.size}/{basis.block_size} vs "
             f"{basis0.size}/{basis0.block_size}"
         )
-    transform = scipy.linalg.solve_triangular(basis0.matrix, basis.matrix, lower=False)
+    # partial pivoting makes no row swaps on the upper-triangular U0
+    transform = np.linalg.solve(basis0.matrix, basis.matrix)
     # source-major position l S + a holds time-major index a K + l
     order = np.arange(basis.size).reshape(basis.num_steps, basis.block_size).T.ravel()
     return transform[np.ix_(order, order)]

@@ -24,9 +24,11 @@ diagonalizes the mirror-Neumann A_h under trapezoidal weights (Strang,
 lambda and S = cos(theta) per mode. `simulate_background` evaluates the
 Chebyshev polynomials mode by mode: cos(kp theta) for the cosine start,
 sin(kp theta) / sin(theta) times the first step for the antiderivative
-start, and the transfer record as a spectral sum. `simulate_snapshots`
-and `simulate_transfer` remain the leapfrog reference it is tested
-against.
+start, and the transfer record as a spectral sum. Its DCT-I is a product
+with two small cosine matrices, Cy @ f @ Cx^T of sides ny+1 and nx+1:
+plain GEMMs, which on the desk grids beat an FFT-based DCT.
+`simulate_snapshots` and `simulate_transfer` remain the leapfrog
+reference it is tested against.
 
 There is one stepping loop, `_leapfrog`. It advances states of shape
 (..., ny+1, nx+1) in three rotating buffers, so `simulate_transfer`
@@ -46,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData
 from .errors import ConfigurationError, DomainError
@@ -258,6 +259,20 @@ def add_noise(data: TransferData, level: float, seed: int) -> TransferData:
     return TransferData(values, mask, data.tau)
 
 
+def _dct1_matrix(size: int) -> np.ndarray:
+    """(size, size) matrix of the unnormalized DCT-I: C @ x is `dct(x, type=1)`.
+
+    C[k, m] = cos(pi k m / (size - 1)) times 2 off the end points m = 0
+    and m = size - 1. Reducing k m modulo 2 (size - 1) first keeps the
+    cosine argument below 2 pi, so every entry is accurate to roundoff.
+    """
+    period = size - 1
+    k = np.arange(size)
+    matrix = np.cos(np.pi * (np.outer(k, k) % (2 * period)) / period)
+    matrix[:, 1:-1] *= 2.0
+    return matrix
+
+
 @dataclass(frozen=True)
 class BackgroundArtifacts:
     """Everything the inversion assumes known for the zero potential.
@@ -280,10 +295,12 @@ def simulate_background(
     """Full zero-potential transfer matrix plus the u0 and w0 stacks.
 
     Closed form of the leapfrog result: each source is transformed once
-    by DCT-I, its n samples of u0 and w0 come from one inverse transform
-    each, written into the preallocated stacks, and the 2n-1 samples of
-    F0_ij = <g_j, u0_i> are summed over modes with the Parseval weights,
-    one sample at a time.
+    by DCT-I, g_hat = Cy @ g @ Cx^T with the cosine matrices Cy and Cx
+    built once per call, and its n samples of u0 and w0 are the inverse
+    transforms Cy @ (c_k g_hat) @ Cx^T / (4 nx ny) of the mode-wise
+    coefficients c_k, written into the preallocated stacks. The 2n-1
+    samples of F0_ij = <g_j, u0_i> are summed over modes with the
+    Parseval weights, one sample at a time.
     """
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
@@ -303,13 +320,15 @@ def simulate_background(
     growth *= dt - (dt**3 / 6.0) * lam
     del phase
 
+    cy, cx = _dct1_matrix(grid.ny + 1), _dct1_matrix(grid.nx + 1)
+    norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     fields = np.empty((sources.count, axis.n) + grid.shape)
     antiderivatives = np.empty_like(fields)
     spectra = np.empty((sources.count, grid.num_nodes))
     for i in range(sources.count):
-        g_hat = scipy.fft.dctn(sources.field(grid, i), type=1)
-        fields[i] = scipy.fft.idctn(cosine * g_hat, type=1, axes=(1, 2))
-        antiderivatives[i] = scipy.fft.idctn(growth * g_hat, type=1, axes=(1, 2))
+        g_hat = cy @ sources.field(grid, i) @ cx.T
+        fields[i] = cy @ ((cosine * g_hat) @ cx.T) / norm
+        antiderivatives[i] = cy @ ((growth * g_hat) @ cx.T) / norm
         spectra[i] = g_hat.ravel()
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)

@@ -181,10 +181,14 @@ class TestSurface:
             run("pipeline", "--config", config_path, "--threads", 2)
         assert exc.value.code == 2
 
-    def test_import_leaves_out_scipy_signal(self):
-        # scipy.signal takes most of a second to import; nothing needs it
+    def test_import_leaves_out_scipy(self):
+        # numpy is the only runtime dependency: scipy would bring a second
+        # OpenBLAS thread pool and about a quarter second of import time
         src = Path(lslkit.cli.__file__).parents[1]
-        probe = "import sys, lslkit.cli; sys.exit('scipy.signal' in sys.modules)"
+        probe = (
+            "import sys, lslkit.cli; "
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe], cwd=src, capture_output=True, timeout=120
         )

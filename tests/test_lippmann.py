@@ -98,7 +98,8 @@ class TestConvolutionRows:
             direct *= tau
             assert rows[k] == pytest.approx(direct, rel=1e-12, abs=1e-14)
 
-    @pytest.mark.parametrize("num_out", [1, 2, 13, 88])
+    # 7, 64 and 65 put the power-of-two FFT length at 16, 128 and 256
+    @pytest.mark.parametrize("num_out", [1, 2, 7, 13, 64, 65, 88])
     def test_matches_np_convolve(self, num_out):
         rng = np.random.default_rng(num_out)
         w = rng.standard_normal((num_out, 7))

@@ -160,6 +160,13 @@ class TestRegularize:
         with pytest.raises(DegenerateDataError):
             regularize_spd(self.as_mass(-np.eye(4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        matrix = np.eye(4)
+        matrix[1, 2] = matrix[2, 1] = bad
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            self.as_mass(matrix)
+
 
 class TestCholesky:
     def as_mass(self, matrix, block_size=1):
@@ -180,6 +187,13 @@ class TestCholesky:
         basis = cholesky_upper(self.as_mass(spd))
         err = np.linalg.norm(basis.matrix.T @ basis.matrix - spd)
         assert err <= 1e-12 * np.linalg.norm(spd)
+
+    def test_matches_scipy_upper_factor(self):
+        a = np.random.default_rng(7).standard_normal((12, 12))
+        spd = a @ a.T + 0.5 * np.eye(12)
+        basis = cholesky_upper(self.as_mass(spd, block_size=3))
+        expected = scipy.linalg.cholesky(spd, lower=False)
+        assert np.abs(basis.matrix - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_failure_advises_regularization(self):
         with pytest.raises(FactorizationError, match="regularize"):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import lslkit as lk
 from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product
 from lslkit.errors import ConfigurationError, DomainError
 from lslkit.wavesim import (
     SolverSettings,
+    _dct1_matrix,
     _leapfrog,
     _starts,
     add_noise,
@@ -162,6 +164,14 @@ class TestClosedFormBackground:
     @staticmethod
     def rel_dev(a, b):
         return np.abs(a - b).max() / np.abs(b).max()
+
+    def test_dct1_matrices_match_scipy(self):
+        # the cosine-matrix products against scipy's DCT-I on a non-square grid
+        ny, nx = 22, 36
+        f = np.random.default_rng(4).standard_normal((ny + 1, nx + 1))
+        cy, cx = _dct1_matrix(ny + 1), _dct1_matrix(nx + 1)
+        assert self.rel_dev(cy @ f @ cx.T, scipy.fft.dctn(f, type=1)) <= 1e-13
+        assert self.rel_dev(cy @ f @ cx.T / (4 * nx * ny), scipy.fft.idctn(f, type=1)) <= 1e-13
 
     def test_transfer_record(self, anisotropic):
         grid, sources, axis, settings, bg = anisotropic
