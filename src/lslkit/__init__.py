@@ -51,14 +51,12 @@ from .rom import (
     cholesky_upper,
     field_transform,
     regularize_spd,
-    synthesize_internal,
 )
 from .wavesim import (
     BackgroundArtifacts,
     SolverSettings,
     add_noise,
     simulate_background,
-    simulate_snapshots,
     simulate_transfer,
 )
 
@@ -104,12 +102,10 @@ __all__ = [
     "cholesky_upper",
     "field_transform",
     "regularize_spd",
-    "synthesize_internal",
     "BackgroundArtifacts",
     "SolverSettings",
     "add_noise",
     "simulate_background",
-    "simulate_snapshots",
     "simulate_transfer",
     "__version__",
 ]

@@ -152,7 +152,7 @@ def _simulate_artifacts(config: ExperimentConfig, out: Path) -> TransferData:
     axis = config.axis()
     settings = config.settings()
     lio.save_field(out / "q_true.lslf", q_true.grid, q_true.values)
-    mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo")
+    mimo = simulate_transfer(q_true, sources, axis, settings)
     lio.save_transfer(out / "mimo.lslt", mimo)
     siso = TransferData(mimo.values, np.diag(np.diag(mimo.mask)), mimo.tau)
     siso = add_noise(siso, config.noise_level, config.seed)

@@ -8,6 +8,7 @@ Schema (every key optional, defaults in parentheses):
                   the simulation grid coarsened by inversion_ratio.
     [sources]     count (9), sigma (2.0), amplitude (1.0), depth (4.0),
                   first_x (0.14*width), last_x (0.86*width)
+                  count is at least 2 and amplitude nonzero.
                   Collocated transmitter/receivers sit on a horizontal line
                   `depth` below the top boundary, evenly spaced between
                   first_x and last_x. depth must stay within 3*sigma.
@@ -177,10 +178,13 @@ class ExperimentConfig:
             )
         if self.nx // self.inversion_ratio < 2 or self.ny // self.inversion_ratio < 2:
             raise ConfigurationError("simulation.inversion_ratio leaves fewer than 2x2 cells")
-        if self.source_count < 1:
-            raise ConfigurationError("sources.count must be at least 1")
+        if self.source_count < 2:
+            # one source's diagonal record is already full: nothing to complete
+            raise ConfigurationError(f"sources.count {self.source_count} must be at least 2")
         if self.source_sigma <= 0:
             raise ConfigurationError("sources.sigma must be positive")
+        if self.source_amplitude == 0:
+            raise ConfigurationError("sources.amplitude must be nonzero")
         if not 0 <= self.source_depth <= 3.0 * self.source_sigma:
             raise ConfigurationError(
                 f"sources.depth {self.source_depth} must lie within 3*sigma "
@@ -323,7 +327,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     inclusion_order: list[str] = []
     for section in parser.sections():
         if section.startswith("inclusion "):
-            name = section.split(None, 1)[1]
+            name = section[len("inclusion "):].strip()
+            if not name:
+                raise ConfigurationError(f"config section [{section}] names no inclusion")
             inclusion_sections[name] = dict(parser.items(section))
             continue
         if section not in _SECTIONS:

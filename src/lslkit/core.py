@@ -22,12 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    PreconditionError,
-)
+from .errors import ConfigurationError, DimensionError, PreconditionError
 
 #: sources are hard-truncated at this many standard deviations
 SOURCE_CUTOFF_SIGMAS = 6.0
@@ -65,10 +60,6 @@ class Grid2D:
     @property
     def num_nodes(self) -> int:
         return (self.nx + 1) * (self.ny + 1)
-
-    @property
-    def extent(self) -> tuple[float, float]:
-        return (self.nx * self.hx, self.ny * self.hy)
 
     def xs(self) -> np.ndarray:
         return self.origin[0] + self.hx * np.arange(self.nx + 1)
@@ -184,9 +175,8 @@ def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
 class Potential:
     """Scattering coefficient sampled on grid nodes.
 
-    True models are nonnegative with compact support away from the
-    boundary (use `validate_true_model`); reconstructions are
-    sign-unconstrained and skip that check.
+    True models are nonnegative, which the simulation checks;
+    reconstructions are sign-unconstrained.
     """
 
     grid: Grid2D
@@ -196,33 +186,6 @@ class Potential:
         object.__setattr__(
             self, "values", _frozen(_check_field(self.grid, self.values, "potential"))
         )
-
-    @classmethod
-    def zeros(cls, grid: Grid2D) -> "Potential":
-        return cls(grid, np.zeros(grid.shape))
-
-    def validate_true_model(self, margin: float) -> None:
-        """Check nonnegativity and a support margin to every boundary."""
-        if np.any(self.values < 0.0):
-            raise DomainError("true potential must be nonnegative everywhere")
-        mask = self.values != 0.0
-        if not mask.any():
-            return
-        iy, ix = np.nonzero(mask)
-        xs, ys = self.grid.xs(), self.grid.ys()
-        x0, y0 = self.grid.origin
-        ex, ey = self.grid.extent
-        dist = min(
-            xs[ix.min()] - x0,
-            x0 + ex - xs[ix.max()],
-            ys[iy.min()] - y0,
-            y0 + ey - ys[iy.max()],
-        )
-        if dist < margin:
-            raise DomainError(
-                f"potential support comes within {dist:.3g} of the boundary, "
-                f"requires margin {margin:.3g}"
-            )
 
 
 @dataclass(frozen=True)
@@ -280,9 +243,6 @@ class TimeAxis:
     @property
     def total_samples(self) -> int:
         return 2 * self.n - 1
-
-    def times(self, count: int | None = None) -> np.ndarray:
-        return self.tau * np.arange(self.total_samples if count is None else count)
 
 
 class MaskState(IntEnum):

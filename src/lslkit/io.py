@@ -156,17 +156,3 @@ def render_pgm(
         handle.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
         handle.write(pixels.tobytes())
 
-
-def load_pgm(path: str | Path) -> np.ndarray:
-    """Read back a 16-bit binary PGM written by render_pgm."""
-    with open(path, "rb") as handle:
-        magic = handle.readline().strip()
-        if magic != b"P5":
-            raise FormatError(f"not a binary PGM file: {magic!r}")
-        dims = handle.readline().split()
-        maxval = int(handle.readline())
-        if maxval != 65535:
-            raise FormatError(f"expected 16-bit PGM, got maxval {maxval}")
-        width, height = int(dims[0]), int(dims[1])
-        raw = _read_exactly(handle, 2 * width * height, "pixels")
-    return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)

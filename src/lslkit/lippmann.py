@@ -46,20 +46,19 @@ TSVD_MIN_THRESHOLD = 1e-4
 class LSSystem:
     """Dense linearized system G q = rhs on an inversion grid.
 
-    Rows are indexed by (source, time index) via `row_index`; columns
-    follow the row-major node order of `grid`, so a solution vector
-    reshapes straight onto the grid.
+    `assemble_system` stacks its rows source by source, times 1 .. N-1
+    within each; columns follow the row-major node order of `grid`, so a
+    solution vector reshapes straight onto the grid.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    row_index: tuple[tuple[int, int], ...]
     grid: Grid2D
     tsvd_threshold: float
 
     def __post_init__(self):
-        if self.matrix.shape[0] != self.rhs.shape[0] or len(self.row_index) != self.rhs.shape[0]:
-            raise DimensionError("system rows, rhs and row index disagree")
+        if self.matrix.shape[0] != self.rhs.shape[0]:
+            raise DimensionError("system rows and rhs disagree")
         if self.matrix.shape[1] != self.grid.num_nodes:
             raise DimensionError("system columns do not match the inversion grid")
         if not np.isfinite(self.matrix).all() or not np.isfinite(self.rhs).all():
@@ -141,16 +140,12 @@ def assemble_system(
     weights = inv_grid.node_weights.ravel()
     blocks = []
     rhs = []
-    index = []
     for j in range(K):
         wj = w0[j, :num].reshape(num, -1)
         uj = fields[j].reshape(num, -1)
         blocks.append(convolution_rows(wj, uj, weights, tau, num)[1:])
         rhs.append(data0.values[j, j, 1:num] - data.values[j, j, 1:num])
-        index.extend((j, k) for k in range(1, num))
-    return LSSystem(
-        np.vstack(blocks), np.concatenate(rhs), tuple(index), inv_grid, tsvd_threshold
-    )
+    return LSSystem(np.vstack(blocks), np.concatenate(rhs), inv_grid, tsvd_threshold)
 
 
 def solve_tsvd(system: LSSystem) -> Potential:

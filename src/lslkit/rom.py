@@ -16,8 +16,7 @@ Only this module knows the time-major order of M (all sources at sample
 `field_transform` returns T in the source-major order of a (K, N, ...)
 stack, so `apply_transform` and the lift multiply stacks by T as they
 are. T is the only form in which the inversion carries a data-generated
-field; `synthesize_internal` applies it to the fine-grid background,
-the reference the factored path is tested against.
+field: nothing in the inversion materializes u on the fine grid.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid2D, TransferData, check_stack
+from .core import TransferData
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -85,10 +84,6 @@ class OrthogonalizedBasis:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def halved_length(n: int) -> int:
     """Samples per field of the block ROM of an n-sample record."""
@@ -115,18 +110,6 @@ def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix
     blocks = 0.5 * (sym[:, :, np.abs(k[:, None] - k)] + sym[:, :, k[:, None] + k])
     values = blocks.transpose(2, 0, 3, 1).reshape(nb * K, nb * K)
     return MassMatrix(values, block_size=K, num_steps=nb)
-
-
-def gram_mass_matrix(stack: np.ndarray, grid: Grid2D) -> MassMatrix:
-    """Direct Gram matrix of a (K, N, ny+1, nx+1) snapshot stack on `grid`,
-    the independent cross-check for the data formulas (time-major
-    ordering for several sources)."""
-    stack = check_stack(grid, stack, "snapshot")
-    K, num_steps = stack.shape[:2]
-    stacked = stack.transpose(1, 0, 2, 3).reshape(num_steps * K, -1)
-    values = (stacked * grid.node_weights.ravel()) @ stacked.T
-    values = 0.5 * (values + values.T)
-    return MassMatrix(values, block_size=K, num_steps=num_steps)
 
 
 def regularize_spd(mass: MassMatrix) -> MassMatrix:
@@ -179,15 +162,16 @@ def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> 
     T has side K S, and field i at sample b is sum over (l, a) of
     T[l S + a, i S + b] u0_l(a tau). Identical factors give the identity.
     """
-    if basis.size != basis0.size or basis.block_size != basis0.block_size:
+    size = basis.matrix.shape[0]
+    if basis0.matrix.shape[0] != size or basis.block_size != basis0.block_size:
         raise DimensionError(
-            f"factor shapes differ: {basis.size}/{basis.block_size} vs "
-            f"{basis0.size}/{basis0.block_size}"
+            f"factor shapes differ: {size}/{basis.block_size} vs "
+            f"{basis0.matrix.shape[0]}/{basis0.block_size}"
         )
     # partial pivoting makes no row swaps on the upper-triangular U0
     transform = np.linalg.solve(basis0.matrix, basis.matrix)
     # source-major position l S + a holds time-major index a K + l
-    order = np.arange(basis.size).reshape(basis.num_steps, basis.block_size).T.ravel()
+    order = np.arange(size).reshape(basis.num_steps, basis.block_size).T.ravel()
     return transform[np.ix_(order, order)]
 
 
@@ -216,21 +200,3 @@ def apply_transform(transform: np.ndarray, background: np.ndarray) -> np.ndarray
     mixed = transform.T @ background[:, :steps].reshape(size, -1)
     return mixed.reshape(K, steps, rows, cols)
 
-
-def synthesize_internal(
-    basis: OrthogonalizedBasis,
-    basis0: OrthogonalizedBasis,
-    background: np.ndarray,
-) -> np.ndarray:
-    """Data-generated internal fields u0 * inv(U0) * U, materialized.
-
-    `background` is a (K, N, rows, cols) stack with K the block_size of
-    the bases. Identical factors return the background snapshots
-    unchanged. The inversion never calls this: it carries
-    `field_transform` instead.
-    """
-    if len(background) != basis.block_size:
-        raise DimensionError(
-            f"expected {basis.block_size} background sources, got {len(background)}"
-        )
-    return apply_transform(field_transform(basis, basis0), background)

@@ -5,14 +5,13 @@ Neumann walls, A = -laplacian + q, advanced by
 
     u_{m+1} = 2 u_m - u_{m-1} - dt^2 A_h u_m
 
-with mirror ghost nodes. Two starting rules are supported:
+with mirror ghost nodes from the cosine start
 
-  cosine           u_0 = g,  u_1 = (I - dt^2/2 A_h) g
-  antiderivative   w_0 = 0,  w_1 = dt g - dt^3/6 A_h g
+    u_0 = g,  u_1 = (I - dt^2/2 A_h) g
 
-The cosine start makes the sampled solution exactly the Chebyshev
-sequence T_{kp}(S) g with S = I - dt^2/2 A_h and p substeps per sample,
-so snapshot inner products obey the same angle-sum identities as the
+which makes the sampled solution exactly the Chebyshev sequence
+T_{kp}(S) g with S = I - dt^2/2 A_h and p substeps per sample, so
+snapshot inner products obey the same angle-sum identities as the
 continuum cosine solution. Downstream, that turns the data-to-mass-matrix
 step into an identity for synthetic data instead of an approximation.
 Stability requires dt^2 * rho(A_h) < 4; `SolverSettings.cfl_safety`
@@ -22,23 +21,22 @@ For the zero potential the recurrence need not be run: DCT-I
 diagonalizes the mirror-Neumann A_h under trapezoidal weights (Strang,
 "The discrete cosine transform", SIAM Rev. 1999), with eigenvalue
 lambda and S = cos(theta) per mode. `simulate_background` evaluates the
-Chebyshev polynomials mode by mode: cos(kp theta) for the cosine start,
-sin(kp theta) / sin(theta) times the first step for the antiderivative
-start, and the transfer record as a spectral sum. Its DCT-I is a product
-with two small cosine matrices, Cy @ f @ Cx^T of sides ny+1 and nx+1:
-plain GEMMs, which on the desk grids beat an FFT-based DCT.
-`simulate_snapshots` and `simulate_transfer` remain the leapfrog
-reference it is tested against.
+Chebyshev polynomials mode by mode: cos(kp theta) for the field u0, and
+for its running time integral w0 (the leapfrog from the antiderivative
+start w_0 = 0, w_1 = dt g - dt^3/6 A_h g) sin(kp theta) / sin(theta)
+times that first step, plus the transfer record as a spectral sum. Its
+DCT-I is a product with two small cosine matrices, Cy @ f @ Cx^T of
+sides ny+1 and nx+1: plain GEMMs, which on the desk grids beat an
+FFT-based DCT. The tests hold it against a leapfrog reference with both
+starts.
 
 There is one stepping loop, `_leapfrog`. It advances states of shape
 (..., ny+1, nx+1) in three rotating buffers, so `simulate_transfer`
 steps all K sources as one (K, ny+1, nx+1) array and records each
-sample as a single product with the receiver weights;
-`simulate_snapshots` runs the same loop on one source.
+sample as a single product with the receiver weights.
 
 This module defines the one wavefield format: a history is a plain
-float64 array. `simulate_snapshots` returns one source's (N, ny+1, nx+1)
-samples; `simulate_background` returns the source-major, read-only
+float64 array. `simulate_background` returns the source-major, read-only
 (K, n, ny+1, nx+1) stacks u0 and w0, which every consumer takes together
 with the grid they live on.
 """
@@ -156,73 +154,21 @@ def _leapfrog(grid, q_values, start0, start1, dt, substeps, num_samples, emit):
         emit(k, cur)
 
 
-def _starts(grid, q_values, g, dt, ic_kind):
-    """First two states for initial data g of shape (..., ny+1, nx+1)."""
-    if ic_kind == "cosine":
-        return g, g - 0.5 * dt * dt * apply_operator(grid, q_values, g)
-    if ic_kind == "antiderivative":
-        ag = apply_operator(grid, q_values, g)
-        return np.zeros_like(g), dt * g - (dt**3 / 6.0) * ag
-    raise ConfigurationError(f"unknown initial-condition kind {ic_kind!r}")
-
-
-def _validate_inputs(potential: Potential, axis: TimeAxis, settings: SolverSettings):
-    if np.any(potential.values < 0.0):
-        raise DomainError("simulation requires a nonnegative potential")
-    check_cfl(potential.grid, potential.values, axis.tau, settings)
-
-
-def simulate_snapshots(
-    potential: Potential,
-    sources: SourceSet,
-    source_index: int,
-    axis: TimeAxis,
-    settings: SolverSettings,
-    ic_kind: str = "cosine",
-    num_samples: int | None = None,
-) -> np.ndarray:
-    """Propagate one source and sample the field every tau.
-
-    Returns the (num_samples, ny+1, nx+1) snapshots. ic_kind "cosine"
-    gives the field excited by initial value g_i; "antiderivative" gives
-    its running time integral for the zero potential (initial value 0,
-    initial velocity g_i).
-    """
-    _validate_inputs(potential, axis, settings)
-    grid = potential.grid
-    num = axis.n if num_samples is None else num_samples
-    if num < 1:
-        raise ConfigurationError("need at least one snapshot sample")
-    dt = axis.tau / settings.substeps
-    g = sources.field(grid, source_index)
-    start0, start1 = _starts(grid, potential.values, g, dt, ic_kind)
-    samples = np.empty((num,) + grid.shape)
-
-    def emit(k, state):
-        samples[k] = state
-
-    _leapfrog(grid, potential.values, start0, start1, dt, settings.substeps, num, emit)
-    return samples
-
-
 def simulate_transfer(
     potential: Potential,
     sources: SourceSet,
     axis: TimeAxis,
     settings: SolverSettings,
-    mode: str = "siso",
 ) -> TransferData:
-    """Record receiver inner products over 2n-1 samples.
+    """Record the full K x K transfer matrix over 2n-1 samples.
 
-    All sources step together; sample k of the full record is the one
-    product F[i, j, k] = <g_j, u_i(k tau)>. mode "mimo" keeps every
-    entry, "siso" masks the record to its collocated diagonal (the
-    absent entries are zeroed); every kept entry is tagged measured.
+    All sources step together; sample k is the one product
+    F[i, j, k] = <g_j, u_i(k tau)>, and every entry is tagged measured.
     """
-    if mode not in ("siso", "mimo"):
-        raise ConfigurationError(f"unknown acquisition mode {mode!r}")
-    _validate_inputs(potential, axis, settings)
+    if np.any(potential.values < 0.0):
+        raise DomainError("simulation requires a nonnegative potential")
     grid = potential.grid
+    check_cfl(grid, potential.values, axis.tau, settings)
     num = axis.total_samples
     K = sources.count
     dt = axis.tau / settings.substeps
@@ -234,10 +180,9 @@ def simulate_transfer(
     def emit(k, state):
         values[:, :, k] = state.reshape(K, -1) @ receivers.T
 
-    start0, start1 = _starts(grid, potential.values, g, dt, "cosine")
-    _leapfrog(grid, potential.values, start0, start1, dt, settings.substeps, num, emit)
-    measured = np.ones((K, K), dtype=bool) if mode == "mimo" else np.eye(K, dtype=bool)
-    mask = np.where(measured, MaskState.MEASURED, MaskState.ABSENT)
+    start1 = g - 0.5 * dt * dt * apply_operator(grid, potential.values, g)
+    _leapfrog(grid, potential.values, g, start1, dt, settings.substeps, num, emit)
+    mask = np.full((K, K), MaskState.MEASURED, dtype=np.int8)
     return TransferData(values, mask, axis.tau)
 
 

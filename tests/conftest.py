@@ -16,18 +16,24 @@ from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import restrict
 from lslkit.pipeline import PipelineContext, invert_born, metrics, stages
 from lslkit.wavesim import simulate_background, simulate_transfer
+from reference import diagonal_record
 
 
-def build_context(cfg, noise_level=None, with_true_mimo=True):
-    """Simulate a configuration and wrap everything in a PipelineContext."""
+def build_context(cfg, noise_level=None):
+    """Simulate a configuration once and wrap everything in a PipelineContext.
+
+    The measured record is the diagonal of the full true-medium record,
+    as `lslkit simulate` writes it; the full record comes back as the
+    oracle for the completed data.
+    """
     q_true = cfg.true_potential()
     grid = cfg.sim_grid()
     sources = cfg.sources()
     axis = cfg.axis()
     settings = cfg.settings()
-    data = simulate_transfer(q_true, sources, axis, settings, mode="siso")
+    true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
-    data = lk.add_noise(data, level, cfg.seed)
+    data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
     background = simulate_background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
@@ -40,9 +46,6 @@ def build_context(cfg, noise_level=None, with_true_mimo=True):
         tsvd_mimo=cfg.tsvd_mimo,
         tsvd_born=cfg.tsvd_born,
     )
-    true_mimo = None
-    if with_true_mimo:
-        true_mimo = simulate_transfer(q_true, sources, axis, settings, mode="mimo")
     return ctx, q_true, true_mimo
 
 
@@ -100,7 +103,7 @@ def box_runs():
     cfg = parse_config(bundled_config_path("box"))
     results = {}
     for label, level in (("clean", 0.0), ("noisy", cfg.noise_level)):
-        ctx, q_true, _ = build_context(cfg, noise_level=level, with_true_mimo=False)
+        ctx, q_true, _ = build_context(cfg, noise_level=level)
         q_ref = reference_potential(ctx, q_true)
         *_, record = stages(ctx, iterations=1)
         results[label] = SimpleNamespace(
@@ -117,7 +120,7 @@ def three_object_run():
     """Three staggered targets, two completion rounds."""
     started = time.monotonic()
     cfg = parse_config(bundled_config_path("three_objects"))
-    ctx, q_true, _ = build_context(cfg, with_true_mimo=False)
+    ctx, q_true, _ = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
     regions = cfg.regions()
     records = list(stages(ctx, iterations=2))

@@ -16,19 +16,15 @@ from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, prolong
 from lslkit.lippmann import assemble_system, solve_tsvd
 from lslkit.pipeline import PipelineContext, stages
 from lslkit.rom import (
+    apply_transform,
     block_mass_from_data,
     cholesky_upper,
-    gram_mass_matrix,
+    field_transform,
     regularize_spd,
-    synthesize_internal,
 )
-from lslkit.wavesim import (
-    SolverSettings,
-    simulate_background,
-    simulate_snapshots,
-    simulate_transfer,
-)
+from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 from conftest import off_diagonal_error, source_record
+from reference import diagonal_record, leapfrog_snapshots, snapshot_gram, zero_potential
 
 
 def report(number: int, description: str, passed: bool, detail: str) -> None:
@@ -52,15 +48,15 @@ def test_c01_exact_mass_identity():
     )
     axis = TimeAxis(3.0, 12)
     settings = SolverSettings(substeps=5)
-    data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+    data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     worst = 0.0
     for j in range(sources.count):
         mass = block_mass_from_data(source_record(data, j), axis.total_samples)
-        snaps = simulate_snapshots(potential, sources, j, axis, settings, "cosine", axis.n)
-        gram = gram_mass_matrix(snaps[None], grid)
+        snaps = leapfrog_snapshots(potential, sources, j, axis, settings, axis.n)
+        gram = snapshot_gram(snaps[None], grid)
         worst = max(
             worst,
-            np.abs(mass.values - gram.values).max() / np.abs(mass.values).max(),
+            np.abs(mass.values - gram).max() / np.abs(mass.values).max(),
         )
     elapsed = time.monotonic() - started
     report(
@@ -74,13 +70,13 @@ def test_c01_exact_mass_identity():
 def test_c02_zero_potential_round_trip():
     started = time.monotonic()
     grid = Grid2D(60, 30, 1.0, 1.0)
-    zero = Potential.zeros(grid)
+    zero = zero_potential(grid)
     sources = SourceSet(
         np.column_stack([np.linspace(10, 50, 5), np.full(5, 26.0)]), 2.0
     )
     axis = TimeAxis(2.5, 24)
     settings = SolverSettings(substeps=4)
-    data = simulate_transfer(zero, sources, axis, settings, mode="siso")
+    data = diagonal_record(simulate_transfer(zero, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
     worst_field = 0.0
     for j in range(sources.count):
@@ -88,7 +84,8 @@ def test_c02_zero_potential_round_trip():
             cholesky_upper(block_mass_from_data(source_record(d, j), axis.total_samples))
             for d in (data, background.data)
         )
-        synthesized = synthesize_internal(basis, basis0, background.fields[j : j + 1])[0]
+        transform = field_transform(basis, basis0)
+        synthesized = apply_transform(transform, background.fields[j : j + 1])[0]
         ref = background.fields[j]
         worst_field = max(worst_field, np.abs(synthesized - ref).max() / np.abs(ref).max())
     ctx = PipelineContext(grid, grid.coarsen(2), sources, axis, data, background)
@@ -113,7 +110,7 @@ def test_c03_reciprocity():
     )
     axis = TimeAxis(2.5, 20)
     settings = SolverSettings(substeps=4)
-    data = simulate_transfer(potential, sources, axis, settings, mode="mimo")
+    data = simulate_transfer(potential, sources, axis, settings)
     defect = data.reciprocity_defect()
     report(
         3,
@@ -137,7 +134,7 @@ def test_c04_born_linearization_order():
         )
         axis = TimeAxis(2.0, 24)
         settings = SolverSettings(substeps=5)
-        data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+        data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
         background = simulate_background(grid, sources, axis, settings)
         system = assemble_system(
             background.antiderivatives[:, :, ::2, ::2],

@@ -9,7 +9,8 @@ import pytest
 import lslkit.cli
 from lslkit.cli import main
 from lslkit.core import MaskState, TransferData
-from lslkit.io import load_field, load_pgm, load_transfer, save_transfer
+from lslkit.io import load_field, load_transfer, save_transfer
+from reference import load_pgm
 
 SMALL_CONFIG = """
 [domain]
@@ -348,6 +349,22 @@ class TestExitCodes:
             assert not (tmp_path / "out").exists()
         else:
             assert (tmp_path / "out" / "q_mimo_3.lslf").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [("count = 3", "count = 1", "sources.count"),
+         ("sigma = 2.0", "sigma = 2.0\namplitude = 0.0", "sources.amplitude"),
+         ("[inclusion blob]", "[inclusion ]", "[inclusion ]")],
+        ids=["one_source", "zero_amplitude", "nameless_inclusion"],
+    )
+    def test_config_refused_before_output(self, tmp_path, config_path, capsys,
+                                          command, old, new, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_path.read_text().replace(old, new))
+        assert run(command, "--config", bad) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_config_float(self, tmp_path, config_path, capsys):
         bad = tmp_path / "nan.cfg"

@@ -5,6 +5,7 @@ import pytest
 
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.errors import ConfigurationError
+from reference import assert_support_margin
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -51,11 +52,16 @@ class TestParsing:
         assert cfg.inclusions[0].name == "bump"
         q = cfg.true_potential()
         assert q.values.max() == pytest.approx(0.05)
-        q.validate_true_model(cfg.margin)
+        assert_support_margin(q, cfg.margin)
 
     def test_unreferenced_inclusion_rejected(self, tmp_path):
         text = "[inclusion stray]\nshape = rectangle\nx = 50\ny = 25\nwidth = 4\nheight = 4\namplitude = 0.1\n"
         with pytest.raises(ConfigurationError, match="stray"):
+            parse_config(write(tmp_path, text))
+
+    def test_nameless_inclusion_section(self, tmp_path):
+        text = "[model]\ninclusions = blob\n[inclusion ]\nshape = ellipse\n"
+        with pytest.raises(ConfigurationError, match=re.escape("[inclusion ]")):
             parse_config(write(tmp_path, text))
 
     def test_missing_inclusion_section(self, tmp_path):
@@ -75,6 +81,18 @@ class TestParsing:
         text = "[sources]\nsigma = 2.0\ndepth = 7.0\n"
         with pytest.raises(ConfigurationError, match="sources.depth"):
             parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("count = 1", "sources.count"), ("count = 0", "sources.count"),
+         ("amplitude = 0.0", "sources.amplitude")],
+        ids=["one_source", "no_source", "zero_amplitude"],
+    )
+    def test_source_count_and_amplitude(self, tmp_path, text, key):
+        # one source's diagonal record is already full, and a zero pulse sees nothing
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            parse_config(write(tmp_path, f"[sources]\n{text}\n"))
+        assert parse_config(write(tmp_path, "[sources]\ncount = 2\n")).source_count == 2
 
     def test_bad_ratio(self, tmp_path):
         text = "[simulation]\nnx = 101\nny = 50\n"
@@ -120,7 +138,7 @@ class TestDerivedObjects:
         sim = cfg.sim_grid()
         inv = cfg.inv_grid()
         assert sim.nx == cfg.inversion_ratio * inv.nx
-        assert sim.extent == inv.extent
+        assert (sim.nx * sim.hx, sim.ny * sim.hy) == (inv.nx * inv.hx, inv.ny * inv.hy)
 
     def test_sources_on_acquisition_line(self, tmp_path):
         cfg = parse_config(write(tmp_path, ""))

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, and every package it imports is declared.
+"""Every name a module imports is used in it, every package it imports is
+declared, and every public name it defines is read by the package.
 
 A stale import survives refactors silently (the project has no linter), so each
 `src/lslkit/*.py` is parsed with `ast` and its imported names are checked
@@ -6,6 +7,11 @@ against the names its code reads. `__init__.py` is skipped: its imports
 are the package's re-exports, and `lslkit.__all__` must list exactly those.
 Every third-party top-level package imported anywhere in `src/lslkit` must
 be listed in `[project].dependencies` of `pyproject.toml`.
+
+`src/` holds what the command line runs: each public function, class,
+method and property defined in a module must be read, as a name or an
+attribute, somewhere in the package outside `__init__.py`. Oracles that
+only tests need live in `tests/reference.py`.
 """
 
 import ast
@@ -20,6 +26,12 @@ import lslkit
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lslkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+#: public names no code in the package reads, each kept for a reason
+UNREAD_ALLOWED = {
+    "bundled_config_path": "README's entry point to the shipped configs",
+    "TransferData.reciprocity_defect": "the per-stage trace reports it for lifted data",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +66,55 @@ def third_party_imports(source: str) -> set[str]:
               if isinstance(node, ast.ImportFrom) and node.level == 0}
     tops = {name.split(".")[0] for name in names}
     return tops - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public top-level functions and classes, and the public methods and
+    properties of public classes, as `name` or `Class.name`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, kinds) or node.name.startswith("_"):
+            continue
+        found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, kinds) and not item.name.startswith("_")]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Every name read as an `ast.Name` or as the attribute of an `ast.Attribute`."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    read = set().union(*(read_names(source) for source in sources))
+    return [name for source in sources for name in public_definitions(source)
+            if name.rsplit(".", 1)[-1] not in read]
+
+
+def test_detects_an_unread_definition():
+    source = (
+        "class Box:\n"
+        "    def used(self): return self.size\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def spare(self): pass\n"
+        "    def _private(self): pass\n"
+        "def make(): return Box().used()\n"
+        "def orphan(): pass\n"
+        "def _helper(): pass\n"
+    )
+    caller = "from .box import make\nmake()\n"
+    assert unread_definitions([source, caller]) == ["Box.spare", "orphan"]
+
+
+def test_every_public_definition_is_read():
+    unread = unread_definitions([path.read_text(encoding="utf-8") for path in MODULES])
+    assert sorted(unread) == sorted(UNREAD_ALLOWED)
 
 
 def test_exports_are_the_package_imports():

