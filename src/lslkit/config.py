@@ -1,47 +1,49 @@
 """Experiment configuration: INI-style key-value files, fully validated.
 
-Schema (every key optional, defaults in parentheses):
+Schema: the fields of `ExperimentConfig` and `Inclusion`, one row per key
+holding its INI key, its type (the annotation), its default and, for a
+key checked on its own, a rule whose error reads "<key> <value> must be
+<phrase>". `parse_config` and `validate` read the rows. This listing of
+every key with its default (a required key has none) is their
+user-facing copy, which a test checks against them:
 
     [domain]      width (100.0), height (50.0), origin_x (0.0), origin_y (0.0)
     [simulation]  nx (100), ny (50), inversion_ratio (2)
-                  nx, ny are simulation cell counts; the inversion grid is
-                  the simulation grid coarsened by inversion_ratio.
     [sources]     count (9), sigma (2.0), amplitude (1.0), depth (4.0),
                   first_x (0.14*width), last_x (0.86*width)
-                  count is at least 2 and amplitude nonzero.
-                  Collocated transmitter/receivers sit on a horizontal line
-                  `depth` below the top boundary, evenly spaced between
-                  first_x and last_x. depth must stay within 3*sigma.
     [time]        tau (3.0), n (80)
-                  Acquisition records 2n-1 samples at interval tau.
     [solver]      substeps (5), cfl_safety (0.9)
     [inversion]   tsvd_born (0.03), tsvd_siso (0.03), tsvd_mimo (0.03),
                   iterations (1), positivity (false)
-                  Each tsvd_* level lies in [1e-4, 1). Every completion
-                  round halves the record, N -> floor((N-1)/2) + 1 from
-                  N = n, and must leave at least 2 samples: n = 12
-                  allows 3 iterations, n = 80 allows 6.
     [noise]       level (0.0), seed (20250811)
-                  Both are nonnegative.
-    [model]       margin (4.0), inclusions (empty, whitespace/comma list)
-    [inclusion X] shape (rectangle|ellipse), x, y (center), width, height,
-                  amplitude, angle (0.0, degrees counterclockwise)
-                  One section per name listed under model.inclusions.
+    [model]       margin (4.0), inclusions (empty)
+    [inclusion X] shape (required), x (required), y (required), width (required),
+                  height (required), amplitude (required), angle (0.0)
     [output]      directory (out)
 
-Every float must be finite. Values are combined with max() where
-inclusions overlap. Validation covers grid nesting, the CFL bound,
-source-line placement and the compact-support margin before anything is
-simulated; error messages name the offending key path (e.g.
-"solver.substeps").
+nx, ny are simulation cell counts; the inversion grid is the simulation
+grid coarsened by inversion_ratio. Collocated transmitter/receivers
+(count at least 2, amplitude nonzero) sit on a horizontal line `depth`
+(within 3*sigma) below the top boundary, evenly spaced from first_x to
+last_x. Acquisition records 2n-1 samples at interval tau. Each tsvd_*
+level lies in [1e-4, 1). Every completion round halves the record,
+N -> floor((N-1)/2) + 1 from N = n, and must leave at least 2 samples:
+n = 12 allows 3 iterations, n = 80 allows 6. Noise level and seed are
+nonnegative. model.inclusions lists distinct names, split by whitespace
+or commas, each with an [inclusion X] section: a rectangle or ellipse
+centred at (x, y), rotated counterclockwise by angle degrees. Every
+float must be finite, and overlapping inclusions combine by max().
+Validation runs before anything is simulated and covers grid nesting,
+the CFL bound, source placement and the support margin; each error
+names its key path (e.g. "solver.substeps").
 """
 
-from __future__ import annotations
-
+# no `from __future__ import annotations`: parse_config reads field types
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -53,16 +55,44 @@ from .rom import halved_length
 from .wavesim import SolverSettings, check_cfl
 
 
+def _setting(key: str = "", default=MISSING, rule=None):
+    """One config row: its INI key (an inclusion key is the field name), its
+    default (none: required) and an optional (predicate, phrase) rule."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda value: value >= low, f"at least {low}")
+
+
+_POSITIVE = (lambda value: value > 0, "positive")
+_NONNEGATIVE = (lambda value: value >= 0, "nonnegative")
+_TSVD_LEVEL = (lambda value: TSVD_MIN_THRESHOLD <= value < 1, f"in [{TSVD_MIN_THRESHOLD:g}, 1)")
+
+
+def _rows(cls) -> dict:
+    """Config key -> field for every row of a config dataclass."""
+    return {f.metadata["key"] or f.name: f for f in fields(cls) if "key" in f.metadata}
+
+
+def _check_rows(obj, prefix: str = "") -> None:
+    """Raise on the first row whose value breaks its own rule."""
+    for key, row in _rows(type(obj)).items():
+        value, rule = getattr(obj, row.name), row.metadata["rule"]
+        if rule is not None and not rule[0](value):
+            raise ConfigurationError(f"{prefix}{key} {value} must be {rule[1]}")
+
+
 @dataclass(frozen=True)
 class Inclusion:
     name: str
-    shape: str
-    x: float
-    y: float
-    width: float
-    height: float
-    amplitude: float
-    angle: float = 0.0
+    shape: str = _setting(rule=(lambda s: s in ("rectangle", "ellipse"), "rectangle or ellipse"))
+    x: float = _setting()
+    y: float = _setting()
+    width: float = _setting(rule=_POSITIVE)
+    height: float = _setting(rule=_POSITIVE)
+    amplitude: float = _setting(rule=_NONNEGATIVE)
+    angle: float = _setting(default=0.0)
 
     def membership(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Boolean node mask of the (possibly rotated) inclusion."""
@@ -86,33 +116,34 @@ class Inclusion:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    width: float = 100.0
-    height: float = 50.0
-    origin_x: float = 0.0
-    origin_y: float = 0.0
-    nx: int = 100
-    ny: int = 50
-    inversion_ratio: int = 2
-    source_count: int = 9
-    source_sigma: float = 2.0
-    source_amplitude: float = 1.0
-    source_depth: float = 4.0
-    first_x: float | None = None
-    last_x: float | None = None
-    tau: float = 3.0
-    n: int = 80
-    substeps: int = 5
-    cfl_safety: float = 0.9
-    tsvd_born: float = 0.03
-    tsvd_siso: float = 0.03
-    tsvd_mimo: float = 0.03
-    iterations: int = 1
-    positivity: bool = False
-    noise_level: float = 0.0
-    seed: int = 20250811
-    margin: float = 4.0
-    inclusions: tuple[Inclusion, ...] = ()
-    output_directory: str = "out"
+    width: float = _setting("domain.width", 100.0, _POSITIVE)
+    height: float = _setting("domain.height", 50.0, _POSITIVE)
+    origin_x: float = _setting("domain.origin_x", 0.0)
+    origin_y: float = _setting("domain.origin_y", 0.0)
+    nx: int = _setting("simulation.nx", 100, _at_least(2))
+    ny: int = _setting("simulation.ny", 50, _at_least(2))
+    inversion_ratio: int = _setting("simulation.inversion_ratio", 2, _at_least(1))
+    # one source's diagonal record is already full: nothing to complete
+    source_count: int = _setting("sources.count", 9, _at_least(2))
+    source_sigma: float = _setting("sources.sigma", 2.0, _POSITIVE)
+    source_amplitude: float = _setting("sources.amplitude", 1.0, (lambda a: a != 0, "nonzero"))
+    source_depth: float = _setting("sources.depth", 4.0)
+    first_x: float | None = _setting("sources.first_x", None)
+    last_x: float | None = _setting("sources.last_x", None)
+    tau: float = _setting("time.tau", 3.0, _POSITIVE)
+    n: int = _setting("time.n", 80, _at_least(2))
+    substeps: int = _setting("solver.substeps", 5, _at_least(1))
+    cfl_safety: float = _setting("solver.cfl_safety", 0.9, (lambda c: 0 < c <= 1, "in (0, 1]"))
+    tsvd_born: float = _setting("inversion.tsvd_born", 0.03, _TSVD_LEVEL)
+    tsvd_siso: float = _setting("inversion.tsvd_siso", 0.03, _TSVD_LEVEL)
+    tsvd_mimo: float = _setting("inversion.tsvd_mimo", 0.03, _TSVD_LEVEL)
+    iterations: int = _setting("inversion.iterations", 1, _NONNEGATIVE)
+    positivity: bool = _setting("inversion.positivity", False)
+    noise_level: float = _setting("noise.level", 0.0, _NONNEGATIVE)
+    seed: int = _setting("noise.seed", 20250811, _NONNEGATIVE)
+    margin: float = _setting("model.margin", 4.0, _NONNEGATIVE)
+    inclusions: tuple[Inclusion, ...] = _setting("model.inclusions", ())
+    output_directory: str = _setting("output.directory", "out")
 
     def sim_grid(self) -> Grid2D:
         return Grid2D(
@@ -154,10 +185,9 @@ class ExperimentConfig:
                 values = np.maximum(values, np.where(inc.membership(x, y), inc.amplitude, 0.0))
         return Potential(grid, values)
 
-    def regions(self, pad: float | None = None) -> tuple[Region, ...]:
-        """One reporting region per inclusion: its padded bounding box."""
-        if pad is None:
-            pad = 2.0 * self.inversion_ratio * self.width / self.nx
+    def regions(self) -> tuple[Region, ...]:
+        """One reporting region per inclusion: its bounding box plus two inversion cells."""
+        pad = 2.0 * self.inversion_ratio * self.width / self.nx
         out = []
         for inc in self.inclusions:
             x0, x1, y0, y1 = inc.bounding_box()
@@ -165,12 +195,10 @@ class ExperimentConfig:
         return tuple(out)
 
     def validate(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigurationError("domain.width and domain.height must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise ConfigurationError("simulation.nx and simulation.ny must be at least 2")
-        if self.inversion_ratio < 1:
-            raise ConfigurationError("simulation.inversion_ratio must be at least 1")
+        """Every row's own rule, then the rules that tie keys together."""
+        _check_rows(self)
+        for inc in self.inclusions:
+            _check_rows(inc, f"inclusion {inc.name}.")
         if self.nx % self.inversion_ratio or self.ny % self.inversion_ratio:
             raise ConfigurationError(
                 f"simulation.inversion_ratio {self.inversion_ratio} must divide cell "
@@ -178,13 +206,6 @@ class ExperimentConfig:
             )
         if self.nx // self.inversion_ratio < 2 or self.ny // self.inversion_ratio < 2:
             raise ConfigurationError("simulation.inversion_ratio leaves fewer than 2x2 cells")
-        if self.source_count < 2:
-            # one source's diagonal record is already full: nothing to complete
-            raise ConfigurationError(f"sources.count {self.source_count} must be at least 2")
-        if self.source_sigma <= 0:
-            raise ConfigurationError("sources.sigma must be positive")
-        if self.source_amplitude == 0:
-            raise ConfigurationError("sources.amplitude must be nonzero")
         if not 0 <= self.source_depth <= 3.0 * self.source_sigma:
             raise ConfigurationError(
                 f"sources.depth {self.source_depth} must lie within 3*sigma "
@@ -193,23 +214,6 @@ class ExperimentConfig:
         xs = self.source_xs()
         if xs.min() < self.origin_x or xs.max() > self.origin_x + self.width:
             raise ConfigurationError("sources.first_x/last_x fall outside the domain")
-        if self.tau <= 0:
-            raise ConfigurationError("time.tau must be positive")
-        if self.n < 2:
-            raise ConfigurationError("time.n must be at least 2")
-        if self.substeps < 1:
-            raise ConfigurationError("solver.substeps must be a positive integer")
-        if not 0 < self.cfl_safety <= 1:
-            raise ConfigurationError("solver.cfl_safety must lie in (0, 1]")
-        for key, value in (
-            ("inversion.tsvd_born", self.tsvd_born),
-            ("inversion.tsvd_siso", self.tsvd_siso),
-            ("inversion.tsvd_mimo", self.tsvd_mimo),
-        ):
-            if not TSVD_MIN_THRESHOLD <= value < 1:
-                raise ConfigurationError(f"{key} must lie in [{TSVD_MIN_THRESHOLD:g}, 1)")
-        if self.iterations < 0:
-            raise ConfigurationError("inversion.iterations must be nonnegative")
         length = self.n
         for _ in range(self.iterations):
             length = halved_length(length)
@@ -218,21 +222,7 @@ class ExperimentConfig:
                     f"inversion.iterations {self.iterations} exhausts time.n {self.n}: "
                     "every round halves the record and must leave 2 samples"
                 )
-        if self.noise_level < 0:
-            raise ConfigurationError("noise.level must be nonnegative")
-        if self.seed < 0:
-            raise ConfigurationError(f"noise.seed {self.seed} must be nonnegative")
-        if self.margin < 0:
-            raise ConfigurationError("model.margin must be nonnegative")
         for inc in self.inclusions:
-            if inc.shape not in ("rectangle", "ellipse"):
-                raise ConfigurationError(
-                    f"inclusion {inc.name}: shape must be rectangle or ellipse"
-                )
-            if inc.width <= 0 or inc.height <= 0:
-                raise ConfigurationError(f"inclusion {inc.name}: width/height must be positive")
-            if inc.amplitude < 0:
-                raise ConfigurationError(f"inclusion {inc.name}: amplitude must be nonnegative")
             x0, x1, y0, y1 = inc.bounding_box()
             if (
                 x0 < self.origin_x + self.margin
@@ -248,54 +238,11 @@ class ExperimentConfig:
         check_cfl(self.sim_grid(), np.asarray([qmax]), self.tau, self.settings())
 
 
-#: (section, key) -> (type, ExperimentConfig attribute); model.inclusions
-#: names the [inclusion X] sections and has no attribute of its own
-_SCHEMA = {
-    ("domain", "width"): (float, "width"),
-    ("domain", "height"): (float, "height"),
-    ("domain", "origin_x"): (float, "origin_x"),
-    ("domain", "origin_y"): (float, "origin_y"),
-    ("simulation", "nx"): (int, "nx"),
-    ("simulation", "ny"): (int, "ny"),
-    ("simulation", "inversion_ratio"): (int, "inversion_ratio"),
-    ("sources", "count"): (int, "source_count"),
-    ("sources", "sigma"): (float, "source_sigma"),
-    ("sources", "amplitude"): (float, "source_amplitude"),
-    ("sources", "depth"): (float, "source_depth"),
-    ("sources", "first_x"): (float, "first_x"),
-    ("sources", "last_x"): (float, "last_x"),
-    ("time", "tau"): (float, "tau"),
-    ("time", "n"): (int, "n"),
-    ("solver", "substeps"): (int, "substeps"),
-    ("solver", "cfl_safety"): (float, "cfl_safety"),
-    ("inversion", "tsvd_born"): (float, "tsvd_born"),
-    ("inversion", "tsvd_siso"): (float, "tsvd_siso"),
-    ("inversion", "tsvd_mimo"): (float, "tsvd_mimo"),
-    ("inversion", "iterations"): (int, "iterations"),
-    ("inversion", "positivity"): (bool, "positivity"),
-    ("noise", "level"): (float, "noise_level"),
-    ("noise", "seed"): (int, "seed"),
-    ("model", "margin"): (float, "margin"),
-    ("model", "inclusions"): (str, None),
-    ("output", "directory"): (str, "output_directory"),
-}
-
-_SECTIONS = {section for section, _ in _SCHEMA}
-
-_INCLUSION_SCHEMA = {
-    "shape": str,
-    "x": float,
-    "y": float,
-    "width": float,
-    "height": float,
-    "amplitude": float,
-    "angle": float,
-}
-
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _convert(raw: str, kind, path: str):
+def _convert(raw: str, annotation, path: str):
+    kind = (get_args(annotation) or (annotation,))[0]  # float | None reads as float
     try:
         if kind is bool:
             value = _BOOL_VALUES.get(raw.strip().lower())
@@ -310,6 +257,21 @@ def _convert(raw: str, kind, path: str):
     return value
 
 
+def _inclusion(name: str, items: dict | None) -> Inclusion:
+    if items is None:
+        raise ConfigurationError(f"model.inclusions names missing section [inclusion {name}]")
+    rows = _rows(Inclusion)
+    values: dict = {"name": name}
+    for key, raw in items.items():
+        if key not in rows:
+            raise ConfigurationError(f"unknown config key inclusion {name}.{key}")
+        values[key] = _convert(raw, rows[key].type, f"inclusion {name}.{key}")
+    for key, row in rows.items():
+        if row.default is MISSING and key not in values:
+            raise ConfigurationError(f"inclusion {name}: missing key {key}")
+    return Inclusion(**values)
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read, type-check and validate a configuration file."""
     path = Path(path)
@@ -321,49 +283,45 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        # configparser would merge these into every section
+        raise ConfigurationError(f"{path}: [DEFAULT] keys {sorted(parser.defaults())} refused")
 
-    fields: dict = {}
-    inclusion_sections: dict[str, dict] = {}
-    inclusion_order: list[str] = []
+    rows = _rows(ExperimentConfig)
+    sections = {key.split(".")[0] for key in rows}
+    values: dict = {}
+    names: list[str] = []
+    inclusion_items: dict[str, dict] = {}
     for section in parser.sections():
         if section.startswith("inclusion "):
             name = section[len("inclusion "):].strip()
             if not name:
                 raise ConfigurationError(f"config section [{section}] names no inclusion")
-            inclusion_sections[name] = dict(parser.items(section))
+            if name in inclusion_items:
+                raise ConfigurationError(f"two [inclusion X] sections name inclusion {name}")
+            inclusion_items[name] = dict(parser.items(section))
             continue
-        if section not in _SECTIONS:
+        if section not in sections:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if (section, key) not in _SCHEMA:
+            row = rows.get(f"{section}.{key}")
+            if row is None:
                 raise ConfigurationError(f"unknown config key {section}.{key}")
-            kind, attribute = _SCHEMA[(section, key)]
-            if attribute is None:
-                inclusion_order = [t for t in raw.replace(",", " ").split() if t]
-                continue
-            fields[attribute] = _convert(raw, kind, f"{section}.{key}")
+            if row.name == "inclusions":
+                names = raw.replace(",", " ").split()
+            else:
+                values[row.name] = _convert(raw, row.type, f"{section}.{key}")
 
-    unreferenced = set(inclusion_sections) - set(inclusion_order)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"model.inclusions lists {repeated} more than once")
+    unreferenced = set(inclusion_items) - set(names)
     if unreferenced:
         raise ConfigurationError(
             f"inclusion sections not listed under model.inclusions: {sorted(unreferenced)}"
         )
-    inclusions = []
-    for name in inclusion_order:
-        if name not in inclusion_sections:
-            raise ConfigurationError(f"model.inclusions names missing section [inclusion {name}]")
-        raw_items = inclusion_sections[name]
-        values: dict = {"name": name}
-        for key, raw in raw_items.items():
-            if key not in _INCLUSION_SCHEMA:
-                raise ConfigurationError(f"unknown config key inclusion {name}.{key}")
-            values[key] = _convert(raw, _INCLUSION_SCHEMA[key], f"inclusion {name}.{key}")
-        for required in ("shape", "x", "y", "width", "height", "amplitude"):
-            if required not in values:
-                raise ConfigurationError(f"inclusion {name}: missing key {required}")
-        inclusions.append(Inclusion(**values))
-
-    config = ExperimentConfig(**fields, inclusions=tuple(inclusions))
+    inclusions = tuple(_inclusion(name, inclusion_items.get(name)) for name in names)
+    config = ExperimentConfig(**values, inclusions=inclusions)
     config.validate()
     return config
 

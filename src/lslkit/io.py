@@ -9,12 +9,16 @@ LSLF (single field), little endian:
 LSLT (transfer record), little endian:
     magic "LSLT" | u32 version=1 | u64 K | u64 T | f64 tau |
     K*K mask bytes (0 absent, 1 measured, 2 lifted), row major |
-    T f64 values for every non-absent (i, j) pair in row-major order
+    T f64 values for every non-absent (i, j) pair in row-major order;
+    every diagonal pair (i, i) is present
 
 Both formats round-trip bit exactly. Loading checks the size a header
 implies against the file before allocating it and rejects non-finite
 values, a non-finite origin and a non-finite or non-positive spacing or
-sample interval, so a malformed artifact ends in FormatError. PGM output is
+sample interval, so a malformed artifact ends in FormatError. A transfer
+record without its full diagonal is refused before its values are read:
+every writer stores the diagonal and every consumer needs it measured,
+and its K series of T samples tie T to the file size. PGM output is
 16-bit binary (P5, big-endian samples per the format), mapping values
 linearly between two clip percentiles; image rows run from the top of
 the domain downward.
@@ -125,6 +129,8 @@ def load_transfer(path: str | Path) -> TransferData:
         mask = mask.reshape(K, K)
         if not np.isin(mask, (0, 1, 2)).all():
             raise FormatError("mask bytes must be 0, 1 or 2")
+        if (np.diagonal(mask) == MaskState.ABSENT).any():
+            raise FormatError("transfer record lacks part of its diagonal (i, i)")
         present = mask != MaskState.ABSENT
         count = int(present.sum())
         raw = _read_exactly(handle, 8 * T * count, f"{count} series of {T} samples")

@@ -34,7 +34,7 @@ from .errors import (
 )
 
 #: nodes per block of the `forward_lift` product; its scratch arrays hold
-#: K * (n_out + steps) * LIFT_CHUNK_NODES doubles however large the grid is
+#: 2 * K * steps * LIFT_CHUNK_NODES doubles however large the grid is
 LIFT_CHUNK_NODES = 1024
 
 #: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
@@ -193,7 +193,6 @@ def forward_lift(
     q_est: Potential,
     w0: np.ndarray,
     data0: TransferData,
-    n_out: int,
     measured: TransferData,
     grid: Grid2D,
 ) -> TransferData:
@@ -205,8 +204,8 @@ def forward_lift(
     `rom.field_transform`, (K steps) square. Evaluates the forward
     integral on `grid` (the estimate is prolonged there if it lives on a
     coarser nested grid) for every pair i != j; diagonals are copied
-    verbatim from the measured record. The output holds n_out <= steps
-    samples.
+    verbatim from the measured record. The output holds the `steps`
+    samples of T's fields.
 
     One matrix product, accumulated over node blocks, gives the space
     integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
@@ -229,13 +228,9 @@ def forward_lift(
     measured.require_measured_diagonal()
     tau = measured.tau
     _check_time_axes(tau, data0.tau)
-    if fields.shape[1] < steps:
-        raise DimensionError(f"background fields hold fewer than the {steps} transform samples")
-    available = min(steps, w0.shape[1], data0.num_samples, measured.num_samples)
-    if n_out < 1 or n_out > available:
-        raise DimensionError(
-            f"cannot produce {n_out} lifted samples from {available} available"
-        )
+    available = min(fields.shape[1], w0.shape[1], data0.num_samples, measured.num_samples)
+    if available < steps:
+        raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
     if q_est.grid == grid:
         q_flat = q_est.values.ravel()
     else:
@@ -243,25 +238,23 @@ def forward_lift(
     weighted_q = grid.node_weights.ravel() * q_flat
 
     # rows (j, a) and columns (l, a'), the row order of T
-    w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :n_out]
+    w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :steps]
     u0_flat = fields.reshape(K, fields.shape[1], -1)[:, :steps]
-    gram0 = np.zeros((K * n_out, size))
+    gram0 = np.zeros((size, size))
     for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
         block = slice(start, start + LIFT_CHUNK_NODES)
-        w = (w0_flat[..., block] * weighted_q[block]).reshape(K * n_out, -1)
+        w = (w0_flat[..., block] * weighted_q[block]).reshape(size, -1)
         gram0 += w @ u0_flat[..., block].reshape(size, -1).T
-    # columns (i, b) for b < n_out
-    columns = transform.reshape(size, K, steps)[:, :, :n_out].reshape(size, K * n_out)
-    gram = (gram0 @ columns).reshape(K, n_out, K, n_out)
+    gram = (gram0 @ transform).reshape(K, steps, K, steps)
     # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
     gram[:, 0] *= 0.5
     gram[..., 0] *= 0.5
-    integral = np.zeros((K, K, n_out))  # [j, i, k]
-    for a in range(n_out):
-        integral[:, :, a:] += gram[:, a, :, : n_out - a]
+    integral = np.zeros((K, K, steps))  # [j, i, k]
+    for a in range(steps):
+        integral[:, :, a:] += gram[:, a, :, : steps - a]
     integral[:, :, 0] = 0.0
 
-    values = data0.values[:, :, :n_out] - tau * integral.transpose(1, 0, 2)
+    values = data0.values[:, :, :steps] - tau * integral.transpose(1, 0, 2)
     diagonal = np.eye(K, dtype=bool)
-    values[diagonal] = measured.values[diagonal, :n_out]
+    values[diagonal] = measured.values[diagonal, :steps]
     return TransferData(values, np.where(diagonal, MaskState.MEASURED, MaskState.LIFTED), tau)

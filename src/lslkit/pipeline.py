@@ -65,9 +65,9 @@ class PipelineContext:
     axis: TimeAxis
     measured: TransferData
     background: BackgroundArtifacts
-    tsvd_siso: float = 1.0e-2
-    tsvd_mimo: float = 1.0e-2
-    tsvd_born: float = 1.0e-2
+    tsvd_siso: float
+    tsvd_mimo: float
+    tsvd_born: float
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,6 @@ def run_lift_step(
         potential,
         ctx.background.antiderivatives,
         ctx.background.data,
-        transform.shape[0] // ctx.sources.count,
         ctx.measured,
         ctx.sim_grid,
     )

@@ -88,7 +88,9 @@ def test_c02_zero_potential_round_trip():
         synthesized = apply_transform(transform, background.fields[j : j + 1])[0]
         ref = background.fields[j]
         worst_field = max(worst_field, np.abs(synthesized - ref).max() / np.abs(ref).max())
-    ctx = PipelineContext(grid, grid.coarsen(2), sources, axis, data, background)
+    ctx = PipelineContext(
+        grid, grid.coarsen(2), sources, axis, data, background, 1e-2, 1e-2, 1e-2
+    )
     *_, final = stages(ctx, iterations=1)
     q_norm = np.abs(np.asarray(final.potential.values)).max()
     elapsed = time.monotonic() - started

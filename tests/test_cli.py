@@ -382,3 +382,8 @@ class TestExitCodes:
         assert run("invert", "--method", "lsl", "--config", config_path,
                    "--data", out / "huge.lslt") == 4
         assert "truncated" in capsys.readouterr().err
+        # K=1 and T=2^61 with the diagonal absent: refused before allocating
+        (out / "bare.lslt").write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, 1, 2**61, 2.0) + b"\0")
+        assert run("invert", "--method", "born", "--config", config_path,
+                   "--data", out / "bare.lslt") == 4
+        assert "diagonal" in capsys.readouterr().err

@@ -1,9 +1,11 @@
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from lslkit.config import bundled_config_path, parse_config
+import lslkit.config as config_module
+from lslkit.config import ExperimentConfig, Inclusion, bundled_config_path, parse_config
 from lslkit.errors import ConfigurationError
 from reference import assert_support_margin
 
@@ -68,6 +70,34 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="ghost"):
             parse_config(write(tmp_path, "[model]\ninclusions = ghost\n"))
 
+    @pytest.mark.parametrize(
+        "model, sections",
+        [("a", ["[inclusion a]", "[inclusion  a]"]), ("a a", ["[inclusion a]"])],
+        ids=["two_sections", "listed_twice"],
+    )
+    def test_repeated_inclusion_name(self, tmp_path, model, sections):
+        # an ellipse then a rectangle both named a: neither may silently win
+        shapes = ["ellipse", "rectangle"]
+        text = f"[model]\ninclusions = {model}\n" + "".join(
+            f"{section}\nshape = {shape}\nx = 50\ny = 25\nwidth = 10\nheight = 6\n"
+            "amplitude = 0.05\n"
+            for section, shape in zip(sections, shapes)
+        )
+        with pytest.raises(ConfigurationError, match=r"\ba\b"):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nn = 40\n", "[DEFAULT]\nn = 40\n[time]\ntau = 3.0\n",
+         "[DEFAULT]\nn = 40\n[time]\ntau = 3.0\n[domain]\nwidth = 100\n"],
+        ids=["alone", "beside_time", "beside_time_and_domain"],
+    )
+    def test_default_section_keys_rejected(self, tmp_path, text):
+        # configparser merges [DEFAULT] into every section: ignored alone,
+        # time.n beside [time], an unknown domain.n beside [domain]
+        with pytest.raises(ConfigurationError, match=re.escape("[DEFAULT]")):
+            parse_config(write(tmp_path, text))
+
     def test_margin_violation(self, tmp_path):
         text = (
             "[model]\nmargin = 4.0\ninclusions = edge\n"
@@ -130,6 +160,91 @@ class TestParsing:
         text += "[inclusion blob]\n" + "".join(f"{k} = {v}\n" for k, v in blob.items())
         with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}")):
             parse_config(write(tmp_path, text))
+
+
+#: every single-key rule as (key, rejected value, accepted boundary value,
+#: other settings the accepted value needs); written out by hand, so it
+#: pins the accepted set independently of how config.py states its rules
+SINGLE_KEY_RULES = [
+    ("domain.width", "0", "200", {}),
+    ("domain.height", "0", "100", {}),
+    ("simulation.nx", "1", "2", {"simulation.inversion_ratio": "1"}),
+    ("simulation.ny", "1", "2", {"simulation.inversion_ratio": "1"}),
+    ("simulation.inversion_ratio", "0", "1", {}),
+    ("sources.count", "1", "2", {}),
+    ("sources.sigma", "0", "1e-9", {"sources.depth": "0"}),
+    ("sources.amplitude", "0", "-1e-9", {}),
+    ("time.tau", "0", "1e-3", {}),
+    ("time.n", "1", "2", {"inversion.iterations": "0"}),
+    ("solver.substeps", "0", "1", {"time.tau": "0.5"}),
+    ("solver.cfl_safety", "0", "1", {}),
+    ("solver.cfl_safety", "1.01", "1e-3", {"time.tau": "1e-3"}),
+    ("inversion.tsvd_born", "1", "1e-4", {}),
+    ("inversion.tsvd_siso", "9.99e-5", "0.999", {}),
+    ("inversion.tsvd_mimo", "1", "1e-4", {}),
+    ("inversion.iterations", "-1", "0", {}),
+    ("noise.level", "-1e-9", "0", {}),
+    ("noise.seed", "-1", "0", {}),
+    ("model.margin", "-1e-9", "0", {}),
+    ("inclusion blob.shape", "disk", "ellipse", {}),
+    ("inclusion blob.width", "0", "1e-9", {}),
+    ("inclusion blob.height", "0", "1e-9", {}),
+    ("inclusion blob.amplitude", "-1e-9", "0", {}),
+]
+
+
+def config_text(settings):
+    """INI text of {"section.key": value}; one inclusion, blob, is always present."""
+    blob = {"shape": "rectangle", "x": "50", "y": "25", "width": "10", "height": "6",
+            "amplitude": "0.05"}
+    sections = {"model": {"inclusions": "blob"}, "inclusion blob": blob}
+    for path, value in settings.items():
+        section, key = path.rsplit(".", 1)
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "key, rejected, accepted, needs",
+    SINGLE_KEY_RULES,
+    ids=[f"{key}={rejected}" for key, rejected, *_ in SINGLE_KEY_RULES],
+)
+def test_single_key_rule_boundary(tmp_path, key, rejected, accepted, needs):
+    # the rejected value names its key and exits 2 (never a ZeroDivisionError
+    # or a later numpy failure); the boundary value on the other side parses
+    section, name = key.rsplit(".", 1)
+    with pytest.raises(ConfigurationError) as caught:
+        parse_config(write(tmp_path, config_text({**needs, key: rejected})))
+    assert re.search(rf"{re.escape(section)}\W(.*\W)?{re.escape(name)}\b", str(caught.value))
+    parse_config(write(tmp_path, config_text({**needs, key: accepted})))
+
+
+def documented_schema():
+    """{key path: documented default} of the config module docstring's listing."""
+    listing = config_module.__doc__.split("\n\n    [", 1)[1].split("\n\n", 1)[0]
+    documented, section = {}, None
+    for line in ("    [" + listing).splitlines():
+        header = re.match(r"\s*\[([^\]]+)\]", line)
+        if header:
+            section = header.group(1)
+        for key, default in re.findall(r"(\w+) \(([^)]*)\)", line):
+            documented[f"{section}.{key}"] = default
+    return documented
+
+
+def test_docstring_lists_every_key_with_its_default():
+    # README points users at this listing; it must match the fields exactly
+    table = {f.metadata["key"]: f.default for f in fields(ExperimentConfig)}
+    table.update((f"inclusion X.{f.name}", f.default) for f in fields(Inclusion)[1:])
+    spelled = {MISSING: "required", (): "empty"}
+    documented = documented_schema()
+    assert set(documented) == set(table)
+    for key, default in table.items():
+        if default is not None:  # first_x/last_x document the derived position
+            assert documented[key] == spelled.get(default, str(default).lower()), key
 
 
 class TestDerivedObjects:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,6 @@ class TestFieldFormat:
             load_field(path)
 
     def test_empty_grid_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "tiny.lslf"
         header = struct.pack("<4sIQQ4d", b"LSLF", 1, 2, 2, 0.0, 0.0, 1.0, 1.0)
         path.write_bytes(header + b"\x00" * (8 * 4))
@@ -138,6 +138,15 @@ class TestTransferFormat:
         with pytest.raises(FormatError, match="truncated"):
             load_transfer(path)
 
+
+    def test_absent_diagonal_rejected(self, tmp_path):
+        # K = 1 and T = 2^61 with the one series absent: no value bytes
+        # would bound T, and the header would ask for 2^64 bytes of zeros
+        path = tmp_path / "no_diagonal.lslt"
+        path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, 1, 2**61, 1.0) + b"\0")
+        assert path.stat().st_size == 33
+        with pytest.raises(FormatError, match="diagonal"):
+            load_transfer(path)
 
 class TestPgm:
     def test_constant_field_mid_gray(self, tmp_path):

@@ -271,8 +271,8 @@ class TestSolveTsvd:
 
 class TestForwardLift:
     def test_matches_per_pair_reference(self):
-        # two node blocks, an estimate on the coarser inversion grid and
-        # fewer output samples than available; random stacks break the
+        # two node blocks and an estimate on the coarser inversion grid;
+        # random stacks break the
         # symmetry that could hide a swapped source/receiver index, and a
         # nonzero first kernel sample exercises every trapezoid endpoint
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
@@ -282,10 +282,9 @@ class TestForwardLift:
         shape = (sources.count, axis.n) + grid.shape
         fields, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        n_out = 13
         identity = np.eye(sources.count * axis.n)
-        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, n_out, data, grid)
-        assert lifted.num_samples == n_out
+        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, data, grid)
+        assert lifted.num_samples == axis.n
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
     @pytest.mark.parametrize("kind", ["siso", "block", "dense"])
@@ -294,9 +293,9 @@ class TestForwardLift:
         # materialized from the same factors: a block-diagonal T (one
         # scalar ROM per source), a block-ROM T and, beyond what a ROM
         # yields, a dense T that is not triangular; random stacks on the
-        # two-block grid, fewer output samples than transform samples
+        # two-block grid
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
-        K, steps, n_out = sources.count, axis.n, 13
+        K, steps = sources.count, axis.n
         rng = np.random.default_rng(11)
         shape = (K, steps) + grid.shape
         background, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -323,7 +322,7 @@ class TestForwardLift:
             transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
             fields = apply_transform(transform, background)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        lifted = forward_lift(background, transform, q_est, kernels, bg.data, n_out, data, grid)
+        lifted = forward_lift(background, transform, q_est, kernels, bg.data, data, grid)
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
     def test_transform_must_fit_sources(self):
@@ -332,20 +331,20 @@ class TestForwardLift:
         w0 = bg.antiderivatives
         for transform in (np.eye(sources.count * axis.n + 1), np.eye(sources.count * 11)):
             with pytest.raises(DimensionError):
-                forward_lift(bg.fields, transform, zero, w0, bg.data, 5, data, grid)
+                forward_lift(bg.fields, transform, zero, w0, bg.data, data, grid)
         # both stacks must live on the fine grid passed with them
         identity = np.eye(sources.count * axis.n)
         coarse_w0, coarse_u0 = on_inversion_grid(bg)
         for u0, kernels in ((coarse_u0, w0), (bg.fields, coarse_w0)):
             with pytest.raises(DimensionError, match="stack has shape"):
-                forward_lift(u0, identity, zero, kernels, bg.data, 5, data, grid)
+                forward_lift(u0, identity, zero, kernels, bg.data, data, grid)
 
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = zero_potential(inv_grid)
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            bg.fields, identity, zero, bg.antiderivatives, bg.data, axis.n, data, grid
+            bg.fields, identity, zero, bg.antiderivatives, bg.data, data, grid
         )
         K = sources.count
         for i in range(K):
@@ -359,7 +358,7 @@ class TestForwardLift:
         q_est = Potential(inv_grid, np.full(inv_grid.shape, 0.01))
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            bg.fields, identity, q_est, bg.antiderivatives, bg.data, axis.n, data, grid
+            bg.fields, identity, q_est, bg.antiderivatives, bg.data, data, grid
         )
         for i in range(sources.count):
             assert np.array_equal(lifted.values[i, i], data.values[i, i, : axis.n])
@@ -376,7 +375,7 @@ class TestForwardLift:
         q_vals = potential.values
         identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
-            fields, identity, potential, bg.antiderivatives, bg.data, axis.n, data, grid
+            fields, identity, potential, bg.antiderivatives, bg.data, data, grid
         )
         K, n = sources.count, axis.n
         for j in range(K):
@@ -402,7 +401,7 @@ class TestForwardLift:
         combo = Potential(inv_grid, 2.0 * np.asarray(q1.values) - 0.5 * np.asarray(q2.values))
         identity = np.eye(sources.count * axis.n)
         lift = lambda q: forward_lift(
-            bg.fields, identity, q, bg.antiderivatives, bg.data, axis.n, data, grid
+            bg.fields, identity, q, bg.antiderivatives, bg.data, data, grid
         )
         r1 = bg.data.values[:, :, : axis.n] - lift(q1).values
         r2 = bg.data.values[:, :, : axis.n] - lift(q2).values
@@ -426,7 +425,6 @@ class TestForwardLift:
             two_target_run.q_true,
             ctx.background.antiderivatives,
             ctx.background.data,
-            n,
             ctx.measured,
             ctx.sim_grid,
         )
@@ -460,7 +458,7 @@ class TestForwardLift:
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
             identity = np.eye(K * n)
             lifted = forward_lift(
-                fields, identity, q_est, bg.antiderivatives, bg.data, n, data, grid
+                fields, identity, q_est, bg.antiderivatives, bg.data, data, grid
             )
             off = ~np.eye(K, dtype=bool)
             truth = mimo.values[off][:, :n]
@@ -476,7 +474,6 @@ class TestForwardLift:
                 zero_potential(inv_grid),
                 bg.antiderivatives,
                 data,  # diagonal-only record cannot provide off-diagonal reference
-                axis.n,
                 data,
                 grid,
             )

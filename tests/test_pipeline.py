@@ -44,7 +44,7 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     settings = SolverSettings(substeps=4)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background)
+    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, 1e-2, 1e-2)
     return ctx, potential
 
 
