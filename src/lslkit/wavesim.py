@@ -32,8 +32,9 @@ starts.
 
 There is one stepping loop, `_leapfrog`. It advances states of shape
 (..., ny+1, nx+1) in three rotating buffers, so `simulate_transfer`
-steps all K sources as one (K, ny+1, nx+1) array and records each
-sample as a single product with the receiver weights.
+steps all K sources as one (K, ny+1, nx+1) array through the first n
+samples only; the Chebyshev angle-sum gives the other n-1 of the 2n-1
+record samples, which halves the fine steps.
 
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns the source-major, read-only
@@ -160,28 +161,45 @@ def simulate_transfer(
     axis: TimeAxis,
     settings: SolverSettings,
 ) -> TransferData:
-    """Record the full K x K transfer matrix over 2n-1 samples.
+    """Record the full K x K transfer matrix over 2n-1 samples from n.
 
-    All sources step together; sample k is the one product
-    F[i, j, k] = <g_j, u_i(k tau)>, and every entry is tagged measured.
+    All sources step together through samples 0..n-1 only. F(0) and
+    F(tau) are the receiver products F[i, j, k] = <g_j, u_i(k tau)>;
+    since u_i(m tau) = T_{mp}(S) g_i with S self-adjoint under the
+    trapezoid weights, the angle-sum T_{a+b} = 2 T_a T_b - T_{|a-b|}
+    gives the rest from sample m:
+
+        F(2m)   = 2 <u_j(m), u_i(m)>   - F(0)     (m >= 1)
+        F(2m-1) = 2 <u_j(m), u_i(m-1)> - F(tau)   (m >= 2)
+
+    Every entry is tagged measured.
     """
-    if np.any(potential.values < 0.0):
-        raise DomainError("simulation requires a nonnegative potential")
+    if not (np.isfinite(potential.values).all() and (potential.values >= 0.0).all()):
+        raise DomainError("simulation requires a finite, nonnegative potential")
     grid = potential.grid
     check_cfl(grid, potential.values, axis.tau, settings)
-    num = axis.total_samples
     K = sources.count
     dt = axis.tau / settings.substeps
     g = sources.fields(grid)
-    receivers = (grid.node_weights * g).reshape(K, -1)
+    weights = grid.node_weights.reshape(-1)
+    # W g until sample 1 is recorded, then W u(m-1) as sample m arrives
+    # (`state` itself is overwritten by later steps)
+    weighted = weights * g.reshape(K, -1)
 
-    values = np.empty((K, K, num))
+    values = np.empty((K, K, axis.total_samples))
 
-    def emit(k, state):
-        values[:, :, k] = state.reshape(K, -1) @ receivers.T
+    def emit(m, state):
+        state = state.reshape(K, -1)
+        if m < 2:
+            values[:, :, m] = state @ weighted.T
+        else:
+            values[:, :, 2 * m - 1] = 2.0 * (weighted @ state.T) - values[:, :, 1]
+        if m >= 1:
+            np.multiply(weights, state, out=weighted)
+            values[:, :, 2 * m] = 2.0 * (state @ weighted.T) - values[:, :, 0]
 
     start1 = g - 0.5 * dt * dt * apply_operator(grid, potential.values, g)
-    _leapfrog(grid, potential.values, g, start1, dt, settings.substeps, num, emit)
+    _leapfrog(grid, potential.values, g, start1, dt, settings.substeps, axis.n, emit)
     mask = np.full((K, K), MaskState.MEASURED, dtype=np.int8)
     return TransferData(values, mask, axis.tau)
 

@@ -140,6 +140,15 @@ class TestSnapshots:
         with pytest.raises(DomainError):
             simulate_transfer(bad, sources, axis, SolverSettings(substeps=8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_potential_must_be_finite_and_nonnegative(self, bad):
+        # refused before the CFL check, which NaN would pass and inf would overflow
+        grid, potential, sources, axis, settings = small_setup(q_amp=0.1)
+        values = np.array(potential.values)
+        values[7, 20] = bad
+        with pytest.raises(DomainError, match="finite, nonnegative"):
+            simulate_transfer(Potential(grid, values), sources, axis, settings)
+
     def test_zero_potential_matches_background_path(self):
         grid, potential, sources, axis, settings = small_setup()
         direct = leapfrog_snapshots(potential, sources, 0, axis, settings, axis.n)
@@ -231,6 +240,40 @@ class TestTransfer:
             for j in range(sources.count):
                 g = sources.field(grid, j)
                 expected[i, j] = [inner_product(grid, g, u) for u in snaps]
+        assert np.abs(data.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n, substeps", [(3, 1), (5, 3)])
+    def test_steps_n_samples_only(self, monkeypatch, n, substeps):
+        # one operator call for the cosine start, then (n-1) p - 1 leapfrog steps
+        grid, potential, sources, _, _ = small_setup(q_amp=0.2, K=2)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return apply_operator(*args, **kwargs)
+
+        monkeypatch.setattr("lslkit.wavesim.apply_operator", counting)
+        settings = SolverSettings(substeps=substeps)
+        simulate_transfer(potential, sources, TimeAxis(0.4 * substeps, n), settings)
+        assert len(calls) == (n - 1) * substeps
+
+    @pytest.mark.parametrize("n, substeps", [(2, 1), (2, 3), (3, 1), (3, 3)])
+    def test_short_records_match_per_source_snapshots(self, n, substeps):
+        # the m = 1 branch and the last odd sample of the angle-sum fill
+        grid = Grid2D(24, 14, 1.1, 0.8)
+        x, y = grid.meshgrid()
+        potential = Potential(grid, 0.3 * np.exp(-((x - 12.0) ** 2 + (y - 5.0) ** 2) / 10.0))
+        sources = SourceSet(np.array([[6.0, 8.0], [14.0, 8.5], [20.0, 7.5]]), 1.5)
+        axis = TimeAxis(0.5 * substeps, n)
+        settings = SolverSettings(substeps=substeps)
+        data = simulate_transfer(potential, sources, axis, settings)
+        expected = np.empty_like(data.values)
+        for i in range(sources.count):
+            snaps = leapfrog_snapshots(potential, sources, i, axis, settings, axis.total_samples)
+            for j in range(sources.count):
+                g = sources.field(grid, j)
+                expected[i, j] = [inner_product(grid, g, u) for u in snaps]
+        assert data.values.shape == (3, 3, 2 * n - 1)
         assert np.abs(data.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_exact_angle_sum_identity(self):
