@@ -134,14 +134,12 @@ def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContex
         tsvd_siso=config.tsvd_siso,
         tsvd_mimo=config.tsvd_mimo,
         tsvd_born=config.tsvd_born,
+        positivity=config.positivity,
     )
 
 
-def _save_potential(path: Path, potential: Potential, positivity: bool) -> None:
-    values = np.asarray(potential.values)
-    if positivity:
-        values = np.maximum(values, 0.0)
-    lio.save_field(path, potential.grid, values)
+def _save_potential(path: Path, potential: Potential) -> None:
+    lio.save_field(path, potential.grid, potential.values)
 
 
 def _simulate_artifacts(config: ExperimentConfig, out: Path) -> TransferData:
@@ -170,23 +168,23 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_invert(args) -> int:
     config = _load_config(args)
+    config = replace(config, positivity=args.positivity or config.positivity)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured)
-    positivity = args.positivity or config.positivity
 
     if args.method == "born":
         potential, residual = invert_born(replace(ctx, measured=data))
         q_path = Path(args.q_out) if args.q_out else out / "q_born.lslf"
-        _save_potential(q_path, potential, positivity)
+        _save_potential(q_path, potential)
         print(f"born reconstruction -> {q_path} (residual {residual:.3e})")
         return EXIT_OK
 
     record = run_lsl_step(ctx if data.is_full else replace(ctx, measured=data), data)
     step = "mimo" if record.round else "siso"
     q_path = Path(args.q_out) if args.q_out else out / f"q_{step}.lslf"
-    _save_potential(q_path, record.potential, positivity)
+    _save_potential(q_path, record.potential)
     print(f"lsl reconstruction -> {q_path} (stage {record.name}, N={record.active_length}, "
           f"residual {record.residual:.3e})")
     return EXIT_OK
@@ -212,8 +210,8 @@ def _cmd_pipeline(args) -> int:
     if args.iterations is not None:
         config = replace(config, iterations=args.iterations)
         config.validate()
+    config = replace(config, positivity=args.positivity or config.positivity)
     out = _out_dir(config)
-    positivity = args.positivity or config.positivity
     ctx = _context(config, _simulate_artifacts(config, out))
     q_true = config.true_potential()
     regions = config.regions()
@@ -224,14 +222,14 @@ def _cmd_pipeline(args) -> int:
         suffix = "" if record.round <= 1 else f"_{record.round}"
         if record.round:
             lio.save_transfer(out / f"lifted{suffix}.lslt", record.data)
-        _save_potential(out / f"q_{step}{suffix}.lslf", record.potential, positivity)
+        _save_potential(out / f"q_{step}{suffix}.lslf", record.potential)
         report = metrics(record.potential, q_true, regions)
         line = (f"stage={record.name} N={record.active_length} "
                 f"residual={record.residual:.6e} rel_l2={report.global_rel_l2:.6f}")
         for name, value in report.region_rel_l2.items():
             line += f" {name}={value:.6f}"
         lines.append(line + "\n")
-    _save_potential(out / "q_final.lslf", record.potential, positivity)
+    _save_potential(out / "q_final.lslf", record.potential)
     print("".join(lines), end="")
     (out / "metrics.txt").write_text("".join(lines), encoding="utf-8")
     print(f"final reconstruction -> {out / 'q_final.lslf'}")

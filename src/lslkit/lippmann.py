@@ -11,13 +11,13 @@ row per (source, time index) against measured diagonal data;
 for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
-u = u0 * T (`rom.field_transform`) gives the sharper variant. Every
-wavefield input is a (K, N, ny+1, nx+1) snapshot stack passed together
-with the grid it lives on. Assembly takes the w0 stack and the fields
-already on the inversion grid (the data-generated ones mixed there);
-the lift takes the fine background stacks u0 and w0 and T and applies T
-to the Gram matrix of the background, so no data-generated field exists
-on the fine grid.
+u = u0 * T (`rom.field_transform`) gives the sharper variant. Both
+directions take the same inputs: the background stacks u0 and w0, each
+(K, N, ny+1, nx+1) and passed with the grid they live on, and T, with
+T = I for Born. Assembly mixes u0 by T one source at a time while it
+writes that source's rows; the lift applies T to the Gram matrix of the
+background. No (K, N, ...) stack of internal fields exists on either
+grid.
 """
 
 from __future__ import annotations
@@ -108,44 +108,56 @@ def _check_time_axes(tau: float, other: float) -> None:
         raise DimensionError(f"sample intervals differ: {tau} vs {other}")
 
 
+def _transform_steps(transform: np.ndarray, K: int, available: int) -> int:
+    """Samples per field of a source-major T over K sources, at most `available`."""
+    size = transform.shape[0]
+    if transform.shape != (size, size) or size % K:
+        raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
+    steps = size // K
+    if available < steps:
+        raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
+    return steps
+
+
 def assemble_system(
     w0: np.ndarray,
-    fields: np.ndarray,
+    u0: np.ndarray,
+    transform: np.ndarray,
     data: TransferData,
     data0: TransferData,
     inv_grid: Grid2D,
     tsvd_threshold: float,
 ) -> LSSystem:
-    """Stack rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
+    """Rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `w0` and `fields` are (K, N, ny+1, nx+1) stacks on `inv_grid`; N is
-    the field stack's sample count. The fields may be data-generated
-    internal fields, which the pipeline mixes on the inversion grid as
-    u0 * T, or plain background fields (the Born variant). The
-    right-hand side uses measured diagonal data only.
+    `w0` and `u0` are background (K, N', ny+1, nx+1) stacks on
+    `inv_grid`, and the internal fields are u0 * T with T = `transform`
+    in the source-major order of `rom.field_transform`, N = side / K
+    samples each; T = I gives the Born system. Source j's field is
+    mixed, T[:, jN:(j+1)N]^T times u0, while its rows are written into
+    the preallocated matrix. The right-hand side uses measured diagonal
+    data only.
     """
     w0 = check_stack(inv_grid, w0, "antiderivative")
-    fields = check_stack(inv_grid, fields, "field")
-    K, num = fields.shape[:2]
+    u0 = check_stack(inv_grid, u0, "field")
+    K = len(u0)
     if len(w0) != K or data.num_sources != K or data0.num_sources != K:
         raise DimensionError("source counts of fields, antiderivatives and data differ")
     data.require_measured_diagonal()
     tau = data.tau
     _check_time_axes(tau, data0.tau)
-    if min(w0.shape[1], data.num_samples, data0.num_samples) < num:
-        raise DimensionError(
-            f"antiderivatives ({w0.shape[1]}) or transfer records ({data.num_samples}, "
-            f"{data0.num_samples}) shorter than the {num} field samples"
-        )
+    available = min(u0.shape[1], w0.shape[1], data.num_samples, data0.num_samples)
+    num = _transform_steps(transform, K, available)
     weights = inv_grid.node_weights.ravel()
-    blocks = []
-    rhs = []
+    u0_flat = u0[:, :num].reshape(K * num, -1)
+    matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
+    rhs = np.empty(K * (num - 1))
     for j in range(K):
-        wj = w0[j, :num].reshape(num, -1)
-        uj = fields[j].reshape(num, -1)
-        blocks.append(convolution_rows(wj, uj, weights, tau, num)[1:])
-        rhs.append(data0.values[j, j, 1:num] - data.values[j, j, 1:num])
-    return LSSystem(np.vstack(blocks), np.concatenate(rhs), inv_grid, tsvd_threshold)
+        rows = slice(j * (num - 1), (j + 1) * (num - 1))
+        field = transform[:, j * num : (j + 1) * num].T @ u0_flat
+        matrix[rows] = convolution_rows(w0[j, :num].reshape(num, -1), field, weights, tau, num)[1:]
+        rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
+    return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
 
 def solve_tsvd(system: LSSystem) -> Potential:
@@ -220,17 +232,13 @@ def forward_lift(
     K = len(fields)
     if len(w0) != K or data0.num_sources != K or measured.num_sources != K:
         raise DimensionError("source counts of fields, antiderivatives and data differ")
-    size = transform.shape[0]
-    if transform.shape != (size, size) or size % K:
-        raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
-    steps = size // K
     data0.require_full()
     measured.require_measured_diagonal()
     tau = measured.tau
     _check_time_axes(tau, data0.tau)
     available = min(fields.shape[1], w0.shape[1], data0.num_samples, measured.num_samples)
-    if available < steps:
-        raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
+    steps = _transform_steps(transform, K, available)
+    size = K * steps
     if q_est.grid == grid:
         q_flat = q_est.values.ravel()
     else:

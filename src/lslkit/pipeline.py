@@ -15,14 +15,11 @@ mass matrix then halves it to floor((N-1)/2) + 1.
 
 A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
-source-major order of the (K, N, ...) background stacks. Each
-consumer applies it where it is cheapest: assembly mixes the background
-injected onto the inversion grid (injection commutes with T), and the
-lift multiplies the fine-grid Gram matrix of the background by T. The
-background stacks are injected as `[:, :, ::r, ::r]` views, so the
-only whole-stack copies on the inversion grid are the one
-`apply_transform` reshapes and its product; the fine stacks are never
-copied.
+source-major order of the (K, N, ...) background stacks; the Born
+inversion is T = I. Assembly and the lift both take the background
+stacks and T: assembly gets them injected onto the inversion grid as
+`[:, :, ::r, ::r]` views (injection commutes with T), the lift gets the
+fine stacks, which are never copied.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from .core import (
 from .errors import DimensionError, IterationBudgetError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
-    apply_transform,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
@@ -68,6 +64,7 @@ class PipelineContext:
     tsvd_siso: float
     tsvd_mimo: float
     tsvd_born: float
+    positivity: bool
 
 
 @dataclass(frozen=True)
@@ -159,30 +156,25 @@ def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
     return stack[:, :, ::ratio, ::ratio]
 
 
-def inversion_fields(ctx: PipelineContext, transform: np.ndarray) -> np.ndarray:
-    """The internal fields u0 * T on the inversion grid, a (K, steps) stack.
-
-    Only the background is injected onto the inversion grid; the fine
-    grid never holds a data-generated field.
-    """
-    return apply_transform(transform, _injected(ctx, ctx.background.fields))
-
-
 def _factor(mass):
     return cholesky_upper(regularize_spd(mass))
 
 
-def _invert(ctx: PipelineContext, fields: np.ndarray, threshold: float):
-    """TSVD fit of the measured diagonal with internal fields on the inversion grid."""
+def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):
+    """TSVD fit of the measured diagonal with the internal fields u0 * T,
+    clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
     system = assemble_system(
         _injected(ctx, ctx.background.antiderivatives),
-        fields,
+        _injected(ctx, ctx.background.fields),
+        transform,
         ctx.measured,
         ctx.background.data,
         ctx.inv_grid,
         threshold,
     )
     q_est = solve_tsvd(system)
+    if ctx.positivity:
+        q_est = Potential(q_est.grid, np.maximum(q_est.values, 0.0))
     return q_est, residual_norm(system, q_est)
 
 
@@ -194,7 +186,7 @@ def run_lsl_step(ctx: PipelineContext, data: TransferData) -> StageRecord:
     """
     transform = internal_transform(ctx, data)
     threshold = ctx.tsvd_mimo if data.is_full else ctx.tsvd_siso
-    potential, residual = _invert(ctx, inversion_fields(ctx, transform), threshold)
+    potential, residual = _invert(ctx, transform, threshold)
     return StageRecord(_round(ctx, data), data, transform, potential, residual)
 
 
@@ -230,8 +222,8 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
 
 
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
-    """Reconstruction with background fields in place of internal ones."""
-    return _invert(ctx, _injected(ctx, ctx.background.fields), ctx.tsvd_born)
+    """Reconstruction with background fields in place of internal ones: T = I."""
+    return _invert(ctx, np.eye(ctx.sources.count * ctx.axis.n), ctx.tsvd_born)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ in the orthonormalized background snapshots.
 Only this module knows the time-major order of M (all sources at sample
 0, then all at sample 1, ...), which makes U block upper triangular;
 `field_transform` returns T in the source-major order of a (K, N, ...)
-stack, so `apply_transform` and the lift multiply stacks by T as they
-are. T is the only form in which the inversion carries a data-generated
-field: nothing in the inversion materializes u on the fine grid.
+stack, so system assembly and the lift multiply the background by T as
+it is. T is the only form a data-generated field takes: no (K, N, ...)
+stack of u is ever materialized.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
@@ -173,30 +173,3 @@ def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> 
     # source-major position l S + a holds time-major index a K + l
     order = np.arange(size).reshape(basis.num_steps, basis.block_size).T.ravel()
     return transform[np.ix_(order, order)]
-
-
-def apply_transform(transform: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Data-generated fields u = u0 * T from a (K, N, rows, cols) background stack.
-
-    The stack may live on any grid, and the result, a (K, steps, rows,
-    cols) stack, lives on it too. T is (K steps) square in the
-    source-major order of `field_transform`, and N must be at least
-    `steps`.
-    """
-    background = np.asarray(background, dtype=np.float64)
-    if background.ndim != 4:
-        raise DimensionError(
-            f"background stack has shape {background.shape}, expected (K, N, rows, cols)"
-        )
-    K, num, rows, cols = background.shape
-    size = transform.shape[0]
-    if transform.shape != (size, size) or size % K:
-        raise DimensionError(
-            f"transform of shape {transform.shape} does not fit {K} background sources"
-        )
-    steps = size // K
-    if num < steps:
-        raise DimensionError(f"background stack holds {num} samples, factors need {steps}")
-    mixed = transform.T @ background[:, :steps].reshape(size, -1)
-    return mixed.reshape(K, steps, rows, cols)
-

@@ -24,17 +24,20 @@ lambda and S = cos(theta) per mode. `simulate_background` evaluates the
 Chebyshev polynomials mode by mode: cos(kp theta) for the field u0, and
 for its running time integral w0 (the leapfrog from the antiderivative
 start w_0 = 0, w_1 = dt g - dt^3/6 A_h g) sin(kp theta) / sin(theta)
-times that first step, plus the transfer record as a spectral sum. Its
-DCT-I is a product with two small cosine matrices, Cy @ f @ Cx^T of
-sides ny+1 and nx+1: plain GEMMs, which on the desk grids beat an
-FFT-based DCT. The tests hold it against a leapfrog reference with both
-starts.
+times that first step. Its DCT-I is a product with two small cosine
+matrices, Cy @ f @ Cx^T of sides ny+1 and nx+1: plain GEMMs, which on
+the desk grids beat an FFT-based DCT. The tests hold it against a
+leapfrog reference with both starts.
 
-There is one stepping loop, `_leapfrog`. It advances states of shape
-(..., ny+1, nx+1) in three rotating buffers, so `simulate_transfer`
-steps all K sources as one (K, ny+1, nx+1) array through the first n
-samples only; the Chebyshev angle-sum gives the other n-1 of the 2n-1
-record samples, which halves the fine steps.
+There is one stepping loop, `_leapfrog`, a generator of the sampled
+states. It advances states of shape (..., ny+1, nx+1) in three rotating
+buffers, so `simulate_transfer` steps all K sources as one
+(K, ny+1, nx+1) array through the first n samples only. One record
+builder, `_angle_sum_record`, turns n samples of either medium into all
+2n-1 record samples by the Chebyshev angle-sum: it reads the leapfrog's
+states for the true medium and the u0 stack for the background, which
+halves the fine steps of the one and needs no spectral sum for the
+other.
 
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns the source-major, read-only
@@ -127,17 +130,15 @@ def apply_operator(
     return out
 
 
-def _leapfrog(grid, q_values, start0, start1, dt, substeps, num_samples, emit):
-    """Run the recurrence, calling emit(k, state) at every substeps-th step.
+def _leapfrog(grid, q_values, start0, start1, dt, substeps, num_samples):
+    """Yield the state at every substeps-th step, samples 0 .. num_samples-1.
 
     States may carry leading (source) axes. They live in three buffers
-    that rotate in place, so `state` is overwritten by later steps: emit
-    must copy what it keeps.
+    that rotate in place, so a yielded state is overwritten by later
+    steps: the consumer must copy what it keeps.
     """
     prev = np.array(start0, dtype=np.float64)
-    emit(0, prev)
-    if num_samples == 1:
-        return
+    yield prev
     cur = np.array(start1, dtype=np.float64)
     work = np.empty_like(cur)
     steps_done = 1
@@ -152,7 +153,39 @@ def _leapfrog(grid, q_values, start0, start1, dt, substeps, num_samples, emit):
             work += cur
             prev, cur, work = cur, work, prev
             steps_done += 1
-        emit(k, cur)
+        yield cur
+
+
+def _angle_sum_record(samples, num_samples: int, weights: np.ndarray) -> np.ndarray:
+    """The K x K record over 2n-1 samples from the n states u(m tau).
+
+    `samples` yields the (K, ...) states for m = 0 .. n-1, with u(0) = g
+    the sources. F(0) and F(tau) are the receiver products F[i, j, k] =
+    <g_j, u_i(k tau)>; since u_i(m tau) = T_{mp}(S) g_i with S
+    self-adjoint under the trapezoid `weights`, the angle-sum T_{a+b} =
+    2 T_a T_b - T_{|a-b|} gives the rest from sample m:
+
+        F(2m)   = 2 <u_j(m), u_i(m)>   - F(0)     (m >= 1)
+        F(2m-1) = 2 <u_j(m), u_i(m-1)> - F(tau)   (m >= 2)
+
+    A state is read only while it is current, so the leapfrog may
+    overwrite it afterwards.
+    """
+    states = (state.reshape(len(state), -1) for state in samples)
+    first = next(states)
+    K = len(first)
+    # W g until sample 1 is read, then W u(m-1) as sample m arrives
+    weighted = weights * first
+    values = np.empty((K, K, 2 * num_samples - 1))
+    values[:, :, 0] = first @ weighted.T
+    for m, state in enumerate(states, start=1):
+        if m == 1:
+            values[:, :, 1] = state @ weighted.T
+        else:
+            values[:, :, 2 * m - 1] = 2.0 * (weighted @ state.T) - values[:, :, 1]
+        np.multiply(weights, state, out=weighted)
+        values[:, :, 2 * m] = 2.0 * (state @ weighted.T) - values[:, :, 0]
+    return values
 
 
 def simulate_transfer(
@@ -163,44 +196,20 @@ def simulate_transfer(
 ) -> TransferData:
     """Record the full K x K transfer matrix over 2n-1 samples from n.
 
-    All sources step together through samples 0..n-1 only. F(0) and
-    F(tau) are the receiver products F[i, j, k] = <g_j, u_i(k tau)>;
-    since u_i(m tau) = T_{mp}(S) g_i with S self-adjoint under the
-    trapezoid weights, the angle-sum T_{a+b} = 2 T_a T_b - T_{|a-b|}
-    gives the rest from sample m:
-
-        F(2m)   = 2 <u_j(m), u_i(m)>   - F(0)     (m >= 1)
-        F(2m-1) = 2 <u_j(m), u_i(m-1)> - F(tau)   (m >= 2)
-
-    Every entry is tagged measured.
+    All sources step together through samples 0..n-1 only, and
+    `_angle_sum_record` gives the 2n-1 record samples from them. Every
+    entry is tagged measured.
     """
     if not (np.isfinite(potential.values).all() and (potential.values >= 0.0).all()):
         raise DomainError("simulation requires a finite, nonnegative potential")
     grid = potential.grid
     check_cfl(grid, potential.values, axis.tau, settings)
-    K = sources.count
     dt = axis.tau / settings.substeps
     g = sources.fields(grid)
-    weights = grid.node_weights.reshape(-1)
-    # W g until sample 1 is recorded, then W u(m-1) as sample m arrives
-    # (`state` itself is overwritten by later steps)
-    weighted = weights * g.reshape(K, -1)
-
-    values = np.empty((K, K, axis.total_samples))
-
-    def emit(m, state):
-        state = state.reshape(K, -1)
-        if m < 2:
-            values[:, :, m] = state @ weighted.T
-        else:
-            values[:, :, 2 * m - 1] = 2.0 * (weighted @ state.T) - values[:, :, 1]
-        if m >= 1:
-            np.multiply(weights, state, out=weighted)
-            values[:, :, 2 * m] = 2.0 * (state @ weighted.T) - values[:, :, 0]
-
     start1 = g - 0.5 * dt * dt * apply_operator(grid, potential.values, g)
-    _leapfrog(grid, potential.values, g, start1, dt, settings.substeps, axis.n, emit)
-    mask = np.full((K, K), MaskState.MEASURED, dtype=np.int8)
+    states = _leapfrog(grid, potential.values, g, start1, dt, settings.substeps, axis.n)
+    values = _angle_sum_record(states, axis.n, grid.node_weights.reshape(-1))
+    mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
     return TransferData(values, mask, axis.tau)
 
 
@@ -262,8 +271,8 @@ def simulate_background(
     built once per call, and its n samples of u0 and w0 are the inverse
     transforms Cy @ (c_k g_hat) @ Cx^T / (4 nx ny) of the mode-wise
     coefficients c_k, written into the preallocated stacks. The 2n-1
-    samples of F0_ij = <g_j, u0_i> are summed over modes with the
-    Parseval weights, one sample at a time.
+    samples of F0 come from the u0 stack by `_angle_sum_record`, as the
+    true medium's record comes from its leapfrog states.
     """
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
@@ -287,20 +296,13 @@ def simulate_background(
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     fields = np.empty((sources.count, axis.n) + grid.shape)
     antiderivatives = np.empty_like(fields)
-    spectra = np.empty((sources.count, grid.num_nodes))
     for i in range(sources.count):
         g_hat = cy @ sources.field(grid, i) @ cx.T
         fields[i] = cy @ ((cosine * g_hat) @ cx.T) / norm
         antiderivatives[i] = cy @ ((growth * g_hat) @ cx.T) / norm
-        spectra[i] = g_hat.ravel()
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
 
-    # Parseval for DCT-I under trapezoidal weights: <f, g> = sum w_ab f_ab g_ab / (4 nx ny)
-    weighted = spectra * (grid.node_weights.ravel() / (4.0 * grid.nx * grid.ny))
-    theta = theta.ravel()
-    values = np.empty((sources.count, sources.count, axis.total_samples))
-    for k in range(axis.total_samples):
-        values[:, :, k] = (weighted * np.cos(k * settings.substeps * theta)) @ spectra.T
+    values = _angle_sum_record(fields.swapaxes(0, 1), axis.n, grid.node_weights.reshape(-1))
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
     return BackgroundArtifacts(TransferData(values, mask, axis.tau), fields, antiderivatives)

@@ -45,6 +45,7 @@ def build_context(cfg, noise_level=None):
         tsvd_siso=cfg.tsvd_siso,
         tsvd_mimo=cfg.tsvd_mimo,
         tsvd_born=cfg.tsvd_born,
+        positivity=cfg.positivity,
     )
     return ctx, q_true, true_mimo
 

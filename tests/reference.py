@@ -2,9 +2,10 @@
 
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the direct
-snapshot Gram matrix, a reader for the PGM images `io.render_pgm`
-writes, the node-level support check of a true model, and the
-diagonal-only record a monostatic acquisition measures.
+snapshot Gram matrix, the internal fields u0 * T materialized as a
+stack, a reader for the PGM images `io.render_pgm` writes, the
+node-level support check of a true model, and the diagonal-only record
+a monostatic acquisition measures.
 """
 
 import numpy as np
@@ -59,6 +60,18 @@ def snapshot_gram(stack, grid):
     stacked = np.asarray(stack).transpose(1, 0, 2, 3).reshape(num_steps * K, -1)
     values = (stacked * grid.node_weights.ravel()) @ stacked.T
     return 0.5 * (values + values.T)
+
+
+def apply_transform(transform, background):
+    """The internal fields u0 * T of a (K, N, rows, cols) background stack,
+    a (K, steps, rows, cols) stack on the same grid: T is (K steps) square
+    in the source-major order of `rom.field_transform`, and N >= steps."""
+    K, num, rows, cols = background.shape
+    size = transform.shape[0]
+    steps = size // K
+    assert transform.shape == (size, size) and size == K * steps and num >= steps
+    mixed = transform.T @ np.asarray(background)[:, :steps].reshape(size, -1)
+    return mixed.reshape(K, steps, rows, cols)
 
 
 def load_pgm(path):

@@ -16,7 +16,6 @@ from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, prolong
 from lslkit.lippmann import assemble_system, solve_tsvd
 from lslkit.pipeline import PipelineContext, stages
 from lslkit.rom import (
-    apply_transform,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
@@ -24,7 +23,13 @@ from lslkit.rom import (
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 from conftest import off_diagonal_error, source_record
-from reference import diagonal_record, leapfrog_snapshots, snapshot_gram, zero_potential
+from reference import (
+    apply_transform,
+    diagonal_record,
+    leapfrog_snapshots,
+    snapshot_gram,
+    zero_potential,
+)
 
 
 def report(number: int, description: str, passed: bool, detail: str) -> None:
@@ -89,7 +94,7 @@ def test_c02_zero_potential_round_trip():
         ref = background.fields[j]
         worst_field = max(worst_field, np.abs(synthesized - ref).max() / np.abs(ref).max())
     ctx = PipelineContext(
-        grid, grid.coarsen(2), sources, axis, data, background, 1e-2, 1e-2, 1e-2
+        grid, grid.coarsen(2), sources, axis, data, background, 1e-2, 1e-2, 1e-2, False
     )
     *_, final = stages(ctx, iterations=1)
     q_norm = np.abs(np.asarray(final.potential.values)).max()
@@ -141,6 +146,7 @@ def test_c04_born_linearization_order():
         system = assemble_system(
             background.antiderivatives[:, :, ::2, ::2],
             background.fields[:, :, ::2, ::2],
+            np.eye(sources.count * axis.n),
             data,
             background.data,
             inv_grid,

@@ -71,21 +71,33 @@ class TestSurface:
         mimo = load_transfer(out / "mimo.lslt")
         assert mimo.is_full
 
-    def test_full_chain_matches_pipeline_bitwise(self, tmp_path, config_path):
+    @pytest.mark.parametrize("flags", [(), ("--positivity",)], ids=["plain", "positivity"])
+    def test_full_chain_matches_pipeline_bitwise(self, tmp_path, config_path, capsys, flags):
+        # --positivity clamps each estimate where it is made, so the chain's
+        # lift reads the same clamped q_siso that `pipeline` lifts from, and
+        # the printed rel_l2 is that of the written q_final
         pipe_dir = tmp_path / "pipe"
         assert run("pipeline", "--config", config_path, "--iterations", 1,
-                   "--out", pipe_dir) == 0
+                   "--out", pipe_dir, *flags) == 0
+        stage_line = capsys.readouterr().out.splitlines()[-2]
         chain_dir = tmp_path / "chain"
         assert run("simulate", "--config", config_path, "--out", chain_dir) == 0
         assert run("invert", "--method", "lsl", "--config", config_path,
-                   "--out", chain_dir) == 0
+                   "--out", chain_dir, *flags) == 0
         assert run("lift", "--config", config_path, "--out", chain_dir) == 0
         assert run("invert", "--method", "lsl", "--config", config_path,
-                   "--out", chain_dir, "--data", chain_dir / "lifted.lslt") == 0
+                   "--out", chain_dir, "--data", chain_dir / "lifted.lslt", *flags) == 0
+        assert (chain_dir / "lifted.lslt").read_bytes() == (pipe_dir / "lifted.lslt").read_bytes()
         final = (pipe_dir / "q_final.lslf").read_bytes()
         chained = (chain_dir / "q_mimo.lslf").read_bytes()
         assert final == chained
         assert not [p for p in pipe_dir.iterdir() if p.is_dir()]
+        capsys.readouterr()
+        assert run("compare", "--config", config_path, "--truth", pipe_dir / "q_true.lslf",
+                   "--in", pipe_dir / "q_final.lslf") == 0
+        compared = capsys.readouterr().out.splitlines()[0]
+        printed = dict(token.split("=") for token in stage_line.split())
+        assert compared == f"global_rel_l2={printed['rel_l2']}"
 
     def test_second_round_chain_matches_pipeline_bitwise(self, tmp_path, config_path, capsys):
         pipe_dir = tmp_path / "pipe"

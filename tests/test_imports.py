@@ -30,7 +30,7 @@ PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 #: public names no code in the package reads, each kept for a reason
 UNREAD_ALLOWED = {
     "bundled_config_path": "README's entry point to the shipped configs",
-    "TransferData.reciprocity_defect": "the per-stage trace reports it for lifted data",
+    "TransferData.reciprocity_defect": "the tests' reciprocity check; no stage reports it yet",
 }
 
 

@@ -22,9 +22,9 @@ from lslkit.lippmann import (
     residual_norm,
     solve_tsvd,
 )
-from lslkit.rom import OrthogonalizedBasis, apply_transform, field_transform
+from lslkit.rom import OrthogonalizedBasis, field_transform
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
-from reference import diagonal_record, leapfrog_snapshots, zero_potential
+from reference import apply_transform, diagonal_record, leapfrog_snapshots, zero_potential
 
 
 def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=True):
@@ -53,6 +53,20 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
 def on_inversion_grid(bg):
     """The w0 and u0 stacks injected onto `wave_setup`'s inversion grid."""
     return bg.antiderivatives[:, :, ::2, ::2], bg.fields[:, :, ::2, ::2]
+
+
+def born_inputs(bg):
+    """The injected w0 and u0 stacks and T = I: the Born system's inputs."""
+    K, n = bg.fields.shape[:2]
+    return (*on_inversion_grid(bg), np.eye(K * n))
+
+
+def random_basis(rng, block_size, steps):
+    """A well-conditioned random upper-triangular factor."""
+    m = block_size * steps
+    upper = np.triu(rng.standard_normal((m, m)), 1) * (0.3 / np.sqrt(m))
+    upper += np.diag(rng.uniform(0.5, 1.5, m))
+    return OrthogonalizedBasis(upper, block_size, steps)
 
 
 def assert_per_pair_lift(lifted, fields, kernels, q_est, data0, grid):
@@ -122,7 +136,7 @@ class TestAssemble:
     def test_zero_potential_zero_rhs(self):
         grid, inv_grid, _, sources, axis, settings, _, bg = wave_setup(amp=0.0)
         system = assemble_system(
-            *on_inversion_grid(bg), bg.data, bg.data, inv_grid, 1e-2
+            *born_inputs(bg), bg.data, bg.data, inv_grid, 1e-2
         )
         assert np.all(system.rhs == 0.0)
         q = solve_tsvd(system)
@@ -131,7 +145,7 @@ class TestAssemble:
     def test_row_layout_drops_k0(self):
         grid, inv_grid, _, sources, axis, settings, data, bg = wave_setup(n=10)
         system = assemble_system(
-            *on_inversion_grid(bg), data, bg.data, inv_grid, 1e-2
+            *born_inputs(bg), data, bg.data, inv_grid, 1e-2
         )
         K, n = sources.count, axis.n
         assert system.matrix.shape == (K * (n - 1), inv_grid.num_nodes)
@@ -143,7 +157,7 @@ class TestAssemble:
         )
         with pytest.raises(PreconditionError):
             assemble_system(
-                *on_inversion_grid(bg), broken, bg.data, inv_grid, 1e-2
+                *born_inputs(bg), broken, bg.data, inv_grid, 1e-2
             )
 
     def test_time_axis_mismatch(self):
@@ -151,13 +165,13 @@ class TestAssemble:
         shifted = TransferData(data.values, data.mask, data.tau * 2.0)
         with pytest.raises(DimensionError):
             assemble_system(
-                *on_inversion_grid(bg), shifted, bg.data, inv_grid, 1e-2
+                *born_inputs(bg), shifted, bg.data, inv_grid, 1e-2
             )
         # stacks must already live on the inversion grid
-        w0, fields = on_inversion_grid(bg)
+        w0, fields, identity = born_inputs(bg)
         for stacks in ((bg.antiderivatives, fields), (w0, bg.fields)):
             with pytest.raises(DimensionError, match="stack has shape"):
-                assemble_system(*stacks, data, bg.data, inv_grid, 1e-2)
+                assemble_system(*stacks, identity, data, bg.data, inv_grid, 1e-2)
 
     def test_nan_sample_interval_rejected(self):
         # NaN compares false both ways, so the check must not pass it
@@ -167,7 +181,7 @@ class TestAssemble:
         for measured, data0 in ((nan_data, bg.data), (data, nan_data0)):
             with pytest.raises(DimensionError, match="sample intervals differ"):
                 assemble_system(
-                    *on_inversion_grid(bg), measured, data0, inv_grid, 1e-2
+                    *born_inputs(bg), measured, data0, inv_grid, 1e-2
                 )
 
     def test_born_error_decreases_with_amplitude(self):
@@ -175,12 +189,76 @@ class TestAssemble:
         for amp in (0.04, 0.02, 0.01):
             grid, inv_grid, potential, _, axis, _, data, bg = wave_setup(K=6, n=24, amp=amp)
             system = assemble_system(
-                *on_inversion_grid(bg), data, bg.data, inv_grid, 1e-2
+                *born_inputs(bg), data, bg.data, inv_grid, 1e-2
             )
             q_hat = solve_tsvd(system)
             truth = restrict(potential.values, grid, inv_grid)
             errors[amp] = np.linalg.norm(q_hat.values - truth) / np.linalg.norm(truth)
         assert errors[0.01] < errors[0.02] < errors[0.04]
+
+    @pytest.mark.parametrize("kind", ["siso", "dense", "identity"])
+    def test_mixing_matches_materialized_fields(self, kind):
+        # assembly mixes u0 by T source by source; the reference
+        # materializes the whole field stack u0 * T and builds each
+        # source's rows from it. Random stacks break the symmetry that
+        # could hide a transposed T or a wrong column block
+        _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
+        K, n = sources.count, axis.n
+        rng = np.random.default_rng(13)
+        shape = (K, n) + inv_grid.shape
+        w0, u0 = rng.standard_normal(shape), rng.standard_normal(shape)
+        if kind == "siso":  # one scalar ROM per source: block diagonal
+            steps = n
+            transform = np.zeros((K * n, K * n))
+            for j in range(K):
+                block = slice(j * n, (j + 1) * n)
+                transform[block, block] = field_transform(
+                    random_basis(rng, 1, n), random_basis(rng, 1, n)
+                )
+        elif kind == "dense":  # mixes sources, and takes fewer samples than the stacks hold
+            steps = 13
+            transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
+        else:
+            steps = n
+            transform = np.eye(K * n)
+        system = assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
+
+        weights = inv_grid.node_weights.ravel()
+
+        def rows(fields):
+            return np.vstack([
+                convolution_rows(
+                    w0[j, :steps].reshape(steps, -1),
+                    fields[j, :steps].reshape(steps, -1),
+                    weights,
+                    data.tau,
+                    steps,
+                )[1:]
+                for j in range(K)
+            ])
+
+        reference = rows(apply_transform(transform, u0))
+        assert system.matrix.shape == reference.shape == (K * (steps - 1), inv_grid.num_nodes)
+        assert np.abs(system.matrix - reference).max() <= 1e-12 * np.abs(reference).max()
+        rhs = [bg.data.values[j, j, 1:steps] - data.values[j, j, 1:steps] for j in range(K)]
+        assert np.array_equal(system.rhs, np.concatenate(rhs))
+        if kind == "identity":  # u0 I is u0 exactly
+            assert np.array_equal(system.matrix, rows(u0))
+
+    def test_transform_must_fit_background(self):
+        # T must be square, split over the K sources and take no more
+        # samples than the stacks hold; stacks on the wrong grid are
+        # refused in test_time_axis_mismatch
+        _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
+        w0, u0, _ = born_inputs(bg)
+        K, n = sources.count, axis.n
+        for transform, message in (
+            (np.ones((K * n, K * n - 1)), "does not fit"),
+            (np.eye(K * n + 1), "does not fit"),
+            (np.eye(K * (n + 1)), "transform samples"),
+        ):
+            with pytest.raises(DimensionError, match=message):
+                assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
 
 
 class TestSolveTsvd:
@@ -230,7 +308,7 @@ class TestSolveTsvd:
         # rhs, so a random rhs stands in for it.
         _, inv_grid, _, _, _, _, data, bg = wave_setup()
         matrix = assemble_system(
-            *on_inversion_grid(bg), data, bg.data, inv_grid, 0.03
+            *born_inputs(bg), data, bg.data, inv_grid, 0.03
         ).matrix
         assert matrix.shape[0] < matrix.shape[1]
         rhs = np.random.default_rng(6).standard_normal(matrix.shape[0])
@@ -299,23 +377,16 @@ class TestForwardLift:
         rng = np.random.default_rng(11)
         shape = (K, steps) + grid.shape
         background, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
-
-        def random_basis(block_size):
-            m = block_size * steps
-            upper = np.triu(rng.standard_normal((m, m)), 1) * (0.3 / np.sqrt(m))
-            upper += np.diag(rng.uniform(0.5, 1.5, m))
-            return OrthogonalizedBasis(upper, block_size, steps)
-
         if kind == "siso":
             transform = np.zeros((K * steps, K * steps))
             fields = np.empty(shape)
             for j in range(K):
-                basis, basis0 = random_basis(1), random_basis(1)
+                basis, basis0 = random_basis(rng, 1, steps), random_basis(rng, 1, steps)
                 block = slice(j * steps, (j + 1) * steps)
                 transform[block, block] = field_transform(basis, basis0)
                 fields[j] = apply_transform(transform[block, block], background[j : j + 1])[0]
         elif kind == "block":
-            basis, basis0 = random_basis(K), random_basis(K)
+            basis, basis0 = random_basis(rng, K, steps), random_basis(rng, K, steps)
             transform = field_transform(basis, basis0)
             fields = apply_transform(transform, background)
         else:
@@ -369,11 +440,11 @@ class TestForwardLift:
         # identical inputs: assembled row dotted with q equals the lift residual
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=12)
         fields = bg.fields
+        identity = np.eye(sources.count * axis.n)
         system = assemble_system(
-            bg.antiderivatives, fields, data, bg.data, grid, 1e-2
+            bg.antiderivatives, fields, identity, data, bg.data, grid, 1e-2
         )  # inversion grid = field grid here
         q_vals = potential.values
-        identity = np.eye(sources.count * axis.n)
         lifted = forward_lift(
             fields, identity, potential, bg.antiderivatives, bg.data, data, grid
         )

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,20 +7,18 @@ import pytest
 import lslkit as lk
 from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
 from lslkit.errors import IterationBudgetError
-from lslkit.lippmann import assemble_system, solve_tsvd
+from lslkit.lippmann import assemble_system, convolution_rows, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
     PipelineContext,
     Region,
     internal_transform,
-    inversion_fields,
     metrics,
     run_lift_step,
     run_lsl_step,
     stages,
 )
 from lslkit.rom import (
-    apply_transform,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
@@ -28,7 +27,7 @@ from lslkit.rom import (
 )
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 from conftest import source_record
-from reference import diagonal_record, zero_potential
+from reference import apply_transform, diagonal_record, zero_potential
 
 
 def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
@@ -44,7 +43,7 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     settings = SolverSettings(substeps=4)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, 1e-2, 1e-2)
+    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, 1e-2, 1e-2, False)
     return ctx, potential
 
 
@@ -83,14 +82,32 @@ class TestSchedule:
 
 class TestInternalFields:
     @staticmethod
-    def assert_restricted(ctx, fields, reference):
+    def assert_restricted(ctx, transform, reference):
+        """The system assembled from the injected background and T, as
+        `run_lsl_step` assembles it, against the rows of the fine
+        reference fields injected onto the inversion grid."""
         ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
-        for got, ref in zip(fields, reference, strict=True):
-            assert got.shape[1:] == ctx.inv_grid.shape
-            fine = ref[:, ::ratio, ::ratio]
-            assert np.abs(got - fine).max() <= 1e-13 * np.abs(fine).max()
+        w0 = ctx.background.antiderivatives[:, :, ::ratio, ::ratio]
+        u0 = ctx.background.fields[:, :, ::ratio, ::ratio]
+        system = assemble_system(
+            w0, u0, transform, ctx.measured, ctx.background.data, ctx.inv_grid, 1e-2
+        )
+        steps = len(reference[0])
+        rows = np.vstack([
+            convolution_rows(
+                w0[j, :steps].reshape(steps, -1),
+                ref[:, ::ratio, ::ratio].reshape(steps, -1),
+                ctx.inv_grid.node_weights.ravel(),
+                ctx.axis.tau,
+                steps,
+            )[1:]
+            for j, ref in enumerate(reference)
+        ])
+        assert len(reference) == ctx.sources.count
+        assert np.abs(system.matrix - rows).max() <= 1e-13 * np.abs(rows).max()
+        return steps
 
-    def test_inversion_fields_are_restricted_reference(self):
+    def test_assembly_mixes_restricted_reference(self):
         # u0 * T mixed on the inversion grid equals u0 * T materialized
         # on the fine grid and injected onto that grid
         ctx, _ = tiny_context()
@@ -104,8 +121,7 @@ class TestInternalFields:
             )
             transform = field_transform(basis, basis0)
             reference.append(apply_transform(transform, ctx.background.fields[j : j + 1])[0])
-        fields = inversion_fields(ctx, internal_transform(ctx, ctx.measured))
-        self.assert_restricted(ctx, fields, reference)
+        self.assert_restricted(ctx, internal_transform(ctx, ctx.measured), reference)
 
         siso = run_lsl_step(ctx, ctx.measured)
         lifted = run_lift_step(ctx, siso.potential, siso.transform)
@@ -116,9 +132,8 @@ class TestInternalFields:
             block_mass_from_data(TransferData(bg.values[:, :, :record], bg.mask, bg.tau))
         )
         reference = apply_transform(field_transform(basis, basis0), ctx.background.fields)
-        fields = inversion_fields(ctx, internal_transform(ctx, lifted))
-        assert fields.shape[1] == halved_length(record)
-        self.assert_restricted(ctx, fields, reference)
+        steps = self.assert_restricted(ctx, internal_transform(ctx, lifted), reference)
+        assert steps == halved_length(record)
 
     def test_diagonal_record_transform_is_block_diagonal(self):
         # one n x n block per source; every block between two sources is exactly zero
@@ -177,7 +192,8 @@ class TestStages:
         *_, final = stages(ctx, iterations=1)
         system = assemble_system(
             ctx.background.antiderivatives[:, :, ::2, ::2],
-            inversion_fields(ctx, final.transform),
+            ctx.background.fields[:, :, ::2, ::2],
+            final.transform,
             ctx.measured,
             ctx.background.data,
             ctx.inv_grid,
@@ -196,13 +212,52 @@ class TestStages:
             threshold = ctx.tsvd_mimo if record.round else ctx.tsvd_siso
             system = assemble_system(
                 ctx.background.antiderivatives[:, :, ::2, ::2],
-                inversion_fields(ctx, record.transform),
+                ctx.background.fields[:, :, ::2, ::2],
+                record.transform,
                 ctx.measured,
                 ctx.background.data,
                 ctx.inv_grid,
                 threshold,
             )
             assert np.array_equal(solve_tsvd(system).values, record.potential.values)
+
+    def test_positivity_clamps_each_estimate_before_its_residual(self):
+        # the clamped estimate is the one a stage reports, fits and lifts from
+        ctx, _ = tiny_context()
+        plain = list(stages(ctx, iterations=1))
+        clamped = list(stages(replace(ctx, positivity=True), iterations=1))
+        siso = clamped[0]
+        assert plain[0].potential.values.min() < 0.0
+        assert np.array_equal(siso.potential.values, np.maximum(plain[0].potential.values, 0.0))
+        system = assemble_system(
+            ctx.background.antiderivatives[:, :, ::2, ::2],
+            ctx.background.fields[:, :, ::2, ::2],
+            siso.transform,
+            ctx.measured,
+            ctx.background.data,
+            ctx.inv_grid,
+            ctx.tsvd_siso,
+        )
+        assert siso.residual == residual_norm(system, siso.potential)
+        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        assert np.array_equal(clamped[1].data.values, lifted.values)
+        assert clamped[1].potential.values.min() >= 0.0
+
+    def test_lsl_step_holds_no_field_stack(self, two_target_run):
+        # S is one (K, n) stack on the inversion grid. The SISO step holds
+        # the copy of the injected u0 it mixes from, the system (K (n-1)
+        # rows), the dense SISO T and per-source temporaries; a mixed
+        # (K, n) field stack or a stacked copy of the system would each
+        # add about S more
+        ctx = two_target_run.ctx
+        stack = ctx.sources.count * ctx.axis.n * ctx.inv_grid.num_nodes * 8
+        tracemalloc.start()
+        try:
+            run_lsl_step(ctx, ctx.measured)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * stack, f"traced peak {peak / stack:.2f} S"
 
     def test_mimo_with_true_data_beats_siso(self, two_target_run):
         # controlled comparison: completed step fed the exact record

