@@ -45,8 +45,6 @@ from .pipeline import (
     stages,
 )
 from .rom import (
-    MassMatrix,
-    OrthogonalizedBasis,
     block_mass_from_data,
     cholesky_upper,
     field_transform,
@@ -96,8 +94,6 @@ __all__ = [
     "run_lift_step",
     "run_lsl_step",
     "stages",
-    "MassMatrix",
-    "OrthogonalizedBasis",
     "block_mass_from_data",
     "cholesky_upper",
     "field_transform",

@@ -215,9 +215,10 @@ def forward_lift(
     u0 * T with T = `transform` in the source-major order of
     `rom.field_transform`, (K steps) square. Evaluates the forward
     integral on `grid` (the estimate is prolonged there if it lives on a
-    coarser nested grid) for every pair i != j; diagonals are copied
-    verbatim from the measured record. The output holds the `steps`
-    samples of T's fields.
+    coarser nested grid) for every pair i != j and writes the reciprocal
+    mean of the (i, j) and (j, i) entries, so the record is exactly
+    symmetric; diagonals are copied verbatim from the measured record.
+    The output holds the `steps` samples of T's fields.
 
     One matrix product, accumulated over node blocks, gives the space
     integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
@@ -263,6 +264,8 @@ def forward_lift(
     integral[:, :, 0] = 0.0
 
     values = data0.values[:, :, :steps] - tau * integral.transpose(1, 0, 2)
+    # the reciprocal mean: the ROM reads only 0.5 (F + F^T) of this record
+    values = 0.5 * (values + values.transpose(1, 0, 2))
     diagonal = np.eye(K, dtype=bool)
     values[diagonal] = measured.values[diagonal, :steps]
     return TransferData(values, np.where(diagonal, MaskState.MEASURED, MaskState.LIFTED), tau)

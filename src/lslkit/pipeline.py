@@ -100,9 +100,10 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     source's 1 x 1 record over 2n-1 samples, so T is block diagonal with
     one n x n block per source. A full record of N <= 2n-1 samples gets
     the block ROM over all N, leaving floor((N-1)/2) + 1 samples per
-    field. Every mass matrix is passed through `regularize_spd` before
-    it is factored. A record that does not fit the context raises
-    DimensionError naming the config key.
+    field. The ROM works on plain arrays: every mass matrix is passed
+    through `regularize_spd`, which returns (matrix, record), and its
+    matrix is factored; no stage keeps the record yet. A record that
+    does not fit the context raises DimensionError naming the config key.
     """
     n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
     if data.num_sources != K:
@@ -137,9 +138,9 @@ def _source(data: TransferData, j: int) -> TransferData:
 def _rom_transform(data: TransferData, data0: TransferData, length: int) -> np.ndarray:
     """T of the block ROM of `data` against the background record `data0`
     over the same sources and their first `length` samples."""
-    basis = _factor(block_mass_from_data(data, length))
-    basis0 = _factor(block_mass_from_data(data0, length))
-    return field_transform(basis, basis0)
+    upper = _factor(block_mass_from_data(data, length))
+    upper0 = _factor(block_mass_from_data(data0, length))
+    return field_transform(upper, upper0, data.num_sources)
 
 
 def _round(ctx: PipelineContext, data: TransferData) -> int:
@@ -156,8 +157,9 @@ def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
     return stack[:, :, ::ratio, ::ratio]
 
 
-def _factor(mass):
-    return cholesky_upper(regularize_spd(mass))
+def _factor(mass: np.ndarray) -> np.ndarray:
+    matrix, _record = regularize_spd(mass)
+    return cholesky_upper(matrix)
 
 
 def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):

@@ -20,11 +20,16 @@ stack of u is ever materialized.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
+
+The ROM works on plain arrays: a mass matrix and its factor are square
+float64 ndarrays, and only `regularize_spd` returns more, the pair
+(matrix, RegularizationRecord).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,42 +52,11 @@ class RegularizationRecord:
     lambda_max_pos: float
 
 
-@dataclass(frozen=True)
-class MassMatrix:
-    """Symmetric snapshot Gram matrix, scalar (block_size=1) or block."""
-
-    values: np.ndarray
-    block_size: int
-    num_steps: int
-    regularization: RegularizationRecord | None = None
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, order="C", copy=True)
-        m = self.block_size * self.num_steps
-        if values.shape != (m, m):
-            raise DimensionError(
-                f"mass matrix shape {values.shape} does not match "
-                f"{self.num_steps} steps of block size {self.block_size}"
-            )
-        # eigh passes NaN through silently and Cholesky would return a NaN factor
-        if not np.isfinite(values).all():
-            raise DegenerateDataError("mass matrix contains non-finite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class OrthogonalizedBasis:
-    """Upper-triangular factor U with U^T U equal to the mass matrix."""
+class Regularized(NamedTuple):
+    """`regularize_spd`'s result: the SPD matrix and how it was made."""
 
     matrix: np.ndarray
-    block_size: int
-    num_steps: int
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64, order="C", copy=True)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+    regularization: RegularizationRecord
 
 
 def halved_length(n: int) -> int:
@@ -90,7 +64,7 @@ def halved_length(n: int) -> int:
     return (n - 1) // 2 + 1
 
 
-def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix:
+def block_mass_from_data(data: TransferData, n: int | None = None) -> np.ndarray:
     """Block mass matrix of a full transfer record over its first n samples.
 
     Blocks (k, l) for k, l < `halved_length(n)` are the symmetrized
@@ -108,18 +82,26 @@ def block_mass_from_data(data: TransferData, n: int | None = None) -> MassMatrix
     sym = 0.5 * (data.values[:, :, :n] + data.values[:, :, :n].transpose(1, 0, 2))
     k = np.arange(nb)
     blocks = 0.5 * (sym[:, :, np.abs(k[:, None] - k)] + sym[:, :, k[:, None] + k])
-    values = blocks.transpose(2, 0, 3, 1).reshape(nb * K, nb * K)
-    return MassMatrix(values, block_size=K, num_steps=nb)
+    return blocks.transpose(2, 0, 3, 1).reshape(nb * K, nb * K)
 
 
-def regularize_spd(mass: MassMatrix) -> MassMatrix:
+def _require_finite(matrix: np.ndarray) -> None:
+    # eigh passes NaN through silently and Cholesky would return a NaN factor
+    if not np.isfinite(matrix).all():
+        raise DegenerateDataError("mass matrix contains non-finite entries")
+
+
+def regularize_spd(mass: np.ndarray) -> Regularized:
     """Raise every eigenvalue below eps0 to eps0.
 
     eps0 = sqrt(1e-12 * lambda_max+ * lambda_min+) computed from the
     positive spectrum of the symmetrized matrix. If nothing lies below
-    eps0 the symmetrized matrix is returned unchanged.
+    eps0 the symmetrized matrix is returned unchanged. Non-finite entries
+    in the input or the result (an eigen-lift that overflows) raise
+    DegenerateDataError.
     """
-    sym = 0.5 * (mass.values + mass.values.T)
+    _require_finite(mass)
+    sym = 0.5 * (mass + mass.T)
     lam, vec = np.linalg.eigh(sym)
     positive = lam[lam > 0.0]
     if positive.size == 0:
@@ -131,11 +113,12 @@ def regularize_spd(mass: MassMatrix) -> MassMatrix:
     if clipped.any():
         lifted = (vec * np.maximum(lam, eps0)) @ vec.T
         sym = 0.5 * (lifted + lifted.T)
+    _require_finite(sym)
     record = RegularizationRecord(bool(clipped.any()), eps0, lam_min, lam_max)
-    return MassMatrix(sym, mass.block_size, mass.num_steps, record)
+    return Regularized(sym, record)
 
 
-def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
+def cholesky_upper(mass: np.ndarray) -> np.ndarray:
     """Upper-triangular U with U^T U = M.
 
     For block mass matrices the scalar factorization of the full matrix
@@ -145,31 +128,29 @@ def cholesky_upper(mass: MassMatrix) -> OrthogonalizedBasis:
     """
     try:
         # the transposed lower factor: numpy's `upper=` needs numpy >= 2.0
-        upper = np.linalg.cholesky(mass.values).T
+        return np.linalg.cholesky(mass).T
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"mass matrix is not numerically positive definite ({exc}); "
             "apply regularize_spd first"
         ) from exc
-    return OrthogonalizedBasis(upper, mass.block_size, mass.num_steps)
 
 
-def field_transform(basis: OrthogonalizedBasis, basis0: OrthogonalizedBasis) -> np.ndarray:
+def field_transform(upper: np.ndarray, upper0: np.ndarray, K: int) -> np.ndarray:
     """T = inv(U0) * U, the map from background to data-generated snapshots.
 
-    The factors are time-major, like their mass matrices; T comes out
-    source-major, the order of a (K, N, ...) stack: with S = num_steps,
-    T has side K S, and field i at sample b is sum over (l, a) of
+    The factors of a K-source record are time-major, like their mass
+    matrices; T comes out source-major, the order of a (K, N, ...) stack:
+    with S = side / K, field i at sample b is sum over (l, a) of
     T[l S + a, i S + b] u0_l(a tau). Identical factors give the identity.
     """
-    size = basis.matrix.shape[0]
-    if basis0.matrix.shape[0] != size or basis.block_size != basis0.block_size:
+    size = upper.shape[0]
+    if upper0.shape != upper.shape or size % K:
         raise DimensionError(
-            f"factor shapes differ: {size}/{basis.block_size} vs "
-            f"{basis0.matrix.shape[0]}/{basis0.block_size}"
+            f"factor shapes differ: {upper.shape} vs {upper0.shape} of {K} sources"
         )
     # partial pivoting makes no row swaps on the upper-triangular U0
-    transform = np.linalg.solve(basis0.matrix, basis.matrix)
+    transform = np.linalg.solve(upper0, upper)
     # source-major position l S + a holds time-major index a K + l
-    order = np.arange(size).reshape(basis.num_steps, basis.block_size).T.ravel()
+    order = np.arange(size).reshape(size // K, K).T.ravel()
     return transform[np.ix_(order, order)]

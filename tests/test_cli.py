@@ -265,6 +265,20 @@ class TestExitCodes:
         (out / "inf.lslf").write_bytes(bytes(blob))
         assert run("lift", "--config", config_path, "--q", out / "inf.lslf") == 4
 
+    @pytest.mark.parametrize("level", [1e308, 1e200])
+    def test_overflowing_record(self, tmp_path, config_path, capsys, level):
+        # finite samples whose mass matrix is not: 1e308 overflows in the
+        # angle-sum Gram, 1e200 in the eigen-lift of the SPD regularization
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        values = np.zeros_like(siso.values)
+        values[np.eye(3, dtype=bool)] = level
+        save_transfer(out / "huge.lslt", TransferData(values, siso.mask, siso.tau))
+        assert run("invert", "--method", "lsl", "--config", config_path,
+                   "--data", out / "huge.lslt") == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_malformed_header_floats(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0

@@ -112,14 +112,14 @@ class TestInternalFields:
         # on the fine grid and injected onto that grid
         ctx, _ = tiny_context()
         K, length = ctx.sources.count, ctx.axis.total_samples
-        factor = lambda mass: cholesky_upper(regularize_spd(mass))
+        factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
         reference = []
         for j in range(K):
             basis, basis0 = (
                 factor(block_mass_from_data(source_record(d, j), length))
                 for d in (ctx.measured, ctx.background.data)
             )
-            transform = field_transform(basis, basis0)
+            transform = field_transform(basis, basis0, 1)
             reference.append(apply_transform(transform, ctx.background.fields[j : j + 1])[0])
         self.assert_restricted(ctx, internal_transform(ctx, ctx.measured), reference)
 
@@ -131,7 +131,7 @@ class TestInternalFields:
         basis0 = factor(
             block_mass_from_data(TransferData(bg.values[:, :, :record], bg.mask, bg.tau))
         )
-        reference = apply_transform(field_transform(basis, basis0), ctx.background.fields)
+        reference = apply_transform(field_transform(basis, basis0, K), ctx.background.fields)
         steps = self.assert_restricted(ctx, internal_transform(ctx, lifted), reference)
         assert steps == halved_length(record)
 
