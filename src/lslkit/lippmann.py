@@ -13,11 +13,16 @@ series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
 u = u0 * T (`rom.field_transform`) gives the sharper variant. Both
 directions take the same inputs: the background stacks u0 and w0, each
-(K, N, ny+1, nx+1) and passed with the grid they live on, and T, with
-T = I for Born. Assembly mixes u0 by T one source at a time while it
-writes that source's rows; the lift applies T to the Gram matrix of the
-background. No (K, N, ...) stack of internal fields exists on either
-grid.
+(K, N, ny+1, nx+1) and passed with the grid they live on, and T.
+
+T has one layout: a (B, G N, G N) stack of the diagonal blocks of a
+block-diagonal source-major matrix, block g mixing the G = K / B
+sources g G .. (g+1) G - 1 among themselves. The per-source ROM gives
+B = K, the ROM of a full record B = 1, and Born K identity blocks.
+Assembly mixes u0 by block g's columns one source at a time while it
+writes that source's rows; the lift applies the blocks to the Gram
+matrix of the background. No (K, N, ...) stack of internal fields
+exists on either grid.
 """
 
 from __future__ import annotations
@@ -109,11 +114,13 @@ def _check_time_axes(tau: float, other: float) -> None:
 
 
 def _transform_steps(transform: np.ndarray, K: int, available: int) -> int:
-    """Samples per field of a source-major T over K sources, at most `available`."""
-    size = transform.shape[0]
-    if transform.shape != (size, size) or size % K:
+    """Samples per field of a (B, G N, G N) block stack T over K = B G
+    sources, at most `available`."""
+    blocks, side = len(transform), transform.shape[-1]
+    square = transform.shape == (blocks, side, side)
+    if not square or not blocks or K % blocks or side % (K // blocks):
         raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
-    steps = size // K
+    steps = side * blocks // K
     if available < steps:
         raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
     return steps
@@ -131,12 +138,13 @@ def assemble_system(
     """Rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
     `w0` and `u0` are background (K, N', ny+1, nx+1) stacks on
-    `inv_grid`, and the internal fields are u0 * T with T = `transform`
-    in the source-major order of `rom.field_transform`, N = side / K
-    samples each; T = I gives the Born system. Source j's field is
-    mixed, T[:, jN:(j+1)N]^T times u0, while its rows are written into
-    the preallocated matrix. The right-hand side uses measured diagonal
-    data only.
+    `inv_grid`, and the internal fields are u0 * T with T = `transform`,
+    a (B, G N, G N) stack of diagonal blocks in the source-major order
+    of `rom.field_transform`, N samples each; identity blocks give the
+    Born system. Source j = g G + i is mixed from its block's G sources
+    alone, T[g][:, iN:(i+1)N]^T times u0[gG:(g+1)G], while its rows are
+    written into the preallocated matrix. The right-hand side uses
+    measured diagonal data only.
     """
     w0 = check_stack(inv_grid, w0, "antiderivative")
     u0 = check_stack(inv_grid, u0, "field")
@@ -148,15 +156,19 @@ def assemble_system(
     _check_time_axes(tau, data0.tau)
     available = min(u0.shape[1], w0.shape[1], data.num_samples, data0.num_samples)
     num = _transform_steps(transform, K, available)
+    group = K // len(transform)
     weights = inv_grid.node_weights.ravel()
-    u0_flat = u0[:, :num].reshape(K * num, -1)
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
     rhs = np.empty(K * (num - 1))
-    for j in range(K):
-        rows = slice(j * (num - 1), (j + 1) * (num - 1))
-        field = transform[:, j * num : (j + 1) * num].T @ u0_flat
-        matrix[rows] = convolution_rows(w0[j, :num].reshape(num, -1), field, weights, tau, num)[1:]
-        rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
+    for g, block in enumerate(transform):
+        u0_flat = u0[g * group : (g + 1) * group, :num].reshape(group * num, -1)
+        for i in range(group):
+            j = g * group + i
+            rows = slice(j * (num - 1), (j + 1) * (num - 1))
+            field = block[:, i * num : (i + 1) * num].T @ u0_flat
+            kernel = w0[j, :num].reshape(num, -1)
+            matrix[rows] = convolution_rows(kernel, field, weights, tau, num)[1:]
+            rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
 
@@ -212,21 +224,23 @@ def forward_lift(
 
     `fields` is the background stack u0 and `w0` its antiderivative
     stack, both (K, N, ny+1, nx+1) on `grid`; the internal fields are
-    u0 * T with T = `transform` in the source-major order of
-    `rom.field_transform`, (K steps) square. Evaluates the forward
-    integral on `grid` (the estimate is prolonged there if it lives on a
-    coarser nested grid) for every pair i != j and writes the reciprocal
-    mean of the (i, j) and (j, i) entries, so the record is exactly
-    symmetric; diagonals are copied verbatim from the measured record.
-    The output holds the `steps` samples of T's fields.
+    u0 * T with T = `transform`, a (B, G steps, G steps) stack of
+    diagonal blocks in the source-major order of `rom.field_transform`.
+    Evaluates the forward integral on `grid` (the estimate is prolonged
+    there if it lives on a coarser nested grid) for every pair i != j
+    and writes the reciprocal mean of the (i, j) and (j, i) entries, so
+    the record is exactly symmetric; diagonals are copied verbatim from
+    the measured record. The output holds the `steps` samples of T's
+    fields.
 
     One matrix product, accumulated over node blocks, gives the space
     integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
     weight[c] q[c] u0_l(a' tau)[c] over all `steps` samples a'; then
-    C = C0 T holds those of the internal fields, C[j, a, i, b] = sum_c
-    w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c]. Entry (i, j) at time
-    k tau subtracts tau times the trapezoid sum of C over a + b = k, the
-    quadrature of `convolution_rows`.
+    C = C0 blockdiag(T), one batched product of each block with its G
+    sources' columns of C0, holds those of the internal fields,
+    C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c].
+    Entry (i, j) at time k tau subtracts tau times the trapezoid sum of
+    C over a + b = k, the quadrature of `convolution_rows`.
     """
     fields = check_stack(grid, fields, "field")
     w0 = check_stack(grid, w0, "antiderivative")
@@ -254,7 +268,10 @@ def forward_lift(
         block = slice(start, start + LIFT_CHUNK_NODES)
         w = (w0_flat[..., block] * weighted_q[block]).reshape(size, -1)
         gram0 += w @ u0_flat[..., block].reshape(size, -1).T
-    gram = (gram0 @ transform).reshape(K, steps, K, steps)
+    # block b's columns of C0 times T[b], written into C's same columns
+    columns = lambda gram: gram.reshape(size, len(transform), -1).transpose(1, 0, 2)
+    gram = np.empty((K, steps, K, steps))
+    np.matmul(columns(gram0), transform, out=columns(gram))
     # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
     gram[:, 0] *= 0.5
     gram[..., 0] *= 0.5

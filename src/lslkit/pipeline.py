@@ -15,8 +15,9 @@ mass matrix then halves it to floor((N-1)/2) + 1.
 
 A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
-source-major order of the (K, N, ...) background stacks; the Born
-inversion is T = I. Assembly and the lift both take the background
+source-major order of the (K, N, ...) background stacks, as the stack
+of its diagonal blocks that `lippmann` describes; the Born inversion is
+K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly gets them injected onto the inversion grid as
 `[:, :, ::r, ::r]` views (injection commutes with T), the lift gets the
 fine stacks, which are never copied.
@@ -70,7 +71,8 @@ class PipelineContext:
 @dataclass(frozen=True)
 class StageRecord:
     """One LSL step: the record its internal fields came from, their ROM
-    transform T, and the fit of the measured diagonal.
+    transform T as a (B, G N, G N) stack of diagonal blocks, and the fit
+    of the measured diagonal.
 
     Round 0 is the SISO step on a diagonal-only record. Round r >= 1 is
     the MIMO step on a full record: the first r whose lift length L_r
@@ -89,20 +91,21 @@ class StageRecord:
 
     @property
     def active_length(self) -> int:
-        """Samples per internal field: the side of T over the source count."""
-        return self.transform.shape[0] // self.data.num_sources
+        """Samples per internal field: a block's side over its G = K / B sources."""
+        return self.transform.shape[-1] * len(self.transform) // self.data.num_sources
 
 
 def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     """ROM transform T of a transfer record: its internal fields are u0 * T.
 
     A diagonal-only record of at least 2n-1 samples gets the ROM of each
-    source's 1 x 1 record over 2n-1 samples, so T is block diagonal with
-    one n x n block per source. A full record of N <= 2n-1 samples gets
-    the block ROM over all N, leaving floor((N-1)/2) + 1 samples per
-    field. The ROM works on plain arrays: every mass matrix is passed
-    through `regularize_spd`, which returns (matrix, record), and its
-    matrix is factored; no stage keeps the record yet. A record that
+    source's 1 x 1 record over 2n-1 samples, so T is the (K, n, n) stack
+    of their blocks. A full record of N <= 2n-1 samples gets the block
+    ROM over all N, leaving N' = floor((N-1)/2) + 1 samples per field,
+    and T is one (K N', K N') block. The ROM works on plain arrays: every
+    mass matrix is passed through `regularize_spd`, which returns
+    (matrix, record), and its matrix is factored; no stage keeps the
+    record yet. A record that
     does not fit the context raises DimensionError naming the config key.
     """
     n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
@@ -117,16 +120,14 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     background = ctx.background.data
     if not full:
         data.require_measured_diagonal()
-        transform = np.zeros((K * n, K * n))
-        for j in range(K):
-            block = slice(j * n, (j + 1) * n)
-            transform[block, block] = _rom_transform(_source(data, j), _source(background, j), limit)
-        return transform
+        return np.stack(
+            [_rom_transform(_source(data, j), _source(background, j), limit) for j in range(K)]
+        )
     if halved_length(length) < 2:
         raise IterationBudgetError(
             f"time axis exhausted: {length} samples leave no usable equations"
         )
-    return _rom_transform(data, background, length)
+    return _rom_transform(data, background, length)[np.newaxis]
 
 
 def _source(data: TransferData, j: int) -> TransferData:
@@ -224,8 +225,10 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
 
 
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
-    """Reconstruction with background fields in place of internal ones: T = I."""
-    return _invert(ctx, np.eye(ctx.sources.count * ctx.axis.n), ctx.tsvd_born)
+    """Reconstruction with background fields in place of internal ones:
+    T is K identity blocks, a read-only view of one n x n identity."""
+    n = ctx.axis.n
+    return _invert(ctx, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)), ctx.tsvd_born)
 
 
 @dataclass(frozen=True)

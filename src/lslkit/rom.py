@@ -15,8 +15,10 @@ Only this module knows the time-major order of M (all sources at sample
 0, then all at sample 1, ...), which makes U block upper triangular;
 `field_transform` returns T in the source-major order of a (K, N, ...)
 stack, so system assembly and the lift multiply the background by T as
-it is. T is the only form a data-generated field takes: no (K, N, ...)
-stack of u is ever materialized.
+it is. It returns one square matrix; the pipeline stacks the per-source
+ones of the SISO step as the diagonal blocks of its T. T is the only
+form a data-generated field takes: no (K, N, ...) stack of u is ever
+materialized.
 
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
@@ -94,8 +96,9 @@ def _require_finite(matrix: np.ndarray) -> None:
 def regularize_spd(mass: np.ndarray) -> Regularized:
     """Raise every eigenvalue below eps0 to eps0.
 
-    eps0 = sqrt(1e-12 * lambda_max+ * lambda_min+) computed from the
-    positive spectrum of the symmetrized matrix. If nothing lies below
+    eps0 = sqrt(1e-12 * lambda_max+) * sqrt(lambda_min+) computed from
+    the positive spectrum of the symmetrized matrix, a product of roots
+    that stays finite wherever both eigenvalues are. If nothing lies below
     eps0 the symmetrized matrix is returned unchanged. Non-finite entries
     in the input or the result (an eigen-lift that overflows) raise
     DegenerateDataError.
@@ -108,7 +111,7 @@ def regularize_spd(mass: np.ndarray) -> Regularized:
         raise DegenerateDataError("mass matrix has no positive eigenvalue")
     lam_min = float(positive.min())
     lam_max = float(positive.max())
-    eps0 = float(np.sqrt(SPD_RIDGE * lam_max * lam_min))
+    eps0 = float(np.sqrt(SPD_RIDGE * lam_max) * np.sqrt(lam_min))
     clipped = lam < eps0
     if clipped.any():
         lifted = (vec * np.maximum(lam, eps0)) @ vec.T

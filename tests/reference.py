@@ -3,7 +3,8 @@
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the direct
 snapshot Gram matrix, the internal fields u0 * T materialized as a
-stack, a reader for the PGM images `io.render_pgm` writes, the
+stack, the dense matrix of a block-stack T and the identity blocks of
+the Born transform, a reader for the PGM images `io.render_pgm` writes, the
 node-level support check of a true model, and the diagonal-only record
 a monostatic acquisition measures.
 """
@@ -72,6 +73,22 @@ def apply_transform(transform, background):
     assert transform.shape == (size, size) and size == K * steps and num >= steps
     mixed = transform.T @ np.asarray(background)[:, :steps].reshape(size, -1)
     return mixed.reshape(K, steps, rows, cols)
+
+
+def dense_transform(stack):
+    """A (B, G N, G N) stack of diagonal blocks as the one zero-filled
+    (1, K N, K N) block of the same T, block g on rows and columns
+    g G N .. (g+1) G N - 1."""
+    blocks, side = len(stack), stack.shape[-1]
+    dense = np.zeros((1, blocks * side, blocks * side))
+    for g, block in enumerate(stack):
+        dense[0, g * side : (g + 1) * side, g * side : (g + 1) * side] = block
+    return dense
+
+
+def identity_blocks(K, n):
+    """The Born transform T = I as K read-only n x n identity blocks."""
+    return np.broadcast_to(np.eye(n), (K, n, n))
 
 
 def load_pgm(path):

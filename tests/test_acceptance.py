@@ -25,6 +25,7 @@ from conftest import off_diagonal_error, source_record
 from reference import (
     apply_transform,
     diagonal_record,
+    identity_blocks,
     leapfrog_snapshots,
     snapshot_gram,
     zero_potential,
@@ -145,7 +146,7 @@ def test_c04_born_linearization_order():
         system = assemble_system(
             background.antiderivatives[:, :, ::2, ::2],
             background.fields[:, :, ::2, ::2],
-            np.eye(sources.count * axis.n),
+            identity_blocks(sources.count, axis.n),
             data,
             background.data,
             inv_grid,

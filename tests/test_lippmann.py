@@ -24,7 +24,14 @@ from lslkit.lippmann import (
 )
 from lslkit.rom import field_transform
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
-from reference import apply_transform, diagonal_record, leapfrog_snapshots, zero_potential
+from reference import (
+    apply_transform,
+    dense_transform,
+    diagonal_record,
+    identity_blocks,
+    leapfrog_snapshots,
+    zero_potential,
+)
 
 
 def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=True):
@@ -57,8 +64,7 @@ def on_inversion_grid(bg):
 
 def born_inputs(bg):
     """The injected w0 and u0 stacks and T = I: the Born system's inputs."""
-    K, n = bg.fields.shape[:2]
-    return (*on_inversion_grid(bg), np.eye(K * n))
+    return (*on_inversion_grid(bg), identity_blocks(*bg.fields.shape[:2]))
 
 
 def random_basis(rng, block_size, steps):
@@ -202,31 +208,33 @@ class TestAssemble:
             errors[amp] = np.linalg.norm(q_hat.values - truth) / np.linalg.norm(truth)
         assert errors[0.01] < errors[0.02] < errors[0.04]
 
-    @pytest.mark.parametrize("kind", ["siso", "dense", "identity"])
+    @pytest.mark.parametrize("kind", ["siso", "siso-dense", "pairs", "dense", "identity"])
     def test_mixing_matches_materialized_fields(self, kind):
         # assembly mixes u0 by T source by source; the reference
-        # materializes the whole field stack u0 * T and builds each
-        # source's rows from it. Random stacks break the symmetry that
-        # could hide a transposed T or a wrong column block
+        # materializes the whole field stack u0 * T from the dense
+        # zero-filled matrix of T and builds each source's rows from it.
+        # Random stacks break the symmetry that could hide a transposed T
+        # or a wrong column block
         _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
         K, n = sources.count, axis.n
         rng = np.random.default_rng(13)
         shape = (K, n) + inv_grid.shape
         w0, u0 = rng.standard_normal(shape), rng.standard_normal(shape)
-        if kind == "siso":  # one scalar ROM per source: block diagonal
-            steps = n
-            transform = np.zeros((K * n, K * n))
-            for j in range(K):
-                block = slice(j * n, (j + 1) * n)
-                transform[block, block] = field_transform(
-                    random_basis(rng, 1, n), random_basis(rng, 1, n), 1
-                )
+        steps = n
+        if kind.startswith("siso"):  # one scalar ROM per source: K blocks
+            transform = np.stack([
+                field_transform(random_basis(rng, 1, n), random_basis(rng, 1, n), 1)
+                for _ in range(K)
+            ])
+            if kind == "siso-dense":  # the same T as one zero-filled block
+                transform = dense_transform(transform)
+        elif kind == "pairs":  # two blocks, each mixing two sources
+            transform = rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(2 * n)
         elif kind == "dense":  # mixes sources, and takes fewer samples than the stacks hold
             steps = 13
-            transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
+            transform = rng.standard_normal((1, K * steps, K * steps)) / np.sqrt(K * steps)
         else:
-            steps = n
-            transform = np.eye(K * n)
+            transform = identity_blocks(K, n)
         system = assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
 
         weights = inv_grid.node_weights.ravel()
@@ -243,7 +251,7 @@ class TestAssemble:
                 for j in range(K)
             ])
 
-        reference = rows(apply_transform(transform, u0))
+        reference = rows(apply_transform(dense_transform(transform)[0], u0))
         assert system.matrix.shape == reference.shape == (K * (steps - 1), inv_grid.num_nodes)
         assert np.abs(system.matrix - reference).max() <= 1e-12 * np.abs(reference).max()
         rhs = [bg.data.values[j, j, 1:steps] - data.values[j, j, 1:steps] for j in range(K)]
@@ -252,16 +260,21 @@ class TestAssemble:
             assert np.array_equal(system.matrix, rows(u0))
 
     def test_transform_must_fit_background(self):
-        # T must be square, split over the K sources and take no more
-        # samples than the stacks hold; stacks on the wrong grid are
-        # refused in test_time_axis_mismatch
+        # T must be a stack of square blocks, B of them over the K
+        # sources with B dividing K, and take no more samples than the
+        # stacks hold; stacks on the wrong grid are refused in
+        # test_time_axis_mismatch
         _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
         w0, u0, _ = born_inputs(bg)
         K, n = sources.count, axis.n
         for transform, message in (
-            (np.ones((K * n, K * n - 1)), "does not fit"),
-            (np.eye(K * n + 1), "does not fit"),
-            (np.eye(K * (n + 1)), "transform samples"),
+            (np.eye(K * n), "does not fit"),  # 2-D, not a stack
+            (np.ones((1, K * n, K * n - 1)), "does not fit"),  # blocks not square
+            (np.ones((K, n, n + 1)), "does not fit"),
+            (identity_blocks(3, K * n // 3), "does not fit"),  # 3 blocks over 4 sources
+            (np.eye(K * n + 1)[np.newaxis], "does not fit"),
+            (np.zeros((0, n, n)), "does not fit"),
+            (identity_blocks(K, n + 1), "transform samples"),
         ):
             with pytest.raises(DimensionError, match=message):
                 assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
@@ -366,38 +379,43 @@ class TestForwardLift:
         shape = (sources.count, axis.n) + grid.shape
         fields, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        identity = np.eye(sources.count * axis.n)
+        identity = identity_blocks(sources.count, axis.n)
         lifted = forward_lift(fields, identity, q_est, kernels, bg.data, data, grid)
         assert lifted.num_samples == axis.n
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
-    @pytest.mark.parametrize("kind", ["siso", "block", "dense"])
+    @pytest.mark.parametrize("kind", ["siso", "siso-dense", "pairs", "block", "dense"])
     def test_factored_matches_materialized_fields(self, kind):
         # the lift of u0 * T against the per-pair lift of the fields
-        # materialized from the same factors: a block-diagonal T (one
-        # scalar ROM per source), a block-ROM T and, beyond what a ROM
-        # yields, a dense T that is not triangular; random stacks on the
-        # two-block grid
+        # materialized from the same factors: the K-block stack of one
+        # scalar ROM per source and the zero-filled matrix of the same T,
+        # two random blocks of two sources each, a block-ROM T and,
+        # beyond what a ROM yields, a dense T that is not triangular;
+        # random stacks on the two-block grid
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
         K, steps = sources.count, axis.n
         rng = np.random.default_rng(11)
         shape = (K, steps) + grid.shape
         background, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
-        if kind == "siso":
-            transform = np.zeros((K * steps, K * steps))
+        if kind.startswith("siso"):
+            transform = np.empty((K, steps, steps))
             fields = np.empty(shape)
             for j in range(K):
                 basis, basis0 = random_basis(rng, 1, steps), random_basis(rng, 1, steps)
-                block = slice(j * steps, (j + 1) * steps)
-                transform[block, block] = field_transform(basis, basis0, 1)
-                fields[j] = apply_transform(transform[block, block], background[j : j + 1])[0]
+                transform[j] = field_transform(basis, basis0, 1)
+                fields[j] = apply_transform(transform[j], background[j : j + 1])[0]
+            if kind == "siso-dense":
+                transform = dense_transform(transform)
+        elif kind == "pairs":
+            transform = rng.standard_normal((2, 2 * steps, 2 * steps)) / np.sqrt(2 * steps)
+            fields = apply_transform(dense_transform(transform)[0], background)
         elif kind == "block":
             basis, basis0 = random_basis(rng, K, steps), random_basis(rng, K, steps)
-            transform = field_transform(basis, basis0, K)
-            fields = apply_transform(transform, background)
+            transform = field_transform(basis, basis0, K)[np.newaxis]
+            fields = apply_transform(transform[0], background)
         else:
-            transform = rng.standard_normal((K * steps, K * steps)) / np.sqrt(K * steps)
-            fields = apply_transform(transform, background)
+            transform = rng.standard_normal((1, K * steps, K * steps)) / np.sqrt(K * steps)
+            fields = apply_transform(transform[0], background)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         lifted = forward_lift(background, transform, q_est, kernels, bg.data, data, grid)
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
@@ -406,11 +424,18 @@ class TestForwardLift:
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
         zero = zero_potential(inv_grid)
         w0 = bg.antiderivatives
-        for transform in (np.eye(sources.count * axis.n + 1), np.eye(sources.count * 11)):
+        K, n = sources.count, axis.n
+        for transform in (
+            np.eye(K * n),  # 2-D, not a stack
+            np.eye(K * n + 1)[np.newaxis],
+            np.ones((K, n, n - 1)),  # blocks not square
+            identity_blocks(3, K * n // 3),  # 3 blocks over 4 sources
+            identity_blocks(K, 11),  # more samples than the stacks hold
+        ):
             with pytest.raises(DimensionError):
                 forward_lift(bg.fields, transform, zero, w0, bg.data, data, grid)
         # both stacks must live on the fine grid passed with them
-        identity = np.eye(sources.count * axis.n)
+        identity = identity_blocks(K, n)
         coarse_w0, coarse_u0 = on_inversion_grid(bg)
         for u0, kernels in ((coarse_u0, w0), (bg.fields, coarse_w0)):
             with pytest.raises(DimensionError, match="stack has shape"):
@@ -419,7 +444,7 @@ class TestForwardLift:
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = zero_potential(inv_grid)
-        identity = np.eye(sources.count * axis.n)
+        identity = identity_blocks(sources.count, axis.n)
         lifted = forward_lift(
             bg.fields, identity, zero, bg.antiderivatives, bg.data, data, grid
         )
@@ -438,7 +463,7 @@ class TestForwardLift:
         # a dense T makes the raw lift of (i, j) and (j, i) differ; the
         # record keeps their mean off the diagonal, the measured series on it
         size = sources.count * axis.n
-        transform = np.random.default_rng(14).standard_normal((size, size)) / np.sqrt(size)
+        transform = np.random.default_rng(14).standard_normal((1, size, size)) / np.sqrt(size)
         lifted = forward_lift(
             bg.fields, transform, q_est, bg.antiderivatives, bg.data, data, grid
         )
@@ -452,7 +477,7 @@ class TestForwardLift:
         # identical inputs: assembled row dotted with q equals the lift residual
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=12)
         fields = bg.fields
-        identity = np.eye(sources.count * axis.n)
+        identity = identity_blocks(sources.count, axis.n)
         system = assemble_system(
             bg.antiderivatives, fields, identity, data, bg.data, grid, 1e-2
         )  # inversion grid = field grid here
@@ -482,7 +507,7 @@ class TestForwardLift:
         q1 = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         q2 = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         combo = Potential(inv_grid, 2.0 * np.asarray(q1.values) - 0.5 * np.asarray(q2.values))
-        identity = np.eye(sources.count * axis.n)
+        identity = identity_blocks(sources.count, axis.n)
         lift = lambda q: forward_lift(
             bg.fields, identity, q, bg.antiderivatives, bg.data, data, grid
         )
@@ -504,7 +529,7 @@ class TestForwardLift:
         ])
         lifted = forward_lift(
             true_fields,
-            np.eye(ctx.sources.count * n),
+            identity_blocks(ctx.sources.count, n),
             two_target_run.q_true,
             ctx.background.antiderivatives,
             ctx.background.data,
@@ -539,7 +564,7 @@ class TestForwardLift:
                 leapfrog_snapshots(potential, sources, i, axis, settings, n) for i in range(K)
             ])
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
-            identity = np.eye(K * n)
+            identity = identity_blocks(K, n)
             lifted = forward_lift(
                 fields, identity, q_est, bg.antiderivatives, bg.data, data, grid
             )
@@ -553,7 +578,7 @@ class TestForwardLift:
         with pytest.raises(PreconditionError):
             forward_lift(
                 bg.fields,
-                np.eye(sources.count * axis.n),
+                identity_blocks(sources.count, axis.n),
                 zero_potential(inv_grid),
                 bg.antiderivatives,
                 data,  # diagonal-only record cannot provide off-diagonal reference

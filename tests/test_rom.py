@@ -151,6 +151,17 @@ class TestRegularize:
         twice, _ = regularize_spd(once)
         assert np.abs(twice - once).max() <= 1e-12 * np.abs(once).max()
 
+    def test_eps0_scales_past_overflow(self):
+        # eps0 is homogeneous of degree one; at 1e200 the product
+        # lambda_max * lambda_min would overflow although eps0 does not
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((12, 12))
+        sym = 0.5 * (a + a.T)
+        _, record = regularize_spd(sym)
+        matrix, scaled = regularize_spd(1e200 * sym)
+        assert np.isfinite(scaled.eps0) and np.isfinite(matrix).all()
+        assert scaled.eps0 == pytest.approx(1e200 * record.eps0, rel=1e-14)
+
     def test_no_positive_eigenvalue(self):
         with pytest.raises(DegenerateDataError):
             regularize_spd(-np.eye(4))
@@ -274,9 +285,8 @@ class TestSynthesize:
             cholesky_upper(regularize_spd(block_mass_from_data(source_record(d, j), 2 * n - 1))[0])
             for d in (ctx.measured, ctx.background.data)
         )
-        block = slice(j * n, (j + 1) * n)
         transform = field_transform(basis, basis0, 1)
-        assert np.array_equal(two_target_run.siso_transform[block, block], transform)
+        assert np.array_equal(two_target_run.siso_transform[j], transform)
         generated = apply_transform(transform, ctx.background.fields[j : j + 1])[0]
         true_snaps = leapfrog_snapshots(
             two_target_run.q_true, ctx.sources, j, ctx.axis, settings, ctx.axis.n
