@@ -49,8 +49,10 @@ class Grid2D:
             raise ConfigurationError(
                 f"grid needs at least 2x2 cells, got {self.nx}x{self.ny}"
             )
-        if self.hx <= 0.0 or self.hy <= 0.0:
-            raise ConfigurationError("grid spacing must be positive")
+        if not (0.0 < self.hx < np.inf and 0.0 < self.hy < np.inf):
+            raise ConfigurationError("grid spacing must be positive and finite")
+        if not np.isfinite(self.origin).all():
+            raise ConfigurationError("grid origin must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,10 +207,12 @@ class SourceSet:
         centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         if centers.ndim != 2 or centers.shape[1] != 2 or centers.shape[0] < 1:
             raise ConfigurationError("source centers must be a (K, 2) array")
-        if self.sigma <= 0.0:
-            raise ConfigurationError("source width sigma must be positive")
-        if self.amplitude == 0.0:
-            raise ConfigurationError("source amplitude must be nonzero")
+        if not np.isfinite(centers).all():
+            raise ConfigurationError("source centers must be finite")
+        if not 0.0 < self.sigma < np.inf:
+            raise ConfigurationError("source width sigma must be positive and finite")
+        if self.amplitude == 0.0 or not np.isfinite(self.amplitude):
+            raise ConfigurationError("source amplitude must be nonzero and finite")
         object.__setattr__(self, "centers", _frozen(centers))
 
     @property
@@ -235,8 +239,8 @@ class TimeAxis:
     n: int
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigurationError("sample interval tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigurationError("sample interval tau must be positive and finite")
         if self.n < 2:
             raise ConfigurationError("time axis half-length n must be at least 2")
 

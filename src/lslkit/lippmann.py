@@ -5,8 +5,10 @@ Both directions discretize the same space-time integral
     F0(k tau) - F(k tau) = int_0^{k tau} int  w0(x, k tau - t) u(x, t) q(x) dx dt
 
 with the trapezoidal rule in time on the sample grid and trapezoidal
-node weights in space. `assemble_system` leaves q unknown and stacks one
-row per (source, time index) against measured diagonal data;
+node weights in space: both sum the time convolution directly over the
+anti-diagonals a + b = k of the sample grid, with half weight on each
+anti-diagonal's two endpoints. `assemble_system` leaves q unknown and
+stacks one row per (source, time index) against measured diagonal data;
 `forward_lift` evaluates the same quadrature with a potential estimate
 for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
@@ -74,38 +76,18 @@ class LSSystem:
             )
 
 
-def convolution_rows(
-    w0_samples: np.ndarray,
-    field_samples: np.ndarray,
-    node_weights: np.ndarray,
-    tau: float,
-    num_out: int,
-) -> np.ndarray:
-    """Spatial rows of the time convolution for k = 0 .. num_out-1.
-
-    rows[k, c] = tau * sum_t c_t w0[k-t, c] field[t, c] weights[c] with
-    trapezoidal endpoint weights c_0 = c_k = 1/2; row 0 (empty interval)
-    is zero. System assembly uses it per source; `forward_lift`
-    evaluates the same quadrature for all source pairs at once.
-    """
-    if w0_samples.shape[0] < num_out or field_samples.shape[0] < num_out:
-        raise DimensionError(
-            f"need {num_out} samples, have {w0_samples.shape[0]} antiderivative "
-            f"and {field_samples.shape[0]} field samples"
-        )
-    if w0_samples.shape[1] != field_samples.shape[1] or w0_samples.shape[1] != node_weights.size:
-        raise DimensionError("kernel inputs live on different grids")
-    w = w0_samples[:num_out] * node_weights
-    u = field_samples[:num_out]
-    if num_out == 1:
-        return np.zeros((1, w.shape[1]))
-    length = 1 << (2 * num_out - 2).bit_length()  # power of two >= 2 num_out - 1
-    spectrum = np.fft.rfft(w, length, axis=0) * np.fft.rfft(u, length, axis=0)
-    rows = np.fft.irfft(spectrum, length, axis=0)[:num_out]
-    rows -= 0.5 * (w * u[0] + w[0] * u)
-    rows *= tau
-    rows[0] = 0.0
-    return rows
+def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -> None:
+    """out[k-1] = tau sum_{a+b=k} c w[a] u[b] for k = 1 .. N-1, with
+    c = 1/2 on the endpoints (k, 0) and (0, k) of each anti-diagonal and
+    1 inside, for N samples of spatial rows w (node weights folded in)
+    and u. Halves w[0] and u[0] in place."""
+    num = len(u)
+    w[0] *= 0.5
+    u[0] *= 0.5
+    np.multiply(w[0], u[1:], out=out)
+    for a in range(1, num):
+        out[a - 1 :] += w[a] * u[: num - a]
+    out *= tau
 
 
 def _check_time_axes(tau: float, other: float) -> None:
@@ -142,9 +124,10 @@ def assemble_system(
     a (B, G N, G N) stack of diagonal blocks in the source-major order
     of `rom.field_transform`, N samples each; identity blocks give the
     Born system. Source j = g G + i is mixed from its block's G sources
-    alone, T[g][:, iN:(i+1)N]^T times u0[gG:(g+1)G], while its rows are
-    written into the preallocated matrix. The right-hand side uses
-    measured diagonal data only.
+    alone, T[g][:, iN:(i+1)N]^T times u0[gG:(g+1)G], and its rows, the
+    trapezoid sums over the anti-diagonals a + b = k that `forward_lift`
+    also takes, are written straight into the preallocated matrix. The
+    right-hand side uses measured diagonal data only.
     """
     w0 = check_stack(inv_grid, w0, "antiderivative")
     u0 = check_stack(inv_grid, u0, "field")
@@ -166,8 +149,8 @@ def assemble_system(
             j = g * group + i
             rows = slice(j * (num - 1), (j + 1) * (num - 1))
             field = block[:, i * num : (i + 1) * num].T @ u0_flat
-            kernel = w0[j, :num].reshape(num, -1)
-            matrix[rows] = convolution_rows(kernel, field, weights, tau, num)[1:]
+            kernel = w0[j, :num].reshape(num, -1) * weights
+            _trapezoid_rows(kernel, field, tau, matrix[rows])
             rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
@@ -240,7 +223,7 @@ def forward_lift(
     sources' columns of C0, holds those of the internal fields,
     C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c].
     Entry (i, j) at time k tau subtracts tau times the trapezoid sum of
-    C over a + b = k, the quadrature of `convolution_rows`.
+    C over a + b = k, the quadrature of `_trapezoid_rows`.
     """
     fields = check_stack(grid, fields, "field")
     w0 = check_stack(grid, w0, "antiderivative")

@@ -2,16 +2,18 @@
 
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the direct
-snapshot Gram matrix, the internal fields u0 * T materialized as a
-stack, the dense matrix of a block-stack T and the identity blocks of
-the Born transform, a reader for the PGM images `io.render_pgm` writes, the
-node-level support check of a true model, and the diagonal-only record
-a monostatic acquisition measures.
+snapshot Gram matrix, the trapezoid time convolution by FFT, the
+internal fields u0 * T materialized as a stack, the dense matrix of a
+block-stack T and the identity blocks of the Born transform, a reader
+for the PGM images `io.render_pgm` writes, the node-level support check
+of a true model, and the diagonal-only record a monostatic acquisition
+measures.
 """
 
 import numpy as np
 
 from lslkit.core import Potential, TransferData
+from lslkit.errors import DimensionError
 from lslkit.wavesim import apply_operator
 
 
@@ -61,6 +63,40 @@ def snapshot_gram(stack, grid):
     stacked = np.asarray(stack).transpose(1, 0, 2, 3).reshape(num_steps * K, -1)
     values = (stacked * grid.node_weights.ravel()) @ stacked.T
     return 0.5 * (values + values.T)
+
+
+def convolution_rows(
+    w0_samples: np.ndarray,
+    field_samples: np.ndarray,
+    node_weights: np.ndarray,
+    tau: float,
+    num_out: int,
+) -> np.ndarray:
+    """Spatial rows of the time convolution for k = 0 .. num_out-1.
+
+    rows[k, c] = tau * sum_t c_t w0[k-t, c] field[t, c] weights[c] with
+    trapezoidal endpoint weights c_0 = c_k = 1/2; row 0 (empty interval)
+    is zero. System assembly and `forward_lift` sum the same quadrature
+    directly over the anti-diagonals; the FFT here is their oracle.
+    """
+    if w0_samples.shape[0] < num_out or field_samples.shape[0] < num_out:
+        raise DimensionError(
+            f"need {num_out} samples, have {w0_samples.shape[0]} antiderivative "
+            f"and {field_samples.shape[0]} field samples"
+        )
+    if w0_samples.shape[1] != field_samples.shape[1] or w0_samples.shape[1] != node_weights.size:
+        raise DimensionError("kernel inputs live on different grids")
+    w = w0_samples[:num_out] * node_weights
+    u = field_samples[:num_out]
+    if num_out == 1:
+        return np.zeros((1, w.shape[1]))
+    length = 1 << (2 * num_out - 2).bit_length()  # power of two >= 2 num_out - 1
+    spectrum = np.fft.rfft(w, length, axis=0) * np.fft.rfft(u, length, axis=0)
+    rows = np.fft.irfft(spectrum, length, axis=0)[:num_out]
+    rows -= 0.5 * (w * u[0] + w[0] * u)
+    rows *= tau
+    rows[0] = 0.0
+    return rows
 
 
 def apply_transform(transform, background):

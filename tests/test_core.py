@@ -206,3 +206,23 @@ class TestContainers:
         corrupted = np.array(sym)
         corrupted[0, 2, 1] += 0.37
         assert TransferData(corrupted, mask, 1.0).reciprocity_defect() > 1e-2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda v: TimeAxis(v, 4), id="TimeAxis.tau"),
+        pytest.param(lambda v: Grid2D(4, 4, v, 1.0), id="Grid2D.hx"),
+        pytest.param(lambda v: Grid2D(4, 4, 1.0, v), id="Grid2D.hy"),
+        pytest.param(lambda v: Grid2D(4, 4, 1.0, 1.0, (0.0, v)), id="Grid2D.origin"),
+        pytest.param(lambda v: SourceSet([[1.0, 1.0]], v), id="SourceSet.sigma"),
+        pytest.param(lambda v: SourceSet([[1.0, 1.0]], 1.0, v), id="SourceSet.amplitude"),
+        pytest.param(lambda v: SourceSet([[v, 1.0]], 1.0), id="SourceSet.centers"),
+    ],
+)
+def test_non_finite_scalars_rejected(build, value):
+    # a NaN passes every `<= 0` test; each field would give NaN fields
+    # or records, or overflow in the CFL step count
+    with pytest.raises(ConfigurationError, match="finite"):
+        build(value)

@@ -17,7 +17,6 @@ from lslkit.lippmann import (
     TSVD_MIN_THRESHOLD,
     LSSystem,
     assemble_system,
-    convolution_rows,
     forward_lift,
     residual_norm,
     solve_tsvd,
@@ -26,6 +25,7 @@ from lslkit.rom import field_transform
 from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
 from reference import (
     apply_transform,
+    convolution_rows,
     dense_transform,
     diagonal_record,
     identity_blocks,
@@ -104,6 +104,7 @@ def assert_per_pair_lift(lifted, fields, kernels, q_est, data0, grid):
 
 
 class TestConvolutionRows:
+    # the FFT route of the tests' oracle against brute-force sums
     def test_against_direct_trapezoid(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((6, 11))
@@ -208,11 +209,14 @@ class TestAssemble:
             errors[amp] = np.linalg.norm(q_hat.values - truth) / np.linalg.norm(truth)
         assert errors[0.01] < errors[0.02] < errors[0.04]
 
-    @pytest.mark.parametrize("kind", ["siso", "siso-dense", "pairs", "dense", "identity"])
+    @pytest.mark.parametrize(
+        "kind", ["siso", "siso-dense", "pairs", "dense", "two-samples", "identity"]
+    )
     def test_mixing_matches_materialized_fields(self, kind):
-        # assembly mixes u0 by T source by source; the reference
-        # materializes the whole field stack u0 * T from the dense
-        # zero-filled matrix of T and builds each source's rows from it.
+        # assembly mixes u0 by T source by source and sums the
+        # anti-diagonals directly; the reference materializes the whole
+        # field stack u0 * T from the dense zero-filled matrix of T and
+        # builds each source's rows from it by FFT.
         # Random stacks break the symmetry that could hide a transposed T
         # or a wrong column block
         _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
@@ -233,6 +237,9 @@ class TestAssemble:
         elif kind == "dense":  # mixes sources, and takes fewer samples than the stacks hold
             steps = 13
             transform = rng.standard_normal((1, K * steps, K * steps)) / np.sqrt(K * steps)
+        elif kind == "two-samples":  # the smallest T: one row per source
+            steps = 2
+            transform = rng.standard_normal((K, steps, steps))
         else:
             transform = identity_blocks(K, n)
         system = assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
@@ -256,8 +263,11 @@ class TestAssemble:
         assert np.abs(system.matrix - reference).max() <= 1e-12 * np.abs(reference).max()
         rhs = [bg.data.values[j, j, 1:steps] - data.values[j, j, 1:steps] for j in range(K)]
         assert np.array_equal(system.rhs, np.concatenate(rhs))
-        if kind == "identity":  # u0 I is u0 exactly
-            assert np.array_equal(system.matrix, rows(u0))
+        if kind == "identity":  # u0 I is u0 exactly on either layout of T
+            dense = assemble_system(
+                w0, u0, dense_transform(transform), data, bg.data, inv_grid, 1e-2
+            )
+            assert np.array_equal(system.matrix, dense.matrix)
 
     def test_transform_must_fit_background(self):
         # T must be a stack of square blocks, B of them over the K
