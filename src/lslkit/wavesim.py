@@ -31,7 +31,8 @@ leapfrog reference with both starts.
 
 There is one stepping loop, `_leapfrog`, a generator of the sampled
 states. It advances states of shape (..., ny+1, nx+1) in three rotating
-buffers, so `simulate_transfer` steps all K sources as one
+buffers plus one buffer for the operator's differences, so a step
+allocates nothing, and `simulate_transfer` steps all K sources as one
 (K, ny+1, nx+1) array through the first n samples only. One record
 builder, `_angle_sum_record`, turns n samples of either medium into all
 2n-1 record samples by the Chebyshev angle-sum: it reads the leapfrog's
@@ -93,26 +94,37 @@ def check_cfl(grid: Grid2D, q_values: np.ndarray, tau: float, settings: SolverSe
 
 
 def apply_operator(
-    grid: Grid2D, q_values: np.ndarray, f: np.ndarray, out: np.ndarray | None = None
+    grid: Grid2D,
+    q_values: np.ndarray,
+    f: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """A_h f = -laplacian(f) + q f with mirror (Neumann) ghost nodes.
 
     f may carry leading axes, shape (..., ny+1, nx+1). The result is
-    built in `out` (allocated when not given; it must be C-contiguous)
-    from neighbour differences along each axis, without a padded copy
-    of f: the mirror ghost doubles the one difference at either wall. A
-    constant f has zero differences, so A_h 1 = 0 exactly.
+    built in `out` from neighbour differences along each axis, without
+    a padded copy of f: the mirror ghost doubles the one difference at
+    either wall. A constant f has zero differences, so A_h 1 = 0
+    exactly. The differences go into `scratch`, first along x, then
+    along y. Each buffer that is not given is allocated; a given one
+    must be a C-contiguous float64 array of f's shape that shares no
+    memory with f or with the other buffer, so a caller that passes
+    both allocates nothing.
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
-    if out is None:
-        out = np.empty(f.shape)
-    elif not out.flags.c_contiguous:
-        raise ValueError("apply_operator needs a C-contiguous output buffer")
+    out = np.empty(f.shape) if out is None else out
+    scratch = np.empty(f.shape) if scratch is None else scratch
+    for buffer in (out, scratch):
+        if not buffer.flags.c_contiguous or buffer.dtype != np.float64 or buffer.shape != f.shape:
+            raise ValueError("apply_operator needs C-contiguous float64 buffers of f's shape")
+    if any(np.may_share_memory(a, b) for a, b in ((out, f), (scratch, f), (scratch, out))):
+        raise ValueError("apply_operator buffers must not share memory with f or each other")
     np.multiply(q_values, f, out=out)
     # x neighbours are adjacent in memory: one pass over the flat arrays
     # (far faster than row-offset slices), with the differences that
     # straddle two rows zeroed
-    dx = np.empty(f.shape)
+    dx = scratch
     np.subtract(f.reshape(-1)[1:], f.reshape(-1)[:-1], out=dx.reshape(-1)[:-1])
     dx[..., :, -1] = 0.0
     dx *= 1.0 / grid.hx**2
@@ -121,7 +133,8 @@ def apply_operator(
     out_flat[1:] += dx_flat[:-1]
     out[..., :, 0] -= dx[..., :, 0]
     out[..., :, -1] += dx[..., :, -2]
-    dy = np.diff(f, axis=-2)
+    dy = scratch[..., 1:, :]
+    np.subtract(f[..., 1:, :], f[..., :-1, :], out=dy)
     dy *= 1.0 / grid.hy**2
     out[..., :-1, :] -= dy
     out[..., 1:, :] += dy
@@ -135,18 +148,20 @@ def _leapfrog(grid, q_values, start0, start1, dt, substeps, num_samples):
 
     States may carry leading (source) axes. They live in three buffers
     that rotate in place, so a yielded state is overwritten by later
-    steps: the consumer must copy what it keeps.
+    steps: the consumer must copy what it keeps. A fourth buffer holds
+    the operator's differences, so a step allocates nothing.
     """
     prev = np.array(start0, dtype=np.float64)
     yield prev
     cur = np.array(start1, dtype=np.float64)
     work = np.empty_like(cur)
+    scratch = np.empty_like(cur)
     steps_done = 1
     for k in range(1, num_samples):
         target = k * substeps
         while steps_done < target:
             # work = 2 cur - prev - dt^2 A_h cur, then rotate
-            apply_operator(grid, q_values, cur, out=work)
+            apply_operator(grid, q_values, cur, out=work, scratch=scratch)
             work *= -dt * dt
             work -= prev
             work += cur
@@ -215,8 +230,8 @@ def simulate_transfer(
 
 def add_noise(data: TransferData, level: float, seed: int) -> TransferData:
     """Perturb measured entries with Gaussian noise of std level*RMS(measured)."""
-    if level < 0.0:
-        raise ConfigurationError("noise level must be nonnegative")
+    if not (np.isfinite(level) and level >= 0.0):
+        raise ConfigurationError("noise level must be finite and nonnegative")
     if level == 0.0:
         return data
     mask = np.asarray(data.mask)
@@ -270,7 +285,9 @@ def simulate_background(
     by DCT-I, g_hat = Cy @ g @ Cx^T with the cosine matrices Cy and Cx
     built once per call, and its n samples of u0 and w0 are the inverse
     transforms Cy @ (c_k g_hat) @ Cx^T / (4 nx ny) of the mode-wise
-    coefficients c_k, written into the preallocated stacks. The 2n-1
+    coefficients c_k, written into the preallocated stacks through two
+    (n, ny+1, nx+1) scratch arrays that every source and both stacks
+    reuse, so no per-source temporary is allocated. The 2n-1
     samples of F0 come from the u0 stack by `_angle_sum_record`, as the
     true medium's record comes from its leapfrog states.
     """
@@ -296,10 +313,14 @@ def simulate_background(
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     fields = np.empty((sources.count, axis.n) + grid.shape)
     antiderivatives = np.empty_like(fields)
+    modal, half = np.empty(fields.shape[1:]), np.empty(fields.shape[1:])
     for i in range(sources.count):
         g_hat = cy @ sources.field(grid, i) @ cx.T
-        fields[i] = cy @ ((cosine * g_hat) @ cx.T) / norm
-        antiderivatives[i] = cy @ ((growth * g_hat) @ cx.T) / norm
+        for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
+            np.multiply(coefficients, g_hat, out=modal)
+            np.matmul(modal, cx.T, out=half)
+            np.matmul(cy, half, out=stack[i])
+            stack[i] /= norm
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -72,6 +76,52 @@ class TestOperator:
         strided = np.empty(stack.shape[:-1] + (2 * stack.shape[-1],))[..., ::2]
         with pytest.raises(ValueError, match="contiguous"):
             apply_operator(grid, q, stack, out=strided)
+
+    def operands(self):
+        grid = Grid2D(13, 8, 0.7, 0.45)
+        rng = np.random.default_rng(6)
+        return grid, rng.random(grid.shape), rng.standard_normal((3,) + grid.shape)
+
+    def test_scratch_path_is_exact(self):
+        grid, q, stack = self.operands()
+        scratch = np.full_like(stack, np.nan)
+        for f in (stack, stack[::-1] * 3.0):
+            expected = apply_operator(grid, q, f)
+            assert np.array_equal(apply_operator(grid, q, f, scratch=scratch), expected)
+            out = np.full_like(stack, np.nan)
+            assert apply_operator(grid, q, f, out=out, scratch=scratch) is out
+            assert np.array_equal(out, expected)
+
+    def test_refuses_output_aliasing_input(self):
+        # in place, the first pass writes q f over f, and the differences are taken of that
+        grid, q, stack = self.operands()
+        with pytest.raises(ValueError, match="share memory"):
+            apply_operator(grid, q, stack, out=stack)
+
+    def test_refuses_scratch_aliasing_input(self):
+        grid, q, stack = self.operands()
+        with pytest.raises(ValueError, match="share memory"):
+            apply_operator(grid, q, stack, scratch=stack)
+
+    def test_refuses_scratch_aliasing_output(self):
+        grid, q, stack = self.operands()
+        out = np.empty_like(stack)
+        with pytest.raises(ValueError, match="share memory"):
+            apply_operator(grid, q, stack, out=out, scratch=out)
+
+    def test_refuses_strided_scratch(self):
+        # reshape(-1) of a strided scratch would be a copy, and the x pass would be lost
+        grid, q, stack = self.operands()
+        strided = np.empty(stack.shape[:-1] + (2 * stack.shape[-1],))[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            apply_operator(grid, q, stack, scratch=strided)
+
+    def test_refuses_scratch_of_other_shape(self):
+        grid, q, stack = self.operands()
+        with pytest.raises(ValueError, match="shape"):
+            apply_operator(grid, q, stack, scratch=np.empty((4,) + grid.shape))
+        with pytest.raises(ValueError, match="float64"):
+            apply_operator(grid, q, stack, scratch=np.empty(stack.shape, dtype=np.float32))
 
 
 class TestSnapshots:
@@ -257,6 +307,37 @@ class TestTransfer:
         simulate_transfer(potential, sources, TimeAxis(0.4 * substeps, n), settings)
         assert len(calls) == (n - 1) * substeps
 
+    def test_leapfrog_allocates_nothing_per_step(self):
+        # Minor page faults of a fresh process around one call: a step that
+        # allocates a state-sized temporary (above glibc's 128 KiB mmap
+        # threshold, hence K = 4) faults it in again every step, so the
+        # count would grow with n.
+        pytest.importorskip("resource")
+        probe = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis\n"
+            "from lslkit.wavesim import SolverSettings, simulate_transfer\n"
+            "grid = Grid2D(100, 50, 1.0, 1.0)\n"
+            "sources = SourceSet(np.column_stack([np.linspace(20, 80, 4), np.full(4, 40.0)]), 2.0)\n"
+            "args = (Potential(grid, np.zeros(grid.shape)), sources,\n"
+            "        TimeAxis(2.5, int(sys.argv[1])), SolverSettings(substeps=5))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "simulate_transfer(*args)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = Path(lk.__file__).parents[1]
+
+        def faults(n):
+            result = subprocess.run(
+                [sys.executable, "-c", probe, str(n)],
+                cwd=src, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            return int(result.stdout)
+
+        assert faults(32) - faults(8) < 200
+
     @pytest.mark.parametrize("n, substeps", [(2, 1), (2, 3), (3, 1), (3, 3)])
     def test_short_records_match_per_source_snapshots(self, n, substeps):
         # the m = 1 branch and the last odd sample of the angle-sum fill
@@ -300,6 +381,11 @@ class TestNoise:
     def test_zero_level_identity(self):
         data = self.make_data()
         assert add_noise(data, 0.0, 123) is data
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -1.0])
+    def test_level_must_be_finite_and_nonnegative(self, level):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            add_noise(self.make_data(), level, 0)
 
     def test_determinism(self):
         data = self.make_data()
