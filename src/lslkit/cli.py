@@ -27,9 +27,11 @@ inversion succeeds. `--iterations` is validated like
 
 Nothing else is stored. The zero-potential background is a function of
 the config and is recomputed in closed form by every command that needs
-it; the internal fields that go with an estimate are the background
-times the ROM transform T of the record they came from (`lift --data`),
-and T is recomputed from that record. `pipeline` is byte-identical to
+it, on the grid it reads: `invert` builds the inversion grid's stacks
+only, `lift` and `pipeline` the simulation grid's. The internal fields
+that go with an estimate are the background times the ROM transform T
+of the record they came from (`lift --data`), and T is recomputed from
+that record. `pipeline` is byte-identical to
 chaining simulate, invert, lift and invert by hand with the same config
 and seed.
 """
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import io as lio
 from .config import ExperimentConfig, parse_config
-from .core import Potential, TransferData
+from .core import Grid2D, Potential, TransferData
 from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, ConfigurationError, FormatError
 from .pipeline import (
     PipelineContext,
@@ -120,7 +122,10 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContext:
+def _context(
+    config: ExperimentConfig, measured: TransferData, stack_grid: Grid2D
+) -> PipelineContext:
+    """The context of one command, its background stacks on `stack_grid`."""
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()
@@ -130,7 +135,7 @@ def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContex
         sources,
         axis,
         measured,
-        simulate_background(grid, sources, axis, config.settings()),
+        simulate_background(grid, sources, axis, config.settings(), stack_grid),
         tsvd_siso=config.tsvd_siso,
         tsvd_mimo=config.tsvd_mimo,
         tsvd_born=config.tsvd_born,
@@ -172,7 +177,7 @@ def _cmd_invert(args) -> int:
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured)
+    ctx = _context(config, measured, config.inv_grid())
 
     if args.method == "born":
         potential, residual = invert_born(replace(ctx, measured=data))
@@ -197,7 +202,7 @@ def _cmd_lift(args) -> int:
     q_path = Path(args.q) if args.q else out / "q_siso.lslf"
     grid, values = lio.load_field(q_path)
     data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured)
+    ctx = _context(config, measured, config.sim_grid())
     lifted = run_lift_step(ctx, Potential(grid, values), internal_transform(ctx, data))
     data_out = Path(args.data_out) if args.data_out else out / "lifted.lslt"
     lio.save_transfer(data_out, lifted)
@@ -212,7 +217,7 @@ def _cmd_pipeline(args) -> int:
         config.validate()
     config = replace(config, positivity=args.positivity or config.positivity)
     out = _out_dir(config)
-    ctx = _context(config, _simulate_artifacts(config, out))
+    ctx = _context(config, _simulate_artifacts(config, out), config.sim_grid())
     q_true = config.true_potential()
     regions = config.regions()
 

@@ -29,7 +29,7 @@ class PreconditionError(LslError):
 
 
 class DegenerateDataError(LslError):
-    """Data admits no positive-definite interpretation."""
+    """Data admits no positive-definite or no finite interpretation."""
 
 
 class FactorizationError(LslError):

@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import Grid2D, MaskState, Potential, TransferData, check_stack, prolong
 from .errors import (
+    DegenerateDataError,
     DimensionError,
     OverRegularizationError,
     PreconditionError,
@@ -187,11 +188,23 @@ def solve_tsvd(system: LSSystem) -> Potential:
 
 
 def residual_norm(system: LSSystem, potential: Potential) -> float:
-    """Relative data misfit ||G q - rhs|| / ||rhs|| of a reconstruction."""
-    misfit = system.matrix @ potential.values.ravel() - system.rhs
-    scale = float(np.linalg.norm(system.rhs))
-    norm = float(np.linalg.norm(misfit))
-    return norm / scale if scale > 0.0 else norm
+    """Relative data misfit ||G q - rhs|| / ||rhs|| of a reconstruction.
+
+    A finite record can still be too large for the squares the norms
+    sum: they overflow, and inf / inf is NaN. So an estimate or a
+    residual that is not finite raises DegenerateDataError instead of
+    being returned; the arithmetic on finite results is unchanged.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        misfit = system.matrix @ potential.values.ravel() - system.rhs
+        scale = float(np.linalg.norm(system.rhs))
+        norm = float(np.linalg.norm(misfit))
+    residual = norm / scale if scale > 0.0 else norm
+    if not (np.isfinite(residual) and np.isfinite(potential.values).all()):
+        raise DegenerateDataError(
+            "the residual is not finite: the record's samples overflow the misfit norm"
+        )
+    return residual
 
 
 def forward_lift(

@@ -19,8 +19,10 @@ source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly gets them injected onto the inversion grid as
-`[:, :, ::r, ::r]` views (injection commutes with T), the lift gets the
-fine stacks, which are never copied.
+`[:, :, ::r, ::r]` views (injection commutes with T), with r the ratio
+of the background's own grid to the inversion grid, so r = 1 for a
+background built there, whose stacks are bitwise those views; the lift
+gets the simulation grid's stacks, which are never copied.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ def _round(ctx: PipelineContext, data: TransferData) -> int:
 
 
 def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
-    """A fine-grid stack injected onto the inversion grid, as a view."""
-    ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
+    """A background stack injected onto the inversion grid, as a view:
+    ratio 1 when the background was built there."""
+    ratio = refinement_ratio(ctx.background.grid, ctx.inv_grid)
     return stack[:, :, ::ratio, ::ratio]
 
 

@@ -36,14 +36,18 @@ allocates nothing, and `simulate_transfer` steps all K sources as one
 (K, ny+1, nx+1) array through the first n samples only. One record
 builder, `_angle_sum_record`, turns n samples of either medium into all
 2n-1 record samples by the Chebyshev angle-sum: it reads the leapfrog's
-states for the true medium and the u0 stack for the background, which
-halves the fine steps of the one and needs no spectral sum for the
-other.
+states for the true medium, which halves its fine steps, and the modal
+states g_hat cos(k p theta) for the background under the Parseval
+weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns the source-major, read-only
-(K, n, ny+1, nx+1) stacks u0 and w0, which every consumer takes together
-with the grid they live on.
+(K, n, ny+1, nx+1) stacks u0 and w0 on the grid it is asked for, the
+simulation grid or a nested coarsening of it, and records that grid as
+`BackgroundArtifacts.grid`. Each source's fine history passes through
+one reused scratch array and only the stack grid's samples are kept, so
+coarse stacks are bitwise the injected fine ones and no fine stack is
+allocated.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData
+from .core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
 from .errors import ConfigurationError, DomainError
 
 
@@ -265,12 +269,16 @@ class BackgroundArtifacts:
     """Everything the inversion assumes known for the zero potential.
 
     `fields` (u0) and `antiderivatives` (w0) are read-only snapshot
-    stacks of shape (K, n, ny+1, nx+1) on the simulation grid.
+    stacks of shape (K, n, ny+1, nx+1) on `grid`: the simulation grid,
+    or the nested coarsening of it that `simulate_background` was asked
+    for. `data` is the full record F0 on the simulation grid whichever
+    grid the stacks live on.
     """
 
     data: TransferData
     fields: np.ndarray
     antiderivatives: np.ndarray
+    grid: Grid2D
 
 
 def simulate_background(
@@ -278,19 +286,30 @@ def simulate_background(
     sources: SourceSet,
     axis: TimeAxis,
     settings: SolverSettings,
+    stack_grid: Grid2D | None = None,
 ) -> BackgroundArtifacts:
     """Full zero-potential transfer matrix plus the u0 and w0 stacks.
 
-    Closed form of the leapfrog result: each source is transformed once
-    by DCT-I, g_hat = Cy @ g @ Cx^T with the cosine matrices Cy and Cx
-    built once per call, and its n samples of u0 and w0 are the inverse
-    transforms Cy @ (c_k g_hat) @ Cx^T / (4 nx ny) of the mode-wise
-    coefficients c_k, written into the preallocated stacks through two
-    (n, ny+1, nx+1) scratch arrays that every source and both stacks
-    reuse, so no per-source temporary is allocated. The 2n-1
-    samples of F0 come from the u0 stack by `_angle_sum_record`, as the
-    true medium's record comes from its leapfrog states.
+    Closed form of the leapfrog result on the simulation grid `grid`:
+    each source is transformed once by DCT-I, g_hat = Cy @ g @ Cx^T with
+    the cosine matrices Cy and Cx built once per call, and its n samples
+    of u0 and w0 are the inverse transforms Cy @ (c_k g_hat) @ Cx^T /
+    (4 nx ny) of the mode-wise coefficients c_k. The stacks live on
+    `stack_grid`, the simulation grid by default or a nested coarsening
+    of it: each fine history passes through one (n, ny+1, nx+1) scratch
+    array that every source and both stacks reuse, and only its
+    `[:, ::r, ::r]` samples are kept, so a coarse stack is bitwise the
+    injection of the fine one and no fine stack is allocated.
+
+    The 2n-1 samples of F0 never read a stack: `_angle_sum_record` runs
+    over the modal states g_hat cos(k p theta) of all sources, with the
+    Parseval weights node_weights / (4 nx ny) under which the DCT-I
+    keeps the trapezoid inner product, as the true medium's record
+    comes from its leapfrog states. It runs before the stacks are
+    allocated, so its buffers never add to their peak.
     """
+    stack_grid = grid if stack_grid is None else stack_grid
+    ratio = refinement_ratio(grid, stack_grid)
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
     # eigenvalues of the zero-potential A_h on the DCT-I modes cos(pi a ix / nx) cos(pi b iy / ny)
@@ -311,19 +330,25 @@ def simulate_background(
 
     cy, cx = _dct1_matrix(grid.ny + 1), _dct1_matrix(grid.nx + 1)
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
-    fields = np.empty((sources.count, axis.n) + grid.shape)
+    spectra = np.stack([cy @ sources.field(grid, i) @ cx.T for i in range(sources.count)])
+    # F0 first: its buffers are gone before the stacks come
+    state = np.empty(spectra.shape)
+    modal_states = (np.multiply(spectra, c, out=state) for c in cosine)
+    values = _angle_sum_record(modal_states, axis.n, grid.node_weights.reshape(-1) / norm)
+    del state
+
+    fields = np.empty((sources.count, axis.n) + stack_grid.shape)
     antiderivatives = np.empty_like(fields)
-    modal, half = np.empty(fields.shape[1:]), np.empty(fields.shape[1:])
-    for i in range(sources.count):
-        g_hat = cy @ sources.field(grid, i) @ cx.T
+    modal, half = np.empty(cosine.shape), np.empty(cosine.shape)
+    for i, g_hat in enumerate(spectra):
         for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
             np.multiply(coefficients, g_hat, out=modal)
             np.matmul(modal, cx.T, out=half)
-            np.matmul(cy, half, out=stack[i])
-            stack[i] /= norm
+            np.matmul(cy, half, out=modal)  # the fine history, over the spent coefficients
+            np.divide(modal[:, ::ratio, ::ratio], norm, out=stack[i])
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
-
-    values = _angle_sum_record(fields.swapaxes(0, 1), axis.n, grid.node_weights.reshape(-1))
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
-    return BackgroundArtifacts(TransferData(values, mask, axis.tau), fields, antiderivatives)
+    return BackgroundArtifacts(
+        TransferData(values, mask, axis.tau), fields, antiderivatives, stack_grid
+    )

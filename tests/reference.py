@@ -1,20 +1,20 @@
 """Independent oracles the tests compare the toolkit against.
 
 None of these run on the command-line path, so they live with the
-tests: a one-source leapfrog with both starting rules, the direct
-snapshot Gram matrix, the trapezoid time convolution by FFT, the
-internal fields u0 * T materialized as a stack, the dense matrix of a
-block-stack T and the identity blocks of the Born transform, a reader
-for the PGM images `io.render_pgm` writes, the node-level support check
-of a true model, and the diagonal-only record a monostatic acquisition
-measures.
+tests: a one-source leapfrog with both starting rules, the background
+record read off a fine u0 stack, the direct snapshot Gram matrix, the
+trapezoid time convolution by FFT, the internal fields u0 * T
+materialized as a stack, the dense matrix of a block-stack T and the
+identity blocks of the Born transform, a reader for the PGM images
+`io.render_pgm` writes, the node-level support check of a true model,
+and the diagonal-only record a monostatic acquisition measures.
 """
 
 import numpy as np
 
 from lslkit.core import Potential, TransferData
 from lslkit.errors import DimensionError
-from lslkit.wavesim import apply_operator
+from lslkit.wavesim import _angle_sum_record, apply_operator
 
 
 def zero_potential(grid):
@@ -53,6 +53,16 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
             steps_done += 1
         samples[k] = cur
     return samples
+
+
+def stack_record(fields, grid):
+    """The K x K record over 2n-1 samples of a (K, n, ny+1, nx+1) field
+    stack on `grid`: the Chebyshev angle-sum over its samples under the
+    trapezoid node weights, as `simulate_background` read F0 off its
+    fine u0 stack before F0 came from the modal states."""
+    fields = np.asarray(fields)
+    weights = grid.node_weights.reshape(-1)
+    return _angle_sum_record(fields.swapaxes(0, 1), fields.shape[1], weights)
 
 
 def snapshot_gram(stack, grid):

@@ -1,3 +1,5 @@
+import random
+import re
 import struct
 import subprocess
 import sys
@@ -420,3 +422,80 @@ class TestExitCodes:
         assert run("invert", "--method", "born", "--config", config_path,
                    "--data", out / "bare.lslt") == 4
         assert "diagonal" in capsys.readouterr().err
+
+
+class TestMutatedArtifacts:
+    """Seeded corruptions of the artifacts that commands read back.
+
+    Bit flips in the first 64 bytes (the header and the start of the
+    payload), truncations, and 8-byte overwrites at any payload offset:
+    every run ends in an exit code, under the suite's warning filters,
+    and never reports a NaN. An overwrite can leave a record finite but
+    so large that the misfit norm overflows; that exits 3.
+    """
+
+    KINDS = ("flip", "truncate", "overwrite")
+    PER_KIND = 25
+
+    @staticmethod
+    def mutated(blob, kind, header, rng):
+        blob = bytearray(blob)
+        if kind == "flip":
+            blob[rng.randrange(64)] ^= 1 << rng.randrange(8)
+        elif kind == "truncate":
+            blob = blob[: rng.randrange(len(blob))]
+        else:
+            at = rng.randrange(header, len(blob) - 7)
+            blob[at : at + 8] = rng.getrandbits(64).to_bytes(8, "little")
+        return bytes(blob)
+
+    def test_every_mutation_ends_in_an_exit_code(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", config_path, "--iterations", 1) == 0
+        common = ("--config", config_path)
+        commands = {
+            "siso.lslt": lambda path: ("invert", "--method", "lsl", *common, "--data", path,
+                                       "--q-out", tmp_path / "q.lslf"),
+            "lifted.lslt": lambda path: ("invert", "--method", "lsl", *common, "--data", path,
+                                         "--q-out", tmp_path / "q.lslf"),
+            "q_siso.lslf": lambda path: ("lift", *common, "--q", path,
+                                         "--data-out", tmp_path / "lifted.lslt"),
+            "q_final.lslf": lambda path: ("compare", *common, "--truth", out / "q_true.lslf",
+                                          "--in", path),
+        }
+        # LSLT: 32 header bytes and K * K = 9 mask bytes; LSLF: 56 header bytes
+        headers = {".lslt": 41, ".lslf": 56}
+        rng = random.Random(7)
+        capsys.readouterr()
+        codes = []
+        for name, command in commands.items():
+            blob = (out / name).read_bytes()
+            path = tmp_path / f"mutated_{name}"
+            for kind in self.KINDS:
+                for _ in range(self.PER_KIND):
+                    path.write_bytes(self.mutated(blob, kind, headers[path.suffix], rng))
+                    code = run(*command(path))
+                    captured = capsys.readouterr()
+                    text = captured.out + captured.err
+                    assert code in (0, 2, 3, 4), (name, kind, text)
+                    assert not re.search(r"\bnan\b", text, re.IGNORECASE), (name, kind, text)
+                    codes.append((name, code, "residual" in text))
+        # the overflowing misfit is among the cases, named as the residual
+        assert ("siso.lslt", 3, True) in codes
+
+    def test_overflowing_misfit_exits_3(self, tmp_path, config_path, capsys):
+        # one measured sample of 1.47e292: the record is finite and the
+        # ROM and the TSVD run, but the misfit norm overflows
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        values = np.array(siso.values)
+        values[1, 1, 7] = 1.47e292
+        save_transfer(out / "huge.lslt", TransferData(values, siso.mask, siso.tau))
+        capsys.readouterr()
+        assert run("invert", "--method", "lsl", "--config", config_path,
+                   "--data", out / "huge.lslt") == 3
+        captured = capsys.readouterr()
+        assert "residual" in captured.err
+        assert "nan" not in captured.out + captured.err
+        assert not (out / "q_siso.lslf").exists()

@@ -6,7 +6,7 @@ import pytest
 
 import lslkit as lk
 from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
-from lslkit.errors import IterationBudgetError
+from lslkit.errors import DimensionError, IterationBudgetError
 from lslkit.lippmann import assemble_system, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
@@ -192,6 +192,27 @@ class TestStages:
         lifted = run_lift_step(ctx, siso.potential, siso.transform)
         assert lifted.is_full
         assert lifted.num_samples == ctx.axis.n
+
+    def test_inversion_grid_background_inverts_bitwise_and_cannot_lift(self):
+        # `invert` builds its background on the inversion grid: each step
+        # assembles from the numbers of the injected fine stacks, and the
+        # lift, which needs the fine stacks, refuses it
+        ctx, _ = tiny_context()
+        background = simulate_background(
+            ctx.sim_grid, ctx.sources, ctx.axis, SolverSettings(substeps=4), ctx.inv_grid
+        )
+        coarse = replace(ctx, background=background)
+        assert np.array_equal(background.data.values, ctx.background.data.values)
+        assert np.array_equal(invert_born(coarse)[0].values, invert_born(ctx)[0].values)
+        siso = run_lsl_step(coarse, ctx.measured)
+        fine_siso = run_lsl_step(ctx, ctx.measured)
+        assert np.array_equal(siso.potential.values, fine_siso.potential.values)
+        assert siso.residual == fine_siso.residual
+        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        mimo = run_lsl_step(coarse, lifted)
+        assert np.array_equal(mimo.potential.values, run_lsl_step(ctx, lifted).potential.values)
+        with pytest.raises(DimensionError, match="field stack"):
+            run_lift_step(coarse, siso.potential, siso.transform)
 
     def test_final_inversion_uses_measured_data_only(self):
         # rebuilding the last stage from its transform and the measured record

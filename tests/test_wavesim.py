@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.fft
 
 import lslkit as lk
+from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product
 from lslkit.errors import ConfigurationError, DomainError
 from lslkit.wavesim import (
@@ -20,7 +22,7 @@ from lslkit.wavesim import (
     simulate_background,
     simulate_transfer,
 )
-from reference import leapfrog_snapshots, zero_potential
+from reference import leapfrog_snapshots, stack_record, zero_potential
 
 
 def small_setup(nx=40, ny=20, K=3, sigma=2.0, tau=2.0, n=8, q_amp=0.0, seed=1):
@@ -249,6 +251,63 @@ class TestClosedFormBackground:
             w0 = leapfrog_snapshots(zero, sources, i, axis, settings, axis.n, "antiderivative")
             assert self.rel_dev(bg.fields[i], u0) <= 1e-12
             assert self.rel_dev(bg.antiderivatives[i], w0) <= 1e-12
+
+
+class TestNestedBackground:
+    """Stacks on a nested coarsening of the simulation grid, and F0 from the modal states."""
+
+    @pytest.fixture(scope="class")
+    def fine(self):
+        # non-square cells and cell counts, an origin offset, and counts that 2 and 3 divide
+        grid = Grid2D(36, 24, 1.1, 0.8, origin=(2.0, -1.0))
+        xs = np.linspace(10.0, 32.0, 3)
+        sources = SourceSet(np.column_stack([xs + 2.0, np.full(3, 14.0)]), 2.0)
+        axis = TimeAxis(1.5, 9)
+        settings = SolverSettings(substeps=3)
+        return grid, sources, axis, settings, simulate_background(grid, sources, axis, settings)
+
+    def test_record_matches_the_fine_stack_angle_sum(self, fine):
+        grid, _, _, _, bg = fine
+        oracle = stack_record(bg.fields, grid)
+        assert np.abs(bg.data.values - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("ratio", [2, 3])
+    def test_nested_stacks_are_bitwise_injections(self, fine, ratio):
+        grid, sources, axis, settings, bg = fine
+        coarse = grid.coarsen(ratio)
+        nested = simulate_background(grid, sources, axis, settings, coarse)
+        assert bg.grid == grid and nested.grid == coarse
+        pairs = ((nested.fields, bg.fields), (nested.antiderivatives, bg.antiderivatives))
+        for stack, full in pairs:
+            assert stack.shape == (sources.count, axis.n) + coarse.shape
+            assert not stack.flags.writeable
+            assert np.array_equal(stack, full[:, :, ::ratio, ::ratio])
+        assert np.array_equal(nested.data.values, bg.data.values)
+
+    def test_refuses_a_grid_that_is_not_nested(self, fine):
+        grid, sources, axis, settings, _ = fine
+        with pytest.raises(ConfigurationError, match="not nested"):
+            simulate_background(grid, sources, axis, settings, Grid2D(12, 8, 3.3, 2.4))
+
+    def test_inversion_grid_background_holds_no_fine_stack(self):
+        # S is one (K, n) stack on box's inversion grid (ratio 2), and a
+        # fine stack is 3.9 S. u0 and w0 on the inversion grid hold 2 S;
+        # the build's four (n, modes) coefficient and scratch arrays, about
+        # 4 S / K each, come on top at the peak. Two fine stacks hold 7.8 S
+        cfg = parse_config(bundled_config_path("box"))
+        grid, inv_grid = cfg.sim_grid(), cfg.inv_grid()
+        args = (grid, cfg.sources(), cfg.axis(), cfg.settings(), inv_grid)
+        stack = cfg.source_count * cfg.n * inv_grid.num_nodes * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            background = simulate_background(*args)
+            held, peak = (value - before for value in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert background.grid == inv_grid
+        assert peak < 5.0 * stack, f"traced peak {peak / stack:.2f} S"
+        assert held <= 2.1 * stack, f"held {held / stack:.2f} S"
 
 
 class TestTransfer:
