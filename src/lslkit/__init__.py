@@ -42,6 +42,7 @@ from .pipeline import (
     metrics,
     run_lift_step,
     run_lsl_step,
+    stage_round,
     stages,
 )
 from .rom import (
@@ -93,6 +94,7 @@ __all__ = [
     "metrics",
     "run_lift_step",
     "run_lsl_step",
+    "stage_round",
     "stages",
     "block_mass_from_data",
     "cholesky_upper",

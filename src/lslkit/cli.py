@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: simulate, invert, lift, pipeline, compare, render. Global
-flags --config/--seed/--out apply to each. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures, 4 for
-file/I-O problems.
+flags --config/--seed/--out apply to each, and `_load_config` applies
+every override to the config. Exit codes: 0 on success, 2 for
+configuration problems, 3 for numerical failures, 4 for file/I-O problems.
 
 Artifact names inside the output directory:
 
@@ -19,11 +19,14 @@ Artifact names inside the output directory:
 
 `invert --method lsl` runs one LSL step (`pipeline.run_lsl_step`): the
 SISO step on a diagonal-only record, a MIMO step on a lifted one, whose
-round follows from the record's length.
+round follows from the record's length (`pipeline.stage_round`).
 `pipeline` writes each record that `pipeline.stages` yields; round r's
 lifted record goes to lifted_r.lslt beside q_mimo_r.lslf once its
-inversion succeeds. `--iterations` is validated like
-`inversion.iterations`, before anything is simulated.
+inversion succeeds. Default names follow the round in every command:
+`invert` writes the q of its record's round, `lift` reads the q of the
+round of --data and writes the record of the next round.
+`--iterations` is validated like `inversion.iterations`, before
+anything is simulated.
 
 Nothing else is stored. The zero-potential background is a function of
 the config and is recomputed in closed form by every command that needs
@@ -56,6 +59,7 @@ from .pipeline import (
     metrics,
     run_lift_step,
     run_lsl_step,
+    stage_round,
     stages,
 )
 from .wavesim import add_noise, simulate_background, simulate_transfer
@@ -84,10 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--positivity", action="store_true", help="clamp negative values")
 
     p_lift = sub.add_parser("lift", parents=[common], help="complete off-diagonal data")
-    p_lift.add_argument("--q", default=None, help="potential estimate (default q_siso.lslf)")
+    p_lift.add_argument("--q", default=None, help="potential estimate (default: --data's round)")
     p_lift.add_argument("--data", default=None,
                         help="record whose internal fields go with --q (default siso.lslt)")
-    p_lift.add_argument("--data-out", default=None, help="output record (default lifted.lslt)")
+    p_lift.add_argument("--data-out", default=None, help="output record (default: its round)")
 
     p_pipe = sub.add_parser("pipeline", parents=[common], help="simulate and invert end to end")
     p_pipe.add_argument("--iterations", type=int, default=None,
@@ -107,13 +111,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config with each override the command has (--positivity only
+    switches it on), validated after each one, before any output."""
     config = parse_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-        config.validate()
-    if args.out is not None:
-        config = replace(config, output_directory=args.out)
+    flags = {"seed": args.seed, "output_directory": args.out,
+             "positivity": getattr(args, "positivity", False) or None,
+             "iterations": getattr(args, "iterations", None)}
+    for key, value in flags.items():
+        if value is not None:
+            config = replace(config, **{key: value})
+            config.validate()
     return config
+
+
+def _names(round_index: int) -> tuple[str, str]:
+    """The q and lifted record file names of a round, as `pipeline` writes them."""
+    suffix = "" if round_index <= 1 else f"_{round_index}"
+    return f"q_{'mimo' if round_index else 'siso'}{suffix}.lslf", f"lifted{suffix}.lslt"
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -173,7 +187,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_invert(args) -> int:
     config = _load_config(args)
-    config = replace(config, positivity=args.positivity or config.positivity)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     data = lio.load_transfer(Path(args.data)) if args.data else measured
@@ -181,17 +194,14 @@ def _cmd_invert(args) -> int:
 
     if args.method == "born":
         potential, residual = invert_born(replace(ctx, measured=data))
-        q_path = Path(args.q_out) if args.q_out else out / "q_born.lslf"
-        _save_potential(q_path, potential)
-        print(f"born reconstruction -> {q_path} (residual {residual:.3e})")
-        return EXIT_OK
-
-    record = run_lsl_step(ctx if data.is_full else replace(ctx, measured=data), data)
-    step = "mimo" if record.round else "siso"
-    q_path = Path(args.q_out) if args.q_out else out / f"q_{step}.lslf"
-    _save_potential(q_path, record.potential)
-    print(f"lsl reconstruction -> {q_path} (stage {record.name}, N={record.active_length}, "
-          f"residual {record.residual:.3e})")
+        name, summary = "q_born.lslf", f"residual {residual:.3e}"
+    else:
+        record = run_lsl_step(ctx if data.is_full else replace(ctx, measured=data), data)
+        potential, name = record.potential, _names(record.round)[0]
+        summary = f"stage {record.name}, N={record.active_length}, residual {record.residual:.3e}"
+    q_path = Path(args.q_out) if args.q_out else out / name
+    _save_potential(q_path, potential)
+    print(f"{args.method} reconstruction -> {q_path} ({summary})")
     return EXIT_OK
 
 
@@ -199,12 +209,12 @@ def _cmd_lift(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
-    q_path = Path(args.q) if args.q else out / "q_siso.lslf"
-    grid, values = lio.load_field(q_path)
     data = lio.load_transfer(Path(args.data)) if args.data else measured
     ctx = _context(config, measured, config.sim_grid())
+    q_path = Path(args.q) if args.q else out / _names(stage_round(ctx, data))[0]
+    grid, values = lio.load_field(q_path)
     lifted = run_lift_step(ctx, Potential(grid, values), internal_transform(ctx, data))
-    data_out = Path(args.data_out) if args.data_out else out / "lifted.lslt"
+    data_out = Path(args.data_out) if args.data_out else out / _names(stage_round(ctx, lifted))[1]
     lio.save_transfer(data_out, lifted)
     print(f"lifted record ({lifted.num_samples} samples) -> {data_out}")
     return EXIT_OK
@@ -212,10 +222,6 @@ def _cmd_lift(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
-    if args.iterations is not None:
-        config = replace(config, iterations=args.iterations)
-        config.validate()
-    config = replace(config, positivity=args.positivity or config.positivity)
     out = _out_dir(config)
     ctx = _context(config, _simulate_artifacts(config, out), config.sim_grid())
     q_true = config.true_potential()
@@ -223,11 +229,10 @@ def _cmd_pipeline(args) -> int:
 
     lines = []
     for record in stages(ctx, config.iterations):
-        step = "mimo" if record.round else "siso"
-        suffix = "" if record.round <= 1 else f"_{record.round}"
+        q_name, lifted_name = _names(record.round)
         if record.round:
-            lio.save_transfer(out / f"lifted{suffix}.lslt", record.data)
-        _save_potential(out / f"q_{step}{suffix}.lslf", record.potential)
+            lio.save_transfer(out / lifted_name, record.data)
+        _save_potential(out / q_name, record.potential)
         report = metrics(record.potential, q_true, regions)
         line = (f"stage={record.name} N={record.active_length} "
                 f"residual={record.residual:.6e} rel_l2={report.global_rel_l2:.6f}")

@@ -141,10 +141,13 @@ def inner_product(grid: Grid2D, f: np.ndarray, g: np.ndarray) -> float:
 
 
 def restrict(values: np.ndarray, fine: Grid2D, coarse: Grid2D) -> np.ndarray:
-    """Pointwise injection of a fine-grid field at coincident coarse nodes."""
-    values = _check_field(fine, values, "field")
+    """Pointwise injection of a (..., ny+1, nx+1) array on `fine`, a field or
+    a snapshot stack, at the coincident coarse nodes: a view, never a copy."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-2:] != fine.shape:
+        raise DimensionError(f"field has shape {values.shape}, grid expects (...)+{fine.shape}")
     ratio = refinement_ratio(fine, coarse)
-    return values[::ratio, ::ratio].copy()
+    return values[..., ::ratio, ::ratio]
 
 
 def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:

@@ -91,14 +91,19 @@ def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -
     out *= tau
 
 
-def _check_time_axes(tau: float, other: float) -> None:
-    if not abs(other - tau) <= 1e-12 * tau:
-        raise DimensionError(f"sample intervals differ: {tau} vs {other}")
-
-
-def _transform_steps(transform: np.ndarray, K: int, available: int) -> int:
-    """Samples per field of a (B, G N, G N) block stack T over K = B G
-    sources, at most `available`."""
+def _checked_inputs(fields, w0, grid, measured, data0, transform):
+    """Both directions' input checks: u0 and w0 on `grid`, the source counts,
+    the measured diagonal, one tau, and T a (B, G N, G N) block stack over
+    K = B G sources whose N samples all inputs hold. Returns u0, w0 and N."""
+    fields = check_stack(grid, fields, "field")
+    w0 = check_stack(grid, w0, "antiderivative")
+    K = len(fields)
+    if len(w0) != K or measured.num_sources != K or data0.num_sources != K:
+        raise DimensionError("source counts of fields, antiderivatives and data differ")
+    measured.require_measured_diagonal()
+    if not abs(data0.tau - measured.tau) <= 1e-12 * measured.tau:
+        raise DimensionError(f"sample intervals differ: {measured.tau} vs {data0.tau}")
+    available = min(fields.shape[1], w0.shape[1], measured.num_samples, data0.num_samples)
     blocks, side = len(transform), transform.shape[-1]
     square = transform.shape == (blocks, side, side)
     if not square or not blocks or K % blocks or side % (K // blocks):
@@ -106,7 +111,7 @@ def _transform_steps(transform: np.ndarray, K: int, available: int) -> int:
     steps = side * blocks // K
     if available < steps:
         raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
-    return steps
+    return fields, w0, steps
 
 
 def assemble_system(
@@ -130,16 +135,8 @@ def assemble_system(
     also takes, are written straight into the preallocated matrix. The
     right-hand side uses measured diagonal data only.
     """
-    w0 = check_stack(inv_grid, w0, "antiderivative")
-    u0 = check_stack(inv_grid, u0, "field")
+    u0, w0, num = _checked_inputs(u0, w0, inv_grid, data, data0, transform)
     K = len(u0)
-    if len(w0) != K or data.num_sources != K or data0.num_sources != K:
-        raise DimensionError("source counts of fields, antiderivatives and data differ")
-    data.require_measured_diagonal()
-    tau = data.tau
-    _check_time_axes(tau, data0.tau)
-    available = min(u0.shape[1], w0.shape[1], data.num_samples, data0.num_samples)
-    num = _transform_steps(transform, K, available)
     group = K // len(transform)
     weights = inv_grid.node_weights.ravel()
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
@@ -151,7 +148,7 @@ def assemble_system(
             rows = slice(j * (num - 1), (j + 1) * (num - 1))
             field = block[:, i * num : (i + 1) * num].T @ u0_flat
             kernel = w0[j, :num].reshape(num, -1) * weights
-            _trapezoid_rows(kernel, field, tau, matrix[rows])
+            _trapezoid_rows(kernel, field, data.tau, matrix[rows])
             rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
@@ -238,17 +235,9 @@ def forward_lift(
     Entry (i, j) at time k tau subtracts tau times the trapezoid sum of
     C over a + b = k, the quadrature of `_trapezoid_rows`.
     """
-    fields = check_stack(grid, fields, "field")
-    w0 = check_stack(grid, w0, "antiderivative")
-    K = len(fields)
-    if len(w0) != K or data0.num_sources != K or measured.num_sources != K:
-        raise DimensionError("source counts of fields, antiderivatives and data differ")
+    fields, w0, steps = _checked_inputs(fields, w0, grid, measured, data0, transform)
     data0.require_full()
-    measured.require_measured_diagonal()
-    tau = measured.tau
-    _check_time_axes(tau, data0.tau)
-    available = min(fields.shape[1], w0.shape[1], data0.num_samples, measured.num_samples)
-    steps = _transform_steps(transform, K, available)
+    K, tau = len(fields), measured.tau
     size = K * steps
     if q_est.grid == grid:
         q_flat = q_est.values.ravel()

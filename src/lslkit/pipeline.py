@@ -19,10 +19,9 @@ source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly gets them injected onto the inversion grid as
-`[:, :, ::r, ::r]` views (injection commutes with T), with r the ratio
-of the background's own grid to the inversion grid, so r = 1 for a
-background built there, whose stacks are bitwise those views; the lift
-gets the simulation grid's stacks, which are never copied.
+`core.restrict` views (injection commutes with T), which a background
+built there passes whole; the lift gets the simulation grid's stacks.
+Neither copies a stack.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from .core import (
     TimeAxis,
     TransferData,
     inner_product,
-    refinement_ratio,
     restrict,
 )
-from .errors import DimensionError, IterationBudgetError
+from .errors import DegenerateDataError, DimensionError, IterationBudgetError
 from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     block_mass_from_data,
@@ -146,19 +144,12 @@ def _rom_transform(data: TransferData, data0: TransferData, length: int) -> np.n
     return field_transform(upper, upper0, data.num_sources)
 
 
-def _round(ctx: PipelineContext, data: TransferData) -> int:
-    """The `StageRecord.round` of an LSL step on `data`."""
+def stage_round(ctx: PipelineContext, data: TransferData) -> int:
+    """The `StageRecord.round` of an LSL step on `data`, 0 for a diagonal-only record."""
     round_index, lift_length = 1, ctx.axis.n
-    while lift_length > data.num_samples:
+    while lift_length > max(data.num_samples, 1):
         round_index, lift_length = round_index + 1, halved_length(lift_length)
     return round_index if data.is_full else 0
-
-
-def _injected(ctx: PipelineContext, stack: np.ndarray) -> np.ndarray:
-    """A background stack injected onto the inversion grid, as a view:
-    ratio 1 when the background was built there."""
-    ratio = refinement_ratio(ctx.background.grid, ctx.inv_grid)
-    return stack[:, :, ::ratio, ::ratio]
 
 
 def _factor(mass: np.ndarray) -> np.ndarray:
@@ -170,8 +161,8 @@ def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):
     """TSVD fit of the measured diagonal with the internal fields u0 * T,
     clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
     system = assemble_system(
-        _injected(ctx, ctx.background.antiderivatives),
-        _injected(ctx, ctx.background.fields),
+        restrict(ctx.background.antiderivatives, ctx.background.grid, ctx.inv_grid),
+        restrict(ctx.background.fields, ctx.background.grid, ctx.inv_grid),
         transform,
         ctx.measured,
         ctx.background.data,
@@ -193,7 +184,7 @@ def run_lsl_step(ctx: PipelineContext, data: TransferData) -> StageRecord:
     transform = internal_transform(ctx, data)
     threshold = ctx.tsvd_mimo if data.is_full else ctx.tsvd_siso
     potential, residual = _invert(ctx, transform, threshold)
-    return StageRecord(_round(ctx, data), data, transform, potential, residual)
+    return StageRecord(stage_round(ctx, data), data, transform, potential, residual)
 
 
 def run_lift_step(
@@ -258,24 +249,24 @@ class ErrorReport:
 
 def _align(q_est: Potential, q_true: Potential) -> tuple[Grid2D, np.ndarray, np.ndarray]:
     """Bring both potentials onto the coarser of the two nested grids."""
-    if q_est.grid == q_true.grid:
-        return q_est.grid, q_est.values, q_true.values
-    if q_est.grid.num_nodes <= q_true.grid.num_nodes:
-        coarse, est = q_est.grid, np.asarray(q_est.values)
-        true = restrict(q_true.values, q_true.grid, coarse)
-    else:
-        coarse, true = q_true.grid, np.asarray(q_true.values)
-        est = restrict(q_est.values, q_est.grid, coarse)
-    return coarse, est, true
+    coarse = min(q_est.grid, q_true.grid, key=lambda grid: grid.num_nodes)
+    est = restrict(q_est.values, q_est.grid, coarse)
+    return coarse, est, restrict(q_true.values, q_true.grid, coarse)
 
 
 def _rel_l2(grid, diff, reference, where=None) -> float:
+    """||diff|| / ||reference||, or ||diff|| for a zero reference; as in
+    `lippmann.residual_norm`, one that overflows raises, never reported."""
     if where is not None:
         diff = np.where(where, diff, 0.0)
         reference = np.where(where, reference, 0.0)
-    num = inner_product(grid, diff, diff)
-    den = inner_product(grid, reference, reference)
-    return float(np.sqrt(num / den)) if den > 0.0 else float(np.sqrt(num))
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = inner_product(grid, diff, diff)
+        den = inner_product(grid, reference, reference)
+    error = float(np.sqrt(num / den)) if den > 0.0 else float(np.sqrt(num))
+    if not (np.isfinite(error) and np.isfinite(den)):
+        raise DegenerateDataError("the relative L2 error is not finite: values overflow its norm")
+    return error
 
 
 def _peak(grid, values, where) -> tuple[float, float]:

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
+from .core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
+                   refinement_ratio, restrict)
 from .errors import ConfigurationError, DomainError
 
 
@@ -298,7 +299,7 @@ def simulate_background(
     `stack_grid`, the simulation grid by default or a nested coarsening
     of it: each fine history passes through one (n, ny+1, nx+1) scratch
     array that every source and both stacks reuse, and only its
-    `[:, ::r, ::r]` samples are kept, so a coarse stack is bitwise the
+    `core.restrict` view is kept, so a coarse stack is bitwise the
     injection of the fine one and no fine stack is allocated.
 
     The 2n-1 samples of F0 never read a stack: `_angle_sum_record` runs
@@ -309,7 +310,7 @@ def simulate_background(
     allocated, so its buffers never add to their peak.
     """
     stack_grid = grid if stack_grid is None else stack_grid
-    ratio = refinement_ratio(grid, stack_grid)
+    refinement_ratio(grid, stack_grid)  # nested, or refused before any work
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
     # eigenvalues of the zero-potential A_h on the DCT-I modes cos(pi a ix / nx) cos(pi b iy / ny)
@@ -345,7 +346,7 @@ def simulate_background(
             np.multiply(coefficients, g_hat, out=modal)
             np.matmul(modal, cx.T, out=half)
             np.matmul(cy, half, out=modal)  # the fine history, over the spent coefficients
-            np.divide(modal[:, ::ratio, ::ratio], norm, out=stack[i])
+            np.divide(restrict(modal, grid, stack_grid), norm, out=stack[i])
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)

@@ -1,5 +1,6 @@
 import random
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 import lslkit.cli
 from lslkit.cli import main
+from lslkit.config import bundled_config_path
 from lslkit.core import MaskState, TransferData
-from lslkit.io import load_field, load_transfer, save_transfer
+from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from reference import load_pgm
 
 SMALL_CONFIG = """
@@ -216,6 +218,68 @@ class TestSurface:
         _, values = load_field(tmp_path / "out" / "q_pos.lslf")
         assert values.min() >= 0.0
 
+    def test_default_names_follow_the_round(self, tmp_path, config_path):
+        # with no --q, --data-out or --q-out, a two-round chain writes
+        # `pipeline --iterations 2`'s files, by name and by byte
+        pipe_dir, chain_dir = tmp_path / "pipe", tmp_path / "chain"
+        assert run("pipeline", "--config", config_path, "--iterations", 2,
+                   "--out", pipe_dir) == 0
+        common = ("--config", config_path, "--out", chain_dir)
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common) == 0
+        assert run("lift", *common) == 0
+        assert run("invert", "--method", "lsl", *common, "--data", chain_dir / "lifted.lslt") == 0
+        assert run("lift", *common, "--data", chain_dir / "lifted.lslt") == 0
+        assert run("invert", "--method", "lsl", *common, "--data", chain_dir / "lifted_2.lslt") == 0
+        names = sorted(p.name for p in pipe_dir.iterdir()
+                       if p.name not in ("q_final.lslf", "metrics.txt"))
+        assert sorted(p.name for p in chain_dir.iterdir()) == names
+        for name in names:
+            assert (chain_dir / name).read_bytes() == (pipe_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command, written", [
+        (("invert", "--method", "born"), "q_born.lslf"),
+        (("invert", "--method", "lsl"), "q_siso.lslf"),
+        (("pipeline",), "q_final.lslf"),
+    ], ids=["born", "lsl", "pipeline"])
+    def test_positivity_flag_on_every_command(self, tmp_path, config_path, command, written):
+        minima = []
+        for flags in ((), ("--positivity",)):
+            out = tmp_path / ("clamped" if flags else "plain")
+            if command[0] == "invert":
+                assert run("simulate", "--config", config_path, "--out", out) == 0
+            assert run(*command, "--config", config_path, "--out", out, *flags) == 0
+            minima.append(load_field(out / written)[1].min())
+        assert minima[0] < 0.0 <= minima[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "invert", "lift", "pipeline",
+                                         "compare", "render"])
+    def test_seed_flag_on_every_command(self, tmp_path, config_path, capsys, command):
+        # each command applies --seed to its config and validates it
+        # before it reads or writes a file
+        argv = {"invert": ("--method", "lsl"), "render": ("--in", tmp_path / "q.lslf"),
+                "compare": ("--truth", tmp_path / "q.lslf", "--in", tmp_path / "q.lslf")}
+        assert run(command, "--config", config_path, "--seed", -1, *argv.get(command, ())) == 2
+        assert "noise.seed -1 must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_reaches_pipeline_noise(self, tmp_path, config_path):
+        noisy = tmp_path / "noisy.cfg"
+        noisy.write_text(config_path.read_text() + "\n[noise]\nlevel = 0.05\n")
+        for command, seed in (("simulate", 1), ("pipeline", 1), ("pipeline", 2)):
+            out = tmp_path / f"{command}_{seed}"
+            assert run(command, "--config", noisy, "--seed", seed, "--out", out) == 0
+        siso = {name: (tmp_path / name / "siso.lslt").read_bytes()
+                for name in ("simulate_1", "pipeline_1", "pipeline_2")}
+        assert siso["pipeline_1"] == siso["simulate_1"] != siso["pipeline_2"]
+
+    def test_zero_iterations_flag(self, tmp_path, config_path):
+        # 0 is an override too: the config's one round is not run
+        assert run("pipeline", "--config", config_path, "--iterations", 0) == 0
+        metrics = (tmp_path / "out" / "metrics.txt").read_text().splitlines()
+        assert [line.split()[0] for line in metrics] == ["stage=siso"]
+        assert not (tmp_path / "out" / "lifted.lslt").exists()
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
@@ -366,6 +430,22 @@ class TestExitCodes:
         assert run("simulate", "--config", noisy, "--seed", -1) == 2
         assert "noise.seed" in capsys.readouterr().err
 
+    def test_overflowing_compare_exits_3(self, tmp_path, config_path, capsys):
+        # one finite value of 1e200: its square overflows the error norm
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        grid, values = load_field(out / "q_true.lslf")
+        values = np.array(values)
+        values[5, 7] = 1e200
+        save_field(out / "huge.lslf", grid, values)
+        capsys.readouterr()
+        for truth, estimate in (("q_true.lslf", "huge.lslf"), ("huge.lslf", "q_true.lslf")):
+            assert run("compare", "--config", config_path, "--truth", out / truth,
+                       "--in", out / estimate) == 3
+            captured = capsys.readouterr()
+            assert "relative L2 error is not finite" in captured.err
+            assert not captured.out
+
     @pytest.mark.parametrize("source", ["flag", "key"])
     @pytest.mark.parametrize("iterations, code", [(-1, 2), (3, 0), (4, 2)])
     def test_pipeline_iterations(self, tmp_path, config_path, capsys, source, iterations, code):
@@ -430,8 +510,9 @@ class TestMutatedArtifacts:
     Bit flips in the first 64 bytes (the header and the start of the
     payload), truncations, and 8-byte overwrites at any payload offset:
     every run ends in an exit code, under the suite's warning filters,
-    and never reports a NaN. An overwrite can leave a record finite but
-    so large that the misfit norm overflows; that exits 3.
+    and never reports a NaN, nor an inf on stdout. An overwrite can leave
+    a record or a field finite but so large that the misfit or the error
+    norm overflows; that exits 3.
     """
 
     KINDS = ("flip", "truncate", "overwrite")
@@ -479,6 +560,7 @@ class TestMutatedArtifacts:
                     text = captured.out + captured.err
                     assert code in (0, 2, 3, 4), (name, kind, text)
                     assert not re.search(r"\bnan\b", text, re.IGNORECASE), (name, kind, text)
+                    assert not re.search(r"\binf\b", captured.out, re.IGNORECASE), (name, kind)
                     codes.append((name, code, "residual" in text))
         # the overflowing misfit is among the cases, named as the residual
         assert ("siso.lslt", 3, True) in codes
@@ -499,3 +581,23 @@ class TestMutatedArtifacts:
         assert "residual" in captured.err
         assert "nan" not in captured.out + captured.err
         assert not (out / "q_siso.lslf").exists()
+
+
+class TestReadme:
+    """README's command lines stay in step with the parser."""
+
+    def test_every_readme_command_parses(self):
+        # `\` continuations are joined and $CFG is a bundled config
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.DOTALL)
+        config = str(bundled_config_path("two_targets"))
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line.replace("$CFG", config), comments=True)
+                    for line in lines if line.startswith("lslkit ")]
+        assert len(commands) >= 9
+        parser = lslkit.cli._build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")

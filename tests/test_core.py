@@ -116,6 +116,24 @@ class TestGridTransfer:
         back = restrict(prolong(r, self.coarse, self.fine), self.fine, self.coarse)
         assert np.array_equal(back, r)
 
+    def test_restrict_stack_is_a_view(self):
+        # a (K, N, ny+1, nx+1) stack injects as a whole, without a copy
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((3, 5) + self.fine.shape)
+        r = restrict(stack, self.fine, self.coarse)
+        assert r.shape == (3, 5) + self.coarse.shape
+        assert np.array_equal(r, stack[..., ::2, ::2])
+        assert np.shares_memory(r, stack)
+        same = restrict(stack, self.fine, self.fine)
+        assert np.array_equal(same, stack) and np.shares_memory(same, stack)
+
+    def test_restrict_refuses_wrong_trailing_shape(self):
+        for shape in ((3, 5) + self.coarse.shape, (self.fine.ny + 1,), (9, 7)):
+            with pytest.raises(DimensionError, match="grid expects"):
+                restrict(np.zeros(shape), self.fine, self.coarse)
+        with pytest.raises(ConfigurationError, match="not nested"):
+            restrict(np.zeros((2,) + self.fine.shape), self.fine, Grid2D(3, 3, 1.0, 1.0))
+
     def test_prolong_constant_and_linear(self):
         c = np.full(self.coarse.shape, -1.5)
         assert prolong(c, self.coarse, self.fine) == pytest.approx(c[0, 0])

@@ -595,3 +595,62 @@ class TestForwardLift:
                 data,
                 grid,
             )
+
+
+class TestSharedInputChecks:
+    """Assembly and the lift refuse the same bad inputs with the same
+    messages: both directions run one check of the stacks, the source
+    counts, the measured diagonal, the sample interval, the available
+    samples and T, in that order."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        grid, _, _, sources, axis, _, data, bg = wave_setup(n=10)
+        K, n = sources.count, axis.n
+        return dict(fields=bg.fields, w0=bg.antiderivatives, grid=grid, measured=data,
+                    data0=bg.data, transform=identity_blocks(K, n))
+
+    @staticmethod
+    def assemble(fields, w0, grid, measured, data0, transform):
+        return assemble_system(w0, fields, transform, measured, data0, grid, 1e-2)
+
+    @staticmethod
+    def lift(fields, w0, grid, measured, data0, transform):
+        zero = zero_potential(grid)
+        return forward_lift(fields, transform, zero, w0, data0, measured, grid)
+
+    CASES = {
+        # both stacks off the grid: the field stack is checked first
+        "stack_shape": (lambda d: dict(fields=d["fields"][:, :, ::2, ::2],
+                                       w0=d["w0"][:, :, ::2, ::2]),
+                        DimensionError, "field stack has shape (4, 10, 16, 31), "
+                        "expected (K, N)+(31, 61)"),
+        "antiderivative_shape": (lambda d: dict(w0=d["w0"][:, :, ::2, ::2]),
+                                 DimensionError, "antiderivative stack has shape "
+                                 "(4, 10, 16, 31), expected (K, N)+(31, 61)"),
+        "source_count": (lambda d: dict(w0=d["w0"][:3]), DimensionError,
+                         "source counts of fields, antiderivatives and data differ"),
+        "unmeasured_diagonal": (
+            lambda d: dict(measured=TransferData(d["measured"].values,
+                                                 np.zeros((4, 4), np.int8), 2.0)),
+            PreconditionError, "diagonal transfer entries must be measured"),
+        "tau": (lambda d: dict(measured=TransferData(d["measured"].values,
+                                                     d["measured"].mask, 4.0)),
+                DimensionError, "sample intervals differ: 4.0 vs 2.0"),
+        "short_stacks": (lambda d: dict(fields=d["fields"][:, :9]), DimensionError,
+                         "inputs hold 9 of the 10 transform samples"),
+        "bad_transform": (lambda d: dict(transform=np.eye(40)), DimensionError,
+                          "transform of shape (40, 40) does not fit 4 sources"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("direction", ["assemble", "lift"])
+    def test_same_refusal(self, inputs, direction, case):
+        change, error, message = self.CASES[case]
+        with pytest.raises(error) as refused:
+            getattr(self, direction)(**{**inputs, **change(inputs)})
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("direction", ["assemble", "lift"])
+    def test_valid_inputs_pass(self, inputs, direction):
+        getattr(self, direction)(**inputs)

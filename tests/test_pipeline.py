@@ -6,7 +6,7 @@ import pytest
 
 import lslkit as lk
 from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
-from lslkit.errors import DimensionError, IterationBudgetError
+from lslkit.errors import DegenerateDataError, DimensionError, IterationBudgetError
 from lslkit.lippmann import assemble_system, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
@@ -17,6 +17,7 @@ from lslkit.pipeline import (
     metrics,
     run_lift_step,
     run_lsl_step,
+    stage_round,
     stages,
 )
 from lslkit.rom import (
@@ -71,6 +72,19 @@ class TestSchedule:
         ]
         assert records[0].data is ctx.measured
         assert all(rec.data.is_full for rec in records[1:])
+
+    def test_stage_round_follows_the_record_length(self):
+        ctx, _ = tiny_context(n=16)
+        records = list(stages(ctx, iterations=2))
+        assert [stage_round(ctx, rec.data) for rec in records] == [0, 1, 2]
+        # lift lengths 16, 8, 4, 2, 1: a full record belongs to the first
+        # round whose lift length it holds; an empty one ends the search too
+        K = ctx.sources.count
+        full = np.full((K, K), lk.MaskState.LIFTED, np.int8)
+        rounds = {31: 1, 16: 1, 15: 2, 8: 2, 5: 3, 2: 4, 1: 5, 0: 5}
+        for length, expected in rounds.items():
+            record = TransferData(np.zeros((K, K, length)), full, ctx.axis.tau)
+            assert stage_round(ctx, record) == expected, length
 
     def test_budget_exhaustion(self):
         ctx, _ = tiny_context(n=4)
@@ -345,6 +359,15 @@ class TestMetrics:
         report = metrics(Potential(grid, est_vals), Potential(grid, truth_vals), (region,))
         assert report.peak_offsets["spot"] == pytest.approx(2.0)
         assert report.region_rel_l2["spot"] == pytest.approx(np.sqrt(2.0))
+
+    def test_overflowing_norm_raises(self):
+        # finite values whose squares overflow: no inf or 0 is reported
+        grid = Grid2D(4, 4, 1.0, 1.0)
+        huge, ones = np.zeros(grid.shape), np.ones(grid.shape)
+        huge[2, 2] = 1e200
+        for est, truth in ((huge, ones), (ones, huge)):
+            with pytest.raises(DegenerateDataError, match="relative L2 error is not finite"):
+                metrics(Potential(grid, est), Potential(grid, truth))
 
     def test_report_type(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
