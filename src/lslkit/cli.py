@@ -150,9 +150,7 @@ def _context(
         axis,
         measured,
         simulate_background(grid, sources, axis, config.settings(), stack_grid),
-        tsvd_siso=config.tsvd_siso,
-        tsvd_mimo=config.tsvd_mimo,
-        tsvd_born=config.tsvd_born,
+        tsvd=config.tsvd,
         positivity=config.positivity,
     )
 

@@ -13,8 +13,7 @@ user-facing copy, which a test checks against them:
                   first_x (0.14*width), last_x (0.86*width)
     [time]        tau (3.0), n (80)
     [solver]      substeps (5), cfl_safety (0.9)
-    [inversion]   tsvd_born (0.03), tsvd_siso (0.03), tsvd_mimo (0.03),
-                  iterations (1), positivity (false)
+    [inversion]   tsvd (0.03), iterations (1), positivity (false)
     [noise]       level (0.0), seed (20250811)
     [model]       margin (4.0), inclusions (empty)
     [inclusion X] shape (required), x (required), y (required), width (required),
@@ -25,17 +24,17 @@ nx, ny are simulation cell counts; the inversion grid is the simulation
 grid coarsened by inversion_ratio. Collocated transmitter/receivers
 (count at least 2, amplitude nonzero) sit on a horizontal line `depth`
 (within 3*sigma) below the top boundary, evenly spaced from first_x to
-last_x. Acquisition records 2n-1 samples at interval tau. Each tsvd_*
-level lies in [1e-4, 1). Every completion round halves the record,
-N -> floor((N-1)/2) + 1 from N = n, and must leave at least 2 samples:
-n = 12 allows 3 iterations, n = 80 allows 6. Noise level and seed are
-nonnegative. model.inclusions lists distinct names, split by whitespace
-or commas, each with an [inclusion X] section: a rectangle or ellipse
-centred at (x, y), rotated counterclockwise by angle degrees. Every
-float must be finite, and overlapping inclusions combine by max().
-Validation runs before anything is simulated and covers grid nesting,
-the CFL bound, source placement and the support margin; each error
-names its key path (e.g. "solver.substeps").
+last_x. Acquisition records 2n-1 samples at interval tau. One tsvd
+level, in [1e-4, 1), serves every inversion. Every completion round
+halves the record, N -> floor((N-1)/2) + 1 from N = n, and must leave at
+least 2 samples: n = 12 allows 3 iterations, n = 80 allows 6. Noise
+level and seed are nonnegative. model.inclusions lists distinct names,
+split by whitespace or commas, each with an [inclusion X] section: a
+rectangle or ellipse centred at (x, y), rotated counterclockwise by
+angle degrees. Every float must be finite, and overlapping inclusions
+combine by max(). Validation runs before anything is simulated and
+covers grid nesting, the CFL bound, source placement and the support
+margin; each error names its key path (e.g. "solver.substeps").
 """
 
 # no `from __future__ import annotations`: parse_config reads field types
@@ -134,9 +133,7 @@ class ExperimentConfig:
     n: int = _setting("time.n", 80, _at_least(2))
     substeps: int = _setting("solver.substeps", 5, _at_least(1))
     cfl_safety: float = _setting("solver.cfl_safety", 0.9, (lambda c: 0 < c <= 1, "in (0, 1]"))
-    tsvd_born: float = _setting("inversion.tsvd_born", 0.03, _TSVD_LEVEL)
-    tsvd_siso: float = _setting("inversion.tsvd_siso", 0.03, _TSVD_LEVEL)
-    tsvd_mimo: float = _setting("inversion.tsvd_mimo", 0.03, _TSVD_LEVEL)
+    tsvd: float = _setting("inversion.tsvd", 0.03, _TSVD_LEVEL)
     iterations: int = _setting("inversion.iterations", 1, _NONNEGATIVE)
     positivity: bool = _setting("inversion.positivity", False)
     noise_level: float = _setting("noise.level", 0.0, _NONNEGATIVE)

@@ -153,8 +153,9 @@ def restrict(values: np.ndarray, fine: Grid2D, coarse: Grid2D) -> np.ndarray:
 def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
     """Bilinear interpolation of a coarse-grid field onto a nested fine grid.
 
-    Exact on bilinear functions and at coincident nodes, so
-    restrict(prolong(f)) == f.
+    Exact on bilinear functions. Coincident nodes copy the coarse values
+    bit for bit (signed zeros too): restrict(prolong(f)) == f exactly,
+    and prolong onto the same grid is the identity.
     """
     values = _check_field(coarse, values, "field")
     ratio = refinement_ratio(fine, coarse)
@@ -168,12 +169,14 @@ def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
     v01 = values[np.ix_(cy, cx + 1)]
     v10 = values[np.ix_(cy + 1, cx)]
     v11 = values[np.ix_(cy + 1, cx + 1)]
-    return (
+    out = (
         (1.0 - ty) * (1.0 - tx) * v00
         + (1.0 - ty) * tx * v01
         + ty * (1.0 - tx) * v10
         + ty * tx * v11
     )
+    out[::ratio, ::ratio] = values
+    return out
 
 
 @dataclass(frozen=True)
@@ -281,8 +284,8 @@ class TransferData:
             )
         if not np.isin(mask, (0, 1, 2)).all():
             raise PreconditionError("mask entries must be absent/measured/lifted")
-        if self.tau <= 0.0:
-            raise ConfigurationError("sample interval tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigurationError("sample interval tau must be positive and finite")
         values = np.array(values, dtype=np.float64, order="C", copy=True)
         values[mask == MaskState.ABSENT] = 0.0
         values.setflags(write=False)

@@ -220,11 +220,11 @@ def forward_lift(
     u0 * T with T = `transform`, a (B, G steps, G steps) stack of
     diagonal blocks in the source-major order of `rom.field_transform`.
     Evaluates the forward integral on `grid` (the estimate is prolonged
-    there if it lives on a coarser nested grid) for every pair i != j
-    and writes the reciprocal mean of the (i, j) and (j, i) entries, so
-    the record is exactly symmetric; diagonals are copied verbatim from
-    the measured record. The output holds the `steps` samples of T's
-    fields.
+    there from its own nested grid, the same grid included) for every
+    pair i != j and writes the reciprocal mean of the (i, j) and (j, i)
+    entries, so the record is exactly symmetric; diagonals are copied
+    verbatim from the measured record. The output holds the `steps`
+    samples of T's fields.
 
     One matrix product, accumulated over node blocks, gives the space
     integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
@@ -239,11 +239,7 @@ def forward_lift(
     data0.require_full()
     K, tau = len(fields), measured.tau
     size = K * steps
-    if q_est.grid == grid:
-        q_flat = q_est.values.ravel()
-    else:
-        q_flat = prolong(q_est.values, q_est.grid, grid).ravel()
-    weighted_q = grid.node_weights.ravel() * q_flat
+    weighted_q = grid.node_weights.ravel() * prolong(q_est.values, q_est.grid, grid).ravel()
 
     # rows (j, a) and columns (l, a'), the row order of T
     w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :steps]

@@ -54,7 +54,8 @@ from .wavesim import BackgroundArtifacts
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Immutable inputs shared by every stage of one inversion run."""
+    """Immutable inputs shared by every stage of one inversion run; every
+    inversion, the Born one included, truncates its TSVD at `tsvd`."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
@@ -62,9 +63,7 @@ class PipelineContext:
     axis: TimeAxis
     measured: TransferData
     background: BackgroundArtifacts
-    tsvd_siso: float
-    tsvd_mimo: float
-    tsvd_born: float
+    tsvd: float
     positivity: bool
 
 
@@ -157,8 +156,8 @@ def _factor(mass: np.ndarray) -> np.ndarray:
     return cholesky_upper(matrix)
 
 
-def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):
-    """TSVD fit of the measured diagonal with the internal fields u0 * T,
+def _invert(ctx: PipelineContext, transform: np.ndarray):
+    """TSVD fit of the measured diagonal at `ctx.tsvd` with the fields u0 * T,
     clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
     system = assemble_system(
         restrict(ctx.background.antiderivatives, ctx.background.grid, ctx.inv_grid),
@@ -167,7 +166,7 @@ def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):
         ctx.measured,
         ctx.background.data,
         ctx.inv_grid,
-        threshold,
+        ctx.tsvd,
     )
     q_est = solve_tsvd(system)
     if ctx.positivity:
@@ -178,12 +177,11 @@ def _invert(ctx: PipelineContext, transform: np.ndarray, threshold: float):
 def run_lsl_step(ctx: PipelineContext, data: TransferData) -> StageRecord:
     """Internal fields from the ROM of `data`, then the TSVD fit of the measured diagonal.
 
-    A diagonal-only record takes the per-source ROM and `tsvd_siso`; a
-    completed record takes the block ROM and `tsvd_mimo`.
+    A diagonal-only record takes the per-source ROM, a completed record
+    the block ROM; both fits cut at `ctx.tsvd`.
     """
     transform = internal_transform(ctx, data)
-    threshold = ctx.tsvd_mimo if data.is_full else ctx.tsvd_siso
-    potential, residual = _invert(ctx, transform, threshold)
+    potential, residual = _invert(ctx, transform)
     return StageRecord(stage_round(ctx, data), data, transform, potential, residual)
 
 
@@ -222,7 +220,7 @@ def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
     """Reconstruction with background fields in place of internal ones:
     T is K identity blocks, a read-only view of one n x n identity."""
     n = ctx.axis.n
-    return _invert(ctx, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)), ctx.tsvd_born)
+    return _invert(ctx, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)))
 
 
 @dataclass(frozen=True)

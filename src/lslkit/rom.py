@@ -50,8 +50,6 @@ SPD_RIDGE = 1.0e-12
 class RegularizationRecord:
     applied: bool
     eps0: float
-    lambda_min_pos: float
-    lambda_max_pos: float
 
 
 class Regularized(NamedTuple):
@@ -109,16 +107,13 @@ def regularize_spd(mass: np.ndarray) -> Regularized:
     positive = lam[lam > 0.0]
     if positive.size == 0:
         raise DegenerateDataError("mass matrix has no positive eigenvalue")
-    lam_min = float(positive.min())
-    lam_max = float(positive.max())
-    eps0 = float(np.sqrt(SPD_RIDGE * lam_max) * np.sqrt(lam_min))
+    eps0 = float(np.sqrt(SPD_RIDGE * positive.max()) * np.sqrt(positive.min()))
     clipped = lam < eps0
     if clipped.any():
         lifted = (vec * np.maximum(lam, eps0)) @ vec.T
         sym = 0.5 * (lifted + lifted.T)
     _require_finite(sym)
-    record = RegularizationRecord(bool(clipped.any()), eps0, lam_min, lam_max)
-    return Regularized(sym, record)
+    return Regularized(sym, RegularizationRecord(bool(clipped.any()), eps0))
 
 
 def cholesky_upper(mass: np.ndarray) -> np.ndarray:

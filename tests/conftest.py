@@ -42,9 +42,7 @@ def build_context(cfg, noise_level=None):
         axis,
         data,
         background,
-        tsvd_siso=cfg.tsvd_siso,
-        tsvd_mimo=cfg.tsvd_mimo,
-        tsvd_born=cfg.tsvd_born,
+        tsvd=cfg.tsvd,
         positivity=cfg.positivity,
     )
     return ctx, q_true, true_mimo

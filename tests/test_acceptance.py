@@ -94,7 +94,7 @@ def test_c02_zero_potential_round_trip():
         ref = background.fields[j]
         worst_field = max(worst_field, np.abs(synthesized - ref).max() / np.abs(ref).max())
     ctx = PipelineContext(
-        grid, grid.coarsen(2), sources, axis, data, background, 1e-2, 1e-2, 1e-2, False
+        grid, grid.coarsen(2), sources, axis, data, background, 1e-2, False
     )
     *_, final = stages(ctx, iterations=1)
     q_norm = np.abs(np.asarray(final.potential.values)).max()

@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import random
 import re
 import shlex
@@ -293,9 +295,18 @@ class TestExitCodes:
 
     def test_tsvd_below_floor(self, tmp_path, config_path, capsys):
         low = tmp_path / "low.cfg"
-        low.write_text(config_path.read_text() + "\n[inversion]\ntsvd_siso = 1e-5\n")
+        low.write_text(config_path.read_text() + "\n[inversion]\ntsvd = 1e-5\n")
         assert run("pipeline", "--config", low) == 2
-        assert "inversion.tsvd_siso" in capsys.readouterr().err
+        assert "inversion.tsvd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tsvd_born", "tsvd_siso", "tsvd_mimo"])
+    def test_per_stage_tsvd_key_refused(self, tmp_path, config_path, capsys, key):
+        # one level serves every inversion: a per-stage key is unknown
+        old = tmp_path / "old.cfg"
+        old.write_text(config_path.read_text() + f"\n[inversion]\n{key} = 0.03\n")
+        assert run("pipeline", "--config", old) == 2
+        assert f"unknown config key inversion.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_io_error(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -601,3 +612,39 @@ class TestReadme:
                 parser.parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps lslkit functions by the names its callers
+    look up and binds each hook's arguments by parameter name; a rename on
+    either side silently drops a per-layer metric or raises in a hook."""
+
+    def test_every_hook_fires(self, tmp_path, config_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        # install() replaces module attributes; monkeypatch puts them back
+        for namespace in tracer_module.TRACED_NAMESPACES:
+            module = importlib.import_module(namespace)
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(module, attr, value)
+        tracer = tracer_module.Tracer("contract")
+        tracer.install()
+
+        out = tmp_path / "out"
+        common = ("--config", config_path)
+        for argv in (("pipeline", *common), ("invert", "--method", "born", *common),
+                     ("lift", *common),
+                     ("compare", *common, "--truth", out / "q_true.lslf",
+                      "--in", out / "q_final.lslf"),
+                     ("render", *common, "--in", out / "q_final.lslf")):
+            assert lslkit.cli.main([str(a) for a in argv]) == 0
+
+        spans = {span["name"] for span in tracer.spans}
+        assert set(tracer_module.HOOKS) <= spans, set(tracer_module.HOOKS) - spans
+        assert not [name for name in tracer.counts if name.endswith(".failed")]
+        for name in ("wavesim.fine_steps", "rom.regularize_spd.calls", "lippmann.tsvd_kept",
+                     "lippmann.lift_pairs", "io.files_written", "io.files_read"):
+            assert tracer.counts[name] > 0, name

@@ -179,9 +179,8 @@ SINGLE_KEY_RULES = [
     ("solver.substeps", "0", "1", {"time.tau": "0.5"}),
     ("solver.cfl_safety", "0", "1", {}),
     ("solver.cfl_safety", "1.01", "1e-3", {"time.tau": "1e-3"}),
-    ("inversion.tsvd_born", "1", "1e-4", {}),
-    ("inversion.tsvd_siso", "9.99e-5", "0.999", {}),
-    ("inversion.tsvd_mimo", "1", "1e-4", {}),
+    ("inversion.tsvd", "1", "1e-4", {}),
+    ("inversion.tsvd", "9.99e-5", "0.999", {}),
     ("inversion.iterations", "-1", "0", {}),
     ("noise.level", "-1e-9", "0", {}),
     ("noise.seed", "-1", "0", {}),

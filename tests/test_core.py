@@ -141,6 +141,20 @@ class TestGridTransfer:
         x_f = prolong(x_c, self.coarse, self.fine)
         assert x_f == pytest.approx(np.tile(self.fine.xs(), (self.fine.ny + 1, 1)))
 
+    @pytest.mark.parametrize(
+        "grid", [Grid2D(8, 6, 0.5, 0.5), Grid2D(7, 5, 0.3, 1.7, origin=(-2.5, 4.0))],
+        ids=["square", "offset"],
+    )
+    def test_prolong_onto_the_same_grid_is_bitwise_identity(self, grid):
+        # forward_lift prolongs every estimate, one on its own grid too;
+        # -0.0 beside a positive neighbour would come back +0.0 from the
+        # interpolation sum alone
+        rng = np.random.default_rng(11)
+        values = rng.choice([-1.0, 1.0], grid.shape) * 10.0 ** rng.uniform(-300, 300, grid.shape)
+        values[::2, ::3] = -0.0
+        values[1, 1] = 0.0
+        assert prolong(values, grid, grid).tobytes() == values.tobytes()
+
     def test_prolong_delta_tent(self):
         delta = np.zeros(self.coarse.shape)
         delta[2, 2] = 1.0
@@ -213,6 +227,15 @@ class TestContainers:
             TransferData(np.zeros((2, 3, 5)), mask, 0.5)
         with pytest.raises(PreconditionError):
             TransferData(values, np.full((2, 2), 7, dtype=np.int8), 0.5)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_transfer_tau_positive_and_finite(self, tau):
+        # the rule and message of TimeAxis: a NaN tau passes a bare `<= 0`
+        message = "^sample interval tau must be positive and finite$"
+        with pytest.raises(ConfigurationError, match=message):
+            TransferData(np.ones((2, 2, 3)), np.ones((2, 2)), tau)
+        with pytest.raises(ConfigurationError, match=message):
+            TimeAxis(tau, 4)
 
     def test_reciprocity_defect_detects_corruption(self):
         rng = np.random.default_rng(5)

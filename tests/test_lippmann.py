@@ -11,7 +11,12 @@ from lslkit.core import (
     prolong,
     restrict,
 )
-from lslkit.errors import DimensionError, OverRegularizationError, PreconditionError
+from lslkit.errors import (
+    ConfigurationError,
+    DimensionError,
+    OverRegularizationError,
+    PreconditionError,
+)
 from lslkit.lippmann import (
     LIFT_CHUNK_NODES,
     TSVD_MIN_THRESHOLD,
@@ -187,10 +192,15 @@ class TestAssemble:
                 assemble_system(*stacks, identity, data, bg.data, inv_grid, 1e-2)
 
     def test_nan_sample_interval_rejected(self):
-        # NaN compares false both ways, so the check must not pass it
+        # NaN compares false both ways, so the check must not pass it. A
+        # record refuses a NaN tau itself; one forced past that still fails here
         grid, inv_grid, _, _, axis, _, data, bg = wave_setup(n=10)
-        nan_data = TransferData(data.values, data.mask, np.nan)
-        nan_data0 = TransferData(bg.data.values, bg.data.mask, np.nan)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            TransferData(data.values, data.mask, np.nan)
+        nan_data = TransferData(data.values, data.mask, data.tau)
+        nan_data0 = TransferData(bg.data.values, bg.data.mask, bg.data.tau)
+        for record in (nan_data, nan_data0):
+            object.__setattr__(record, "tau", np.nan)
         for measured, data0 in ((nan_data, bg.data), (data, nan_data0)):
             with pytest.raises(DimensionError, match="sample intervals differ"):
                 assemble_system(

@@ -45,7 +45,7 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     settings = SolverSettings(substeps=4)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     background = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, 1e-2, 1e-2, False)
+    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, False)
     return ctx, potential
 
 
@@ -240,29 +240,36 @@ class TestStages:
             ctx.measured,
             ctx.background.data,
             ctx.inv_grid,
-            ctx.tsvd_mimo,
+            ctx.tsvd,
         )
         again = solve_tsvd(system)
         assert np.array_equal(again.values, final.potential.values)
 
-    def test_each_step_fits_at_its_own_threshold(self):
-        # distinct levels: the SISO step cuts at tsvd_siso, every MIMO step
-        # at tsvd_mimo, each on the fields of its own record's transform
+    def test_every_stage_fits_at_the_one_level(self):
+        # the Born, the SISO and every MIMO fit cut at ctx.tsvd, each on the
+        # fields of its own transform (Born: K identity blocks); 0.05 is not
+        # tiny_context's level, so a stage cutting elsewhere shows
         ctx, _ = tiny_context()
-        ctx = replace(ctx, tsvd_siso=0.05, tsvd_mimo=1e-3)
-        records = list(stages(ctx, iterations=2))
-        for record in records:
-            threshold = ctx.tsvd_mimo if record.round else ctx.tsvd_siso
+        ctx = replace(ctx, tsvd=0.05)
+        n, K = ctx.axis.n, ctx.sources.count
+        born, _ = invert_born(ctx)
+        fits = [(np.broadcast_to(np.eye(n), (K, n, n)), born)]
+        fits += [(r.transform, r.potential) for r in stages(ctx, iterations=2)]
+        assert len(fits) == 4
+        for transform, potential in fits:
             system = assemble_system(
                 ctx.background.antiderivatives[:, :, ::2, ::2],
                 ctx.background.fields[:, :, ::2, ::2],
-                record.transform,
+                transform,
                 ctx.measured,
                 ctx.background.data,
                 ctx.inv_grid,
-                threshold,
+                ctx.tsvd,
             )
-            assert np.array_equal(solve_tsvd(system).values, record.potential.values)
+            assert np.array_equal(solve_tsvd(system).values, potential.values)
+            # the default level would give another estimate: the level is read
+            system = replace(system, tsvd_threshold=1e-2)
+            assert not np.array_equal(solve_tsvd(system).values, potential.values)
 
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from
@@ -279,7 +286,7 @@ class TestStages:
             ctx.measured,
             ctx.background.data,
             ctx.inv_grid,
-            ctx.tsvd_siso,
+            ctx.tsvd,
         )
         assert siso.residual == residual_norm(system, siso.potential)
         lifted = run_lift_step(ctx, siso.potential, siso.transform)
