@@ -29,9 +29,12 @@ round of --data and writes the record of the next round.
 anything is simulated.
 
 Nothing else is stored. The zero-potential background is a function of
-the config and is recomputed in closed form by every command that needs
-it, on the grid it reads: `invert` builds the inversion grid's stacks
-only, `lift` and `pipeline` the simulation grid's. The internal fields
+the config, recomputed in closed form by every command: its record F0
+when the command starts, and its u0 and w0 stacks by the step that
+reads them, on the grid it reads. `invert` evaluates the inversion
+grid's stacks for its assembly and frees them before the TSVD; `lift`
+evaluates the simulation grid's after its inputs are loaded; `pipeline`
+holds the simulation grid's through all its rounds. The internal fields
 that go with an estimate are the background times the ROM transform T
 of the record they came from (`lift --data`), and T is recomputed from
 that record. `pipeline` is byte-identical to
@@ -50,7 +53,7 @@ import numpy as np
 
 from . import io as lio
 from .config import ExperimentConfig, parse_config
-from .core import Grid2D, Potential, TransferData
+from .core import Potential, TransferData
 from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, ConfigurationError, FormatError
 from .pipeline import (
     PipelineContext,
@@ -136,10 +139,9 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _context(
-    config: ExperimentConfig, measured: TransferData, stack_grid: Grid2D
-) -> PipelineContext:
-    """The context of one command, its background stacks on `stack_grid`."""
+def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContext:
+    """The context of one command: F0, and the background stacks evaluated
+    by the step that reads them (held by `pipeline.stages`)."""
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()
@@ -149,7 +151,7 @@ def _context(
         sources,
         axis,
         measured,
-        simulate_background(grid, sources, axis, config.settings(), stack_grid),
+        simulate_background(grid, sources, axis, config.settings()),
         tsvd=config.tsvd,
         positivity=config.positivity,
     )
@@ -188,7 +190,7 @@ def _cmd_invert(args) -> int:
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured, config.inv_grid())
+    ctx = _context(config, measured)
 
     if args.method == "born":
         potential, residual = invert_born(replace(ctx, measured=data))
@@ -208,7 +210,7 @@ def _cmd_lift(args) -> int:
     out = _out_dir(config)
     measured = lio.load_transfer(out / "siso.lslt")
     data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured, config.sim_grid())
+    ctx = _context(config, measured)
     q_path = Path(args.q) if args.q else out / _names(stage_round(ctx, data))[0]
     grid, values = lio.load_field(q_path)
     lifted = run_lift_step(ctx, Potential(grid, values), internal_transform(ctx, data))
@@ -221,7 +223,7 @@ def _cmd_lift(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    ctx = _context(config, _simulate_artifacts(config, out), config.sim_grid())
+    ctx = _context(config, _simulate_artifacts(config, out))
     q_true = config.true_potential()
     regions = config.regions()
 

@@ -18,16 +18,19 @@ u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
 source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
-stacks and T: assembly gets them injected onto the inversion grid as
-`core.restrict` views (injection commutes with T), which a background
-built there passes whole; the lift gets the simulation grid's stacks.
-Neither copies a stack.
+stacks and T: assembly on the inversion grid (injection commutes with
+T), the lift on the simulation grid. A step reaches the stacks through
+`BackgroundArtifacts.stacks` when it reads them and keeps no reference
+once it is done, so a context holds F0 and, unless `stages` has made it
+hold the simulation grid's stacks for its later rounds, no stack: a
+single step evaluates the closed form on the grid it reads, and the
+TSVD runs after its stacks are freed. Neither direction copies a stack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +58,8 @@ from .wavesim import BackgroundArtifacts
 @dataclass(frozen=True)
 class PipelineContext:
     """Immutable inputs shared by every stage of one inversion run; every
-    inversion, the Born one included, truncates its TSVD at `tsvd`."""
+    inversion, the Born one included, truncates its TSVD at `tsvd`. The
+    background holds F0, and its stacks only where `stages` holds them."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
@@ -104,14 +108,11 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     and T is one (K N', K N') block. The ROM works on plain arrays: every
     mass matrix is passed through `regularize_spd`, which returns
     (matrix, record), and its matrix is factored; no stage keeps the
-    record yet. A record that
-    does not fit the context raises DimensionError naming the config key.
+    record yet. A record that does not fit the context raises
+    DimensionError naming the config key (`_check_fit`).
     """
-    n, tau, K = ctx.axis.n, ctx.axis.tau, ctx.sources.count
-    if data.num_sources != K:
-        raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
-    if not abs(data.tau - tau) <= 1e-12 * tau:
-        raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
+    _check_fit(ctx, data)
+    n, K = ctx.axis.n, ctx.sources.count
     length, limit, full = data.num_samples, ctx.axis.total_samples, data.is_full
     if (length > limit) if full else (length < limit):
         bound = "at most" if full else "at least"
@@ -127,6 +128,16 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
             f"time axis exhausted: {length} samples leave no usable equations"
         )
     return _rom_transform(data, background, length)[np.newaxis]
+
+
+def _check_fit(ctx: PipelineContext, data: TransferData) -> None:
+    """Refuse a record whose source count or sample interval is not the
+    config's, naming the key, before any stack is evaluated."""
+    K, tau = ctx.sources.count, ctx.axis.tau
+    if data.num_sources != K:
+        raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
+    if not abs(data.tau - tau) <= 1e-12 * tau:
+        raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
 
 
 def _source(data: TransferData, j: int) -> TransferData:
@@ -159,15 +170,11 @@ def _factor(mass: np.ndarray) -> np.ndarray:
 def _invert(ctx: PipelineContext, transform: np.ndarray):
     """TSVD fit of the measured diagonal at `ctx.tsvd` with the fields u0 * T,
     clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
+    u0, w0 = ctx.background.stacks(ctx.inv_grid)
     system = assemble_system(
-        restrict(ctx.background.antiderivatives, ctx.background.grid, ctx.inv_grid),
-        restrict(ctx.background.fields, ctx.background.grid, ctx.inv_grid),
-        transform,
-        ctx.measured,
-        ctx.background.data,
-        ctx.inv_grid,
-        ctx.tsvd,
+        w0, u0, transform, ctx.measured, ctx.background.data, ctx.inv_grid, ctx.tsvd
     )
+    del u0, w0  # a context that does not hold them frees them before the TSVD
     q_est = solve_tsvd(system)
     if ctx.positivity:
         q_est = Potential(q_est.grid, np.maximum(q_est.values, 0.0))
@@ -189,14 +196,9 @@ def run_lift_step(
     ctx: PipelineContext, potential: Potential, transform: np.ndarray
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T."""
+    u0, w0 = ctx.background.stacks(ctx.sim_grid)
     return forward_lift(
-        ctx.background.fields,
-        transform,
-        potential,
-        ctx.background.antiderivatives,
-        ctx.background.data,
-        ctx.measured,
-        ctx.sim_grid,
+        u0, transform, potential, w0, ctx.background.data, ctx.measured, ctx.sim_grid
     )
 
 
@@ -204,10 +206,14 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
     """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO step.
 
     Yields one record per inversion. Round r's `.data` is the record
-    lifted from round r-1's estimate and internal fields.
+    lifted from round r-1's estimate and internal fields. With a round
+    to run, the simulation grid's stacks are evaluated once and held
+    until the last step, since every step reads them again.
     """
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
+    if iterations:
+        ctx = replace(ctx, background=ctx.background.held())
     record = run_lsl_step(ctx, ctx.measured)
     yield record
     for _ in range(iterations):
@@ -219,6 +225,7 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
 def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
     """Reconstruction with background fields in place of internal ones:
     T is K identity blocks, a read-only view of one n x n identity."""
+    _check_fit(ctx, ctx.measured)
     n = ctx.axis.n
     return _invert(ctx, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)))
 

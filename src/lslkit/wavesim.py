@@ -41,18 +41,21 @@ states g_hat cos(k p theta) for the background under the Parseval
 weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
-float64 array. `simulate_background` returns the source-major, read-only
-(K, n, ny+1, nx+1) stacks u0 and w0 on the grid it is asked for, the
-simulation grid or a nested coarsening of it, and records that grid as
-`BackgroundArtifacts.grid`. Each source's fine history passes through
-one reused scratch array and only the stack grid's samples are kept, so
-coarse stacks are bitwise the injected fine ones and no fine stack is
-allocated.
+float64 array. `simulate_background` returns F0 and the closed form of
+the source-major, read-only (K, n, ny+1, nx+1) stacks u0 and w0, which
+`BackgroundArtifacts.stacks` evaluates on the grid a step asks for, the
+simulation grid or a nested coarsening of it, when it asks; only a
+`held()` background keeps them. Each source's fine history passes
+through one reused scratch array and only the asked grid's samples are
+kept, so coarse stacks are bitwise the injected fine ones and no fine
+stack is allocated for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -269,56 +272,83 @@ def _dct1_matrix(size: int) -> np.ndarray:
 class BackgroundArtifacts:
     """Everything the inversion assumes known for the zero potential.
 
-    `fields` (u0) and `antiderivatives` (w0) are read-only snapshot
-    stacks of shape (K, n, ny+1, nx+1) on `grid`: the simulation grid,
-    or the nested coarsening of it that `simulate_background` was asked
-    for. `data` is the full record F0 on the simulation grid whichever
-    grid the stacks live on.
+    `data` is the full record F0 on the simulation grid `grid`. The u0
+    (`fields`) and w0 (`antiderivatives`) stacks are read-only arrays of
+    shape (K, n, ny+1, nx+1) that `stacks` gives on the simulation grid
+    or a nested coarsening of it. A background that `simulate_background`
+    returns holds no stack: each call evaluates the closed form, so a
+    stack lives only while its caller holds it. `held()` evaluates the
+    simulation grid's stacks once, and its `stacks` gives their
+    `core.restrict` views.
     """
 
     data: TransferData
-    fields: np.ndarray
-    antiderivatives: np.ndarray
     grid: Grid2D
+    _evaluate: Callable[[Grid2D], tuple[np.ndarray, np.ndarray]]
+
+    def stacks(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+        """The u0 and w0 stacks on `grid`."""
+        return self._evaluate(grid)
+
+    def held(self) -> BackgroundArtifacts:
+        """This background with the simulation grid's stacks evaluated once and kept."""
+        fine = self.stacks(self.grid)
+        return replace(
+            self, _evaluate=lambda grid: tuple(restrict(s, self.grid, grid) for s in fine)
+        )
+
+    @property
+    def fields(self) -> np.ndarray:
+        """u0 on the simulation grid, evaluated at each read unless held."""
+        return self.stacks(self.grid)[0]
+
+    @property
+    def antiderivatives(self) -> np.ndarray:
+        """w0 on the simulation grid, evaluated at each read unless held."""
+        return self.stacks(self.grid)[1]
 
 
-def simulate_background(
-    grid: Grid2D,
-    sources: SourceSet,
-    axis: TimeAxis,
-    settings: SolverSettings,
-    stack_grid: Grid2D | None = None,
-) -> BackgroundArtifacts:
-    """Full zero-potential transfer matrix plus the u0 and w0 stacks.
-
-    Closed form of the leapfrog result on the simulation grid `grid`:
-    each source is transformed once by DCT-I, g_hat = Cy @ g @ Cx^T with
-    the cosine matrices Cy and Cx built once per call, and its n samples
-    of u0 and w0 are the inverse transforms Cy @ (c_k g_hat) @ Cx^T /
-    (4 nx ny) of the mode-wise coefficients c_k. The stacks live on
-    `stack_grid`, the simulation grid by default or a nested coarsening
-    of it: each fine history passes through one (n, ny+1, nx+1) scratch
-    array that every source and both stacks reuse, and only its
-    `core.restrict` view is kept, so a coarse stack is bitwise the
-    injection of the fine one and no fine stack is allocated.
-
-    The 2n-1 samples of F0 never read a stack: `_angle_sum_record` runs
-    over the modal states g_hat cos(k p theta) of all sources, with the
-    Parseval weights node_weights / (4 nx ny) under which the DCT-I
-    keeps the trapezoid inner product, as the true medium's record
-    comes from its leapfrog states. It runs before the stacks are
-    allocated, so its buffers never add to their peak.
-    """
-    stack_grid = grid if stack_grid is None else stack_grid
-    refinement_ratio(grid, stack_grid)  # nested, or refused before any work
+def _modes(grid: Grid2D, axis: TimeAxis, settings: SolverSettings):
+    """The closed form's time stepping on the simulation grid `grid`: dt;
+    per DCT-I mode cos(pi a ix / nx) cos(pi b iy / ny), the eigenvalue
+    lambda of the zero-potential A_h and the angle theta = arccos(1 -
+    dt^2 lambda / 2) of one fine step; and the fine step counts k p of
+    the n samples. A step past the CFL bound is refused first."""
     check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
     dt = axis.tau / settings.substeps
-    # eigenvalues of the zero-potential A_h on the DCT-I modes cos(pi a ix / nx) cos(pi b iy / ny)
     sx = np.sin(np.pi * np.arange(grid.nx + 1) / (2 * grid.nx))
     sy = np.sin(np.pi * np.arange(grid.ny + 1) / (2 * grid.ny))
     lam = (4.0 / grid.hy**2) * sy[:, None] ** 2 + (4.0 / grid.hx**2) * sx[None, :] ** 2
     theta = 2.0 * np.arcsin(0.5 * dt * np.sqrt(lam))  # = arccos(1 - dt^2 lam / 2)
-    steps = settings.substeps * np.arange(axis.n)
+    return dt, lam, theta, settings.substeps * np.arange(axis.n)
+
+
+def _spectra(grid: Grid2D, sources: SourceSet):
+    """The cosine matrices Cy and Cx, and each source's DCT-I g_hat = Cy @ g @ Cx^T."""
+    cy, cx = _dct1_matrix(grid.ny + 1), _dct1_matrix(grid.nx + 1)
+    return cy, cx, np.stack([cy @ sources.field(grid, i) @ cx.T for i in range(sources.count)])
+
+
+def _background_stacks(
+    grid: Grid2D,
+    sources: SourceSet,
+    axis: TimeAxis,
+    settings: SolverSettings,
+    stack_grid: Grid2D,
+) -> tuple[np.ndarray, np.ndarray]:
+    """u0 and w0 on `stack_grid`, the simulation grid `grid` or a nested coarsening.
+
+    Source i's n samples are the inverse transforms Cy @ (c_k g_hat) @
+    Cx^T / (4 nx ny) of the mode-wise coefficients c_k: cos(k p theta)
+    for u0, and sin(k p theta) / sin(theta) (dt - dt^3 lambda / 6) for
+    w0, the leapfrog from the antiderivative start. Each fine history
+    passes through one (n, ny+1, nx+1) scratch array that every source
+    and both stacks reuse, and only its `core.restrict` view is kept, so
+    a coarse stack is bitwise the injection of the fine one and no fine
+    stack is allocated.
+    """
+    refinement_ratio(grid, stack_grid)  # nested, or refused before any work
+    dt, lam, theta, steps = _modes(grid, axis, settings)
     phase = np.multiply.outer(steps, theta)
     cosine = np.cos(phase)
     # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
@@ -329,15 +359,8 @@ def simulate_background(
     growth *= dt - (dt**3 / 6.0) * lam
     del phase
 
-    cy, cx = _dct1_matrix(grid.ny + 1), _dct1_matrix(grid.nx + 1)
+    cy, cx, spectra = _spectra(grid, sources)
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
-    spectra = np.stack([cy @ sources.field(grid, i) @ cx.T for i in range(sources.count)])
-    # F0 first: its buffers are gone before the stacks come
-    state = np.empty(spectra.shape)
-    modal_states = (np.multiply(spectra, c, out=state) for c in cosine)
-    values = _angle_sum_record(modal_states, axis.n, grid.node_weights.reshape(-1) / norm)
-    del state
-
     fields = np.empty((sources.count, axis.n) + stack_grid.shape)
     antiderivatives = np.empty_like(fields)
     modal, half = np.empty(cosine.shape), np.empty(cosine.shape)
@@ -349,7 +372,38 @@ def simulate_background(
             np.divide(restrict(modal, grid, stack_grid), norm, out=stack[i])
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
+    return fields, antiderivatives
+
+
+def simulate_background(
+    grid: Grid2D,
+    sources: SourceSet,
+    axis: TimeAxis,
+    settings: SolverSettings,
+) -> BackgroundArtifacts:
+    """Full zero-potential transfer matrix F0, and the closed form of u0 and w0.
+
+    Closed form of the leapfrog result on the simulation grid `grid`:
+    each source is transformed once by DCT-I (`_spectra`) and every mode
+    advances as a Chebyshev polynomial (`_modes`). The 2n-1 samples of
+    F0 never read a stack: `_angle_sum_record` runs over the modal
+    states g_hat cos(k p theta) of all sources, with the Parseval
+    weights node_weights / (4 nx ny) under which the DCT-I keeps the
+    trapezoid inner product, as the true medium's record comes from its
+    leapfrog states. No stack is evaluated here: the result's `stacks`
+    evaluates them (`_background_stacks`) on the grid a step reads, when
+    it reads them.
+    """
+    _, _, theta, steps = _modes(grid, axis, settings)
+    _, _, spectra = _spectra(grid, sources)
+    norm = 4.0 * grid.nx * grid.ny
+    state = np.empty(spectra.shape)
+    cosine = np.cos(np.multiply.outer(steps, theta))
+    modal_states = (np.multiply(spectra, c, out=state) for c in cosine)
+    values = _angle_sum_record(modal_states, axis.n, grid.node_weights.reshape(-1) / norm)
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
     return BackgroundArtifacts(
-        TransferData(values, mask, axis.tau), fields, antiderivatives, stack_grid
+        TransferData(values, mask, axis.tau),
+        grid,
+        partial(_background_stacks, grid, sources, axis, settings),
     )

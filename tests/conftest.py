@@ -34,7 +34,8 @@ def build_context(cfg, noise_level=None):
     true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
-    background = simulate_background(grid, sources, axis, settings)
+    # held, as `pipeline.stages` holds it: the tests step this context many times
+    background = simulate_background(grid, sources, axis, settings).held()
     ctx = PipelineContext(
         grid,
         cfg.inv_grid(),

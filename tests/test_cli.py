@@ -6,14 +6,17 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lslkit.cli
+import lslkit.pipeline
+import lslkit.wavesim
 from lslkit.cli import main
-from lslkit.config import bundled_config_path
+from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import MaskState, TransferData
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from reference import load_pgm
@@ -406,6 +409,40 @@ class TestExitCodes:
         assert ("sources.count" if record.endswith("sources") else "time.tau") in err
         assert not (out / "lifted.lslt").exists()
 
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    @pytest.mark.parametrize(
+        "row, changed, message",
+        [("count = 3", "count = 4", "record has 3 sources, sources.count is 4"),
+         ("tau = 2.0", "tau = 2.5", "record sample interval 2.0 differs from time.tau 2.5")],
+        ids=["count", "tau"],
+    )
+    def test_record_misfit_names_the_config_key(self, tmp_path, config_path, capsys,
+                                                method, row, changed, message):
+        # both methods refuse the 3-source record at tau = 2 in one message
+        assert run("simulate", "--config", config_path) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(config_path.read_text().replace(row, changed))
+        capsys.readouterr()
+        assert run("invert", "--method", method, "--config", other) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lift_loads_its_inputs_before_any_stack(self, tmp_path, config_path, monkeypatch):
+        assert run("simulate", "--config", config_path) == 0
+        built = []
+        evaluate = lslkit.wavesim._background_stacks
+
+        def counting_stacks(*args):
+            built.append(args[-1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(lslkit.wavesim, "_background_stacks", counting_stacks)
+        assert run("lift", "--config", config_path, "--q", tmp_path / "missing.lslf") == 4
+        assert built == []
+        assert run("invert", "--method", "lsl", "--config", config_path) == 0
+        assert run("lift", "--config", config_path) == 0
+        config = parse_config(config_path)
+        assert built == [config.inv_grid(), config.sim_grid()]
+
     @pytest.mark.parametrize("record", ["short_diagonal", "long_full"])
     def test_record_length_names_time_n(self, tmp_path, config_path, capsys, record):
         # n = 12: a diagonal record needs 23 samples, a full one holds at most 23
@@ -513,6 +550,37 @@ class TestExitCodes:
         assert run("invert", "--method", "born", "--config", config_path,
                    "--data", out / "bare.lslt") == 4
         assert "diagonal" in capsys.readouterr().err
+
+
+class TestBackgroundLifetime:
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_invert_holds_no_stack_through_its_tsvd(self, tmp_path, monkeypatch, method):
+        # S is one (K, n) stack on box's inversion grid, 8.1 MB. When the
+        # TSVD starts, `invert` holds its system and small records (F0,
+        # the data, T: about 0.07 S together), and no u0 or w0 (2 S)
+        config = bundled_config_path("box")
+        cfg = parse_config(config)
+        stack = cfg.source_count * cfg.n * cfg.inv_grid().num_nodes * 8
+        common = ("--config", config, "--seed", 1, "--out", tmp_path)
+        assert run("simulate", *common) == 0
+        seen = []
+        solve = lslkit.pipeline.solve_tsvd
+
+        def measured_solve(system):
+            current = tracemalloc.get_traced_memory()[0]
+            seen.append((current, system.matrix.nbytes + system.rhs.nbytes))
+            return solve(system)
+
+        monkeypatch.setattr(lslkit.pipeline, "solve_tsvd", measured_solve)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert run("invert", "--method", method, *common) == 0
+        finally:
+            tracemalloc.stop()
+        [(current, system)] = seen
+        beside = current - start - system
+        assert beside < 0.5 * stack, f"{beside / stack:.2f} S beside the system"
 
 
 class TestMutatedArtifacts:

@@ -6,7 +6,7 @@ import pytest
 
 import lslkit as lk
 from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
-from lslkit.errors import DegenerateDataError, DimensionError, IterationBudgetError
+from lslkit.errors import DegenerateDataError, IterationBudgetError
 from lslkit.lippmann import assemble_system, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
@@ -207,26 +207,22 @@ class TestStages:
         assert lifted.is_full
         assert lifted.num_samples == ctx.axis.n
 
-    def test_inversion_grid_background_inverts_bitwise_and_cannot_lift(self):
-        # `invert` builds its background on the inversion grid: each step
-        # assembles from the numbers of the injected fine stacks, and the
-        # lift, which needs the fine stacks, refuses it
+    def test_closed_form_background_inverts_and_lifts_bitwise(self):
+        # `invert` and `lift` hold no stack: each step evaluates the closed
+        # form on the grid it reads, and gets the numbers of the views of
+        # the fine stacks that `pipeline` holds, on both grids
         ctx, _ = tiny_context()
-        background = simulate_background(
-            ctx.sim_grid, ctx.sources, ctx.axis, SolverSettings(substeps=4), ctx.inv_grid
-        )
-        coarse = replace(ctx, background=background)
-        assert np.array_equal(background.data.values, ctx.background.data.values)
-        assert np.array_equal(invert_born(coarse)[0].values, invert_born(ctx)[0].values)
-        siso = run_lsl_step(coarse, ctx.measured)
-        fine_siso = run_lsl_step(ctx, ctx.measured)
+        held = replace(ctx, background=ctx.background.held())
+        assert np.array_equal(invert_born(ctx)[0].values, invert_born(held)[0].values)
+        siso = run_lsl_step(ctx, ctx.measured)
+        fine_siso = run_lsl_step(held, ctx.measured)
         assert np.array_equal(siso.potential.values, fine_siso.potential.values)
         assert siso.residual == fine_siso.residual
-        lifted = run_lift_step(ctx, siso.potential, siso.transform)
-        mimo = run_lsl_step(coarse, lifted)
-        assert np.array_equal(mimo.potential.values, run_lsl_step(ctx, lifted).potential.values)
-        with pytest.raises(DimensionError, match="field stack"):
-            run_lift_step(coarse, siso.potential, siso.transform)
+        lifted = run_lift_step(held, siso.potential, siso.transform)
+        mimo = run_lsl_step(ctx, lifted)
+        assert np.array_equal(mimo.potential.values, run_lsl_step(held, lifted).potential.values)
+        assert np.array_equal(run_lift_step(ctx, siso.potential, siso.transform).values,
+                              lifted.values)
 
     def test_final_inversion_uses_measured_data_only(self):
         # rebuilding the last stage from its transform and the measured record

@@ -273,21 +273,22 @@ class TestNestedBackground:
 
     @pytest.mark.parametrize("ratio", [2, 3])
     def test_nested_stacks_are_bitwise_injections(self, fine, ratio):
+        # the closed form on the coarse grid, and the views of held fine stacks
         grid, sources, axis, settings, bg = fine
         coarse = grid.coarsen(ratio)
-        nested = simulate_background(grid, sources, axis, settings, coarse)
-        assert bg.grid == grid and nested.grid == coarse
-        pairs = ((nested.fields, bg.fields), (nested.antiderivatives, bg.antiderivatives))
-        for stack, full in pairs:
+        nested = bg.stacks(coarse)
+        held = bg.held()
+        assert bg.grid == held.grid == grid
+        for stack, full, view in zip(nested, bg.stacks(grid), held.stacks(coarse)):
             assert stack.shape == (sources.count, axis.n) + coarse.shape
             assert not stack.flags.writeable
             assert np.array_equal(stack, full[:, :, ::ratio, ::ratio])
-        assert np.array_equal(nested.data.values, bg.data.values)
+            assert np.array_equal(view, stack)
 
     def test_refuses_a_grid_that_is_not_nested(self, fine):
-        grid, sources, axis, settings, _ = fine
+        *_, bg = fine
         with pytest.raises(ConfigurationError, match="not nested"):
-            simulate_background(grid, sources, axis, settings, Grid2D(12, 8, 3.3, 2.4))
+            bg.stacks(Grid2D(12, 8, 3.3, 2.4))
 
     def test_inversion_grid_background_holds_no_fine_stack(self):
         # S is one (K, n) stack on box's inversion grid (ratio 2), and a
@@ -296,16 +297,16 @@ class TestNestedBackground:
         # 4 S / K each, come on top at the peak. Two fine stacks hold 7.8 S
         cfg = parse_config(bundled_config_path("box"))
         grid, inv_grid = cfg.sim_grid(), cfg.inv_grid()
-        args = (grid, cfg.sources(), cfg.axis(), cfg.settings(), inv_grid)
+        args = (grid, cfg.sources(), cfg.axis(), cfg.settings())
         stack = cfg.source_count * cfg.n * inv_grid.num_nodes * 8
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            background = simulate_background(*args)
+            stacks = simulate_background(*args).stacks(inv_grid)
             held, peak = (value - before for value in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert background.grid == inv_grid
+        assert all(s.shape == (cfg.source_count, cfg.n) + inv_grid.shape for s in stacks)
         assert peak < 5.0 * stack, f"traced peak {peak / stack:.2f} S"
         assert held <= 2.1 * stack, f"held {held / stack:.2f} S"
 
