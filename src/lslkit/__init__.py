@@ -52,9 +52,9 @@ from .rom import (
     regularize_spd,
 )
 from .wavesim import (
-    BackgroundArtifacts,
     SolverSettings,
     add_noise,
+    background_stacks,
     simulate_background,
     simulate_transfer,
 )
@@ -100,9 +100,9 @@ __all__ = [
     "cholesky_upper",
     "field_transform",
     "regularize_spd",
-    "BackgroundArtifacts",
     "SolverSettings",
     "add_noise",
+    "background_stacks",
     "simulate_background",
     "simulate_transfer",
     "__version__",

@@ -30,8 +30,9 @@ anything is simulated.
 
 Nothing else is stored. The zero-potential background is a function of
 the config, recomputed in closed form by every command: its record F0
-when the command starts, and its u0 and w0 stacks by the step that
-reads them, on the grid it reads. `invert` evaluates the inversion
+(`wavesim.simulate_background`) when the command starts, and its u0 and
+w0 stacks (`wavesim.background_stacks`) by the step that reads them, on
+the grid it reads. `invert` evaluates the inversion
 grid's stacks for its assembly and frees them before the TSVD; `lift`
 evaluates the simulation grid's after its inputs are loaded; `pipeline`
 holds the simulation grid's through all its rounds. The internal fields
@@ -140,18 +141,20 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 
 def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContext:
-    """The context of one command: F0, and the background stacks evaluated
-    by the step that reads them (held by `pipeline.stages`)."""
+    """The context of one command: F0, and no background stack (a step
+    evaluates its own, and `pipeline.stages` holds them)."""
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()
+    settings = config.settings()
     return PipelineContext(
         grid,
         config.inv_grid(),
         sources,
         axis,
+        settings,
         measured,
-        simulate_background(grid, sources, axis, config.settings()),
+        simulate_background(grid, sources, axis, settings),
         tsvd=config.tsvd,
         positivity=config.positivity,
     )

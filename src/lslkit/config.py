@@ -9,10 +9,10 @@ user-facing copy, which a test checks against them:
 
     [domain]      width (100.0), height (50.0), origin_x (0.0), origin_y (0.0)
     [simulation]  nx (100), ny (50), inversion_ratio (2)
-    [sources]     count (9), sigma (2.0), amplitude (1.0), depth (4.0),
-                  first_x (0.14*width), last_x (0.86*width)
+    [sources]     count (9), sigma (2.0), depth (4.0), first_x (0.14*width),
+                  last_x (0.86*width)
     [time]        tau (3.0), n (80)
-    [solver]      substeps (5), cfl_safety (0.9)
+    [solver]      substeps (5)
     [inversion]   tsvd (0.03), iterations (1), positivity (false)
     [noise]       level (0.0), seed (20250811)
     [model]       margin (4.0), inclusions (empty)
@@ -22,7 +22,7 @@ user-facing copy, which a test checks against them:
 
 nx, ny are simulation cell counts; the inversion grid is the simulation
 grid coarsened by inversion_ratio. Collocated transmitter/receivers
-(count at least 2, amplitude nonzero) sit on a horizontal line `depth`
+(count at least 2, unit amplitude) sit on a horizontal line `depth`
 (within 3*sigma) below the top boundary, evenly spaced from first_x to
 last_x. Acquisition records 2n-1 samples at interval tau. One tsvd
 level, in [1e-4, 1), serves every inversion. Every completion round
@@ -125,14 +125,12 @@ class ExperimentConfig:
     # one source's diagonal record is already full: nothing to complete
     source_count: int = _setting("sources.count", 9, _at_least(2))
     source_sigma: float = _setting("sources.sigma", 2.0, _POSITIVE)
-    source_amplitude: float = _setting("sources.amplitude", 1.0, (lambda a: a != 0, "nonzero"))
     source_depth: float = _setting("sources.depth", 4.0)
     first_x: float | None = _setting("sources.first_x", None)
     last_x: float | None = _setting("sources.last_x", None)
     tau: float = _setting("time.tau", 3.0, _POSITIVE)
     n: int = _setting("time.n", 80, _at_least(2))
     substeps: int = _setting("solver.substeps", 5, _at_least(1))
-    cfl_safety: float = _setting("solver.cfl_safety", 0.9, (lambda c: 0 < c <= 1, "in (0, 1]"))
     tsvd: float = _setting("inversion.tsvd", 0.03, _TSVD_LEVEL)
     iterations: int = _setting("inversion.iterations", 1, _NONNEGATIVE)
     positivity: bool = _setting("inversion.positivity", False)
@@ -165,13 +163,13 @@ class ExperimentConfig:
     def sources(self) -> SourceSet:
         xs = self.source_xs()
         centers = np.column_stack([xs, np.full(xs.size, self.acquisition_y())])
-        return SourceSet(centers, self.source_sigma, self.source_amplitude)
+        return SourceSet(centers, self.source_sigma)
 
     def axis(self) -> TimeAxis:
         return TimeAxis(self.tau, self.n)
 
     def settings(self) -> SolverSettings:
-        return SolverSettings(self.substeps, self.cfl_safety)
+        return SolverSettings(self.substeps)
 
     def true_potential(self) -> Potential:
         grid = self.sim_grid()

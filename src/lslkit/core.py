@@ -200,14 +200,13 @@ class Potential:
 class SourceSet:
     """Collocated transmitter/receiver pulses: truncated Gaussians.
 
-    g_i(x) = amplitude * exp(-|x - x_i|^2 / (2 sigma^2)), hard-zeroed
+    g_i(x) = exp(-|x - x_i|^2 / (2 sigma^2)), hard-zeroed
     beyond 6 sigma so every pulse is compactly supported (the clipped
     tail is below 2e-8 of the peak).
     """
 
     centers: np.ndarray
     sigma: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
@@ -217,8 +216,6 @@ class SourceSet:
             raise ConfigurationError("source centers must be finite")
         if not 0.0 < self.sigma < np.inf:
             raise ConfigurationError("source width sigma must be positive and finite")
-        if self.amplitude == 0.0 or not np.isfinite(self.amplitude):
-            raise ConfigurationError("source amplitude must be nonzero and finite")
         object.__setattr__(self, "centers", _frozen(centers))
 
     @property
@@ -229,7 +226,7 @@ class SourceSet:
         x, y = grid.meshgrid()
         cx, cy = self.centers[i]
         r2 = (x - cx) ** 2 + (y - cy) ** 2
-        g = self.amplitude * np.exp(-r2 / (2.0 * self.sigma**2))
+        g = np.exp(-r2 / (2.0 * self.sigma**2))
         g[r2 > (SOURCE_CUTOFF_SIGMAS * self.sigma) ** 2] = 0.0
         return g
 

@@ -19,12 +19,12 @@ source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly on the inversion grid (injection commutes with
-T), the lift on the simulation grid. A step reaches the stacks through
-`BackgroundArtifacts.stacks` when it reads them and keeps no reference
-once it is done, so a context holds F0 and, unless `stages` has made it
-hold the simulation grid's stacks for its later rounds, no stack: a
-single step evaluates the closed form on the grid it reads, and the
-TSVD runs after its stacks are freed. Neither direction copies a stack.
+T), the lift on the simulation grid. A step gets its stacks from
+`_stacks` when it reads them and keeps no reference once it is done. A
+context holds F0 and, only where `stages` has set `held` for its later
+rounds, the simulation grid's stacks: a single step evaluates the closed
+form (`wavesim.background_stacks`) on the grid it reads, and the TSVD
+runs after its stacks are freed. Neither direction copies a stack.
 """
 
 from __future__ import annotations
@@ -52,23 +52,26 @@ from .rom import (
     halved_length,
     regularize_spd,
 )
-from .wavesim import BackgroundArtifacts
+from .wavesim import SolverSettings, background_stacks
 
 
 @dataclass(frozen=True)
 class PipelineContext:
     """Immutable inputs shared by every stage of one inversion run; every
-    inversion, the Born one included, truncates its TSVD at `tsvd`. The
-    background holds F0, and its stacks only where `stages` holds them."""
+    inversion, the Born one included, truncates its TSVD at `tsvd`.
+    `background` is the zero-potential record F0, and `held` the u0 and w0
+    stacks on the simulation grid where `stages` holds them."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
     sources: SourceSet
     axis: TimeAxis
+    settings: SolverSettings
     measured: TransferData
-    background: BackgroundArtifacts
+    background: TransferData
     tsvd: float
     positivity: bool
+    held: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     if (length > limit) if full else (length < limit):
         bound = "at most" if full else "at least"
         raise DimensionError(f"record holds {length} samples, time.n {n} takes {bound} {limit}")
-    background = ctx.background.data
+    background = ctx.background
     if not full:
         data.require_measured_diagonal()
         return np.stack(
@@ -167,12 +170,20 @@ def _factor(mass: np.ndarray) -> np.ndarray:
     return cholesky_upper(matrix)
 
 
+def _stacks(ctx: PipelineContext, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """u0 and w0 on `grid`: the `core.restrict` views of the held stacks, or
+    the closed form evaluated on `grid` for a context that holds none."""
+    if ctx.held is not None:
+        return tuple(restrict(stack, ctx.sim_grid, grid) for stack in ctx.held)
+    return background_stacks(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, grid)
+
+
 def _invert(ctx: PipelineContext, transform: np.ndarray):
     """TSVD fit of the measured diagonal at `ctx.tsvd` with the fields u0 * T,
     clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
-    u0, w0 = ctx.background.stacks(ctx.inv_grid)
+    u0, w0 = _stacks(ctx, ctx.inv_grid)
     system = assemble_system(
-        w0, u0, transform, ctx.measured, ctx.background.data, ctx.inv_grid, ctx.tsvd
+        w0, u0, transform, ctx.measured, ctx.background, ctx.inv_grid, ctx.tsvd
     )
     del u0, w0  # a context that does not hold them frees them before the TSVD
     q_est = solve_tsvd(system)
@@ -196,10 +207,8 @@ def run_lift_step(
     ctx: PipelineContext, potential: Potential, transform: np.ndarray
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T."""
-    u0, w0 = ctx.background.stacks(ctx.sim_grid)
-    return forward_lift(
-        u0, transform, potential, w0, ctx.background.data, ctx.measured, ctx.sim_grid
-    )
+    u0, w0 = _stacks(ctx, ctx.sim_grid)
+    return forward_lift(u0, transform, potential, w0, ctx.background, ctx.measured, ctx.sim_grid)
 
 
 def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
@@ -213,7 +222,7 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
     if iterations:
-        ctx = replace(ctx, background=ctx.background.held())
+        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid))
     record = run_lsl_step(ctx, ctx.measured)
     yield record
     for _ in range(iterations):

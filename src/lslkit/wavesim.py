@@ -14,8 +14,8 @@ T_{kp}(S) g with S = I - dt^2/2 A_h and p substeps per sample, so
 snapshot inner products obey the same angle-sum identities as the
 continuum cosine solution. Downstream, that turns the data-to-mass-matrix
 step into an identity for synthetic data instead of an approximation.
-Stability requires dt^2 * rho(A_h) < 4; `SolverSettings.cfl_safety`
-shrinks that bound.
+Stability requires dt^2 * rho(A_h) < 4; `check_cfl` keeps the fine step
+below `CFL_SAFETY` of that bound.
 
 For the zero potential the recurrence need not be run: DCT-I
 diagonalizes the mirror-Neumann A_h under trapezoidal weights (Strang,
@@ -41,21 +41,18 @@ states g_hat cos(k p theta) for the background under the Parseval
 weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
-float64 array. `simulate_background` returns F0 and the closed form of
-the source-major, read-only (K, n, ny+1, nx+1) stacks u0 and w0, which
-`BackgroundArtifacts.stacks` evaluates on the grid a step asks for, the
-simulation grid or a nested coarsening of it, when it asks; only a
-`held()` background keeps them. Each source's fine history passes
-through one reused scratch array and only the asked grid's samples are
-kept, so coarse stacks are bitwise the injected fine ones and no fine
-stack is allocated for them.
+float64 array. `simulate_background` returns F0, and `background_stacks`
+evaluates the source-major, read-only (K, n, ny+1, nx+1) stacks u0 and
+w0 on the grid a step asks for, the simulation grid or a nested
+coarsening of it. Each source's fine history passes through one reused
+scratch array and only the asked grid's samples are kept, so coarse
+stacks are bitwise the injected fine ones and no fine stack is
+allocated for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,19 +60,19 @@ from .core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferDa
                    refinement_ratio, restrict)
 from .errors import ConfigurationError, DomainError
 
+#: the largest fine step `check_cfl` accepts, as a fraction of the stability bound
+CFL_SAFETY = 0.9
+
 
 @dataclass(frozen=True)
 class SolverSettings:
     """Time discretization: `substeps` fine steps per sample interval."""
 
     substeps: int
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ConfigurationError("solver substeps must be a positive integer")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]")
 
 
 def spectral_bound(grid: Grid2D, q_values: np.ndarray) -> float:
@@ -90,7 +87,7 @@ def max_stable_dt(grid: Grid2D, q_values: np.ndarray, cfl_safety: float = 1.0) -
 
 def check_cfl(grid: Grid2D, q_values: np.ndarray, tau: float, settings: SolverSettings) -> None:
     dt = tau / settings.substeps
-    limit = max_stable_dt(grid, q_values, settings.cfl_safety)
+    limit = max_stable_dt(grid, q_values, CFL_SAFETY)
     if dt >= limit:
         need = int(np.ceil(tau / limit))
         if tau / need >= limit:
@@ -268,46 +265,6 @@ def _dct1_matrix(size: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class BackgroundArtifacts:
-    """Everything the inversion assumes known for the zero potential.
-
-    `data` is the full record F0 on the simulation grid `grid`. The u0
-    (`fields`) and w0 (`antiderivatives`) stacks are read-only arrays of
-    shape (K, n, ny+1, nx+1) that `stacks` gives on the simulation grid
-    or a nested coarsening of it. A background that `simulate_background`
-    returns holds no stack: each call evaluates the closed form, so a
-    stack lives only while its caller holds it. `held()` evaluates the
-    simulation grid's stacks once, and its `stacks` gives their
-    `core.restrict` views.
-    """
-
-    data: TransferData
-    grid: Grid2D
-    _evaluate: Callable[[Grid2D], tuple[np.ndarray, np.ndarray]]
-
-    def stacks(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-        """The u0 and w0 stacks on `grid`."""
-        return self._evaluate(grid)
-
-    def held(self) -> BackgroundArtifacts:
-        """This background with the simulation grid's stacks evaluated once and kept."""
-        fine = self.stacks(self.grid)
-        return replace(
-            self, _evaluate=lambda grid: tuple(restrict(s, self.grid, grid) for s in fine)
-        )
-
-    @property
-    def fields(self) -> np.ndarray:
-        """u0 on the simulation grid, evaluated at each read unless held."""
-        return self.stacks(self.grid)[0]
-
-    @property
-    def antiderivatives(self) -> np.ndarray:
-        """w0 on the simulation grid, evaluated at each read unless held."""
-        return self.stacks(self.grid)[1]
-
-
 def _modes(grid: Grid2D, axis: TimeAxis, settings: SolverSettings):
     """The closed form's time stepping on the simulation grid `grid`: dt;
     per DCT-I mode cos(pi a ix / nx) cos(pi b iy / ny), the eigenvalue
@@ -329,7 +286,7 @@ def _spectra(grid: Grid2D, sources: SourceSet):
     return cy, cx, np.stack([cy @ sources.field(grid, i) @ cx.T for i in range(sources.count)])
 
 
-def _background_stacks(
+def background_stacks(
     grid: Grid2D,
     sources: SourceSet,
     axis: TimeAxis,
@@ -380,19 +337,17 @@ def simulate_background(
     sources: SourceSet,
     axis: TimeAxis,
     settings: SolverSettings,
-) -> BackgroundArtifacts:
-    """Full zero-potential transfer matrix F0, and the closed form of u0 and w0.
+) -> TransferData:
+    """Full zero-potential transfer matrix F0 on the simulation grid `grid`.
 
-    Closed form of the leapfrog result on the simulation grid `grid`:
-    each source is transformed once by DCT-I (`_spectra`) and every mode
-    advances as a Chebyshev polynomial (`_modes`). The 2n-1 samples of
-    F0 never read a stack: `_angle_sum_record` runs over the modal
-    states g_hat cos(k p theta) of all sources, with the Parseval
-    weights node_weights / (4 nx ny) under which the DCT-I keeps the
-    trapezoid inner product, as the true medium's record comes from its
-    leapfrog states. No stack is evaluated here: the result's `stacks`
-    evaluates them (`_background_stacks`) on the grid a step reads, when
-    it reads them.
+    Closed form of the leapfrog result: each source is transformed once
+    by DCT-I (`_spectra`) and every mode advances as a Chebyshev
+    polynomial (`_modes`). The 2n-1 samples never read a stack:
+    `_angle_sum_record` runs over the modal states g_hat cos(k p theta)
+    of all sources, with the Parseval weights node_weights / (4 nx ny)
+    under which the DCT-I keeps the trapezoid inner product, as the true
+    medium's record comes from its leapfrog states. The u0 and w0 stacks
+    are `background_stacks`.
     """
     _, _, theta, steps = _modes(grid, axis, settings)
     _, _, spectra = _spectra(grid, sources)
@@ -402,8 +357,4 @@ def simulate_background(
     modal_states = (np.multiply(spectra, c, out=state) for c in cosine)
     values = _angle_sum_record(modal_states, axis.n, grid.node_weights.reshape(-1) / norm)
     mask = np.full((sources.count, sources.count), MaskState.MEASURED, dtype=np.int8)
-    return BackgroundArtifacts(
-        TransferData(values, mask, axis.tau),
-        grid,
-        partial(_background_stacks, grid, sources, axis, settings),
-    )
+    return TransferData(values, mask, axis.tau)

@@ -15,8 +15,8 @@ import lslkit as lk
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import restrict
 from lslkit.pipeline import PipelineContext, invert_born, metrics, stages
-from lslkit.wavesim import simulate_background, simulate_transfer
-from reference import diagonal_record
+from lslkit.wavesim import simulate_transfer
+from reference import background, diagonal_record
 
 
 def build_context(cfg, noise_level=None):
@@ -34,17 +34,19 @@ def build_context(cfg, noise_level=None):
     true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
-    # held, as `pipeline.stages` holds it: the tests step this context many times
-    background = simulate_background(grid, sources, axis, settings).held()
+    # held, as `pipeline.stages` holds them: the tests step this context many times
+    bg = background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
         cfg.inv_grid(),
         sources,
         axis,
+        settings,
         data,
-        background,
+        bg.data,
         tsvd=cfg.tsvd,
         positivity=cfg.positivity,
+        held=(bg.fields, bg.antiderivatives),
     )
     return ctx, q_true, true_mimo
 

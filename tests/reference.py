@@ -1,8 +1,9 @@
 """Independent oracles the tests compare the toolkit against.
 
 None of these run on the command-line path, so they live with the
-tests: a one-source leapfrog with both starting rules, the background
-record read off a fine u0 stack, the direct snapshot Gram matrix, the
+tests: a one-source leapfrog with both starting rules, the whole
+background on the simulation grid, the background record read off a
+fine u0 stack, the direct snapshot Gram matrix, the
 trapezoid time convolution by FFT, the internal fields u0 * T
 materialized as a stack, the dense matrix of a block-stack T and the
 identity blocks of the Born transform, a reader for the PGM images
@@ -10,11 +11,14 @@ identity blocks of the Born transform, a reader for the PGM images
 and the diagonal-only record a monostatic acquisition measures.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from lslkit.core import Potential, TransferData
 from lslkit.errors import DimensionError
-from lslkit.wavesim import _angle_sum_record, apply_operator
+from lslkit.wavesim import (_angle_sum_record, apply_operator, background_stacks,
+                            simulate_background)
 
 
 def zero_potential(grid):
@@ -53,6 +57,15 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
             steps_done += 1
         samples[k] = cur
     return samples
+
+
+def background(grid, sources, axis, settings):
+    """The zero-potential background on the simulation grid `grid`: its
+    record F0 as `data`, and its u0 and w0 stacks as `fields` and
+    `antiderivatives`."""
+    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid)
+    return SimpleNamespace(data=simulate_background(grid, sources, axis, settings),
+                           fields=fields, antiderivatives=antiderivatives)
 
 
 def stack_record(fields, grid):

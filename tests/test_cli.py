@@ -429,13 +429,13 @@ class TestExitCodes:
     def test_lift_loads_its_inputs_before_any_stack(self, tmp_path, config_path, monkeypatch):
         assert run("simulate", "--config", config_path) == 0
         built = []
-        evaluate = lslkit.wavesim._background_stacks
+        evaluate = lslkit.pipeline.background_stacks
 
         def counting_stacks(*args):
             built.append(args[-1])
             return evaluate(*args)
 
-        monkeypatch.setattr(lslkit.wavesim, "_background_stacks", counting_stacks)
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
         assert run("lift", "--config", config_path, "--q", tmp_path / "missing.lslf") == 4
         assert built == []
         assert run("invert", "--method", "lsl", "--config", config_path) == 0
@@ -703,7 +703,10 @@ class TestTracerContract:
 
         out = tmp_path / "out"
         common = ("--config", config_path)
-        for argv in (("pipeline", *common), ("invert", "--method", "born", *common),
+        assert lslkit.cli.main([str(a) for a in ("pipeline", *common)]) == 0
+        # the stacks `pipeline.stages` holds are built under a span of their own
+        assert "wavesim.background_stacks" in {span["name"] for span in tracer.spans}
+        for argv in (("invert", "--method", "born", *common),
                      ("lift", *common),
                      ("compare", *common, "--truth", out / "q_true.lslf",
                       "--in", out / "q_final.lslf"),

@@ -119,7 +119,7 @@ class TestParsing:
         ids=["one_source", "no_source", "zero_amplitude"],
     )
     def test_source_count_and_amplitude(self, tmp_path, text, key):
-        # one source's diagonal record is already full, and a zero pulse sees nothing
+        # one source's diagonal record is already full; sources.amplitude is no key
         with pytest.raises(ConfigurationError, match=re.escape(key)):
             parse_config(write(tmp_path, f"[sources]\n{text}\n"))
         assert parse_config(write(tmp_path, "[sources]\ncount = 2\n")).source_count == 2
@@ -173,12 +173,9 @@ SINGLE_KEY_RULES = [
     ("simulation.inversion_ratio", "0", "1", {}),
     ("sources.count", "1", "2", {}),
     ("sources.sigma", "0", "1e-9", {"sources.depth": "0"}),
-    ("sources.amplitude", "0", "-1e-9", {}),
     ("time.tau", "0", "1e-3", {}),
     ("time.n", "1", "2", {"inversion.iterations": "0"}),
     ("solver.substeps", "0", "1", {"time.tau": "0.5"}),
-    ("solver.cfl_safety", "0", "1", {}),
-    ("solver.cfl_safety", "1.01", "1e-3", {"time.tau": "1e-3"}),
     ("inversion.tsvd", "1", "1e-4", {}),
     ("inversion.tsvd", "9.99e-5", "0.999", {}),
     ("inversion.iterations", "-1", "0", {}),

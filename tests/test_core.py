@@ -58,10 +58,10 @@ class TestInnerProduct:
         assert inner_product(grid, ones, ones) == pytest.approx(2.0, abs=1e-12)
 
     def test_gaussian_pulse_energy(self):
-        # analytic value pi * sigma^2 * a^2 for g = a exp(-r^2 / (2 sigma^2))
+        # analytic value pi * sigma^2 * a^2 for g = a exp(-r^2 / (2 sigma^2)); a pulse has a = 1
         sigma, amp = 2.0, 1.0
         grid = Grid2D(400, 400, 0.1, 0.1)
-        src = SourceSet(np.array([[20.0, 20.0]]), sigma, amp)
+        src = SourceSet(np.array([[20.0, 20.0]]), sigma)
         g = src.field(grid, 0)
         exact = np.pi * sigma**2 * amp**2
         value = inner_product(grid, g, g)
@@ -258,7 +258,6 @@ class TestContainers:
         pytest.param(lambda v: Grid2D(4, 4, 1.0, v), id="Grid2D.hy"),
         pytest.param(lambda v: Grid2D(4, 4, 1.0, 1.0, (0.0, v)), id="Grid2D.origin"),
         pytest.param(lambda v: SourceSet([[1.0, 1.0]], v), id="SourceSet.sigma"),
-        pytest.param(lambda v: SourceSet([[1.0, 1.0]], 1.0, v), id="SourceSet.amplitude"),
         pytest.param(lambda v: SourceSet([[v, 1.0]], 1.0), id="SourceSet.centers"),
     ],
 )

@@ -8,9 +8,11 @@ are the package's re-exports, and `lslkit.__all__` must list exactly those.
 Every third-party top-level package imported anywhere in `src/lslkit` must
 be listed in `[project].dependencies` of `pyproject.toml`.
 
-`src/` holds what the command line runs: each public function, class,
-method and property defined in a module must be read, as a name or an
-attribute, somewhere in the package outside `__init__.py`. Oracles that
+`src/` holds what the command line runs: each public function and class
+defined in a module must be read, as a name or an attribute, somewhere
+in the package outside `__init__.py`, and each public method and
+property as an attribute: a local variable of the same name does not
+read it. Oracles that
 only tests need live in `tests/reference.py`.
 """
 
@@ -83,17 +85,21 @@ def public_definitions(source: str) -> list[str]:
     return found
 
 
-def read_names(source: str) -> set[str]:
-    """Every name read as an `ast.Name` or as the attribute of an `ast.Attribute`."""
+def read_names(source: str) -> tuple[set[str], set[str]]:
+    """The names read as an `ast.Name`, and those read as the attribute of
+    an `ast.Attribute`."""
     tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)},
+            {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def unread_definitions(sources: list[str]) -> list[str]:
-    read = set().union(*(read_names(source) for source in sources))
+    """Public definitions no source reads: a top-level name counts as read
+    as a name or an attribute, a `Class.member` only as an attribute."""
+    names, attributes = (set().union(*kind) for kind in zip(*map(read_names, sources)))
     return [name for source in sources for name in public_definitions(source)
-            if name.rsplit(".", 1)[-1] not in read]
+            if name.rsplit(".", 1)[-1] not in attributes
+            and ("." in name or name not in names)]
 
 
 def test_detects_an_unread_definition():
@@ -103,13 +109,15 @@ def test_detects_an_unread_definition():
         "    @property\n"
         "    def size(self): return 1\n"
         "    def spare(self): pass\n"
+        "    def shadowed(self): pass\n"
         "    def _private(self): pass\n"
         "def make(): return Box().used()\n"
         "def orphan(): pass\n"
         "def _helper(): pass\n"
     )
-    caller = "from .box import make\nmake()\n"
-    assert unread_definitions([source, caller]) == ["Box.spare", "orphan"]
+    # a local variable named like a method does not read the method
+    caller = "from .box import make\nshadowed = make()\nprint(shadowed)\n"
+    assert unread_definitions([source, caller]) == ["Box.spare", "Box.shadowed", "orphan"]
 
 
 def test_every_public_definition_is_read():

@@ -27,9 +27,10 @@ from lslkit.lippmann import (
     solve_tsvd,
 )
 from lslkit.rom import field_transform
-from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
+from lslkit.wavesim import SolverSettings, simulate_transfer
 from reference import (
     apply_transform,
+    background,
     convolution_rows,
     dense_transform,
     diagonal_record,
@@ -58,8 +59,8 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
     axis = TimeAxis(tau, n)
     settings = SolverSettings(substeps=5)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
-    background = simulate_background(grid, sources, axis, settings)
-    return grid, inv_grid, potential, sources, axis, settings, data, background
+    bg = background(grid, sources, axis, settings)
+    return grid, inv_grid, potential, sources, axis, settings, data, bg
 
 
 def on_inversion_grid(bg):
@@ -551,8 +552,8 @@ class TestForwardLift:
             true_fields,
             identity_blocks(ctx.sources.count, n),
             two_target_run.q_true,
-            ctx.background.antiderivatives,
-            ctx.background.data,
+            ctx.held[1],
+            ctx.background,
             ctx.measured,
             ctx.sim_grid,
         )
@@ -579,7 +580,7 @@ class TestForwardLift:
             settings = SolverSettings(substeps=5)
             mimo = simulate_transfer(potential, sources, axis, settings)
             data = diagonal_record(mimo)
-            bg = simulate_background(grid, sources, axis, settings)
+            bg = background(grid, sources, axis, settings)
             fields = np.stack([
                 leapfrog_snapshots(potential, sources, i, axis, settings, n) for i in range(K)
             ])

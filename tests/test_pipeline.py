@@ -27,9 +27,10 @@ from lslkit.rom import (
     halved_length,
     regularize_spd,
 )
-from lslkit.wavesim import SolverSettings, simulate_background, simulate_transfer
+from lslkit.wavesim import SolverSettings, background_stacks, simulate_background, simulate_transfer
 from conftest import source_record
-from reference import apply_transform, convolution_rows, diagonal_record, zero_potential
+from reference import (apply_transform, background, convolution_rows, diagonal_record,
+                       zero_potential)
 
 
 def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
@@ -44,8 +45,8 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     axis = TimeAxis(2.0, n)
     settings = SolverSettings(substeps=4)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
-    background = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, data, background, 1e-2, False)
+    f0 = simulate_background(grid, sources, axis, settings)
+    ctx = PipelineContext(grid, inv_grid, sources, axis, settings, data, f0, 1e-2, False)
     return ctx, potential
 
 
@@ -102,10 +103,11 @@ class TestInternalFields:
         `run_lsl_step` assembles it, against the rows of the fine
         reference fields injected onto the inversion grid."""
         ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
-        w0 = ctx.background.antiderivatives[:, :, ::ratio, ::ratio]
-        u0 = ctx.background.fields[:, :, ::ratio, ::ratio]
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        w0 = bg.antiderivatives[:, :, ::ratio, ::ratio]
+        u0 = bg.fields[:, :, ::ratio, ::ratio]
         system = assemble_system(
-            w0, u0, transform, ctx.measured, ctx.background.data, ctx.inv_grid, 1e-2
+            w0, u0, transform, ctx.measured, ctx.background, ctx.inv_grid, 1e-2
         )
         steps = len(reference[0])
         rows = np.vstack([
@@ -126,27 +128,28 @@ class TestInternalFields:
         # u0 * T mixed on the inversion grid equals u0 * T materialized
         # on the fine grid and injected onto that grid
         ctx, _ = tiny_context()
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
         reference = []
         for j in range(K):
             basis, basis0 = (
                 factor(block_mass_from_data(source_record(d, j), length))
-                for d in (ctx.measured, ctx.background.data)
+                for d in (ctx.measured, ctx.background)
             )
             transform = field_transform(basis, basis0, 1)
-            reference.append(apply_transform(transform, ctx.background.fields[j : j + 1])[0])
+            reference.append(apply_transform(transform, bg.fields[j : j + 1])[0])
         self.assert_restricted(ctx, internal_transform(ctx, ctx.measured), reference)
 
         siso = run_lsl_step(ctx, ctx.measured)
         lifted = run_lift_step(ctx, siso.potential, siso.transform)
         record = lifted.num_samples
-        bg = ctx.background.data
+        f0 = ctx.background
         basis = factor(block_mass_from_data(lifted, record))
         basis0 = factor(
-            block_mass_from_data(TransferData(bg.values[:, :, :record], bg.mask, bg.tau))
+            block_mass_from_data(TransferData(f0.values[:, :, :record], f0.mask, f0.tau))
         )
-        reference = apply_transform(field_transform(basis, basis0, K), ctx.background.fields)
+        reference = apply_transform(field_transform(basis, basis0, K), bg.fields)
         steps = self.assert_restricted(ctx, internal_transform(ctx, lifted), reference)
         assert steps == halved_length(record)
 
@@ -162,7 +165,7 @@ class TestInternalFields:
         for j in range(K):
             basis, basis0 = (
                 factor(block_mass_from_data(source_record(d, j), length))
-                for d in (ctx.measured, ctx.background.data)
+                for d in (ctx.measured, ctx.background)
             )
             assert np.array_equal(blocks[j], field_transform(basis, basis0, 1))
 
@@ -181,7 +184,7 @@ class TestZeroPotential:
         siso = run_lsl_step(ctx, ctx.measured)
         lifted = run_lift_step(ctx, siso.potential, siso.transform)
         n = lifted.num_samples
-        reference = ctx.background.data.values[:, :, :n]
+        reference = ctx.background.values[:, :, :n]
         scale = np.abs(reference).max()
         assert np.abs(lifted.values - reference).max() <= 1e-12 * scale
 
@@ -212,7 +215,8 @@ class TestStages:
         # form on the grid it reads, and gets the numbers of the views of
         # the fine stacks that `pipeline` holds, on both grids
         ctx, _ = tiny_context()
-        held = replace(ctx, background=ctx.background.held())
+        held = replace(ctx, held=background_stacks(
+            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid))
         assert np.array_equal(invert_born(ctx)[0].values, invert_born(held)[0].values)
         siso = run_lsl_step(ctx, ctx.measured)
         fine_siso = run_lsl_step(held, ctx.measured)
@@ -228,13 +232,14 @@ class TestStages:
         # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
         ctx, _ = tiny_context()
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         *_, final = stages(ctx, iterations=1)
         system = assemble_system(
-            ctx.background.antiderivatives[:, :, ::2, ::2],
-            ctx.background.fields[:, :, ::2, ::2],
+            bg.antiderivatives[:, :, ::2, ::2],
+            bg.fields[:, :, ::2, ::2],
             final.transform,
             ctx.measured,
-            ctx.background.data,
+            ctx.background,
             ctx.inv_grid,
             ctx.tsvd,
         )
@@ -247,6 +252,7 @@ class TestStages:
         # tiny_context's level, so a stage cutting elsewhere shows
         ctx, _ = tiny_context()
         ctx = replace(ctx, tsvd=0.05)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         n, K = ctx.axis.n, ctx.sources.count
         born, _ = invert_born(ctx)
         fits = [(np.broadcast_to(np.eye(n), (K, n, n)), born)]
@@ -254,11 +260,11 @@ class TestStages:
         assert len(fits) == 4
         for transform, potential in fits:
             system = assemble_system(
-                ctx.background.antiderivatives[:, :, ::2, ::2],
-                ctx.background.fields[:, :, ::2, ::2],
+                bg.antiderivatives[:, :, ::2, ::2],
+                bg.fields[:, :, ::2, ::2],
                 transform,
                 ctx.measured,
-                ctx.background.data,
+                ctx.background,
                 ctx.inv_grid,
                 ctx.tsvd,
             )
@@ -270,17 +276,18 @@ class TestStages:
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from
         ctx, _ = tiny_context()
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         plain = list(stages(ctx, iterations=1))
         clamped = list(stages(replace(ctx, positivity=True), iterations=1))
         siso = clamped[0]
         assert plain[0].potential.values.min() < 0.0
         assert np.array_equal(siso.potential.values, np.maximum(plain[0].potential.values, 0.0))
         system = assemble_system(
-            ctx.background.antiderivatives[:, :, ::2, ::2],
-            ctx.background.fields[:, :, ::2, ::2],
+            bg.antiderivatives[:, :, ::2, ::2],
+            bg.fields[:, :, ::2, ::2],
             siso.transform,
             ctx.measured,
-            ctx.background.data,
+            ctx.background,
             ctx.inv_grid,
             ctx.tsvd,
         )

@@ -283,11 +283,11 @@ class TestSynthesize:
         # SISO step factors; the stage itself carries only their transform
         basis, basis0 = (
             cholesky_upper(regularize_spd(block_mass_from_data(source_record(d, j), 2 * n - 1))[0])
-            for d in (ctx.measured, ctx.background.data)
+            for d in (ctx.measured, ctx.background)
         )
         transform = field_transform(basis, basis0, 1)
         assert np.array_equal(two_target_run.siso_transform[j], transform)
-        generated = apply_transform(transform, ctx.background.fields[j : j + 1])[0]
+        generated = apply_transform(transform, ctx.held[0][j : j + 1])[0]
         true_snaps = leapfrog_snapshots(
             two_target_run.q_true, ctx.sources, j, ctx.axis, settings, ctx.axis.n
         )
@@ -304,7 +304,7 @@ class TestSynthesize:
 
         picks = list(range(8, ctx.axis.n, 8))
         ra_true = radial(true_snaps[picks])
-        ra_bg = radial(ctx.background.fields[j][picks])
+        ra_bg = radial(ctx.held[0][j][picks])
         ra_gen = radial(generated[picks])
         err_bg = np.linalg.norm(ra_bg - ra_true)
         err_gen = np.linalg.norm(ra_gen - ra_true)

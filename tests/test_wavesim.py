@@ -9,20 +9,21 @@ import scipy.fft
 
 import lslkit as lk
 from lslkit.config import bundled_config_path, parse_config
-from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product
+from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product, restrict
 from lslkit.errors import ConfigurationError, DomainError
 from lslkit.wavesim import (
+    CFL_SAFETY,
     SolverSettings,
     _dct1_matrix,
     _leapfrog,
     add_noise,
     apply_operator,
+    background_stacks,
     check_cfl,
     max_stable_dt,
-    simulate_background,
     simulate_transfer,
 )
-from reference import leapfrog_snapshots, stack_record, zero_potential
+from reference import background, leapfrog_snapshots, stack_record, zero_potential
 
 
 def small_setup(nx=40, ny=20, K=3, sigma=2.0, tau=2.0, n=8, q_amp=0.0, seed=1):
@@ -204,7 +205,7 @@ class TestSnapshots:
     def test_zero_potential_matches_background_path(self):
         grid, potential, sources, axis, settings = small_setup()
         direct = leapfrog_snapshots(potential, sources, 0, axis, settings, axis.n)
-        bg = simulate_background(grid, sources, axis, settings)
+        bg = background(grid, sources, axis, settings)
         scale = np.abs(direct).max()
         assert np.abs(bg.fields[0] - direct).max() <= 1e-12 * scale
 
@@ -219,7 +220,7 @@ class TestClosedFormBackground:
         sources = SourceSet(np.column_stack([xs, np.full(3, 13.0)]), 2.0)
         axis = TimeAxis(1.5, 10)
         settings = SolverSettings(substeps=3)
-        return grid, sources, axis, settings, simulate_background(grid, sources, axis, settings)
+        return grid, sources, axis, settings, background(grid, sources, axis, settings)
 
     @staticmethod
     def rel_dev(a, b):
@@ -264,7 +265,7 @@ class TestNestedBackground:
         sources = SourceSet(np.column_stack([xs + 2.0, np.full(3, 14.0)]), 2.0)
         axis = TimeAxis(1.5, 9)
         settings = SolverSettings(substeps=3)
-        return grid, sources, axis, settings, simulate_background(grid, sources, axis, settings)
+        return grid, sources, axis, settings, background(grid, sources, axis, settings)
 
     def test_record_matches_the_fine_stack_angle_sum(self, fine):
         grid, _, _, _, bg = fine
@@ -276,19 +277,19 @@ class TestNestedBackground:
         # the closed form on the coarse grid, and the views of held fine stacks
         grid, sources, axis, settings, bg = fine
         coarse = grid.coarsen(ratio)
-        nested = bg.stacks(coarse)
-        held = bg.held()
-        assert bg.grid == held.grid == grid
-        for stack, full, view in zip(nested, bg.stacks(grid), held.stacks(coarse)):
+        nested = background_stacks(grid, sources, axis, settings, coarse)
+        held = (bg.fields, bg.antiderivatives)
+        views = (restrict(full, grid, coarse) for full in held)
+        for stack, full, view in zip(nested, held, views):
             assert stack.shape == (sources.count, axis.n) + coarse.shape
             assert not stack.flags.writeable
             assert np.array_equal(stack, full[:, :, ::ratio, ::ratio])
             assert np.array_equal(view, stack)
 
     def test_refuses_a_grid_that_is_not_nested(self, fine):
-        *_, bg = fine
+        grid, sources, axis, settings, _ = fine
         with pytest.raises(ConfigurationError, match="not nested"):
-            bg.stacks(Grid2D(12, 8, 3.3, 2.4))
+            background_stacks(grid, sources, axis, settings, Grid2D(12, 8, 3.3, 2.4))
 
     def test_inversion_grid_background_holds_no_fine_stack(self):
         # S is one (K, n) stack on box's inversion grid (ratio 2), and a
@@ -302,7 +303,7 @@ class TestNestedBackground:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stacks = simulate_background(*args).stacks(inv_grid)
+            stacks = background_stacks(*args, inv_grid)
             held, peak = (value - before for value in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -477,6 +478,8 @@ def test_cfl_limit_scaling():
     q = np.zeros(grid.shape)
     limit = max_stable_dt(grid, q)
     assert limit == pytest.approx(2.0 / np.sqrt(32.0))
-    check_cfl(grid, q, limit * 3.9, SolverSettings(substeps=4, cfl_safety=1.0))
+    # check_cfl keeps every fine step below CFL_SAFETY = 0.9 of the bare bound
+    assert CFL_SAFETY == 0.9
+    check_cfl(grid, q, 0.9 * limit * 3.9, SolverSettings(substeps=4))
     with pytest.raises(ConfigurationError):
-        check_cfl(grid, q, limit * 4.1, SolverSettings(substeps=4, cfl_safety=1.0))
+        check_cfl(grid, q, 0.9 * limit * 4.1, SolverSettings(substeps=4))
