@@ -17,6 +17,8 @@ Artifact names inside the output directory:
     q_mimo.lslf            post-completion reconstruction (q_mimo_2.lslf, ...)
     q_final.lslf           last stage of `pipeline`, plus metrics.txt
 
+`invert` and `lift` read one record each, --data (default siso.lslt):
+every `invert` method fits its measured diagonal, and `lift` copies it.
 `invert --method lsl` runs one LSL step (`pipeline.run_lsl_step`): the
 SISO step on a diagonal-only record, a MIMO step on a lifted one, whose
 round follows from the record's length (`pipeline.stage_round`).
@@ -140,7 +142,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContext:
+def _context(config: ExperimentConfig) -> PipelineContext:
     """The context of one command: F0, and no background stack (a step
     evaluates its own, and `pipeline.stages` holds them)."""
     grid = config.sim_grid()
@@ -153,7 +155,6 @@ def _context(config: ExperimentConfig, measured: TransferData) -> PipelineContex
         sources,
         axis,
         settings,
-        measured,
         simulate_background(grid, sources, axis, settings),
         tsvd=config.tsvd,
         positivity=config.positivity,
@@ -191,15 +192,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_invert(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    measured = lio.load_transfer(out / "siso.lslt")
-    data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured)
+    data = lio.load_transfer(Path(args.data) if args.data else out / "siso.lslt")
+    ctx = _context(config)
 
     if args.method == "born":
-        potential, residual = invert_born(replace(ctx, measured=data))
+        potential, residual = invert_born(ctx, data)
         name, summary = "q_born.lslf", f"residual {residual:.3e}"
     else:
-        record = run_lsl_step(ctx if data.is_full else replace(ctx, measured=data), data)
+        record = run_lsl_step(ctx, data)
         potential, name = record.potential, _names(record.round)[0]
         summary = f"stage {record.name}, N={record.active_length}, residual {record.residual:.3e}"
     q_path = Path(args.q_out) if args.q_out else out / name
@@ -211,12 +211,11 @@ def _cmd_invert(args) -> int:
 def _cmd_lift(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    measured = lio.load_transfer(out / "siso.lslt")
-    data = lio.load_transfer(Path(args.data)) if args.data else measured
-    ctx = _context(config, measured)
+    data = lio.load_transfer(Path(args.data) if args.data else out / "siso.lslt")
+    ctx = _context(config)
     q_path = Path(args.q) if args.q else out / _names(stage_round(ctx, data))[0]
     grid, values = lio.load_field(q_path)
-    lifted = run_lift_step(ctx, Potential(grid, values), internal_transform(ctx, data))
+    lifted = run_lift_step(ctx, Potential(grid, values), data, internal_transform(ctx, data))
     data_out = Path(args.data_out) if args.data_out else out / _names(stage_round(ctx, lifted))[1]
     lio.save_transfer(data_out, lifted)
     print(f"lifted record ({lifted.num_samples} samples) -> {data_out}")
@@ -226,12 +225,13 @@ def _cmd_lift(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    ctx = _context(config, _simulate_artifacts(config, out))
+    measured = _simulate_artifacts(config, out)
+    ctx = _context(config)
     q_true = config.true_potential()
     regions = config.regions()
 
     lines = []
-    for record in stages(ctx, config.iterations):
+    for record in stages(ctx, measured, config.iterations):
         q_name, lifted_name = _names(record.round)
         if record.round:
             lio.save_transfer(out / lifted_name, record.data)

@@ -7,7 +7,7 @@ key checked on its own, a rule whose error reads "<key> <value> must be
 every key with its default (a required key has none) is their
 user-facing copy, which a test checks against them:
 
-    [domain]      width (100.0), height (50.0), origin_x (0.0), origin_y (0.0)
+    [domain]      width (100.0), height (50.0)
     [simulation]  nx (100), ny (50), inversion_ratio (2)
     [sources]     count (9), sigma (2.0), depth (4.0), first_x (0.14*width),
                   last_x (0.86*width)
@@ -117,8 +117,6 @@ class Inclusion:
 class ExperimentConfig:
     width: float = _setting("domain.width", 100.0, _POSITIVE)
     height: float = _setting("domain.height", 50.0, _POSITIVE)
-    origin_x: float = _setting("domain.origin_x", 0.0)
-    origin_y: float = _setting("domain.origin_y", 0.0)
     nx: int = _setting("simulation.nx", 100, _at_least(2))
     ny: int = _setting("simulation.ny", 50, _at_least(2))
     inversion_ratio: int = _setting("simulation.inversion_ratio", 2, _at_least(1))
@@ -141,23 +139,17 @@ class ExperimentConfig:
     output_directory: str = _setting("output.directory", "out")
 
     def sim_grid(self) -> Grid2D:
-        return Grid2D(
-            self.nx,
-            self.ny,
-            self.width / self.nx,
-            self.height / self.ny,
-            (self.origin_x, self.origin_y),
-        )
+        return Grid2D(self.nx, self.ny, self.width / self.nx, self.height / self.ny)
 
     def inv_grid(self) -> Grid2D:
         return self.sim_grid().coarsen(self.inversion_ratio)
 
     def acquisition_y(self) -> float:
-        return self.origin_y + self.height - self.source_depth
+        return self.height - self.source_depth
 
     def source_xs(self) -> np.ndarray:
-        first = self.origin_x + 0.14 * self.width if self.first_x is None else self.first_x
-        last = self.origin_x + 0.86 * self.width if self.last_x is None else self.last_x
+        first = 0.14 * self.width if self.first_x is None else self.first_x
+        last = 0.86 * self.width if self.last_x is None else self.last_x
         return np.linspace(first, last, self.source_count)
 
     def sources(self) -> SourceSet:
@@ -207,7 +199,7 @@ class ExperimentConfig:
                 f"({3.0 * self.source_sigma}) of the acquisition boundary"
             )
         xs = self.source_xs()
-        if xs.min() < self.origin_x or xs.max() > self.origin_x + self.width:
+        if xs.min() < 0.0 or xs.max() > self.width:
             raise ConfigurationError("sources.first_x/last_x fall outside the domain")
         length = self.n
         for _ in range(self.iterations):
@@ -220,10 +212,10 @@ class ExperimentConfig:
         for inc in self.inclusions:
             x0, x1, y0, y1 = inc.bounding_box()
             if (
-                x0 < self.origin_x + self.margin
-                or x1 > self.origin_x + self.width - self.margin
-                or y0 < self.origin_y + self.margin
-                or y1 > self.origin_y + self.height - self.margin
+                x0 < self.margin
+                or x1 > self.width - self.margin
+                or y0 < self.margin
+                or y1 > self.height - self.margin
             ):
                 raise ConfigurationError(
                     f"inclusion {inc.name} violates model.margin {self.margin}"

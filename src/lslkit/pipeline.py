@@ -1,13 +1,14 @@
 """End-to-end inversion: one LSL step, data completion, iteration.
 
 An LSL step builds internal fields from the ROM of one transfer record,
-puts them into the Lippmann-Schwinger system and fits the measured
-diagonal. The SISO step runs it on the measured record (one ROM per
-source); each completion round lifts the previous estimate to a full
-record and runs it again (one ROM of all sources). Every inversion,
-including post-completion ones, fits measured diagonal data only; lifted
-entries exist solely to synthesize better internal fields. Each step
-returns a frozen `StageRecord`, and `stages` is the one loop over rounds.
+puts them into the Lippmann-Schwinger system and fits that record's
+measured diagonal. The SISO step runs it on the measured record (one ROM
+per source); each completion round lifts the previous estimate to a full
+record, whose diagonal is copied from the record its fields came from,
+and runs it again (one ROM of all sources). So every inversion fits
+measured diagonal data only; lifted entries exist solely to synthesize
+better internal fields. Each step returns a frozen `StageRecord`, and
+`stages` is the one loop over rounds.
 
 Stage schedule: the SISO step works with the first n field samples; each
 completion round lifts a record of the current length N and the block
@@ -57,17 +58,16 @@ from .wavesim import SolverSettings, background_stacks
 
 @dataclass(frozen=True)
 class PipelineContext:
-    """Immutable inputs shared by every stage of one inversion run; every
-    inversion, the Born one included, truncates its TSVD at `tsvd`.
-    `background` is the zero-potential record F0, and `held` the u0 and w0
-    stacks on the simulation grid where `stages` holds them."""
+    """Immutable inputs of every step of one inversion run, no record among
+    them (a step is handed the one it reads); every inversion truncates its
+    TSVD at `tsvd`. `background` is the zero-potential record F0, and
+    `held` the u0 and w0 stacks on the simulation grid where `stages` holds them."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
     sources: SourceSet
     axis: TimeAxis
     settings: SolverSettings
-    measured: TransferData
     background: TransferData
     tsvd: float
     positivity: bool
@@ -114,12 +114,11 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     record yet. A record that does not fit the context raises
     DimensionError naming the config key (`_check_fit`).
     """
-    _check_fit(ctx, data)
     n, K = ctx.axis.n, ctx.sources.count
     length, limit, full = data.num_samples, ctx.axis.total_samples, data.is_full
-    if (length > limit) if full else (length < limit):
-        bound = "at most" if full else "at least"
-        raise DimensionError(f"record holds {length} samples, time.n {n} takes {bound} {limit}")
+    _check_fit(ctx, data, 0 if full else limit)
+    if full and length > limit:
+        raise DimensionError(f"record holds {length} samples, time.n {n} takes at most {limit}")
     background = ctx.background
     if not full:
         data.require_measured_diagonal()
@@ -133,14 +132,17 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     return _rom_transform(data, background, length)[np.newaxis]
 
 
-def _check_fit(ctx: PipelineContext, data: TransferData) -> None:
+def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
     """Refuse a record whose source count or sample interval is not the
-    config's, naming the key, before any stack is evaluated."""
-    K, tau = ctx.sources.count, ctx.axis.tau
+    config's, or that holds fewer than `fewest` samples, naming the key,
+    before any stack is evaluated."""
+    K, tau, n, length = ctx.sources.count, ctx.axis.tau, ctx.axis.n, data.num_samples
     if data.num_sources != K:
         raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
     if not abs(data.tau - tau) <= 1e-12 * tau:
         raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
+    if length < fewest:
+        raise DimensionError(f"record holds {length} samples, time.n {n} takes at least {fewest}")
 
 
 def _source(data: TransferData, j: int) -> TransferData:
@@ -178,13 +180,11 @@ def _stacks(ctx: PipelineContext, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]
     return background_stacks(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, grid)
 
 
-def _invert(ctx: PipelineContext, transform: np.ndarray):
-    """TSVD fit of the measured diagonal at `ctx.tsvd` with the fields u0 * T,
-    clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
+def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
+    """TSVD fit of the measured diagonal of `data` at `ctx.tsvd` with the fields
+    u0 * T, clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
     u0, w0 = _stacks(ctx, ctx.inv_grid)
-    system = assemble_system(
-        w0, u0, transform, ctx.measured, ctx.background, ctx.inv_grid, ctx.tsvd
-    )
+    system = assemble_system(w0, u0, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
     del u0, w0  # a context that does not hold them frees them before the TSVD
     q_est = solve_tsvd(system)
     if ctx.positivity:
@@ -199,20 +199,23 @@ def run_lsl_step(ctx: PipelineContext, data: TransferData) -> StageRecord:
     the block ROM; both fits cut at `ctx.tsvd`.
     """
     transform = internal_transform(ctx, data)
-    potential, residual = _invert(ctx, transform)
+    potential, residual = _invert(ctx, data, transform)
     return StageRecord(stage_round(ctx, data), data, transform, potential, residual)
 
 
 def run_lift_step(
-    ctx: PipelineContext, potential: Potential, transform: np.ndarray
+    ctx: PipelineContext, potential: Potential, data: TransferData, transform: np.ndarray
 ) -> TransferData:
-    """The full record of an estimate whose internal fields are u0 * T."""
+    """The full record of an estimate whose internal fields are u0 * T, T the
+    ROM transform of `data`, whose measured diagonal the record copies."""
     u0, w0 = _stacks(ctx, ctx.sim_grid)
-    return forward_lift(u0, transform, potential, w0, ctx.background, ctx.measured, ctx.sim_grid)
+    return forward_lift(u0, transform, potential, w0, ctx.background, data, ctx.sim_grid)
 
 
-def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
-    """The stage schedule: the SISO step, then `iterations` rounds of lift + MIMO step.
+def stages(
+    ctx: PipelineContext, measured: TransferData, iterations: int = 1
+) -> Iterator[StageRecord]:
+    """The SISO step on `measured`, then `iterations` rounds of lift + MIMO step.
 
     Yields one record per inversion. Round r's `.data` is the record
     lifted from round r-1's estimate and internal fields. With a round
@@ -223,20 +226,21 @@ def stages(ctx: PipelineContext, iterations: int = 1) -> Iterator[StageRecord]:
         raise IterationBudgetError("iteration count must be nonnegative")
     if iterations:
         ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid))
-    record = run_lsl_step(ctx, ctx.measured)
+    record = run_lsl_step(ctx, measured)
     yield record
     for _ in range(iterations):
-        lifted = run_lift_step(ctx, record.potential, record.transform)
+        lifted = run_lift_step(ctx, record.potential, record.data, record.transform)
         record = run_lsl_step(ctx, lifted)
         yield record
 
 
-def invert_born(ctx: PipelineContext) -> tuple[Potential, float]:
-    """Reconstruction with background fields in place of internal ones:
-    T is K identity blocks, a read-only view of one n x n identity."""
-    _check_fit(ctx, ctx.measured)
+def invert_born(ctx: PipelineContext, data: TransferData) -> tuple[Potential, float]:
+    """Reconstruction of the measured diagonal of `data` with background
+    fields in place of internal ones: T is K identity blocks, a read-only
+    view of one n x n identity."""
     n = ctx.axis.n
-    return _invert(ctx, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)))
+    _check_fit(ctx, data, n)
+    return _invert(ctx, data, np.broadcast_to(np.eye(n), (ctx.sources.count, n, n)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from reference import background, diagonal_record
 
 
 def build_context(cfg, noise_level=None):
-    """Simulate a configuration once and wrap everything in a PipelineContext.
+    """Simulate a configuration once: its PipelineContext and measured record.
 
     The measured record is the diagonal of the full true-medium record,
     as `lslkit simulate` writes it; the full record comes back as the
@@ -42,13 +42,12 @@ def build_context(cfg, noise_level=None):
         sources,
         axis,
         settings,
-        data,
         bg.data,
         tsvd=cfg.tsvd,
         positivity=cfg.positivity,
         held=(bg.fields, bg.antiderivatives),
     )
-    return ctx, q_true, true_mimo
+    return ctx, data, q_true, true_mimo
 
 
 def reference_potential(ctx, q_true):
@@ -73,10 +72,10 @@ def two_target_run():
     """Full two-target desk experiment: born, two completion rounds, lift data."""
     started = time.monotonic()
     cfg = parse_config(bundled_config_path("two_targets"))
-    ctx, q_true, true_mimo = build_context(cfg)
+    ctx, measured, q_true, true_mimo = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
-    born_potential, born_residual = invert_born(ctx)
-    records = list(stages(ctx, iterations=2))
+    born_potential, born_residual = invert_born(ctx, measured)
+    records = list(stages(ctx, measured, iterations=2))
     elapsed = time.monotonic() - started
     errors = {"born": metrics(born_potential, q_ref).global_rel_l2}
     potentials = {"born": born_potential}
@@ -86,6 +85,7 @@ def two_target_run():
     return SimpleNamespace(
         cfg=cfg,
         ctx=ctx,
+        measured=measured,
         q_true=q_true,
         q_ref=q_ref,
         true_mimo=true_mimo,
@@ -105,9 +105,9 @@ def box_runs():
     cfg = parse_config(bundled_config_path("box"))
     results = {}
     for label, level in (("clean", 0.0), ("noisy", cfg.noise_level)):
-        ctx, q_true, _ = build_context(cfg, noise_level=level)
+        ctx, measured, q_true, _ = build_context(cfg, noise_level=level)
         q_ref = reference_potential(ctx, q_true)
-        *_, record = stages(ctx, iterations=1)
+        *_, record = stages(ctx, measured, iterations=1)
         results[label] = SimpleNamespace(
             ctx=ctx,
             error=metrics(record.potential, q_ref).global_rel_l2,
@@ -122,10 +122,10 @@ def three_object_run():
     """Three staggered targets, two completion rounds."""
     started = time.monotonic()
     cfg = parse_config(bundled_config_path("three_objects"))
-    ctx, q_true, _ = build_context(cfg)
+    ctx, measured, q_true, _ = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
     regions = cfg.regions()
-    records = list(stages(ctx, iterations=2))
+    records = list(stages(ctx, measured, iterations=2))
     reports = {rec.name: metrics(rec.potential, q_ref, regions) for rec in records}
     return SimpleNamespace(
         cfg=cfg,

@@ -95,9 +95,9 @@ def test_c02_zero_potential_round_trip():
         ref = background.fields[j]
         worst_field = max(worst_field, np.abs(synthesized - ref).max() / np.abs(ref).max())
     ctx = PipelineContext(
-        grid, grid.coarsen(2), sources, axis, settings, data, background.data, 1e-2, False
+        grid, grid.coarsen(2), sources, axis, settings, background.data, 1e-2, False
     )
-    *_, final = stages(ctx, iterations=1)
+    *_, final = stages(ctx, data, iterations=1)
     q_norm = np.abs(np.asarray(final.potential.values)).max()
     elapsed = time.monotonic() - started
     report(

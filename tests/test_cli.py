@@ -184,9 +184,18 @@ class TestSurface:
                    "--data", out / "scaled.lslt", "--q-out", out / "q_scaled.lslf") == 0
         assert (out / "q_scaled.lslf").read_bytes() != (out / "q_born.lslf").read_bytes()
 
-    def test_invert_reads_measured_record_once(self, tmp_path, config_path, monkeypatch):
-        # with --data left at its default, siso.lslt is both measured and data
-        assert run("simulate", "--config", config_path) == 0
+    @pytest.mark.parametrize("data", [None, "lifted.lslt"], ids=["default", "lifted"])
+    @pytest.mark.parametrize("command", ["invert", "lift"])
+    def test_each_command_reads_one_record(self, tmp_path, config_path, monkeypatch,
+                                           command, data):
+        # a step fits, or copies, the measured diagonal of the record it is
+        # given: --data, or siso.lslt by default, is the only record it loads
+        out = tmp_path / "out"
+        common = ("--config", config_path)
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common) == 0
+        assert run("lift", *common) == 0
+        assert run("invert", "--method", "lsl", *common, "--data", out / "lifted.lslt") == 0
         calls = []
 
         def counting_load(path):
@@ -194,8 +203,28 @@ class TestSurface:
             return load_transfer(path)
 
         monkeypatch.setattr(lslkit.cli.lio, "load_transfer", counting_load)
-        assert run("invert", "--method", "lsl", "--config", config_path) == 0
-        assert calls == [tmp_path / "out" / "siso.lslt"]
+        method = ("--method", "lsl") if command == "invert" else ()
+        flags = ("--data", out / data) if data else ()
+        assert run(command, *method, *common, *flags) == 0
+        assert calls == [out / (data or "siso.lslt")]
+
+    def test_lifted_records_need_no_siso_record(self, tmp_path, config_path):
+        # every lifted record carries the measured diagonal: with siso.lslt
+        # gone, the chain from lifted.lslt on is bitwise the `pipeline` run
+        pipe = tmp_path / "pipe"
+        common = ("--config", config_path)
+        assert run("pipeline", *common, "--iterations", 2, "--out", pipe) == 0
+        out = tmp_path / "out"
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common) == 0
+        assert run("lift", *common) == 0
+        (out / "siso.lslt").unlink()
+        assert run("invert", "--method", "lsl", *common, "--data", out / "lifted.lslt") == 0
+        assert (out / "q_mimo.lslf").read_bytes() == (pipe / "q_mimo.lslf").read_bytes()
+        assert run("lift", *common, "--data", out / "lifted.lslt") == 0
+        assert (out / "lifted_2.lslt").read_bytes() == (pipe / "lifted_2.lslt").read_bytes()
+        assert run("invert", "--method", "lsl", *common, "--data", out / "lifted_2.lslt") == 0
+        assert (out / "q_mimo_2.lslf").read_bytes() == (pipe / "q_final.lslf").read_bytes()
 
     def test_threads_flag_rejected(self, config_path):
         # parallelism is BLAS's alone; argparse exits 2 on the unknown flag
@@ -443,20 +472,24 @@ class TestExitCodes:
         config = parse_config(config_path)
         assert built == [config.inv_grid(), config.sim_grid()]
 
-    @pytest.mark.parametrize("record", ["short_diagonal", "long_full"])
+    @pytest.mark.parametrize("record", ["short_diagonal", "long_full", "born_short_full"])
     def test_record_length_names_time_n(self, tmp_path, config_path, capsys, record):
-        # n = 12: a diagonal record needs 23 samples, a full one holds at most 23
+        # n = 12: a diagonal record needs 23 samples, a full one holds at
+        # most 23, and Born reads 12 of either (lifted_2.lslt holds 6)
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
+        siso = load_transfer(out / "siso.lslt")
+        mimo = load_transfer(out / "mimo.lslt")
         if record == "short_diagonal":
-            siso = load_transfer(out / "siso.lslt")
             bad = TransferData(siso.values[:, :, :20], siso.mask, siso.tau)
-        else:
-            mimo = load_transfer(out / "mimo.lslt")
+        elif record == "long_full":
             values = np.concatenate([mimo.values, mimo.values[:, :, -4:]], axis=2)
             bad = TransferData(values, mimo.mask, mimo.tau)
+        else:
+            bad = TransferData(mimo.values[:, :, :6], mimo.mask, mimo.tau)
         save_transfer(out / "bad.lslt", bad)
-        assert run("invert", "--method", "lsl", "--config", config_path,
+        method = "born" if record.startswith("born") else "lsl"
+        assert run("invert", "--method", method, "--config", config_path,
                    "--data", out / "bad.lslt") == 2
         assert "time.n" in capsys.readouterr().err
 

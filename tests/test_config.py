@@ -34,6 +34,9 @@ class TestParsing:
             parse_config(write(tmp_path, "[bogus]\nx = 1\n"))
         with pytest.raises(ConfigurationError, match="solver.warp"):
             parse_config(write(tmp_path, "[solver]\nwarp = 9\n"))
+        for key in ("origin_x", "origin_y"):  # translating the domain changes no image
+            with pytest.raises(ConfigurationError, match=f"unknown config key domain.{key}"):
+                parse_config(write(tmp_path, f"[domain]\n{key} = 0.0\n"))
 
     def test_type_errors_name_the_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="time.n"):

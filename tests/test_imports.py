@@ -10,9 +10,9 @@ be listed in `[project].dependencies` of `pyproject.toml`.
 
 `src/` holds what the command line runs: each public function and class
 defined in a module must be read, as a name or an attribute, somewhere
-in the package outside `__init__.py`, and each public method and
-property as an attribute: a local variable of the same name does not
-read it. Oracles that
+in the package outside `__init__.py`, and each public method, property
+and dataclass or NamedTuple field as an attribute: a local variable or
+a keyword argument of the same name does not read it. Oracles that
 only tests need live in `tests/reference.py`.
 """
 
@@ -33,6 +33,11 @@ PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 UNREAD_ALLOWED = {
     "bundled_config_path": "README's entry point to the shipped configs",
     "TransferData.reciprocity_defect": "the tests' reciprocity check; no stage reports it yet",
+    **dict.fromkeys(
+        ("RegularizationRecord.applied", "RegularizationRecord.eps0",
+         "Regularized.regularization"),
+        "perfbench's tracer reads .regularization.applied; ROADMAP item 3 will report them",
+    ),
 }
 
 
@@ -70,9 +75,16 @@ def third_party_imports(source: str) -> set[str]:
     return tops - set(sys.stdlib_module_names) - {"__future__"}
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    """A `@dataclass` or a `NamedTuple`: its annotated names are fields."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names = {n.id for n in decorators + node.bases if isinstance(n, ast.Name)}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
 def public_definitions(source: str) -> list[str]:
-    """Public top-level functions and classes, and the public methods and
-    properties of public classes, as `name` or `Class.name`."""
+    """Public top-level functions and classes, and the public methods,
+    properties and fields of public classes, as `name` or `Class.name`."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     found = []
     for node in ast.parse(source).body:
@@ -80,8 +92,11 @@ def public_definitions(source: str) -> list[str]:
             continue
         found.append(node.name)
         if isinstance(node, ast.ClassDef):
-            found += [f"{node.name}.{item.name}" for item in node.body
-                      if isinstance(item, kinds) and not item.name.startswith("_")]
+            members = [item.name for item in node.body if isinstance(item, kinds)]
+            if _is_record(node):
+                members += [item.target.id for item in node.body
+                            if isinstance(item, ast.AnnAssign)]
+            found += [f"{node.name}.{name}" for name in members if not name.startswith("_")]
     return found
 
 
@@ -114,10 +129,26 @@ def test_detects_an_unread_definition():
         "def make(): return Box().used()\n"
         "def orphan(): pass\n"
         "def _helper(): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    key: str\n"
+        "    stale: int\n"
+        "    _cache: int\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Plain:\n"
+        "    label: str\n"
     )
-    # a local variable named like a method does not read the method
-    caller = "from .box import make\nshadowed = make()\nprint(shadowed)\n"
-    assert unread_definitions([source, caller]) == ["Box.spare", "Box.shadowed", "orphan"]
+    # a local variable named like a member, or a keyword argument named
+    # like a field, does not read it; a plain class's annotation is no field
+    caller = (
+        "from .box import make\nshadowed = make()\nprint(shadowed)\n"
+        "row = Row(key='a', stale=1)\nprint(row.key, Pair(1, right=2).left, Plain)\n"
+    )
+    assert unread_definitions([source, caller]) == [
+        "Box.spare", "Box.shadowed", "orphan", "Row.stale", "Pair.right"
+    ]
 
 
 def test_every_public_definition_is_read():

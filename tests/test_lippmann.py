@@ -554,7 +554,7 @@ class TestForwardLift:
             two_target_run.q_true,
             ctx.held[1],
             ctx.background,
-            ctx.measured,
+            two_target_run.measured,
             ctx.sim_grid,
         )
         off = ~np.eye(ctx.sources.count, dtype=bool)

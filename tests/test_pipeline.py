@@ -46,8 +46,8 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     settings = SolverSettings(substeps=4)
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     f0 = simulate_background(grid, sources, axis, settings)
-    ctx = PipelineContext(grid, inv_grid, sources, axis, settings, data, f0, 1e-2, False)
-    return ctx, potential
+    ctx = PipelineContext(grid, inv_grid, sources, axis, settings, f0, 1e-2, False)
+    return ctx, data
 
 
 class TestSchedule:
@@ -58,25 +58,25 @@ class TestSchedule:
         assert halved_length(3) == 2
 
     def test_history_matches_recurrence(self):
-        ctx, _ = tiny_context(n=16)
-        lengths = [rec.active_length for rec in stages(ctx, iterations=2)]
+        ctx, measured = tiny_context(n=16)
+        lengths = [rec.active_length for rec in stages(ctx, measured, iterations=2)]
         expected = [16]
         while len(expected) < 3:
             expected.append(halved_length(expected[-1]))
         assert lengths == expected
 
     def test_stages_yield_every_step(self):
-        ctx, _ = tiny_context(n=16)
-        records = list(stages(ctx, iterations=2))
+        ctx, measured = tiny_context(n=16)
+        records = list(stages(ctx, measured, iterations=2))
         assert [(rec.round, rec.name) for rec in records] == [
             (0, "siso"), (1, "mimo-1"), (2, "mimo-2")
         ]
-        assert records[0].data is ctx.measured
+        assert records[0].data is measured
         assert all(rec.data.is_full for rec in records[1:])
 
     def test_stage_round_follows_the_record_length(self):
-        ctx, _ = tiny_context(n=16)
-        records = list(stages(ctx, iterations=2))
+        ctx, measured = tiny_context(n=16)
+        records = list(stages(ctx, measured, iterations=2))
         assert [stage_round(ctx, rec.data) for rec in records] == [0, 1, 2]
         # lift lengths 16, 8, 4, 2, 1: a full record belongs to the first
         # round whose lift length it holds; an empty one ends the search too
@@ -88,17 +88,17 @@ class TestSchedule:
             assert stage_round(ctx, record) == expected, length
 
     def test_budget_exhaustion(self):
-        ctx, _ = tiny_context(n=4)
+        ctx, measured = tiny_context(n=4)
         # n=4 -> 2 -> halved 2... next round leaves a single usable sample
         with pytest.raises(IterationBudgetError):
-            list(stages(ctx, iterations=3))
+            list(stages(ctx, measured, iterations=3))
         with pytest.raises(IterationBudgetError):
-            list(stages(ctx, iterations=-1))
+            list(stages(ctx, measured, iterations=-1))
 
 
 class TestInternalFields:
     @staticmethod
-    def assert_restricted(ctx, transform, reference):
+    def assert_restricted(ctx, measured, transform, reference):
         """The system assembled from the injected background and T, as
         `run_lsl_step` assembles it, against the rows of the fine
         reference fields injected onto the inversion grid."""
@@ -107,7 +107,7 @@ class TestInternalFields:
         w0 = bg.antiderivatives[:, :, ::ratio, ::ratio]
         u0 = bg.fields[:, :, ::ratio, ::ratio]
         system = assemble_system(
-            w0, u0, transform, ctx.measured, ctx.background, ctx.inv_grid, 1e-2
+            w0, u0, transform, measured, ctx.background, ctx.inv_grid, 1e-2
         )
         steps = len(reference[0])
         rows = np.vstack([
@@ -127,7 +127,7 @@ class TestInternalFields:
     def test_assembly_mixes_restricted_reference(self):
         # u0 * T mixed on the inversion grid equals u0 * T materialized
         # on the fine grid and injected onto that grid
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
@@ -135,14 +135,14 @@ class TestInternalFields:
         for j in range(K):
             basis, basis0 = (
                 factor(block_mass_from_data(source_record(d, j), length))
-                for d in (ctx.measured, ctx.background)
+                for d in (measured, ctx.background)
             )
             transform = field_transform(basis, basis0, 1)
             reference.append(apply_transform(transform, bg.fields[j : j + 1])[0])
-        self.assert_restricted(ctx, internal_transform(ctx, ctx.measured), reference)
+        self.assert_restricted(ctx, measured, internal_transform(ctx, measured), reference)
 
-        siso = run_lsl_step(ctx, ctx.measured)
-        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        siso = run_lsl_step(ctx, measured)
+        lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         record = lifted.num_samples
         f0 = ctx.background
         basis = factor(block_mass_from_data(lifted, record))
@@ -150,39 +150,39 @@ class TestInternalFields:
             block_mass_from_data(TransferData(f0.values[:, :, :record], f0.mask, f0.tau))
         )
         reference = apply_transform(field_transform(basis, basis0, K), bg.fields)
-        steps = self.assert_restricted(ctx, internal_transform(ctx, lifted), reference)
+        steps = self.assert_restricted(ctx, measured, internal_transform(ctx, lifted), reference)
         assert steps == halved_length(record)
 
     def test_diagonal_record_transform_is_block_diagonal(self):
         # one n x n block per source, block j the field transform of
         # source j's own factors over 2n-1 samples; blocks between two
         # sources are not stored
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         K, n, length = ctx.sources.count, ctx.axis.n, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
-        blocks = internal_transform(ctx, ctx.measured)
+        blocks = internal_transform(ctx, measured)
         assert blocks.shape == (K, n, n)
         for j in range(K):
             basis, basis0 = (
                 factor(block_mass_from_data(source_record(d, j), length))
-                for d in (ctx.measured, ctx.background)
+                for d in (measured, ctx.background)
             )
             assert np.array_equal(blocks[j], field_transform(basis, basis0, 1))
 
 
 class TestZeroPotential:
     def test_everything_stays_zero(self):
-        ctx, _ = tiny_context(q_amp=0.0)
-        first, final = stages(ctx, iterations=1)
+        ctx, measured = tiny_context(q_amp=0.0)
+        first, final = stages(ctx, measured, iterations=1)
         assert np.abs(np.asarray(first.potential.values)).max() <= 1e-8
         assert np.abs(np.asarray(final.potential.values)).max() <= 1e-8
 
     def test_lift_reproduces_background(self):
         # the reconstructed estimate is zero only to roundoff, so the lifted
         # record matches the background one to roundoff as well
-        ctx, _ = tiny_context(q_amp=0.0)
-        siso = run_lsl_step(ctx, ctx.measured)
-        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        ctx, measured = tiny_context(q_amp=0.0)
+        siso = run_lsl_step(ctx, measured)
+        lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         n = lifted.num_samples
         reference = ctx.background.values[:, :, :n]
         scale = np.abs(reference).max()
@@ -191,22 +191,22 @@ class TestZeroPotential:
 
 class TestStages:
     def test_iterations_zero_is_siso_step(self):
-        ctx, _ = tiny_context()
-        alone = run_lsl_step(ctx, ctx.measured)
-        ran = list(stages(ctx, iterations=0))
+        ctx, measured = tiny_context()
+        alone = run_lsl_step(ctx, measured)
+        ran = list(stages(ctx, measured, iterations=0))
         assert len(ran) == 1
         assert np.array_equal(alone.potential.values, ran[0].potential.values)
 
     def test_deterministic(self):
-        ctx, _ = tiny_context()
-        *_, a = stages(ctx, iterations=1)
-        *_, b = stages(ctx, iterations=1)
+        ctx, measured = tiny_context()
+        *_, a = stages(ctx, measured, iterations=1)
+        *_, b = stages(ctx, measured, iterations=1)
         assert np.array_equal(a.potential.values, b.potential.values)
 
     def test_lift_fills_every_pair(self):
-        ctx, _ = tiny_context()
-        siso = run_lsl_step(ctx, ctx.measured)
-        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        ctx, measured = tiny_context()
+        siso = run_lsl_step(ctx, measured)
+        lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         assert lifted.is_full
         assert lifted.num_samples == ctx.axis.n
 
@@ -214,31 +214,32 @@ class TestStages:
         # `invert` and `lift` hold no stack: each step evaluates the closed
         # form on the grid it reads, and gets the numbers of the views of
         # the fine stacks that `pipeline` holds, on both grids
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         held = replace(ctx, held=background_stacks(
             ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid))
-        assert np.array_equal(invert_born(ctx)[0].values, invert_born(held)[0].values)
-        siso = run_lsl_step(ctx, ctx.measured)
-        fine_siso = run_lsl_step(held, ctx.measured)
+        assert np.array_equal(invert_born(ctx, measured)[0].values,
+                              invert_born(held, measured)[0].values)
+        siso = run_lsl_step(ctx, measured)
+        fine_siso = run_lsl_step(held, measured)
         assert np.array_equal(siso.potential.values, fine_siso.potential.values)
         assert siso.residual == fine_siso.residual
-        lifted = run_lift_step(held, siso.potential, siso.transform)
+        lifted = run_lift_step(held, siso.potential, measured, siso.transform)
         mimo = run_lsl_step(ctx, lifted)
         assert np.array_equal(mimo.potential.values, run_lsl_step(held, lifted).potential.values)
-        assert np.array_equal(run_lift_step(ctx, siso.potential, siso.transform).values,
+        assert np.array_equal(run_lift_step(ctx, siso.potential, measured, siso.transform).values,
                               lifted.values)
 
     def test_final_inversion_uses_measured_data_only(self):
         # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
-        *_, final = stages(ctx, iterations=1)
+        *_, final = stages(ctx, measured, iterations=1)
         system = assemble_system(
             bg.antiderivatives[:, :, ::2, ::2],
             bg.fields[:, :, ::2, ::2],
             final.transform,
-            ctx.measured,
+            measured,
             ctx.background,
             ctx.inv_grid,
             ctx.tsvd,
@@ -250,20 +251,20 @@ class TestStages:
         # the Born, the SISO and every MIMO fit cut at ctx.tsvd, each on the
         # fields of its own transform (Born: K identity blocks); 0.05 is not
         # tiny_context's level, so a stage cutting elsewhere shows
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         ctx = replace(ctx, tsvd=0.05)
         bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         n, K = ctx.axis.n, ctx.sources.count
-        born, _ = invert_born(ctx)
+        born, _ = invert_born(ctx, measured)
         fits = [(np.broadcast_to(np.eye(n), (K, n, n)), born)]
-        fits += [(r.transform, r.potential) for r in stages(ctx, iterations=2)]
+        fits += [(r.transform, r.potential) for r in stages(ctx, measured, iterations=2)]
         assert len(fits) == 4
         for transform, potential in fits:
             system = assemble_system(
                 bg.antiderivatives[:, :, ::2, ::2],
                 bg.fields[:, :, ::2, ::2],
                 transform,
-                ctx.measured,
+                measured,
                 ctx.background,
                 ctx.inv_grid,
                 ctx.tsvd,
@@ -275,10 +276,10 @@ class TestStages:
 
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from
-        ctx, _ = tiny_context()
+        ctx, measured = tiny_context()
         bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
-        plain = list(stages(ctx, iterations=1))
-        clamped = list(stages(replace(ctx, positivity=True), iterations=1))
+        plain = list(stages(ctx, measured, iterations=1))
+        clamped = list(stages(replace(ctx, positivity=True), measured, iterations=1))
         siso = clamped[0]
         assert plain[0].potential.values.min() < 0.0
         assert np.array_equal(siso.potential.values, np.maximum(plain[0].potential.values, 0.0))
@@ -286,13 +287,13 @@ class TestStages:
             bg.antiderivatives[:, :, ::2, ::2],
             bg.fields[:, :, ::2, ::2],
             siso.transform,
-            ctx.measured,
+            measured,
             ctx.background,
             ctx.inv_grid,
             ctx.tsvd,
         )
         assert siso.residual == residual_norm(system, siso.potential)
-        lifted = run_lift_step(ctx, siso.potential, siso.transform)
+        lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         assert np.array_equal(clamped[1].data.values, lifted.values)
         assert clamped[1].potential.values.min() >= 0.0
 
@@ -306,14 +307,14 @@ class TestStages:
         # rows each); T is K n x n blocks. A copy of the whole injected
         # u0, a dense (K n)^2 T, a mixed (K, n) field stack or a stacked
         # copy of the system would each add up to about S more
-        ctx = two_target_run.ctx
+        ctx, measured = two_target_run.ctx, two_target_run.measured
         stack = ctx.sources.count * ctx.axis.n * ctx.inv_grid.num_nodes * 8
         tracemalloc.start()
         try:
             if step == "siso":
-                run_lsl_step(ctx, ctx.measured)
+                run_lsl_step(ctx, measured)
             else:
-                invert_born(ctx)
+                invert_born(ctx, measured)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -283,7 +283,7 @@ class TestSynthesize:
         # SISO step factors; the stage itself carries only their transform
         basis, basis0 = (
             cholesky_upper(regularize_spd(block_mass_from_data(source_record(d, j), 2 * n - 1))[0])
-            for d in (ctx.measured, ctx.background)
+            for d in (two_target_run.measured, ctx.background)
         )
         transform = field_transform(basis, basis0, 1)
         assert np.array_equal(two_target_run.siso_transform[j], transform)
