@@ -37,7 +37,7 @@ w0 stacks (`wavesim.background_stacks`) by the step that reads them, on
 the grid it reads. `invert` evaluates the inversion
 grid's stacks for its assembly and frees them before the TSVD; `lift`
 evaluates the simulation grid's after its inputs are loaded; `pipeline`
-holds the simulation grid's through all its rounds. The internal fields
+holds the simulation grid's from its first lift. The internal fields
 that go with an estimate are the background times the ROM transform T
 of the record they came from (`lift --data`), and T is recomputed from
 that record. `pipeline` is byte-identical to

@@ -42,8 +42,9 @@ from .errors import (
 )
 
 #: nodes per block of the `forward_lift` product; its scratch arrays hold
-#: 2 * K * steps * LIFT_CHUNK_NODES doubles however large the grid is
-LIFT_CHUNK_NODES = 1024
+#: 2 * K * steps * LIFT_CHUNK_NODES doubles however large the grid is, so
+#: at 512 the lift's peak sits below that of the stacks `pipeline` holds
+LIFT_CHUNK_NODES = 512
 
 #: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
 #: cut then sits at 1e-8 * lambda_max of the Gram matrix, far above roundoff

@@ -22,10 +22,12 @@ K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly on the inversion grid (injection commutes with
 T), the lift on the simulation grid. A step gets its stacks from
 `_stacks` when it reads them and keeps no reference once it is done. A
-context holds F0 and, only where `stages` has set `held` for its later
-rounds, the simulation grid's stacks: a single step evaluates the closed
-form (`wavesim.background_stacks`) on the grid it reads, and the TSVD
-runs after its stacks are freed. Neither direction copies a stack.
+context holds F0 and, only where `stages` has set `held` from its first
+lift on, the simulation grid's stacks: any other step evaluates the
+closed form (`wavesim.background_stacks`) on the grid it reads, and its
+TSVD runs after its stacks are freed, as the SISO step's always does.
+The inversion grid's stacks are bitwise the injected simulation grid's,
+however they are reached. Neither direction copies a stack.
 """
 
 from __future__ import annotations
@@ -177,7 +179,9 @@ def _stacks(ctx: PipelineContext, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]
     the closed form evaluated on `grid` for a context that holds none."""
     if ctx.held is not None:
         return tuple(restrict(stack, ctx.sim_grid, grid) for stack in ctx.held)
-    return background_stacks(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, grid)
+    return background_stacks(
+        ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, grid, ctx.inv_grid
+    )
 
 
 def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
@@ -218,16 +222,18 @@ def stages(
     """The SISO step on `measured`, then `iterations` rounds of lift + MIMO step.
 
     Yields one record per inversion. Round r's `.data` is the record
-    lifted from round r-1's estimate and internal fields. With a round
-    to run, the simulation grid's stacks are evaluated once and held
-    until the last step, since every step reads them again.
+    lifted from round r-1's estimate and internal fields. The SISO step
+    evaluates its own inversion-grid stacks and frees them before its
+    TSVD; with a round to run, the simulation grid's stacks are then
+    evaluated once and held from the first lift until the last step,
+    since every later step reads them again.
     """
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
-    if iterations:
-        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid))
     record = run_lsl_step(ctx, measured)
     yield record
+    if iterations:
+        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid))
     for _ in range(iterations):
         lifted = run_lift_step(ctx, record.potential, record.data, record.transform)
         record = run_lsl_step(ctx, lifted)

@@ -43,11 +43,13 @@ weights node_weights / (4 nx ny), so F0 reads no stack.
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns F0, and `background_stacks`
 evaluates the source-major, read-only (K, n, ny+1, nx+1) stacks u0 and
-w0 on the grid a step asks for, the simulation grid or a nested
-coarsening of it. Each source's fine history passes through one reused
-scratch array and only the asked grid's samples are kept, so coarse
-stacks are bitwise the injected fine ones and no fine stack is
-allocated for them.
+w0 on the grid a step asks for, the simulation grid or the inversion
+grid nested in it at ratio r. A fine history is built in r^2 phase
+blocks, the nodes (p::r, q::r), each from rows p::r of Cy and columns
+q::r of Cx^T; the inversion grid's history is block (0, 0) alone, made
+by the same calls on the same operands. So the inversion grid's stacks
+are bitwise the injected fine ones, and evaluating them allocates no
+fine history.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
-                   refinement_ratio, restrict)
+                   refinement_ratio)
 from .errors import ConfigurationError, DomainError
 
 #: the largest fine step `check_cfl` accepts, as a fraction of the stability bound
@@ -292,19 +294,24 @@ def background_stacks(
     axis: TimeAxis,
     settings: SolverSettings,
     stack_grid: Grid2D,
+    inv_grid: Grid2D,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """u0 and w0 on `stack_grid`, the simulation grid `grid` or a nested coarsening.
+    """u0 and w0 on `stack_grid`, the simulation grid `grid` or the inversion grid `inv_grid`.
 
     Source i's n samples are the inverse transforms Cy @ (c_k g_hat) @
     Cx^T / (4 nx ny) of the mode-wise coefficients c_k: cos(k p theta)
     for u0, and sin(k p theta) / sin(theta) (dt - dt^3 lambda / 6) for
-    w0, the leapfrog from the antiderivative start. Each fine history
-    passes through one (n, ny+1, nx+1) scratch array that every source
-    and both stacks reuse, and only its `core.restrict` view is kept, so
-    a coarse stack is bitwise the injection of the fine one and no fine
-    stack is allocated.
+    w0, the leapfrog from the antiderivative start. With r the ratio of
+    `inv_grid`, phase block (p, q) of a sample, its nodes (p::r, q::r),
+    is rows p::r of Cy times c_k g_hat, times columns q::r of Cx^T. On
+    the simulation grid all r^2 blocks go to their strided places; on
+    the inversion grid block (0, 0) is the whole stack, so it is bitwise
+    the `core.restrict` view of the simulation grid's.
     """
-    refinement_ratio(grid, stack_grid)  # nested, or refused before any work
+    ratio = refinement_ratio(grid, inv_grid)  # nested, or refused before any work
+    if stack_grid not in (grid, inv_grid):
+        raise ConfigurationError("background stacks live on the simulation or the inversion grid")
+    phases = ratio if stack_grid == grid else 1
     dt, lam, theta, steps = _modes(grid, axis, settings)
     phase = np.multiply.outer(steps, theta)
     cosine = np.cos(phase)
@@ -317,16 +324,20 @@ def background_stacks(
     del phase
 
     cy, cx, spectra = _spectra(grid, sources)
+    rows = [np.ascontiguousarray(cy[p::ratio]) for p in range(phases)]
+    # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
+    columns = [np.ascontiguousarray(cx[q::ratio].T) for q in range(phases)]
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     fields = np.empty((sources.count, axis.n) + stack_grid.shape)
     antiderivatives = np.empty_like(fields)
-    modal, half = np.empty(cosine.shape), np.empty(cosine.shape)
+    modal = np.empty(cosine.shape)
     for i, g_hat in enumerate(spectra):
         for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
             np.multiply(coefficients, g_hat, out=modal)
-            np.matmul(modal, cx.T, out=half)
-            np.matmul(cy, half, out=modal)  # the fine history, over the spent coefficients
-            np.divide(restrict(modal, grid, stack_grid), norm, out=stack[i])
+            for p, cy_rows in enumerate(rows):
+                half = cy_rows @ modal  # one GEMM per sample
+                for q, cx_columns in enumerate(columns):
+                    np.divide(half @ cx_columns, norm, out=stack[i, :, p::phases, q::phases])
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
     return fields, antiderivatives

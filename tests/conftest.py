@@ -35,10 +35,11 @@ def build_context(cfg, noise_level=None):
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
     # held, as `pipeline.stages` holds them: the tests step this context many times
-    bg = background(grid, sources, axis, settings)
+    inv_grid = cfg.inv_grid()
+    bg = background(grid, sources, axis, settings, inv_grid)
     ctx = PipelineContext(
         grid,
-        cfg.inv_grid(),
+        inv_grid,
         sources,
         axis,
         settings,

@@ -2,7 +2,8 @@
 
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the whole
-background on the simulation grid, the background record read off a
+background on the simulation grid, the closed-form stacks built from
+whole fine histories and then injected, the background record read off a
 fine u0 stack, the direct snapshot Gram matrix, the
 trapezoid time convolution by FFT, the internal fields u0 * T
 materialized as a stack, the dense matrix of a block-stack T and the
@@ -15,10 +16,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lslkit.core import Potential, TransferData
+from lslkit.core import Potential, TransferData, restrict
 from lslkit.errors import DimensionError
-from lslkit.wavesim import (_angle_sum_record, apply_operator, background_stacks,
-                            simulate_background)
+from lslkit.wavesim import (_angle_sum_record, _modes, _spectra, apply_operator,
+                            background_stacks, simulate_background)
 
 
 def zero_potential(grid):
@@ -59,13 +60,41 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
     return samples
 
 
-def background(grid, sources, axis, settings):
+def background(grid, sources, axis, settings, inv_grid=None):
     """The zero-potential background on the simulation grid `grid`: its
     record F0 as `data`, and its u0 and w0 stacks as `fields` and
-    `antiderivatives`."""
-    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid)
+    `antiderivatives`, built in the phase blocks of the inversion grid
+    `inv_grid` (by default `grid`, one block) as a pipeline holds them, so
+    their injection onto `inv_grid` is bitwise what a step evaluates there."""
+    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid,
+                                                inv_grid or grid)
     return SimpleNamespace(data=simulate_background(grid, sources, axis, settings),
                            fields=fields, antiderivatives=antiderivatives)
+
+
+def injected_stacks(grid, sources, axis, settings, stack_grid):
+    """u0 and w0 on `stack_grid`, a nested coarsening of the simulation grid
+    `grid`, from whole fine histories: every sample's inverse DCT-I as
+    (c_k g_hat) @ Cx^T, then Cy times that, injected by `core.restrict`.
+    The closed form's coefficients as `wavesim.background_stacks` takes
+    them, without its phase blocks."""
+    dt, lam, theta, steps = _modes(grid, axis, settings)
+    phase = np.multiply.outer(steps, theta)
+    cosine = np.cos(phase)
+    sin_theta = np.sin(theta)
+    constant = sin_theta == 0.0
+    growth = np.sin(phase) / np.where(constant, 1.0, sin_theta)
+    growth[:, constant] = steps[:, None]
+    growth *= dt - (dt**3 / 6.0) * lam
+    cy, cx, spectra = _spectra(grid, sources)
+    norm = 4.0 * grid.nx * grid.ny
+    fields = np.empty((sources.count, axis.n) + stack_grid.shape)
+    antiderivatives = np.empty_like(fields)
+    for i, g_hat in enumerate(spectra):
+        for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
+            history = cy @ ((coefficients * g_hat) @ cx.T)
+            stack[i] = restrict(history, grid, stack_grid) / norm
+    return fields, antiderivatives
 
 
 def stack_record(fields, grid):

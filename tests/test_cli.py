@@ -460,9 +460,9 @@ class TestExitCodes:
         built = []
         evaluate = lslkit.pipeline.background_stacks
 
-        def counting_stacks(*args):
-            built.append(args[-1])
-            return evaluate(*args)
+        def counting_stacks(*args, **kwargs):
+            built.append(inspect.signature(evaluate).bind(*args, **kwargs).arguments["stack_grid"])
+            return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
         assert run("lift", "--config", config_path, "--q", tmp_path / "missing.lslf") == 4
@@ -586,15 +586,16 @@ class TestExitCodes:
 
 
 class TestBackgroundLifetime:
-    @pytest.mark.parametrize("method", ["born", "lsl"])
-    def test_invert_holds_no_stack_through_its_tsvd(self, tmp_path, monkeypatch, method):
-        # S is one (K, n) stack on box's inversion grid, 8.1 MB. When the
-        # TSVD starts, `invert` holds its system and small records (F0,
-        # the data, T: about 0.07 S together), and no u0 or w0 (2 S)
-        config = bundled_config_path("box")
-        cfg = parse_config(config)
+    # S is one (K, n) stack on box's inversion grid, 8.1 MB, and a
+    # simulation-grid stack is 3.9 S
+    CONFIG = bundled_config_path("box")
+
+    def traced_fits(self, tmp_path, monkeypatch, command, *flags):
+        """Run `command` on box after `simulate` and return, in S, the traced
+        memory that each TSVD finds beside its system when it starts."""
+        cfg = parse_config(self.CONFIG)
         stack = cfg.source_count * cfg.n * cfg.inv_grid().num_nodes * 8
-        common = ("--config", config, "--seed", 1, "--out", tmp_path)
+        common = ("--config", self.CONFIG, "--seed", 1, "--out", tmp_path)
         assert run("simulate", *common) == 0
         seen = []
         solve = lslkit.pipeline.solve_tsvd
@@ -608,12 +609,25 @@ class TestBackgroundLifetime:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            assert run("invert", "--method", method, *common) == 0
+            assert run(command, *flags, *common) == 0
         finally:
             tracemalloc.stop()
-        [(current, system)] = seen
-        beside = current - start - system
-        assert beside < 0.5 * stack, f"{beside / stack:.2f} S beside the system"
+        return [(current - start - system) / stack for current, system in seen]
+
+    @pytest.mark.parametrize("method", ["born", "lsl"])
+    def test_invert_holds_no_stack_through_its_tsvd(self, tmp_path, monkeypatch, method):
+        # when the TSVD starts, `invert` holds its system and small records
+        # (F0, the data, T: about 0.07 S together), and no u0 or w0 (2 S)
+        [beside] = self.traced_fits(tmp_path, monkeypatch, "invert", "--method", method)
+        assert beside < 0.5, f"{beside:.2f} S beside the system"
+
+    def test_pipeline_holds_no_fine_stack_through_its_siso_tsvd(self, tmp_path, monkeypatch):
+        # the SISO fit finds only small records beside its system; the
+        # simulation grid's u0 and w0 (7.8 S) are held from the first lift,
+        # so they sit beside the MIMO fit
+        siso, mimo = self.traced_fits(tmp_path, monkeypatch, "pipeline")
+        assert siso < 0.5, f"{siso:.2f} S beside the SISO system"
+        assert mimo > 7.0, f"{mimo:.2f} S beside the MIMO system"
 
 
 class TestMutatedArtifacts:

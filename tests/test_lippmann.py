@@ -389,12 +389,13 @@ class TestSolveTsvd:
 
 class TestForwardLift:
     def test_matches_per_pair_reference(self):
-        # two node blocks and an estimate on the coarser inversion grid;
+        # several node blocks and an estimate on the coarser inversion grid;
         # random stacks break the
         # symmetry that could hide a swapped source/receiver index, and a
         # nonzero first kernel sample exercises every trapezoid endpoint
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
-        assert LIFT_CHUNK_NODES < grid.num_nodes < 2 * LIFT_CHUNK_NODES  # one full, one partial
+        # full blocks and a partial last one
+        assert grid.num_nodes > LIFT_CHUNK_NODES and grid.num_nodes % LIFT_CHUNK_NODES
         rng = np.random.default_rng(5)
 
         shape = (sources.count, axis.n) + grid.shape
@@ -412,7 +413,7 @@ class TestForwardLift:
         # scalar ROM per source and the zero-filled matrix of the same T,
         # two random blocks of two sources each, a block-ROM T and,
         # beyond what a ROM yields, a dense T that is not triangular;
-        # random stacks on the two-block grid
+        # random stacks on the grid of several node blocks
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
         K, steps = sources.count, axis.n
         rng = np.random.default_rng(11)

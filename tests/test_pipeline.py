@@ -103,7 +103,7 @@ class TestInternalFields:
         `run_lsl_step` assembles it, against the rows of the fine
         reference fields injected onto the inversion grid."""
         ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         w0 = bg.antiderivatives[:, :, ::ratio, ::ratio]
         u0 = bg.fields[:, :, ::ratio, ::ratio]
         system = assemble_system(
@@ -128,7 +128,7 @@ class TestInternalFields:
         # u0 * T mixed on the inversion grid equals u0 * T materialized
         # on the fine grid and injected onto that grid
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
         reference = []
@@ -216,7 +216,7 @@ class TestStages:
         # the fine stacks that `pipeline` holds, on both grids
         ctx, measured = tiny_context()
         held = replace(ctx, held=background_stacks(
-            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid))
+            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid, ctx.inv_grid))
         assert np.array_equal(invert_born(ctx, measured)[0].values,
                               invert_born(held, measured)[0].values)
         siso = run_lsl_step(ctx, measured)
@@ -233,7 +233,7 @@ class TestStages:
         # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         *_, final = stages(ctx, measured, iterations=1)
         system = assemble_system(
             bg.antiderivatives[:, :, ::2, ::2],
@@ -253,7 +253,7 @@ class TestStages:
         # tiny_context's level, so a stage cutting elsewhere shows
         ctx, measured = tiny_context()
         ctx = replace(ctx, tsvd=0.05)
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         n, K = ctx.axis.n, ctx.sources.count
         born, _ = invert_born(ctx, measured)
         fits = [(np.broadcast_to(np.eye(n), (K, n, n)), born)]
@@ -277,7 +277,7 @@ class TestStages:
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         plain = list(stages(ctx, measured, iterations=1))
         clamped = list(stages(replace(ctx, positivity=True), measured, iterations=1))
         siso = clamped[0]

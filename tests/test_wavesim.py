@@ -23,7 +23,8 @@ from lslkit.wavesim import (
     max_stable_dt,
     simulate_transfer,
 )
-from reference import background, leapfrog_snapshots, stack_record, zero_potential
+from reference import (background, injected_stacks, leapfrog_snapshots, stack_record,
+                       zero_potential)
 
 
 def small_setup(nx=40, ny=20, K=3, sigma=2.0, tau=2.0, n=8, q_amp=0.0, seed=1):
@@ -272,13 +273,14 @@ class TestNestedBackground:
         oracle = stack_record(bg.fields, grid)
         assert np.abs(bg.data.values - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
-    @pytest.mark.parametrize("ratio", [2, 3])
+    @pytest.mark.parametrize("ratio", [1, 2, 3])
     def test_nested_stacks_are_bitwise_injections(self, fine, ratio):
-        # the closed form on the coarse grid, and the views of held fine stacks
-        grid, sources, axis, settings, bg = fine
+        # the closed form on the coarse grid, and the views of held fine
+        # stacks: phase block (0, 0) of the fine build is the coarse build
+        grid, sources, axis, settings, _ = fine
         coarse = grid.coarsen(ratio)
-        nested = background_stacks(grid, sources, axis, settings, coarse)
-        held = (bg.fields, bg.antiderivatives)
+        nested = background_stacks(grid, sources, axis, settings, coarse, coarse)
+        held = background_stacks(grid, sources, axis, settings, grid, coarse)
         views = (restrict(full, grid, coarse) for full in held)
         for stack, full, view in zip(nested, held, views):
             assert stack.shape == (sources.count, axis.n) + coarse.shape
@@ -286,16 +288,39 @@ class TestNestedBackground:
             assert np.array_equal(stack, full[:, :, ::ratio, ::ratio])
             assert np.array_equal(view, stack)
 
+    @pytest.mark.parametrize("ratio", [1, 2, 3])
+    def test_phase_blocks_match_whole_histories(self, fine, ratio):
+        # both grids' stacks against the injected whole fine histories
+        grid, sources, axis, settings, _ = fine
+        coarse = grid.coarsen(ratio)
+        for stack_grid in (grid, coarse):
+            stacks = background_stacks(grid, sources, axis, settings, stack_grid, coarse)
+            oracle = injected_stacks(grid, sources, axis, settings, stack_grid)
+            for stack, expected in zip(stacks, oracle):
+                assert np.abs(stack - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_phase_blocks_match_whole_histories_at_desk_scale(self):
+        cfg = parse_config(bundled_config_path("two_targets"))
+        args = (cfg.sim_grid(), cfg.sources(), cfg.axis(), cfg.settings())
+        for stack_grid in (cfg.sim_grid(), cfg.inv_grid()):
+            stacks = background_stacks(*args, stack_grid, cfg.inv_grid())
+            for stack, expected in zip(stacks, injected_stacks(*args, stack_grid)):
+                assert np.abs(stack - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_refuses_a_grid_that_is_not_nested(self, fine):
         grid, sources, axis, settings, _ = fine
+        other = Grid2D(12, 8, 3.3, 2.4)
         with pytest.raises(ConfigurationError, match="not nested"):
-            background_stacks(grid, sources, axis, settings, Grid2D(12, 8, 3.3, 2.4))
+            background_stacks(grid, sources, axis, settings, other, other)
+        with pytest.raises(ConfigurationError, match="simulation or the inversion grid"):
+            background_stacks(grid, sources, axis, settings, grid.coarsen(3), grid.coarsen(2))
 
     def test_inversion_grid_background_holds_no_fine_stack(self):
         # S is one (K, n) stack on box's inversion grid (ratio 2), and a
         # fine stack is 3.9 S. u0 and w0 on the inversion grid hold 2 S;
-        # the build's four (n, modes) coefficient and scratch arrays, about
-        # 4 S / K each, come on top at the peak. Two fine stacks hold 7.8 S
+        # the build's three (n, modes) coefficient and scratch arrays,
+        # about 4 S / K each, and its row block of half that come on top
+        # at the peak. Two fine stacks hold 7.8 S
         cfg = parse_config(bundled_config_path("box"))
         grid, inv_grid = cfg.sim_grid(), cfg.inv_grid()
         args = (grid, cfg.sources(), cfg.axis(), cfg.settings())
@@ -303,7 +328,7 @@ class TestNestedBackground:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stacks = background_stacks(*args, inv_grid)
+            stacks = background_stacks(*args, inv_grid, inv_grid)
             held, peak = (value - before for value in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
