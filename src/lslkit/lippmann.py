@@ -92,6 +92,11 @@ def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -
     out *= tau
 
 
+def field_samples(transform: np.ndarray, num_sources: int) -> int:
+    """N, the samples per internal field of a (B, G N, G N) block stack T over K sources."""
+    return transform.shape[-1] * len(transform) // num_sources
+
+
 def _checked_inputs(fields, w0, grid, measured, data0, transform):
     """Both directions' input checks: u0 and w0 on `grid`, the source counts,
     the measured diagonal, one tau, and T a (B, G N, G N) block stack over
@@ -109,7 +114,7 @@ def _checked_inputs(fields, w0, grid, measured, data0, transform):
     square = transform.shape == (blocks, side, side)
     if not square or not blocks or K % blocks or side % (K // blocks):
         raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
-    steps = side * blocks // K
+    steps = field_samples(transform, K)
     if available < steps:
         raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
     return fields, w0, steps

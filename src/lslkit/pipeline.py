@@ -20,14 +20,13 @@ source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly on the inversion grid (injection commutes with
-T), the lift on the simulation grid. A step gets its stacks from
-`_stacks` when it reads them and keeps no reference once it is done. A
-context holds F0 and, only where `stages` has set `held` from its first
-lift on, the simulation grid's stacks: any other step evaluates the
-closed form (`wavesim.background_stacks`) on the grid it reads, and its
-TSVD runs after its stacks are freed, as the SISO step's always does.
-The inversion grid's stacks are bitwise the injected simulation grid's,
-however they are reached. Neither direction copies a stack.
+T), the lift on the simulation grid. Every inversion evaluates the
+closed form (`wavesim.background_stacks`) on the inversion grid over the
+N samples its T reads, and its TSVD runs after those stacks are freed.
+A context holds F0 and, only where `stages` has set `held` from its
+first lift on, the simulation grid's stacks, which only the lifts read,
+as their first N samples; a lift without them evaluates its own.
+Neither direction copies a stack.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from .core import (
     restrict,
 )
 from .errors import DegenerateDataError, DimensionError, IterationBudgetError
-from .lippmann import assemble_system, forward_lift, residual_norm, solve_tsvd
+from .lippmann import assemble_system, field_samples, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     block_mass_from_data,
     cholesky_upper,
@@ -63,7 +62,7 @@ class PipelineContext:
     """Immutable inputs of every step of one inversion run, no record among
     them (a step is handed the one it reads); every inversion truncates its
     TSVD at `tsvd`. `background` is the zero-potential record F0, and
-    `held` the u0 and w0 stacks on the simulation grid where `stages` holds them."""
+    `held` the simulation grid's u0 and w0 stacks, set by `stages` for its lifts."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
@@ -99,8 +98,8 @@ class StageRecord:
 
     @property
     def active_length(self) -> int:
-        """Samples per internal field: a block's side over its G = K / B sources."""
-        return self.transform.shape[-1] * len(self.transform) // self.data.num_sources
+        """Samples per internal field (`lippmann.field_samples`)."""
+        return field_samples(self.transform, self.data.num_sources)
 
 
 def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
@@ -174,22 +173,18 @@ def _factor(mass: np.ndarray) -> np.ndarray:
     return cholesky_upper(matrix)
 
 
-def _stacks(ctx: PipelineContext, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    """u0 and w0 on `grid`: the `core.restrict` views of the held stacks, or
-    the closed form evaluated on `grid` for a context that holds none."""
-    if ctx.held is not None:
-        return tuple(restrict(stack, ctx.sim_grid, grid) for stack in ctx.held)
-    return background_stacks(
-        ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, grid, ctx.inv_grid
-    )
+def _stacks(ctx: PipelineContext, grid: Grid2D, transform: np.ndarray):
+    """u0 and w0 on `grid` from the closed form, over the samples T = `transform` reads."""
+    axis = TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
+    return background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, grid)
 
 
 def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
     """TSVD fit of the measured diagonal of `data` at `ctx.tsvd` with the fields
     u0 * T, clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
-    u0, w0 = _stacks(ctx, ctx.inv_grid)
+    u0, w0 = _stacks(ctx, ctx.inv_grid, transform)
     system = assemble_system(w0, u0, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
-    del u0, w0  # a context that does not hold them frees them before the TSVD
+    del u0, w0  # freed before the TSVD
     q_est = solve_tsvd(system)
     if ctx.positivity:
         q_est = Potential(q_est.grid, np.maximum(q_est.values, 0.0))
@@ -212,7 +207,9 @@ def run_lift_step(
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T, T the
     ROM transform of `data`, whose measured diagonal the record copies."""
-    u0, w0 = _stacks(ctx, ctx.sim_grid)
+    steps = field_samples(transform, ctx.sources.count)
+    held = ctx.held or _stacks(ctx, ctx.sim_grid, transform)
+    u0, w0 = (stack[:, :steps] for stack in held)
     return forward_lift(u0, transform, potential, w0, ctx.background, data, ctx.sim_grid)
 
 
@@ -222,18 +219,17 @@ def stages(
     """The SISO step on `measured`, then `iterations` rounds of lift + MIMO step.
 
     Yields one record per inversion. Round r's `.data` is the record
-    lifted from round r-1's estimate and internal fields. The SISO step
-    evaluates its own inversion-grid stacks and frees them before its
-    TSVD; with a round to run, the simulation grid's stacks are then
-    evaluated once and held from the first lift until the last step,
-    since every later step reads them again.
+    lifted from round r-1's estimate and internal fields. With a round
+    to run, the simulation grid's stacks are evaluated once after the
+    SISO step, over the first lift's samples, and held until the last
+    step, since every later lift reads their first samples again.
     """
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
     record = run_lsl_step(ctx, measured)
     yield record
     if iterations:
-        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid))
+        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid, record.transform))
     for _ in range(iterations):
         lifted = run_lift_step(ctx, record.potential, record.data, record.transform)
         record = run_lsl_step(ctx, lifted)

@@ -42,14 +42,11 @@ weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns F0, and `background_stacks`
-evaluates the source-major, read-only (K, n, ny+1, nx+1) stacks u0 and
-w0 on the grid a step asks for, the simulation grid or the inversion
-grid nested in it at ratio r. A fine history is built in r^2 phase
-blocks, the nodes (p::r, q::r), each from rows p::r of Cy and columns
-q::r of Cx^T; the inversion grid's history is block (0, 0) alone, made
-by the same calls on the same operands. So the inversion grid's stacks
-are bitwise the injected fine ones, and evaluating them allocates no
-fine history.
+evaluates the source-major, read-only (K, N, ny+1, nx+1) stacks u0 and
+w0 over the N samples a step reads, on the grid it reads: the
+simulation grid, or the inversion grid nested in it at ratio r, which
+takes rows ::r of Cy and columns ::r of Cx^T and allocates no fine
+history.
 """
 
 from __future__ import annotations
@@ -294,39 +291,34 @@ def background_stacks(
     axis: TimeAxis,
     settings: SolverSettings,
     stack_grid: Grid2D,
-    inv_grid: Grid2D,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """u0 and w0 on `stack_grid`, the simulation grid `grid` or the inversion grid `inv_grid`.
+    """u0 and w0 over the samples of `axis` on `stack_grid`, the simulation
+    grid `grid` or a nested coarsening of it at ratio r.
 
-    Source i's n samples are the inverse transforms Cy @ (c_k g_hat) @
+    Source i's samples are the inverse transforms Cy @ (c_k g_hat) @
     Cx^T / (4 nx ny) of the mode-wise coefficients c_k: cos(k p theta)
     for u0, and sin(k p theta) / sin(theta) (dt - dt^3 lambda / 6) for
-    w0, the leapfrog from the antiderivative start. With r the ratio of
-    `inv_grid`, phase block (p, q) of a sample, its nodes (p::r, q::r),
-    is rows p::r of Cy times c_k g_hat, times columns q::r of Cx^T. On
-    the simulation grid all r^2 blocks go to their strided places; on
-    the inversion grid block (0, 0) is the whole stack, so it is bitwise
-    the `core.restrict` view of the simulation grid's.
+    w0, the leapfrog from the antiderivative start. On `stack_grid` a
+    sample is rows ::r of Cy times c_k g_hat, times columns ::r of Cx^T,
+    one GEMM pair per sample, so its first N samples are bitwise the
+    evaluation over `TimeAxis(tau, N)`.
     """
-    ratio = refinement_ratio(grid, inv_grid)  # nested, or refused before any work
-    if stack_grid not in (grid, inv_grid):
-        raise ConfigurationError("background stacks live on the simulation or the inversion grid")
-    phases = ratio if stack_grid == grid else 1
+    ratio = refinement_ratio(grid, stack_grid)  # nested, or refused before any work
     dt, lam, theta, steps = _modes(grid, axis, settings)
     phase = np.multiply.outer(steps, theta)
     cosine = np.cos(phase)
     # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
     sin_theta = np.sin(theta)
     constant = sin_theta == 0.0
-    growth = np.sin(phase) / np.where(constant, 1.0, sin_theta)
+    growth = np.sin(phase, out=phase)  # phase is spent
+    growth /= np.where(constant, 1.0, sin_theta)
     growth[:, constant] = steps[:, None]
     growth *= dt - (dt**3 / 6.0) * lam
-    del phase
 
     cy, cx, spectra = _spectra(grid, sources)
-    rows = [np.ascontiguousarray(cy[p::ratio]) for p in range(phases)]
+    rows = np.ascontiguousarray(cy[::ratio])
     # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
-    columns = [np.ascontiguousarray(cx[q::ratio].T) for q in range(phases)]
+    columns = np.ascontiguousarray(cx[::ratio].T)
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     fields = np.empty((sources.count, axis.n) + stack_grid.shape)
     antiderivatives = np.empty_like(fields)
@@ -334,10 +326,7 @@ def background_stacks(
     for i, g_hat in enumerate(spectra):
         for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
             np.multiply(coefficients, g_hat, out=modal)
-            for p, cy_rows in enumerate(rows):
-                half = cy_rows @ modal  # one GEMM per sample
-                for q, cx_columns in enumerate(columns):
-                    np.divide(half @ cx_columns, norm, out=stack[i, :, p::phases, q::phases])
+            np.divide((rows @ modal) @ columns, norm, out=stack[i])
     fields.setflags(write=False)
     antiderivatives.setflags(write=False)
     return fields, antiderivatives

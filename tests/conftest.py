@@ -34,12 +34,11 @@ def build_context(cfg, noise_level=None):
     true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
-    # held, as `pipeline.stages` holds them: the tests step this context many times
-    inv_grid = cfg.inv_grid()
-    bg = background(grid, sources, axis, settings, inv_grid)
+    # held, as `pipeline.stages` holds them: the tests lift from this context many times
+    bg = background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
-        inv_grid,
+        cfg.inv_grid(),
         sources,
         axis,
         settings,

@@ -60,14 +60,11 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
     return samples
 
 
-def background(grid, sources, axis, settings, inv_grid=None):
+def background(grid, sources, axis, settings):
     """The zero-potential background on the simulation grid `grid`: its
     record F0 as `data`, and its u0 and w0 stacks as `fields` and
-    `antiderivatives`, built in the phase blocks of the inversion grid
-    `inv_grid` (by default `grid`, one block) as a pipeline holds them, so
-    their injection onto `inv_grid` is bitwise what a step evaluates there."""
-    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid,
-                                                inv_grid or grid)
+    `antiderivatives`, as a pipeline holds them."""
+    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid)
     return SimpleNamespace(data=simulate_background(grid, sources, axis, settings),
                            fields=fields, antiderivatives=antiderivatives)
 
@@ -77,7 +74,7 @@ def injected_stacks(grid, sources, axis, settings, stack_grid):
     `grid`, from whole fine histories: every sample's inverse DCT-I as
     (c_k g_hat) @ Cx^T, then Cy times that, injected by `core.restrict`.
     The closed form's coefficients as `wavesim.background_stacks` takes
-    them, without its phase blocks."""
+    them, without its strided cosine matrices."""
     dt, lam, theta, steps = _modes(grid, axis, settings)
     phase = np.multiply.outer(steps, theta)
     cosine = np.cos(phase)

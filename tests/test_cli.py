@@ -19,6 +19,7 @@ from lslkit.cli import main
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import MaskState, TransferData
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
+from lslkit.rom import halved_length
 from reference import load_pgm
 
 SMALL_CONFIG = """
@@ -133,6 +134,32 @@ class TestSurface:
         assert (chain_dir / "q_mimo_2.lslf").read_bytes() == (
             pipe_dir / "q_final.lslf"
         ).read_bytes()
+
+    def test_second_round_evaluates_only_its_samples(self, tmp_path, config_path, monkeypatch):
+        # round two's T reads halved_length(n) samples per field, and so do
+        # the stacks that its inversion and its lift evaluate
+        pipe_dir, chain_dir = tmp_path / "pipe", tmp_path / "chain"
+        assert run("pipeline", "--config", config_path, "--iterations", 2,
+                   "--out", pipe_dir) == 0
+        common = ("--config", config_path, "--out", chain_dir)
+        for argv in (("simulate",), ("invert", "--method", "lsl"), ("lift",)):
+            assert run(*argv, *common) == 0
+        samples = []
+        evaluate = lslkit.pipeline.background_stacks
+
+        def recording_stacks(*args, **kwargs):
+            stacks = evaluate(*args, **kwargs)
+            samples.append(tuple(stack.shape[1] for stack in stacks))
+            return stacks
+
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", recording_stacks)
+        lifted = chain_dir / "lifted.lslt"
+        assert run("invert", "--method", "lsl", *common, "--data", lifted) == 0
+        assert run("lift", *common, "--q", chain_dir / "q_mimo.lslf", "--data", lifted) == 0
+        half = halved_length(parse_config(config_path).n)
+        assert samples == [(half, half), (half, half)]
+        for name in ("q_mimo.lslf", "lifted_2.lslt"):
+            assert (chain_dir / name).read_bytes() == (pipe_dir / name).read_bytes()
 
     def test_born_and_compare_and_render(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

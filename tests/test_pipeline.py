@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import lslkit as lk
+import lslkit.pipeline
 from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
 from lslkit.errors import DegenerateDataError, IterationBudgetError
-from lslkit.lippmann import assemble_system, residual_norm, solve_tsvd
+from lslkit.lippmann import assemble_system, field_samples, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
     PipelineContext,
@@ -48,6 +49,13 @@ def tiny_context(q_amp=0.05, n=16, K=3, nx=40, ny=20):
     f0 = simulate_background(grid, sources, axis, settings)
     ctx = PipelineContext(grid, inv_grid, sources, axis, settings, f0, 1e-2, False)
     return ctx, data
+
+
+def inversion_stacks(ctx, transform):
+    """u0 and w0 as an inversion with T = `transform` evaluates them: on the
+    inversion grid, over the samples T reads."""
+    axis = TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
+    return background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, ctx.inv_grid)
 
 
 class TestSchedule:
@@ -103,7 +111,7 @@ class TestInternalFields:
         `run_lsl_step` assembles it, against the rows of the fine
         reference fields injected onto the inversion grid."""
         ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         w0 = bg.antiderivatives[:, :, ::ratio, ::ratio]
         u0 = bg.fields[:, :, ::ratio, ::ratio]
         system = assemble_system(
@@ -128,7 +136,7 @@ class TestInternalFields:
         # u0 * T mixed on the inversion grid equals u0 * T materialized
         # on the fine grid and injected onto that grid
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
+        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
         K, length = ctx.sources.count, ctx.axis.total_samples
         factor = lambda mass: cholesky_upper(regularize_spd(mass).matrix)
         reference = []
@@ -212,11 +220,11 @@ class TestStages:
 
     def test_closed_form_background_inverts_and_lifts_bitwise(self):
         # `invert` and `lift` hold no stack: each step evaluates the closed
-        # form on the grid it reads, and gets the numbers of the views of
-        # the fine stacks that `pipeline` holds, on both grids
+        # form over the samples its T reads, and a lift gets the numbers of
+        # the first samples of the fine stacks that `pipeline` holds
         ctx, measured = tiny_context()
         held = replace(ctx, held=background_stacks(
-            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid, ctx.inv_grid))
+            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid))
         assert np.array_equal(invert_born(ctx, measured)[0].values,
                               invert_born(held, measured)[0].values)
         siso = run_lsl_step(ctx, measured)
@@ -233,11 +241,11 @@ class TestStages:
         # rebuilding the last stage from its transform and the measured record
         # reproduces the reconstruction: lifted values never enter the fit
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         *_, final = stages(ctx, measured, iterations=1)
+        u0, w0 = inversion_stacks(ctx, final.transform)
         system = assemble_system(
-            bg.antiderivatives[:, :, ::2, ::2],
-            bg.fields[:, :, ::2, ::2],
+            w0,
+            u0,
             final.transform,
             measured,
             ctx.background,
@@ -253,16 +261,16 @@ class TestStages:
         # tiny_context's level, so a stage cutting elsewhere shows
         ctx, measured = tiny_context()
         ctx = replace(ctx, tsvd=0.05)
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         n, K = ctx.axis.n, ctx.sources.count
         born, _ = invert_born(ctx, measured)
         fits = [(np.broadcast_to(np.eye(n), (K, n, n)), born)]
         fits += [(r.transform, r.potential) for r in stages(ctx, measured, iterations=2)]
         assert len(fits) == 4
         for transform, potential in fits:
+            u0, w0 = inversion_stacks(ctx, transform)
             system = assemble_system(
-                bg.antiderivatives[:, :, ::2, ::2],
-                bg.fields[:, :, ::2, ::2],
+                w0,
+                u0,
                 transform,
                 measured,
                 ctx.background,
@@ -277,15 +285,15 @@ class TestStages:
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from
         ctx, measured = tiny_context()
-        bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
         plain = list(stages(ctx, measured, iterations=1))
         clamped = list(stages(replace(ctx, positivity=True), measured, iterations=1))
         siso = clamped[0]
         assert plain[0].potential.values.min() < 0.0
         assert np.array_equal(siso.potential.values, np.maximum(plain[0].potential.values, 0.0))
+        u0, w0 = inversion_stacks(ctx, siso.transform)
         system = assemble_system(
-            bg.antiderivatives[:, :, ::2, ::2],
-            bg.fields[:, :, ::2, ::2],
+            w0,
+            u0,
             siso.transform,
             measured,
             ctx.background,
@@ -298,7 +306,7 @@ class TestStages:
         assert clamped[1].potential.values.min() >= 0.0
 
     @pytest.mark.parametrize("step", ["siso", "born"])
-    def test_lsl_step_holds_no_field_stack(self, two_target_run, step):
+    def test_lsl_step_holds_no_field_stack(self, two_target_run, monkeypatch, step):
         # S is one (K, n) stack on the inversion grid. The SISO and the
         # Born step each hold the system (K (n-1) rows, about S); at the
         # peak they also hold the TSVD's K (n-1) square Gram matrix and
@@ -306,9 +314,13 @@ class TestStages:
         # only one source's mixed field and anti-diagonal scratch (n
         # rows each); T is K n x n blocks. A copy of the whole injected
         # u0, a dense (K n)^2 T, a mixed (K, n) field stack or a stacked
-        # copy of the system would each add up to about S more
+        # copy of the system would each add up to about S more. The step's
+        # u0 and w0 (2 S) are evaluated before tracing starts, so only the
+        # step's own arrays are traced
         ctx, measured = two_target_run.ctx, two_target_run.measured
         stack = ctx.sources.count * ctx.axis.n * ctx.inv_grid.num_nodes * 8
+        stacks = background_stacks(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", lambda *args: stacks)
         tracemalloc.start()
         try:
             if step == "siso":

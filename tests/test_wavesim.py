@@ -9,8 +9,9 @@ import scipy.fft
 
 import lslkit as lk
 from lslkit.config import bundled_config_path, parse_config
-from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product, restrict
+from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, inner_product
 from lslkit.errors import ConfigurationError, DomainError
+from lslkit.rom import halved_length
 from lslkit.wavesim import (
     CFL_SAFETY,
     SolverSettings,
@@ -274,46 +275,54 @@ class TestNestedBackground:
         assert np.abs(bg.data.values - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("ratio", [1, 2, 3])
-    def test_nested_stacks_are_bitwise_injections(self, fine, ratio):
-        # the closed form on the coarse grid, and the views of held fine
-        # stacks: phase block (0, 0) of the fine build is the coarse build
+    def test_stacks_match_injected_whole_histories(self, fine, ratio):
         grid, sources, axis, settings, _ = fine
         coarse = grid.coarsen(ratio)
-        nested = background_stacks(grid, sources, axis, settings, coarse, coarse)
-        held = background_stacks(grid, sources, axis, settings, grid, coarse)
-        views = (restrict(full, grid, coarse) for full in held)
-        for stack, full, view in zip(nested, held, views):
+        stacks = background_stacks(grid, sources, axis, settings, coarse)
+        for stack, expected in zip(stacks, injected_stacks(grid, sources, axis, settings, coarse)):
             assert stack.shape == (sources.count, axis.n) + coarse.shape
             assert not stack.flags.writeable
-            assert np.array_equal(stack, full[:, :, ::ratio, ::ratio])
-            assert np.array_equal(view, stack)
+            assert np.abs(stack - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("ratio", [1, 2, 3])
-    def test_phase_blocks_match_whole_histories(self, fine, ratio):
-        # both grids' stacks against the injected whole fine histories
-        grid, sources, axis, settings, _ = fine
-        coarse = grid.coarsen(ratio)
-        for stack_grid in (grid, coarse):
-            stacks = background_stacks(grid, sources, axis, settings, stack_grid, coarse)
-            oracle = injected_stacks(grid, sources, axis, settings, stack_grid)
-            for stack, expected in zip(stacks, oracle):
-                assert np.abs(stack - expected).max() <= 1e-14 * np.abs(expected).max()
-
-    def test_phase_blocks_match_whole_histories_at_desk_scale(self):
+    def test_stacks_match_injected_whole_histories_at_desk_scale(self):
         cfg = parse_config(bundled_config_path("two_targets"))
         args = (cfg.sim_grid(), cfg.sources(), cfg.axis(), cfg.settings())
         for stack_grid in (cfg.sim_grid(), cfg.inv_grid()):
-            stacks = background_stacks(*args, stack_grid, cfg.inv_grid())
+            stacks = background_stacks(*args, stack_grid)
             for stack, expected in zip(stacks, injected_stacks(*args, stack_grid)):
                 assert np.abs(stack - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("steps", [2, 5, 8])
+    @pytest.mark.parametrize("ratio", [1, 2, 3])
+    def test_fewer_samples_are_the_first_ones_bitwise(self, fine, ratio, steps):
+        # a step evaluates only the samples its T reads, and a held stack
+        # is read as its first samples: both give the same numbers
+        grid, sources, axis, settings, _ = fine
+        coarse = grid.coarsen(ratio)
+        short = background_stacks(grid, sources, TimeAxis(axis.tau, steps), settings, coarse)
+        whole = background_stacks(grid, sources, axis, settings, coarse)
+        for stack, full in zip(short, whole):
+            assert stack.shape == (sources.count, steps) + coarse.shape
+            assert np.array_equal(stack, full[:, :steps])
+
+    @pytest.mark.parametrize("name", ["two_targets", "three_objects", "box"])
+    def test_fewer_samples_are_the_first_ones_bitwise_at_desk_scale(self, name):
+        # the samples a second-round step reads, on both grids a pipeline reads
+        cfg = parse_config(bundled_config_path(name))
+        axis = cfg.axis()
+        args = (cfg.sim_grid(), cfg.sources())
+        short_axis = TimeAxis(axis.tau, halved_length(axis.n))
+        for stack_grid in (cfg.sim_grid(), cfg.inv_grid()):
+            short = background_stacks(*args, short_axis, cfg.settings(), stack_grid)
+            whole = background_stacks(*args, axis, cfg.settings(), stack_grid)
+            for stack, full in zip(short, whole):
+                assert np.array_equal(stack, full[:, : short_axis.n])
 
     def test_refuses_a_grid_that_is_not_nested(self, fine):
         grid, sources, axis, settings, _ = fine
         other = Grid2D(12, 8, 3.3, 2.4)
         with pytest.raises(ConfigurationError, match="not nested"):
-            background_stacks(grid, sources, axis, settings, other, other)
-        with pytest.raises(ConfigurationError, match="simulation or the inversion grid"):
-            background_stacks(grid, sources, axis, settings, grid.coarsen(3), grid.coarsen(2))
+            background_stacks(grid, sources, axis, settings, other)
 
     def test_inversion_grid_background_holds_no_fine_stack(self):
         # S is one (K, n) stack on box's inversion grid (ratio 2), and a
@@ -328,7 +337,7 @@ class TestNestedBackground:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stacks = background_stacks(*args, inv_grid, inv_grid)
+            stacks = background_stacks(*args, inv_grid)
             held, peak = (value - before for value in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
