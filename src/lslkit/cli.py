@@ -36,13 +36,13 @@ the config, recomputed in closed form by every command: its record F0
 w0 stacks (`wavesim.background_stacks`) by the step that reads them,
 on the grid it reads and over the samples its ROM transform T reads.
 Every inversion evaluates the inversion grid's and frees them before
-the TSVD; `lift` evaluates the simulation grid's after its inputs are
-loaded; `pipeline` holds the simulation grid's for its lifts alone,
-from its first lift on. The internal fields that go with an estimate
-are the background times T of the record they came from (`lift
---data`), and T is recomputed from that record. `pipeline` is
-byte-identical to chaining simulate, invert, lift and invert by hand
-with the same config and seed.
+the TSVD; every lift evaluates the simulation grid's after its inputs
+are loaded. No stack outlives its step, in `pipeline` as in the chain.
+The internal fields that go with an estimate are the background times
+T of the record they came from (`lift --data`), and T is recomputed
+from that record. `pipeline` is byte-identical to chaining simulate,
+invert, lift and invert by hand with the same config and seed, and
+makes the same steps.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 def _context(config: ExperimentConfig) -> PipelineContext:
     """The context of one command: F0, and no background stack (a step
-    evaluates its own, and `pipeline.stages` holds the lifts')."""
+    evaluates its own)."""
     grid = config.sim_grid()
     sources = config.sources()
     axis = config.axis()

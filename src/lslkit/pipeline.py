@@ -20,19 +20,18 @@ source-major order of the (K, N, ...) background stacks, as the stack
 of its diagonal blocks that `lippmann` describes; the Born inversion is
 K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly on the inversion grid (injection commutes with
-T), the lift on the simulation grid. Every inversion evaluates the
-closed form (`wavesim.background_stacks`) on the inversion grid over the
-N samples its T reads, and its TSVD runs after those stacks are freed.
-A context holds F0 and, only where `stages` has set `held` from its
-first lift on, the simulation grid's stacks, which only the lifts read,
-as their first N samples; a lift without them evaluates its own.
-Neither direction copies a stack.
+T), the lift on the simulation grid, and neither copies a stack. Every
+step evaluates the closed form (`wavesim.background_stacks`) on the
+grid it reads, over the N samples its T reads, and drops the stacks
+when it returns; an inversion frees them before its TSVD. A context
+holds F0 and no stack, so nothing outlives its step, and `stages` makes
+exactly the calls of chaining the steps by hand.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +59,9 @@ from .wavesim import SolverSettings, background_stacks
 @dataclass(frozen=True)
 class PipelineContext:
     """Immutable inputs of every step of one inversion run, no record among
-    them (a step is handed the one it reads); every inversion truncates its
-    TSVD at `tsvd`. `background` is the zero-potential record F0, and
-    `held` the simulation grid's u0 and w0 stacks, set by `stages` for its lifts."""
+    them (a step is handed the one it reads), and no background stack (a step
+    evaluates its own); every inversion truncates its TSVD at `tsvd`.
+    `background` is the zero-potential record F0."""
 
     sim_grid: Grid2D
     inv_grid: Grid2D
@@ -72,7 +71,6 @@ class PipelineContext:
     background: TransferData
     tsvd: float
     positivity: bool
-    held: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -207,9 +205,7 @@ def run_lift_step(
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T, T the
     ROM transform of `data`, whose measured diagonal the record copies."""
-    steps = field_samples(transform, ctx.sources.count)
-    held = ctx.held or _stacks(ctx, ctx.sim_grid, transform)
-    u0, w0 = (stack[:, :steps] for stack in held)
+    u0, w0 = _stacks(ctx, ctx.sim_grid, transform)
     return forward_lift(u0, transform, potential, w0, ctx.background, data, ctx.sim_grid)
 
 
@@ -219,17 +215,14 @@ def stages(
     """The SISO step on `measured`, then `iterations` rounds of lift + MIMO step.
 
     Yields one record per inversion. Round r's `.data` is the record
-    lifted from round r-1's estimate and internal fields. With a round
-    to run, the simulation grid's stacks are evaluated once after the
-    SISO step, over the first lift's samples, and held until the last
-    step, since every later lift reads their first samples again.
+    lifted from round r-1's estimate and internal fields. Every step
+    evaluates the stacks it reads and only the record passes on, so the
+    rounds make the calls of `lslkit invert` and `lslkit lift` chained by hand.
     """
     if iterations < 0:
         raise IterationBudgetError("iteration count must be nonnegative")
     record = run_lsl_step(ctx, measured)
     yield record
-    if iterations:
-        ctx = replace(ctx, held=_stacks(ctx, ctx.sim_grid, record.transform))
     for _ in range(iterations):
         lifted = run_lift_step(ctx, record.potential, record.data, record.transform)
         record = run_lsl_step(ctx, lifted)

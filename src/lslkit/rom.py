@@ -64,7 +64,7 @@ def halved_length(n: int) -> int:
     return (n - 1) // 2 + 1
 
 
-def block_mass_from_data(data: TransferData, n: int | None = None) -> np.ndarray:
+def block_mass_from_data(data: TransferData, n: int) -> np.ndarray:
     """Block mass matrix of a full transfer record over its first n samples.
 
     Blocks (k, l) for k, l < `halved_length(n)` are the symmetrized
@@ -72,7 +72,6 @@ def block_mass_from_data(data: TransferData, n: int | None = None) -> np.ndarray
     gives the scalar mass matrix of its series exactly: 0.5 (v + v) = v.
     """
     data.require_full()
-    n = data.num_samples if n is None else n
     if n < 1 or n > data.num_samples:
         raise DimensionError(
             f"requested {n} samples, transfer record holds {data.num_samples}"

@@ -74,19 +74,11 @@ class SolverSettings:
             raise ConfigurationError("solver substeps must be a positive integer")
 
 
-def spectral_bound(grid: Grid2D, q_values: np.ndarray) -> float:
-    """Upper bound on the spectral radius of the discrete operator."""
-    qmax = float(np.max(q_values)) if q_values.size else 0.0
-    return 4.0 / grid.hx**2 + 4.0 / grid.hy**2 + max(qmax, 0.0)
-
-
-def max_stable_dt(grid: Grid2D, q_values: np.ndarray, cfl_safety: float = 1.0) -> float:
-    return 2.0 * cfl_safety / np.sqrt(spectral_bound(grid, q_values))
-
-
 def check_cfl(grid: Grid2D, q_values: np.ndarray, tau: float, settings: SolverSettings) -> None:
     dt = tau / settings.substeps
-    limit = max_stable_dt(grid, q_values, CFL_SAFETY)
+    qmax = float(np.max(q_values)) if q_values.size else 0.0
+    # rho(A_h) <= 4/hx^2 + 4/hy^2 + max(q, 0)
+    limit = 2.0 * CFL_SAFETY / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2 + max(qmax, 0.0))
     if dt >= limit:
         need = int(np.ceil(tau / limit))
         if tau / need >= limit:

@@ -24,7 +24,8 @@ def build_context(cfg, noise_level=None):
 
     The measured record is the diagonal of the full true-medium record,
     as `lslkit simulate` writes it; the full record comes back as the
-    oracle for the completed data.
+    oracle for the completed data, and the background (`reference.background`)
+    with the simulation grid's u0 and w0 stacks for tests that read them.
     """
     q_true = cfg.true_potential()
     grid = cfg.sim_grid()
@@ -34,7 +35,6 @@ def build_context(cfg, noise_level=None):
     true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
     data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
-    # held, as `pipeline.stages` holds them: the tests lift from this context many times
     bg = background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
@@ -45,9 +45,8 @@ def build_context(cfg, noise_level=None):
         bg.data,
         tsvd=cfg.tsvd,
         positivity=cfg.positivity,
-        held=(bg.fields, bg.antiderivatives),
     )
-    return ctx, data, q_true, true_mimo
+    return ctx, data, q_true, true_mimo, bg
 
 
 def reference_potential(ctx, q_true):
@@ -72,7 +71,7 @@ def two_target_run():
     """Full two-target desk experiment: born, two completion rounds, lift data."""
     started = time.monotonic()
     cfg = parse_config(bundled_config_path("two_targets"))
-    ctx, measured, q_true, true_mimo = build_context(cfg)
+    ctx, measured, q_true, true_mimo, bg = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
     born_potential, born_residual = invert_born(ctx, measured)
     records = list(stages(ctx, measured, iterations=2))
@@ -85,6 +84,7 @@ def two_target_run():
     return SimpleNamespace(
         cfg=cfg,
         ctx=ctx,
+        background=bg,
         measured=measured,
         q_true=q_true,
         q_ref=q_ref,
@@ -105,7 +105,7 @@ def box_runs():
     cfg = parse_config(bundled_config_path("box"))
     results = {}
     for label, level in (("clean", 0.0), ("noisy", cfg.noise_level)):
-        ctx, measured, q_true, _ = build_context(cfg, noise_level=level)
+        ctx, measured, q_true, *_ = build_context(cfg, noise_level=level)
         q_ref = reference_potential(ctx, q_true)
         *_, record = stages(ctx, measured, iterations=1)
         results[label] = SimpleNamespace(
@@ -122,7 +122,7 @@ def three_object_run():
     """Three staggered targets, two completion rounds."""
     started = time.monotonic()
     cfg = parse_config(bundled_config_path("three_objects"))
-    ctx, measured, q_true, _ = build_context(cfg)
+    ctx, measured, q_true, *_ = build_context(cfg)
     q_ref = reference_potential(ctx, q_true)
     regions = cfg.regions()
     records = list(stages(ctx, measured, iterations=2))

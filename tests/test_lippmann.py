@@ -553,7 +553,7 @@ class TestForwardLift:
             true_fields,
             identity_blocks(ctx.sources.count, n),
             two_target_run.q_true,
-            ctx.held[1],
+            two_target_run.background.antiderivatives,
             ctx.background,
             two_target_run.measured,
             ctx.sim_grid,

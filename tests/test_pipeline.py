@@ -152,11 +152,8 @@ class TestInternalFields:
         siso = run_lsl_step(ctx, measured)
         lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         record = lifted.num_samples
-        f0 = ctx.background
         basis = factor(block_mass_from_data(lifted, record))
-        basis0 = factor(
-            block_mass_from_data(TransferData(f0.values[:, :, :record], f0.mask, f0.tau))
-        )
+        basis0 = factor(block_mass_from_data(ctx.background, record))
         reference = apply_transform(field_transform(basis, basis0, K), bg.fields)
         steps = self.assert_restricted(ctx, measured, internal_transform(ctx, lifted), reference)
         assert steps == halved_length(record)
@@ -217,25 +214,6 @@ class TestStages:
         lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         assert lifted.is_full
         assert lifted.num_samples == ctx.axis.n
-
-    def test_closed_form_background_inverts_and_lifts_bitwise(self):
-        # `invert` and `lift` hold no stack: each step evaluates the closed
-        # form over the samples its T reads, and a lift gets the numbers of
-        # the first samples of the fine stacks that `pipeline` holds
-        ctx, measured = tiny_context()
-        held = replace(ctx, held=background_stacks(
-            ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.sim_grid))
-        assert np.array_equal(invert_born(ctx, measured)[0].values,
-                              invert_born(held, measured)[0].values)
-        siso = run_lsl_step(ctx, measured)
-        fine_siso = run_lsl_step(held, measured)
-        assert np.array_equal(siso.potential.values, fine_siso.potential.values)
-        assert siso.residual == fine_siso.residual
-        lifted = run_lift_step(held, siso.potential, measured, siso.transform)
-        mimo = run_lsl_step(ctx, lifted)
-        assert np.array_equal(mimo.potential.values, run_lsl_step(held, lifted).potential.values)
-        assert np.array_equal(run_lift_step(ctx, siso.potential, measured, siso.transform).values,
-                              lifted.values)
 
     def test_final_inversion_uses_measured_data_only(self):
         # rebuilding the last stage from its transform and the measured record

@@ -274,7 +274,7 @@ class TestSynthesize:
     def test_spherical_averages_improve_on_background(self, two_target_run):
         # circular averages around the source: the data-generated field
         # tracks the true one much closer than the background does
-        ctx = two_target_run.ctx
+        ctx, fields = two_target_run.ctx, two_target_run.background.fields
         grid = ctx.sim_grid
         settings = two_target_run.cfg.settings()
         K, n = ctx.sources.count, ctx.axis.n
@@ -287,7 +287,7 @@ class TestSynthesize:
         )
         transform = field_transform(basis, basis0, 1)
         assert np.array_equal(two_target_run.siso_transform[j], transform)
-        generated = apply_transform(transform, ctx.held[0][j : j + 1])[0]
+        generated = apply_transform(transform, fields[j : j + 1])[0]
         true_snaps = leapfrog_snapshots(
             two_target_run.q_true, ctx.sources, j, ctx.axis, settings, ctx.axis.n
         )
@@ -304,7 +304,7 @@ class TestSynthesize:
 
         picks = list(range(8, ctx.axis.n, 8))
         ra_true = radial(true_snaps[picks])
-        ra_bg = radial(ctx.held[0][j][picks])
+        ra_bg = radial(fields[j][picks])
         ra_gen = radial(generated[picks])
         err_bg = np.linalg.norm(ra_bg - ra_true)
         err_gen = np.linalg.norm(ra_gen - ra_true)

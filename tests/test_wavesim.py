@@ -21,7 +21,6 @@ from lslkit.wavesim import (
     apply_operator,
     background_stacks,
     check_cfl,
-    max_stable_dt,
     simulate_transfer,
 )
 from reference import (background, injected_stacks, leapfrog_snapshots, stack_record,
@@ -295,8 +294,9 @@ class TestNestedBackground:
     @pytest.mark.parametrize("steps", [2, 5, 8])
     @pytest.mark.parametrize("ratio", [1, 2, 3])
     def test_fewer_samples_are_the_first_ones_bitwise(self, fine, ratio, steps):
-        # a step evaluates only the samples its T reads, and a held stack
-        # is read as its first samples: both give the same numbers
+        # a step evaluates only the samples its T reads: an evaluation over
+        # fewer samples gives the first samples of a longer one bitwise, so
+        # each round's stacks are those of the first round, cut short
         grid, sources, axis, settings, _ = fine
         coarse = grid.coarsen(ratio)
         short = background_stacks(grid, sources, TimeAxis(axis.tau, steps), settings, coarse)
@@ -510,7 +510,8 @@ class TestNoise:
 def test_cfl_limit_scaling():
     grid = Grid2D(10, 10, 0.5, 0.5)
     q = np.zeros(grid.shape)
-    limit = max_stable_dt(grid, q)
+    # the bare bound 2 / sqrt(rho), rho <= 4/hx^2 + 4/hy^2 for q = 0
+    limit = 2.0 / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2)
     assert limit == pytest.approx(2.0 / np.sqrt(32.0))
     # check_cfl keeps every fine step below CFL_SAFETY = 0.9 of the bare bound
     assert CFL_SAFETY == 0.9
