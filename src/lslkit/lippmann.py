@@ -14,8 +14,11 @@ for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
 u = u0 * T (`rom.field_transform`) gives the sharper variant. Both
-directions take the same inputs: the background stacks u0 and w0, each
-(K, N, ny+1, nx+1) and passed with the grid they live on, and T.
+directions take the same inputs, passed with the grid they live on: the
+background stack u0, (K, N, ny+1, nx+1); w0 as any iterable of its K
+per-source (N, ny+1, nx+1) histories, which both read one source at a
+time, in source order (a whole (K, N, ...) stack iterates the same way);
+and T.
 
 T has one layout: a (B, G N, G N) stack of the diagonal blocks of a
 block-diagonal source-major matrix, block g mixing the G = K / B
@@ -24,11 +27,12 @@ B = K, the ROM of a full record B = 1, and Born K identity blocks.
 Assembly mixes u0 by block g's columns one source at a time while it
 writes that source's rows; the lift applies the blocks to the Gram
 matrix of the background. No (K, N, ...) stack of internal fields
-exists on either grid.
+exists on either grid, and no stack of w0 need exist.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +45,11 @@ from .errors import (
     PreconditionError,
 )
 
-#: nodes per block of the `forward_lift` product; its scratch arrays hold
-#: 2 * K * steps * LIFT_CHUNK_NODES doubles however large the grid is, so
-#: at 512 they stay below a tenth of the lift's own u0 and w0 stacks
-#: (2 * K * steps * nodes doubles) on every bundled simulation grid
-LIFT_CHUNK_NODES = 512
-
 #: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
 #: cut then sits at 1e-8 * lambda_max of the Gram matrix, far above roundoff
 TSVD_MIN_THRESHOLD = 1e-4
+
+_SOURCE_COUNTS = "source counts of fields, antiderivatives and data differ"
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,18 @@ def field_samples(transform: np.ndarray, num_sources: int) -> int:
 
 
 def _checked_inputs(fields, w0, grid, measured, data0, transform):
-    """Both directions' input checks: u0 and w0 on `grid`, the source counts,
-    the measured diagonal, one tau, and T a (B, G N, G N) block stack over
-    K = B G sources whose N samples all inputs hold. Returns u0, w0 and N."""
+    """Both directions' input checks: u0 on `grid`, the source counts, the
+    measured diagonal, one tau, and T a (B, G N, G N) block stack over
+    K = B G sources whose N samples all inputs hold. Returns u0's first N
+    samples, the checked w0 histories (`_histories`) and N."""
     fields = check_stack(grid, fields, "field")
-    w0 = check_stack(grid, w0, "antiderivative")
     K = len(fields)
-    if len(w0) != K or measured.num_sources != K or data0.num_sources != K:
-        raise DimensionError("source counts of fields, antiderivatives and data differ")
+    if measured.num_sources != K or data0.num_sources != K:
+        raise DimensionError(_SOURCE_COUNTS)
     measured.require_measured_diagonal()
     if not abs(data0.tau - measured.tau) <= 1e-12 * measured.tau:
         raise DimensionError(f"sample intervals differ: {measured.tau} vs {data0.tau}")
-    available = min(fields.shape[1], w0.shape[1], measured.num_samples, data0.num_samples)
+    available = min(fields.shape[1], measured.num_samples, data0.num_samples)
     blocks, side = len(transform), transform.shape[-1]
     square = transform.shape == (blocks, side, side)
     if not square or not blocks or K % blocks or side % (K // blocks):
@@ -118,11 +118,33 @@ def _checked_inputs(fields, w0, grid, measured, data0, transform):
     steps = field_samples(transform, K)
     if available < steps:
         raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
-    return fields, w0, steps
+    fields = np.ascontiguousarray(fields[:, :steps])  # a view when it holds just N
+    return fields, _histories(w0, grid, K, steps), steps
+
+
+def _histories(w0, grid, K, steps):
+    """Source j's w0 history, its first `steps` samples as (steps, nodes),
+    for j = 0 .. K-1 as the consumer asks for them. Each is checked when it
+    arrives, the count when the K+1-th arrives or the iterable ends short."""
+    count = 0
+    for count, history in enumerate(w0, start=1):
+        history = np.asarray(history, dtype=np.float64)
+        if count > K:
+            raise DimensionError(_SOURCE_COUNTS)
+        if history.ndim != 3 or history.shape[1:] != grid.shape:
+            raise DimensionError(
+                f"source {count - 1}'s antiderivative stack has shape {history.shape}, "
+                f"expected (N,)+{grid.shape}"
+            )
+        if len(history) < steps:
+            raise DimensionError(f"inputs hold {len(history)} of the {steps} transform samples")
+        yield history[:steps].reshape(steps, -1)
+    if count != K:
+        raise DimensionError(_SOURCE_COUNTS)
 
 
 def assemble_system(
-    w0: np.ndarray,
+    w0: Iterable[np.ndarray],
     u0: np.ndarray,
     transform: np.ndarray,
     data: TransferData,
@@ -132,15 +154,17 @@ def assemble_system(
 ) -> LSSystem:
     """Rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `w0` and `u0` are background (K, N', ny+1, nx+1) stacks on
-    `inv_grid`, and the internal fields are u0 * T with T = `transform`,
-    a (B, G N, G N) stack of diagonal blocks in the source-major order
-    of `rom.field_transform`, N samples each; identity blocks give the
-    Born system. Source j = g G + i is mixed from its block's G sources
-    alone, T[g][:, iN:(i+1)N]^T times u0[gG:(g+1)G], and its rows, the
-    trapezoid sums over the anti-diagonals a + b = k that `forward_lift`
-    also takes, are written straight into the preallocated matrix. The
-    right-hand side uses measured diagonal data only.
+    `u0` is the background (K, N', ny+1, nx+1) stack on `inv_grid` and
+    `w0` an iterable of the K (N', ny+1, nx+1) histories of its
+    antiderivative there, read one source at a time. The internal fields
+    are u0 * T with T = `transform`, a (B, G N, G N) stack of diagonal
+    blocks in the source-major order of `rom.field_transform`, N samples
+    each; identity blocks give the Born system. Source j = g G + i is
+    mixed from its block's G sources alone, T[g][:, iN:(i+1)N]^T times
+    u0[gG:(g+1)G], and its rows, the trapezoid sums over the
+    anti-diagonals a + b = k of that field and w0's history j, which
+    `forward_lift` also takes, are written straight into the preallocated
+    matrix. The right-hand side uses measured diagonal data only.
     """
     u0, w0, num = _checked_inputs(u0, w0, inv_grid, data, data0, transform)
     K = len(u0)
@@ -148,15 +172,13 @@ def assemble_system(
     weights = inv_grid.node_weights.ravel()
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
     rhs = np.empty(K * (num - 1))
-    for g, block in enumerate(transform):
-        u0_flat = u0[g * group : (g + 1) * group, :num].reshape(group * num, -1)
-        for i in range(group):
-            j = g * group + i
-            rows = slice(j * (num - 1), (j + 1) * (num - 1))
-            field = block[:, i * num : (i + 1) * num].T @ u0_flat
-            kernel = w0[j, :num].reshape(num, -1) * weights
-            _trapezoid_rows(kernel, field, data.tau, matrix[rows])
-            rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
+    for j, history in enumerate(w0):
+        g, i = divmod(j, group)
+        rows = slice(j * (num - 1), (j + 1) * (num - 1))
+        u0_flat = u0[g * group : (g + 1) * group].reshape(group * num, -1)
+        field = transform[g][:, i * num : (i + 1) * num].T @ u0_flat
+        _trapezoid_rows(history * weights, field, data.tau, matrix[rows])
+        rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
 
@@ -215,16 +237,17 @@ def forward_lift(
     fields: np.ndarray,
     transform: np.ndarray,
     q_est: Potential,
-    w0: np.ndarray,
+    w0: Iterable[np.ndarray],
     data0: TransferData,
     measured: TransferData,
     grid: Grid2D,
 ) -> TransferData:
     """Predict off-diagonal transfer data from a potential estimate.
 
-    `fields` is the background stack u0 and `w0` its antiderivative
-    stack, both (K, N, ny+1, nx+1) on `grid`; the internal fields are
-    u0 * T with T = `transform`, a (B, G steps, G steps) stack of
+    `fields` is the background stack u0, (K, N, ny+1, nx+1) on `grid`,
+    and `w0` an iterable of the K (N, ny+1, nx+1) histories of its
+    antiderivative there, read one source at a time; the internal fields
+    are u0 * T with T = `transform`, a (B, G steps, G steps) stack of
     diagonal blocks in the source-major order of `rom.field_transform`.
     Evaluates the forward integral on `grid` (the estimate is prolonged
     there from its own nested grid, the same grid included) for every
@@ -233,9 +256,10 @@ def forward_lift(
     verbatim from the measured record. The output holds the `steps`
     samples of T's fields.
 
-    One matrix product, accumulated over node blocks, gives the space
-    integrals of the background, C0[j, a, (l, a')] = sum_c w0_j(a tau)[c]
-    weight[c] q[c] u0_l(a' tau)[c] over all `steps` samples a'; then
+    One matrix product per source j, of its weighted history with all of
+    u0, gives its rows of the space integrals of the background,
+    C0[j, a, (l, a')] = sum_c w0_j(a tau)[c] weight[c] q[c] u0_l(a' tau)[c]
+    over all `steps` samples a'; then
     C = C0 blockdiag(T), one batched product of each block with its G
     sources' columns of C0, holds those of the internal fields,
     C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c].
@@ -248,14 +272,12 @@ def forward_lift(
     size = K * steps
     weighted_q = grid.node_weights.ravel() * prolong(q_est.values, q_est.grid, grid).ravel()
 
-    # rows (j, a) and columns (l, a'), the row order of T
-    w0_flat = w0.reshape(K, w0.shape[1], -1)[:, :steps]
-    u0_flat = fields.reshape(K, fields.shape[1], -1)[:, :steps]
-    gram0 = np.zeros((size, size))
-    for start in range(0, grid.num_nodes, LIFT_CHUNK_NODES):
-        block = slice(start, start + LIFT_CHUNK_NODES)
-        w = (w0_flat[..., block] * weighted_q[block]).reshape(size, -1)
-        gram0 += w @ u0_flat[..., block].reshape(size, -1).T
+    # rows (j, a) and columns (l, a'), the row order of T: source j's rows
+    # are one GEMM of its weighted w0 history with all of u0
+    u0_flat = fields.reshape(size, -1)
+    gram0 = np.empty((size, size))
+    for j, history in enumerate(w0):
+        np.matmul(history * weighted_q, u0_flat.T, out=gram0[j * steps : (j + 1) * steps])
     # block b's columns of C0 times T[b], written into C's same columns
     columns = lambda gram: gram.reshape(size, len(transform), -1).transpose(1, 0, 2)
     gram = np.empty((K, steps, K, steps))

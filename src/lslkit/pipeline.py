@@ -22,9 +22,10 @@ K identity blocks. Assembly and the lift both take the background
 stacks and T: assembly on the inversion grid (injection commutes with
 T), the lift on the simulation grid, and neither copies a stack. Every
 step evaluates the closed form (`wavesim.background_stacks`) on the
-grid it reads, over the N samples its T reads, and drops the stacks
-when it returns; an inversion frees them before its TSVD. A context
-holds F0 and no stack, so nothing outlives its step, and `stages` makes
+grid it reads, over the N samples its T reads: it holds the u0 stack
+and evaluates w0 one source at a time as it reads it. It drops u0 when
+it returns, and an inversion frees it before its TSVD. A context holds
+F0 and no stack, so nothing outlives its step, and `stages` makes
 exactly the calls of chaining the steps by hand.
 """
 
@@ -172,7 +173,8 @@ def _factor(mass: np.ndarray) -> np.ndarray:
 
 
 def _stacks(ctx: PipelineContext, grid: Grid2D, transform: np.ndarray):
-    """u0 and w0 on `grid` from the closed form, over the samples T = `transform` reads."""
+    """u0 and w0 on `grid` from the closed form, over the samples T = `transform`
+    reads: the u0 stack, and w0 as an iterator over its per-source histories."""
     axis = TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
     return background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, grid)
 

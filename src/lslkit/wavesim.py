@@ -42,15 +42,18 @@ weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
 float64 array. `simulate_background` returns F0, and `background_stacks`
-evaluates the source-major, read-only (K, N, ny+1, nx+1) stacks u0 and
-w0 over the N samples a step reads, on the grid it reads: the
-simulation grid, or the inversion grid nested in it at ratio r, which
-takes rows ::r of Cy and columns ::r of Cx^T and allocates no fine
-history.
+evaluates the background over the N samples a step reads, on the grid
+it reads: the simulation grid, or the inversion grid nested in it at
+ratio r, which takes rows ::r of Cy and columns ::r of Cx^T and
+allocates no fine history. u0 is a source-major, read-only (K, N,
+ny+1, nx+1) stack; w0 is handed out one source at a time, each (N,
+ny+1, nx+1) history evaluated when the step asks for it, so a step
+holds u0 and one source of w0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,9 +286,14 @@ def background_stacks(
     axis: TimeAxis,
     settings: SolverSettings,
     stack_grid: Grid2D,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """u0 and w0 over the samples of `axis` on `stack_grid`, the simulation
     grid `grid` or a nested coarsening of it at ratio r.
+
+    u0 is the read-only (K, N, ny+1, nx+1) stack. w0 is never stacked: it
+    is an iterator that evaluates source i's (N, ny+1, nx+1) history when
+    the consumer asks for it, source by source, so a step holds one source
+    of it at a time.
 
     Source i's samples are the inverse transforms Cy @ (c_k g_hat) @
     Cx^T / (4 nx ny) of the mode-wise coefficients c_k: cos(k p theta)
@@ -297,8 +305,24 @@ def background_stacks(
     """
     ratio = refinement_ratio(grid, stack_grid)  # nested, or refused before any work
     dt, lam, theta, steps = _modes(grid, axis, settings)
+    cy, cx, spectra = _spectra(grid, sources)
+    rows = np.ascontiguousarray(cy[::ratio])
+    # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
+    columns = np.ascontiguousarray(cx[::ratio].T)
+    norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
     phase = np.multiply.outer(steps, theta)
+    modal = np.empty(phase.shape)
+
+    def history(coefficients, g_hat, out=None):
+        np.multiply(coefficients, g_hat, out=modal)
+        return np.divide((rows @ modal) @ columns, norm, out=out)
+
     cosine = np.cos(phase)
+    fields = np.empty((sources.count, axis.n) + stack_grid.shape)
+    for i, g_hat in enumerate(spectra):
+        history(cosine, g_hat, out=fields[i])
+    fields.setflags(write=False)
+    del cosine
     # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
     sin_theta = np.sin(theta)
     constant = sin_theta == 0.0
@@ -306,22 +330,7 @@ def background_stacks(
     growth /= np.where(constant, 1.0, sin_theta)
     growth[:, constant] = steps[:, None]
     growth *= dt - (dt**3 / 6.0) * lam
-
-    cy, cx, spectra = _spectra(grid, sources)
-    rows = np.ascontiguousarray(cy[::ratio])
-    # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
-    columns = np.ascontiguousarray(cx[::ratio].T)
-    norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
-    fields = np.empty((sources.count, axis.n) + stack_grid.shape)
-    antiderivatives = np.empty_like(fields)
-    modal = np.empty(cosine.shape)
-    for i, g_hat in enumerate(spectra):
-        for coefficients, stack in ((cosine, fields), (growth, antiderivatives)):
-            np.multiply(coefficients, g_hat, out=modal)
-            np.divide((rows @ modal) @ columns, norm, out=stack[i])
-    fields.setflags(write=False)
-    antiderivatives.setflags(write=False)
-    return fields, antiderivatives
+    return fields, (history(growth, g_hat) for g_hat in spectra)
 
 
 def simulate_background(

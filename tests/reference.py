@@ -60,11 +60,19 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
     return samples
 
 
+def whole_stacks(stacks):
+    """`wavesim.background_stacks`' u0 and its per-source w0 histories
+    stacked into one (K, N, ny+1, nx+1) array, which the lift and assembly
+    iterate as they iterate the histories."""
+    fields, antiderivatives = stacks
+    return fields, np.stack(list(antiderivatives))
+
+
 def background(grid, sources, axis, settings):
     """The zero-potential background on the simulation grid `grid`: its
     record F0 as `data`, and its u0 and w0 stacks as `fields` and
-    `antiderivatives`, as a pipeline holds them."""
-    fields, antiderivatives = background_stacks(grid, sources, axis, settings, grid)
+    `antiderivatives`, w0 stacked from its per-source histories."""
+    fields, antiderivatives = whole_stacks(background_stacks(grid, sources, axis, settings, grid))
     return SimpleNamespace(data=simulate_background(grid, sources, axis, settings),
                            fields=fields, antiderivatives=antiderivatives)
 

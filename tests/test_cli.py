@@ -20,7 +20,7 @@ from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import MaskState, TransferData
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from lslkit.rom import halved_length
-from reference import load_pgm
+from reference import load_pgm, whole_stacks
 
 SMALL_CONFIG = """
 [domain]
@@ -144,7 +144,7 @@ class TestSurface:
         evaluate = lslkit.pipeline.background_stacks
 
         def recording_stacks(sim_grid, sources, axis, settings, grid):
-            stacks = evaluate(sim_grid, sources, axis, settings, grid)
+            stacks = whole_stacks(evaluate(sim_grid, sources, axis, settings, grid))
             calls.append((tuple(stack.shape for stack in stacks), axis.n))
             return stacks
 
@@ -506,6 +506,46 @@ class TestExitCodes:
         config = parse_config(config_path)
         assert built == [config.inv_grid(), config.sim_grid()]
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [("fewer", "source counts of fields, antiderivatives and data differ"),
+         ("more", "source counts of fields, antiderivatives and data differ"),
+         ("grid", "source 1's antiderivative stack has shape"),
+         ("samples", "inputs hold 11 of the 12 transform samples")],
+    )
+    def test_bad_histories_exit_2_before_any_output(self, tmp_path, config_path, capsys,
+                                                    monkeypatch, case, message):
+        # w0 reaches assembly and the lift one source at a time; a history
+        # too few or too many, on another grid or short of T's samples
+        # ends the step with exit 2 and writes nothing
+        out = tmp_path / "out"
+        common = ("--config", config_path)
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common, "--q-out", tmp_path / "q.lslf") == 0
+        evaluate = lslkit.pipeline.background_stacks
+
+        def bad_stacks(*args):
+            u0, w0 = evaluate(*args)
+            histories = list(w0)
+            if case == "fewer":
+                histories.pop()
+            elif case == "more":
+                histories.append(histories[0])
+            elif case == "grid":
+                histories[1] = histories[1][:, ::2, ::2]
+            else:
+                histories[1] = histories[1][:-1]
+            return u0, iter(histories)
+
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", bad_stacks)
+        capsys.readouterr()
+        assert run("invert", "--method", "lsl", *common) == 2
+        assert run("lift", *common, "--q", tmp_path / "q.lslf") == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2 and all(line.startswith(f"error: {message}") for line in errors)
+        assert not (out / "q_siso.lslf").exists()
+        assert not (out / "lifted.lslt").exists()
+
     @pytest.mark.parametrize("record", ["short_diagonal", "long_full", "born_short_full"])
     def test_record_length_names_time_n(self, tmp_path, config_path, capsys, record):
         # n = 12: a diagonal record needs 23 samples, a full one holds at
@@ -654,6 +694,25 @@ class TestBackgroundLifetime:
         # (F0, the data, T: about 0.07 S together), and no u0 or w0 (2 S)
         [beside] = self.traced_fits(tmp_path, monkeypatch, "invert", "--method", method)
         assert beside < 0.5, f"{beside:.2f} S beside the system"
+
+    def test_lift_holds_one_simulation_grid_stack(self, tmp_path):
+        # here S is one (K, n) stack on box's simulation grid, 30.2 MiB. The
+        # lift holds u0 (S) and, one source at a time, its w0 history, the
+        # weighted copy and the evaluator's (n, modes) arrays (S / K each);
+        # a whole w0 stack would add another S
+        cfg = parse_config(self.CONFIG)
+        stack = cfg.source_count * cfg.n * cfg.sim_grid().num_nodes * 8
+        common = ("--config", self.CONFIG, "--seed", 1, "--out", tmp_path)
+        assert run("simulate", *common) == 0
+        assert run("invert", "--method", "lsl", *common) == 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert run("lift", *common) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / stack < 2.0, f"traced peak {(peak - start) / stack:.2f} S"
 
     def test_pipeline_holds_no_stack_through_any_tsvd(self, tmp_path, monkeypatch):
         # every fit finds only small records beside its system: the lift's

@@ -18,7 +18,6 @@ from lslkit.errors import (
     PreconditionError,
 )
 from lslkit.lippmann import (
-    LIFT_CHUNK_NODES,
     TSVD_MIN_THRESHOLD,
     LSSystem,
     assemble_system,
@@ -27,7 +26,7 @@ from lslkit.lippmann import (
     solve_tsvd,
 )
 from lslkit.rom import field_transform
-from lslkit.wavesim import SolverSettings, simulate_transfer
+from lslkit.wavesim import SolverSettings, background_stacks, simulate_transfer
 from reference import (
     apply_transform,
     background,
@@ -36,6 +35,7 @@ from reference import (
     diagonal_record,
     identity_blocks,
     leapfrog_snapshots,
+    whole_stacks,
     zero_potential,
 )
 
@@ -389,13 +389,10 @@ class TestSolveTsvd:
 
 class TestForwardLift:
     def test_matches_per_pair_reference(self):
-        # several node blocks and an estimate on the coarser inversion grid;
-        # random stacks break the
+        # an estimate on the coarser inversion grid; random stacks break the
         # symmetry that could hide a swapped source/receiver index, and a
         # nonzero first kernel sample exercises every trapezoid endpoint
         grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
-        # full blocks and a partial last one
-        assert grid.num_nodes > LIFT_CHUNK_NODES and grid.num_nodes % LIFT_CHUNK_NODES
         rng = np.random.default_rng(5)
 
         shape = (sources.count, axis.n) + grid.shape
@@ -609,11 +606,51 @@ class TestForwardLift:
             )
 
 
+def replaced_history(w0, j, history):
+    """w0's per-source histories, one at a time, with source j's replaced."""
+    return (history if i == j else w0[i] for i in range(len(w0)))
+
+
+class TestPerSourceHistories:
+    """Both directions read w0 one source at a time: the evaluator's
+    per-source iterator and the whole (K, N, ...) stack give bitwise the
+    same system and the same lifted record."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        grid, inv_grid, _, sources, axis, settings, data, bg = wave_setup(n=12)
+        n = axis.n
+        rng = np.random.default_rng(21)
+        transform = rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(2 * n)
+        q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
+        return grid, inv_grid, sources, axis, settings, data, bg, transform, q_est
+
+    def test_assembly(self, setup):
+        grid, inv_grid, sources, axis, settings, data, bg, transform, _ = setup
+        args = (grid, sources, axis, settings, inv_grid)
+        u0, histories = background_stacks(*args)
+        _, w0 = whole_stacks(background_stacks(*args))
+        systems = [assemble_system(kernels, u0, transform, data, bg.data, inv_grid, 1e-2)
+                   for kernels in (histories, w0)]
+        assert np.array_equal(systems[0].matrix, systems[1].matrix)
+        assert np.array_equal(systems[0].rhs, systems[1].rhs)
+
+    def test_lift(self, setup):
+        grid, _, sources, axis, settings, data, bg, transform, q_est = setup
+        u0, histories = background_stacks(grid, sources, axis, settings, grid)
+        assert np.array_equal(u0, bg.fields)
+        records = [forward_lift(u0, transform, q_est, kernels, bg.data, data, grid)
+                   for kernels in (histories, bg.antiderivatives)]
+        assert np.array_equal(records[0].values, records[1].values)
+        assert np.array_equal(records[0].mask, records[1].mask)
+
+
 class TestSharedInputChecks:
     """Assembly and the lift refuse the same bad inputs with the same
-    messages: both directions run one check of the stacks, the source
+    messages: both directions run one check of the u0 stack, the source
     counts, the measured diagonal, the sample interval, the available
-    samples and T, in that order."""
+    samples and T, in that order, and then check each w0 history as they
+    read it (its grid and its samples) and the number of histories."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -638,10 +675,20 @@ class TestSharedInputChecks:
                         DimensionError, "field stack has shape (4, 10, 16, 31), "
                         "expected (K, N)+(31, 61)"),
         "antiderivative_shape": (lambda d: dict(w0=d["w0"][:, :, ::2, ::2]),
-                                 DimensionError, "antiderivative stack has shape "
-                                 "(4, 10, 16, 31), expected (K, N)+(31, 61)"),
+                                 DimensionError, "source 0's antiderivative stack has "
+                                 "shape (10, 16, 31), expected (N,)+(31, 61)"),
         "source_count": (lambda d: dict(w0=d["w0"][:3]), DimensionError,
                          "source counts of fields, antiderivatives and data differ"),
+        # w0 as an iterator of per-source histories, as `background_stacks` hands it out
+        "fewer_histories": (lambda d: dict(w0=iter(d["w0"][:3])), DimensionError,
+                            "source counts of fields, antiderivatives and data differ"),
+        "more_histories": (lambda d: dict(w0=iter([*d["w0"], d["w0"][0]])), DimensionError,
+                           "source counts of fields, antiderivatives and data differ"),
+        "history_grid": (lambda d: dict(w0=replaced_history(d["w0"], 2, d["w0"][2, :, ::2, ::2])),
+                         DimensionError, "source 2's antiderivative stack has shape "
+                         "(10, 16, 31), expected (N,)+(31, 61)"),
+        "history_samples": (lambda d: dict(w0=replaced_history(d["w0"], 1, d["w0"][1, :9])),
+                            DimensionError, "inputs hold 9 of the 10 transform samples"),
         "unmeasured_diagonal": (
             lambda d: dict(measured=TransferData(d["measured"].values,
                                                  np.zeros((4, 4), np.int8), 2.0)),

@@ -293,8 +293,9 @@ class TestStages:
         # rows each); T is K n x n blocks. A copy of the whole injected
         # u0, a dense (K n)^2 T, a mixed (K, n) field stack or a stacked
         # copy of the system would each add up to about S more. The step's
-        # u0 and w0 (2 S) are evaluated before tracing starts, so only the
-        # step's own arrays are traced
+        # u0 (S) is evaluated before tracing starts; its w0 histories are
+        # evaluated during assembly, one source at a time, below the TSVD's
+        # peak, so only the step's own arrays and one history are traced
         ctx, measured = two_target_run.ctx, two_target_run.measured
         stack = ctx.sources.count * ctx.axis.n * ctx.inv_grid.num_nodes * 8
         stacks = background_stacks(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
