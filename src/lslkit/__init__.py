@@ -52,6 +52,7 @@ from .rom import (
     regularize_spd,
 )
 from .wavesim import (
+    BackgroundBands,
     SolverSettings,
     add_noise,
     background_stacks,
@@ -100,6 +101,7 @@ __all__ = [
     "cholesky_upper",
     "field_transform",
     "regularize_spd",
+    "BackgroundBands",
     "SolverSettings",
     "add_noise",
     "background_stacks",

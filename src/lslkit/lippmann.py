@@ -14,11 +14,13 @@ for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
 u = u0 * T (`rom.field_transform`) gives the sharper variant. Both
-directions take the same inputs, passed with the grid they live on: the
-background stack u0, (K, N, ny+1, nx+1); w0 as any iterable of its K
-per-source (N, ny+1, nx+1) histories, which both read one source at a
-time, in source order (a whole (K, N, ...) stack iterates the same way);
-and T.
+directions take the background and T, passed with the grid they live
+on, in the form each reads. Assembly takes the stack u0, (K, N, ny+1,
+nx+1), and w0 as any iterable of its K per-source (N, ny+1, nx+1)
+histories, read one source at a time, in source order (a whole (K, N,
+...) stack iterates the same way). The lift reads every node once, so it
+takes u0 and w0 together in row bands (`forward_lift`) and holds no
+stack of either.
 
 T has one layout: a (B, G N, G N) stack of the diagonal blocks of a
 block-diagonal source-major matrix, block g mixing the G = K / B
@@ -98,28 +100,29 @@ def field_samples(transform: np.ndarray, num_sources: int) -> int:
     return transform.shape[-1] * len(transform) // num_sources
 
 
-def _checked_inputs(fields, w0, grid, measured, data0, transform):
-    """Both directions' input checks: u0 on `grid`, the source counts, the
+def _checked_records(K, measured, data0, transform, *held):
+    """Both directions' checks of the records and T: the source counts, the
     measured diagonal, one tau, and T a (B, G N, G N) block stack over
-    K = B G sources whose N samples all inputs hold. Returns u0's first N
-    samples, the checked w0 histories (`_histories`) and N."""
-    fields = check_stack(grid, fields, "field")
-    K = len(fields)
+    K = B G sources whose N samples the records and the `held` sample
+    counts of the background all hold. Returns N."""
     if measured.num_sources != K or data0.num_sources != K:
         raise DimensionError(_SOURCE_COUNTS)
     measured.require_measured_diagonal()
     if not abs(data0.tau - measured.tau) <= 1e-12 * measured.tau:
         raise DimensionError(f"sample intervals differ: {measured.tau} vs {data0.tau}")
-    available = min(fields.shape[1], measured.num_samples, data0.num_samples)
+    available = min(measured.num_samples, data0.num_samples, *held)
     blocks, side = len(transform), transform.shape[-1]
     square = transform.shape == (blocks, side, side)
     if not square or not blocks or K % blocks or side % (K // blocks):
         raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
     steps = field_samples(transform, K)
-    if available < steps:
-        raise DimensionError(f"inputs hold {available} of the {steps} transform samples")
-    fields = np.ascontiguousarray(fields[:, :steps])  # a view when it holds just N
-    return fields, _histories(w0, grid, K, steps), steps
+    _check_samples(available, steps)
+    return steps
+
+
+def _check_samples(held, steps):
+    if held < steps:
+        raise DimensionError(f"inputs hold {held} of the {steps} transform samples")
 
 
 def _histories(w0, grid, K, steps):
@@ -136,8 +139,7 @@ def _histories(w0, grid, K, steps):
                 f"source {count - 1}'s antiderivative stack has shape {history.shape}, "
                 f"expected (N,)+{grid.shape}"
             )
-        if len(history) < steps:
-            raise DimensionError(f"inputs hold {len(history)} of the {steps} transform samples")
+        _check_samples(len(history), steps)
         yield history[:steps].reshape(steps, -1)
     if count != K:
         raise DimensionError(_SOURCE_COUNTS)
@@ -166,8 +168,11 @@ def assemble_system(
     `forward_lift` also takes, are written straight into the preallocated
     matrix. The right-hand side uses measured diagonal data only.
     """
-    u0, w0, num = _checked_inputs(u0, w0, inv_grid, data, data0, transform)
+    u0 = check_stack(inv_grid, u0, "field")
     K = len(u0)
+    num = _checked_records(K, data, data0, transform, u0.shape[1])
+    u0 = np.ascontiguousarray(u0[:, :num])  # a view when it holds just N
+    w0 = _histories(w0, inv_grid, K, num)
     group = K // len(transform)
     weights = inv_grid.node_weights.ravel()
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
@@ -233,54 +238,92 @@ def residual_norm(system: LSSystem, potential: Potential) -> float:
     return residual
 
 
+def _bands(fields, grid, K, steps):
+    """The bands (rows, u0, w0) of `fields`, each checked as it arrives:
+    its rows follow the last band's, and both arrays are (nx+1, |rows|, K,
+    N') with N' >= `steps`, of which it yields the first `steps` samples.
+    The rows must end on the grid's last one."""
+    height, width = grid.shape
+    covered = 0
+    for rows, u0, w0 in fields:
+        if rows.start != covered or not covered < rows.stop <= height:
+            raise DimensionError(
+                f"background band of rows {rows.start}:{rows.stop} does not follow rows "
+                f"0:{covered} of {height}"
+            )
+        covered = rows.stop
+        yield rows, *(_checked_band(band, name, rows, width, K, steps)
+                      for name, band in (("field", u0), ("antiderivative", w0)))
+        del u0, w0  # freed before the next band is evaluated
+    if covered != height:
+        raise DimensionError(f"background bands hold rows 0:{covered} of {height}")
+
+
+def _checked_band(band, name, rows, width, K, steps):
+    band = np.asarray(band, dtype=np.float64)
+    if band.ndim != 4 or band.shape[:2] != (width, rows.stop - rows.start):
+        raise DimensionError(
+            f"{name} band of rows {rows.start}:{rows.stop} has shape {band.shape}, "
+            f"expected ({width}, {rows.stop - rows.start}, K, N)"
+        )
+    if band.shape[2] != K:
+        raise DimensionError(_SOURCE_COUNTS)
+    _check_samples(band.shape[3], steps)
+    return band[..., :steps]
+
+
 def forward_lift(
-    fields: np.ndarray,
+    fields,
     transform: np.ndarray,
     q_est: Potential,
-    w0: Iterable[np.ndarray],
     data0: TransferData,
     measured: TransferData,
     grid: Grid2D,
 ) -> TransferData:
     """Predict off-diagonal transfer data from a potential estimate.
 
-    `fields` is the background stack u0, (K, N, ny+1, nx+1) on `grid`,
-    and `w0` an iterable of the K (N, ny+1, nx+1) histories of its
-    antiderivative there, read one source at a time; the internal fields
-    are u0 * T with T = `transform`, a (B, G steps, G steps) stack of
-    diagonal blocks in the source-major order of `rom.field_transform`.
-    Evaluates the forward integral on `grid` (the estimate is prolonged
-    there from its own nested grid, the same grid included) for every
-    pair i != j and writes the reciprocal mean of the (i, j) and (j, i)
-    entries, so the record is exactly symmetric; diagonals are copied
-    verbatim from the measured record. The output holds the `steps`
-    samples of T's fields.
+    `fields` is the background on `grid` in row bands: its length is the
+    source count K, and it yields (rows, u0, w0) for consecutive slices of
+    grid rows that cover the grid, u0 and w0 of shape (nx+1, |rows|, K,
+    N) holding node (y, x) at [x, y - rows.start], as
+    `wavesim.BackgroundBands` evaluates them; each band is read once. The
+    internal fields are u0 * T with T = `transform`, a (B, G steps, G
+    steps) stack of diagonal blocks in the source-major order of
+    `rom.field_transform`. Evaluates the forward integral on `grid` (the
+    estimate is prolonged there from its own nested grid, the same grid
+    included) for every pair i != j and writes the reciprocal mean of the
+    (i, j) and (j, i) entries, so the record is exactly symmetric;
+    diagonals are copied verbatim from the measured record. The output
+    holds the `steps` samples of T's fields.
 
-    One matrix product per source j, of its weighted history with all of
-    u0, gives its rows of the space integrals of the background,
+    The space integrals of the background,
     C0[j, a, (l, a')] = sum_c w0_j(a tau)[c] weight[c] q[c] u0_l(a' tau)[c]
-    over all `steps` samples a'; then
+    over all `steps` samples a', are summed band by band, one GEMM of the
+    band's weighted w0 with its u0 each; then
     C = C0 blockdiag(T), one batched product of each block with its G
     sources' columns of C0, holds those of the internal fields,
     C[j, a, i, b] = sum_c w0_j(a tau)[c] weight[c] q[c] u_i(b tau)[c].
     Entry (i, j) at time k tau subtracts tau times the trapezoid sum of
     C over a + b = k, the quadrature of `_trapezoid_rows`.
     """
-    fields, w0, steps = _checked_inputs(fields, w0, grid, measured, data0, transform)
+    K = len(fields)
+    steps = _checked_records(K, measured, data0, transform)
     data0.require_full()
-    K, tau = len(fields), measured.tau
+    tau = measured.tau
     size = K * steps
-    weighted_q = grid.node_weights.ravel() * prolong(q_est.values, q_est.grid, grid).ravel()
+    weighted_q = grid.node_weights * prolong(q_est.values, q_est.grid, grid)
 
-    # rows (j, a) and columns (l, a'), the row order of T: source j's rows
-    # are one GEMM of its weighted w0 history with all of u0
-    u0_flat = fields.reshape(size, -1)
-    gram0 = np.empty((size, size))
-    for j, history in enumerate(w0):
-        np.matmul(history * weighted_q, u0_flat.T, out=gram0[j * steps : (j + 1) * steps])
+    # rows (j, a) and columns (l, a'), the row order of T; C's memory takes
+    # each band's product until C0 is whole
+    gram0 = np.zeros((size, size))
+    gram = np.empty((K, steps, K, steps))
+    product = gram.reshape(size, size)
+    for rows, u0, w0 in _bands(fields, grid, K, steps):
+        w0 = (w0 * weighted_q[rows].T[..., None, None]).reshape(-1, size)
+        gram0 += np.matmul(w0.T, u0.reshape(-1, size), out=product)
+        del u0, w0  # freed before the next band is evaluated
     # block b's columns of C0 times T[b], written into C's same columns
     columns = lambda gram: gram.reshape(size, len(transform), -1).transpose(1, 0, 2)
-    gram = np.empty((K, steps, K, steps))
     np.matmul(columns(gram0), transform, out=columns(gram))
     # trapezoid endpoints (k, 0) and (0, k) of every anti-diagonal a + b = k
     gram[:, 0] *= 0.5

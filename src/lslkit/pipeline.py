@@ -16,17 +16,18 @@ mass matrix then halves it to floor((N-1)/2) + 1.
 
 A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
-source-major order of the (K, N, ...) background stacks, as the stack
-of its diagonal blocks that `lippmann` describes; the Born inversion is
-K identity blocks. Assembly and the lift both take the background
-stacks and T: assembly on the inversion grid (injection commutes with
-T), the lift on the simulation grid, and neither copies a stack. Every
-step evaluates the closed form (`wavesim.background_stacks`) on the
-grid it reads, over the N samples its T reads: it holds the u0 stack
-and evaluates w0 one source at a time as it reads it. It drops u0 when
-it returns, and an inversion frees it before its TSVD. A context holds
-F0 and no stack, so nothing outlives its step, and `stages` makes
-exactly the calls of chaining the steps by hand.
+source-major order of the (K, N, ...) background, as the stack of its
+diagonal blocks that `lippmann` describes; the Born inversion is K
+identity blocks. Assembly and the lift both take the background and T:
+assembly on the inversion grid (injection commutes with T), the lift on
+the simulation grid. Every step evaluates the closed form on the grid
+it reads, over the N samples its T reads. An inversion evaluates
+`wavesim.background_stacks`: it holds the u0 stack, evaluates w0 one
+source at a time as it reads it, and frees u0 before its TSVD. A lift
+passes `wavesim.BackgroundBands`, which it evaluates one band of rows
+at a time, so no simulation-grid stack exists. A context holds F0 and
+no stack, so nothing outlives its step, and `stages` makes exactly the
+calls of chaining the steps by hand.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .rom import (
     halved_length,
     regularize_spd,
 )
-from .wavesim import SolverSettings, background_stacks
+from .wavesim import BackgroundBands, SolverSettings, background_stacks
 
 
 @dataclass(frozen=True)
@@ -172,17 +173,16 @@ def _factor(mass: np.ndarray) -> np.ndarray:
     return cholesky_upper(matrix)
 
 
-def _stacks(ctx: PipelineContext, grid: Grid2D, transform: np.ndarray):
-    """u0 and w0 on `grid` from the closed form, over the samples T = `transform`
-    reads: the u0 stack, and w0 as an iterator over its per-source histories."""
-    axis = TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
-    return background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, grid)
+def _samples(ctx: PipelineContext, transform: np.ndarray) -> TimeAxis:
+    """The time axis of the samples T = `transform` reads."""
+    return TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
 
 
 def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
     """TSVD fit of the measured diagonal of `data` at `ctx.tsvd` with the fields
     u0 * T, clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
-    u0, w0 = _stacks(ctx, ctx.inv_grid, transform)
+    axis = _samples(ctx, transform)
+    u0, w0 = background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, ctx.inv_grid)
     system = assemble_system(w0, u0, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
     del u0, w0  # freed before the TSVD
     q_est = solve_tsvd(system)
@@ -207,8 +207,8 @@ def run_lift_step(
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T, T the
     ROM transform of `data`, whose measured diagonal the record copies."""
-    u0, w0 = _stacks(ctx, ctx.sim_grid, transform)
-    return forward_lift(u0, transform, potential, w0, ctx.background, data, ctx.sim_grid)
+    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings)
+    return forward_lift(bands, transform, potential, ctx.background, data, ctx.sim_grid)
 
 
 def stages(

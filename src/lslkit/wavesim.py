@@ -41,14 +41,17 @@ states g_hat cos(k p theta) for the background under the Parseval
 weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
-float64 array. `simulate_background` returns F0, and `background_stacks`
-evaluates the background over the N samples a step reads, on the grid
-it reads: the simulation grid, or the inversion grid nested in it at
-ratio r, which takes rows ::r of Cy and columns ::r of Cx^T and
-allocates no fine history. u0 is a source-major, read-only (K, N,
-ny+1, nx+1) stack; w0 is handed out one source at a time, each (N,
-ny+1, nx+1) history evaluated when the step asks for it, so a step
-holds u0 and one source of w0.
+float64 array. `simulate_background` returns F0, and the background
+over the N samples a step reads comes in the form that step reads.
+An inversion reads `background_stacks` on its inversion grid, nested in
+the simulation grid at ratio r, which takes rows ::r of Cy and columns
+::r of Cx^T and allocates no fine history: u0 is a source-major,
+read-only (K, N, ny+1, nx+1) stack, and w0 is handed out one source at a
+time, each (N, ny+1, nx+1) history evaluated when the step asks for it,
+so an inversion holds u0 and one source of w0. The lift reads every
+simulation-grid node once, so `BackgroundBands` evaluates u0 and w0
+there one band of rows at a time, and no simulation-grid stack exists.
+Both take their modal coefficients from `_coefficients`.
 """
 
 from __future__ import annotations
@@ -280,6 +283,24 @@ def _spectra(grid: Grid2D, sources: SourceSet):
     return cy, cx, np.stack([cy @ sources.field(grid, i) @ cx.T for i in range(sources.count)])
 
 
+def _coefficients(dt, lam, theta, steps):
+    """The closed form's modal coefficients, laid out as `theta` broadcast
+    against the fine step counts `steps` (`lam` as `theta`): first
+    cos(k p theta) for u0, then, in the same memory once the consumer has
+    read that, the w0 growth factor sin(k p theta) / sin(theta) (dt -
+    dt^3 lambda / 6) of the leapfrog from the antiderivative start."""
+    phase = theta * steps
+    yield np.cos(phase)
+    # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
+    sin_theta = np.sin(theta)
+    constant = sin_theta == 0.0
+    growth = np.sin(phase, out=phase)  # phase is spent
+    growth /= np.where(constant, 1.0, sin_theta)
+    np.copyto(growth, steps, where=constant)
+    growth *= dt - (dt**3 / 6.0) * lam
+    yield growth
+
+
 def background_stacks(
     grid: Grid2D,
     sources: SourceSet,
@@ -296,12 +317,10 @@ def background_stacks(
     of it at a time.
 
     Source i's samples are the inverse transforms Cy @ (c_k g_hat) @
-    Cx^T / (4 nx ny) of the mode-wise coefficients c_k: cos(k p theta)
-    for u0, and sin(k p theta) / sin(theta) (dt - dt^3 lambda / 6) for
-    w0, the leapfrog from the antiderivative start. On `stack_grid` a
-    sample is rows ::r of Cy times c_k g_hat, times columns ::r of Cx^T,
-    one GEMM pair per sample, so its first N samples are bitwise the
-    evaluation over `TimeAxis(tau, N)`.
+    Cx^T / (4 nx ny) of the mode-wise coefficients c_k (`_coefficients`).
+    On `stack_grid` a sample is rows ::r of Cy times c_k g_hat, times
+    columns ::r of Cx^T, one GEMM pair per sample, so its first N samples
+    are bitwise the evaluation over `TimeAxis(tau, N)`.
     """
     ratio = refinement_ratio(grid, stack_grid)  # nested, or refused before any work
     dt, lam, theta, steps = _modes(grid, axis, settings)
@@ -310,27 +329,67 @@ def background_stacks(
     # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
     columns = np.ascontiguousarray(cx[::ratio].T)
     norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
-    phase = np.multiply.outer(steps, theta)
-    modal = np.empty(phase.shape)
+    coefficients = _coefficients(dt, lam, theta, steps[:, None, None])
+    modal = np.empty((axis.n,) + grid.shape)
 
-    def history(coefficients, g_hat, out=None):
-        np.multiply(coefficients, g_hat, out=modal)
+    def history(c, g_hat, out=None):
+        np.multiply(c, g_hat, out=modal)
         return np.divide((rows @ modal) @ columns, norm, out=out)
 
-    cosine = np.cos(phase)
+    cosine = next(coefficients)
     fields = np.empty((sources.count, axis.n) + stack_grid.shape)
     for i, g_hat in enumerate(spectra):
         history(cosine, g_hat, out=fields[i])
     fields.setflags(write=False)
     del cosine
-    # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0
-    sin_theta = np.sin(theta)
-    constant = sin_theta == 0.0
-    growth = np.sin(phase, out=phase)  # phase is spent
-    growth /= np.where(constant, 1.0, sin_theta)
-    growth[:, constant] = steps[:, None]
-    growth *= dt - (dt**3 / 6.0) * lam
+    growth = next(coefficients)
     return fields, (history(growth, g_hat) for g_hat in spectra)
+
+
+#: bytes of one array of a band `BackgroundBands` yields; a band holds at least one row
+BAND_BYTES = 3 * 2**20
+
+
+@dataclass(frozen=True)
+class BackgroundBands:
+    """u0 and w0 on the simulation grid `grid` over the samples of `axis`,
+    evaluated band by band of grid rows as the consumer iterates, so no
+    (K, N, ny+1, nx+1) stack exists. Its length is the source count K.
+
+    Each band is (rows, u0, w0): a slice of grid rows and two arrays of
+    shape (nx+1, |rows|, K, N), node (y, x) of the band at [x, y -
+    rows.start], and each holds at most `BAND_BYTES`, or one row. A band
+    is the closed form of `background_stacks` with the y transform done
+    first: A[a, (r, i), b] = Cy[r, b] g_hat_i[b, a] holds all K sources,
+    one batched product over the nx+1 x modes gives Y = A @ c for the
+    coefficients c laid out (nx+1, ny+1, N) with 1 / (4 nx ny) folded in,
+    and one GEMM Cx @ Y gives the band, already node-major.
+    """
+
+    grid: Grid2D
+    sources: SourceSet
+    axis: TimeAxis
+    settings: SolverSettings
+
+    def __len__(self) -> int:
+        return self.sources.count
+
+    def __iter__(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        grid, K, N = self.grid, self.sources.count, self.axis.n
+        dt, lam, theta, steps = _modes(grid, self.axis, self.settings)
+        cy, cx, spectra = _spectra(grid, self.sources)
+        norm = 4.0 * grid.nx * grid.ny
+        coefficients = list(_coefficients(dt, lam.T[..., None], theta.T[..., None], steps))
+        for c in coefficients:
+            c /= norm
+        g_hat = np.ascontiguousarray(spectra.transpose(2, 0, 1))  # [a, i, b]
+        height, width = grid.ny + 1, grid.nx + 1
+        size = max(1, BAND_BYTES // (8 * width * K * max(N, height)))
+        for start in range(0, height, size):
+            rows = slice(start, min(start + size, height))
+            mixed = (g_hat[:, None] * cy[rows, None, :]).reshape(width, -1, height)
+            yield rows, *[(cx @ (mixed @ c).reshape(width, -1)).reshape(width, -1, K, N)
+                          for c in coefficients]
 
 
 def simulate_background(

@@ -2,8 +2,9 @@
 
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the whole
-background on the simulation grid, the closed-form stacks built from
-whole fine histories and then injected, the background record read off a
+background on the simulation grid, the lift's row bands cut from whole
+stacks, the closed-form stacks built from whole fine histories and then
+injected, the background record read off a
 fine u0 stack, the direct snapshot Gram matrix, the
 trapezoid time convolution by FFT, the internal fields u0 * T
 materialized as a stack, the dense matrix of a block-stack T and the
@@ -66,6 +67,26 @@ def whole_stacks(stacks):
     iterate as they iterate the histories."""
     fields, antiderivatives = stacks
     return fields, np.stack(list(antiderivatives))
+
+
+class StackBands:
+    """Row bands cut from whole (K, N, ny+1, nx+1) u0 and w0 stacks, as
+    `lippmann.forward_lift` reads the background: its length is K, and it
+    yields (rows, u0, w0) for `size` rows at a time (the last band may
+    hold fewer), u0 and w0 as (nx+1, |rows|, K, N) views of the stacks."""
+
+    def __init__(self, fields, antiderivatives, size=8):
+        self.fields, self.antiderivatives, self.size = fields, antiderivatives, size
+
+    def __len__(self):
+        return len(self.fields)
+
+    def __iter__(self):
+        height = self.fields.shape[2]
+        for start in range(0, height, self.size):
+            rows = slice(start, min(start + self.size, height))
+            yield rows, *(stack[:, :, rows].transpose(3, 2, 0, 1)
+                          for stack in (self.fields, self.antiderivatives))
 
 
 def background(grid, sources, axis, settings):

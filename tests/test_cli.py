@@ -137,18 +137,23 @@ class TestSurface:
 
     def test_second_round_evaluates_only_its_samples(self, tmp_path, config_path, monkeypatch):
         # round two's T reads halved_length(n) samples per field, and so do
-        # the stacks that its inversion and its lift evaluate; `pipeline`
-        # evaluates exactly the stacks of the chain, step for step
+        # the stacks its inversion evaluates and the bands of its lift;
+        # `pipeline` evaluates exactly the background of the chain, step for step
         pipe_dir, chain_dir = tmp_path / "pipe", tmp_path / "chain"
         calls = []
-        evaluate = lslkit.pipeline.background_stacks
+        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
 
         def recording_stacks(sim_grid, sources, axis, settings, grid):
             stacks = whole_stacks(evaluate(sim_grid, sources, axis, settings, grid))
             calls.append((tuple(stack.shape for stack in stacks), axis.n))
             return stacks
 
+        def recording_bands(grid, sources, axis, settings):
+            calls.append(("bands", axis.n))
+            return bands(grid, sources, axis, settings)
+
         monkeypatch.setattr(lslkit.pipeline, "background_stacks", recording_stacks)
+        monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", recording_bands)
         assert run("pipeline", "--config", config_path, "--iterations", 2,
                    "--out", pipe_dir) == 0
         piped = calls.copy()
@@ -492,13 +497,18 @@ class TestExitCodes:
     def test_lift_loads_its_inputs_before_any_stack(self, tmp_path, config_path, monkeypatch):
         assert run("simulate", "--config", config_path) == 0
         built = []
-        evaluate = lslkit.pipeline.background_stacks
+        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
 
         def counting_stacks(*args, **kwargs):
             built.append(inspect.signature(evaluate).bind(*args, **kwargs).arguments["stack_grid"])
             return evaluate(*args, **kwargs)
 
+        def counting_bands(grid, *args):
+            built.append(grid)
+            return bands(grid, *args)
+
         monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
+        monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", counting_bands)
         assert run("lift", "--config", config_path, "--q", tmp_path / "missing.lslf") == 4
         assert built == []
         assert run("invert", "--method", "lsl", "--config", config_path) == 0
@@ -515,14 +525,24 @@ class TestExitCodes:
     )
     def test_bad_histories_exit_2_before_any_output(self, tmp_path, config_path, capsys,
                                                     monkeypatch, case, message):
-        # w0 reaches assembly and the lift one source at a time; a history
-        # too few or too many, on another grid or short of T's samples
-        # ends the step with exit 2 and writes nothing
+        # w0 reaches assembly one source at a time and the lift in row
+        # bands; histories or a band's sources too few or too many, on
+        # another grid or short of T's samples end the step with exit 2 and
+        # write nothing. A band names itself where it is off the grid
         out = tmp_path / "out"
         common = ("--config", config_path)
         assert run("simulate", *common) == 0
         assert run("invert", "--method", "lsl", *common, "--q-out", tmp_path / "q.lslf") == 0
         evaluate = lslkit.pipeline.background_stacks
+        bad_band = {"fewer": lambda w0: w0[:, :, :-1],
+                    "more": lambda w0: np.concatenate([w0, w0[:, :, :1]], axis=2),
+                    "grid": lambda w0: w0[::2],
+                    "samples": lambda w0: w0[..., :-1]}[case]
+
+        class BadBands(lslkit.pipeline.BackgroundBands):
+            def __iter__(self):
+                for rows, u0, w0 in super().__iter__():
+                    yield rows, u0, bad_band(w0)
 
         def bad_stacks(*args):
             u0, w0 = evaluate(*args)
@@ -538,11 +558,15 @@ class TestExitCodes:
             return u0, iter(histories)
 
         monkeypatch.setattr(lslkit.pipeline, "background_stacks", bad_stacks)
+        monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", BadBands)
         capsys.readouterr()
         assert run("invert", "--method", "lsl", *common) == 2
         assert run("lift", *common, "--q", tmp_path / "q.lslf") == 2
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 2 and all(line.startswith(f"error: {message}") for line in errors)
+        lift_message = "antiderivative band of rows 0:" if case == "grid" else message
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error: {message}")
+        assert errors[1].startswith(f"error: {lift_message}")
         assert not (out / "q_siso.lslf").exists()
         assert not (out / "lifted.lslt").exists()
 
@@ -695,13 +719,16 @@ class TestBackgroundLifetime:
         [beside] = self.traced_fits(tmp_path, monkeypatch, "invert", "--method", method)
         assert beside < 0.5, f"{beside:.2f} S beside the system"
 
-    def test_lift_holds_one_simulation_grid_stack(self, tmp_path):
-        # here S is one (K, n) stack on box's simulation grid, 30.2 MiB. The
-        # lift holds u0 (S) and, one source at a time, its w0 history, the
-        # weighted copy and the evaluator's (n, modes) arrays (S / K each);
-        # a whole w0 stack would add another S
+    def simulation_grid_stack(self):
         cfg = parse_config(self.CONFIG)
-        stack = cfg.source_count * cfg.n * cfg.sim_grid().num_nodes * 8
+        return cfg.source_count * cfg.n * cfg.sim_grid().num_nodes * 8
+
+    def test_lift_holds_no_simulation_grid_stack(self, tmp_path):
+        # here S is one (K, n) stack on box's simulation grid, 30.2 MiB. The
+        # lift evaluates u0 and w0 in row bands of at most
+        # `wavesim.BAND_BYTES` each (0.1 S) and holds C0 and C (0.3 S
+        # together), the closed form's two (n, modes) coefficient arrays
+        # (2 S / K) and a few bands; a whole u0 or w0 stack would add S
         common = ("--config", self.CONFIG, "--seed", 1, "--out", tmp_path)
         assert run("simulate", *common) == 0
         assert run("invert", "--method", "lsl", *common) == 0
@@ -712,11 +739,35 @@ class TestBackgroundLifetime:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - start) / stack < 2.0, f"traced peak {(peak - start) / stack:.2f} S"
+        held = (peak - start) / self.simulation_grid_stack()
+        assert held < 1.0, f"traced peak {held:.2f} S"
+
+    def test_pipeline_lift_holds_no_simulation_grid_stack(self, tmp_path, monkeypatch):
+        # the same bound on what the lift inside `pipeline` adds to the
+        # traced memory it starts with
+        seen = []
+        lift = lslkit.pipeline.run_lift_step
+
+        def measured_lift(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lifted = lift(*args)
+            seen.append(tracemalloc.get_traced_memory()[1] - start)
+            return lifted
+
+        monkeypatch.setattr(lslkit.pipeline, "run_lift_step", measured_lift)
+        tracemalloc.start()
+        try:
+            assert run("pipeline", "--config", self.CONFIG, "--seed", 1, "--out", tmp_path) == 0
+        finally:
+            tracemalloc.stop()
+        [added] = seen
+        held = added / self.simulation_grid_stack()
+        assert held < 1.0, f"traced peak {held:.2f} S"
 
     def test_pipeline_holds_no_stack_through_any_tsvd(self, tmp_path, monkeypatch):
         # every fit finds only small records beside its system: the lift's
-        # simulation-grid u0 and w0 (7.8 S) are freed when it returns
+        # bands and C0 are freed when it returns
         siso, mimo = self.traced_fits(tmp_path, monkeypatch, "pipeline")
         assert siso < 0.5, f"{siso:.2f} S beside the SISO system"
         assert mimo < 0.5, f"{mimo:.2f} S beside the MIMO system"
@@ -843,7 +894,7 @@ class TestTracerContract:
         out = tmp_path / "out"
         common = ("--config", config_path)
         assert lslkit.cli.main([str(a) for a in ("pipeline", *common)]) == 0
-        # the stacks `pipeline.stages` holds are built under a span of their own
+        # the stacks every inversion evaluates are built under a span of their own
         assert "wavesim.background_stacks" in {span["name"] for span in tracer.spans}
         for argv in (("invert", "--method", "born", *common),
                      ("lift", *common),

@@ -26,8 +26,9 @@ from lslkit.lippmann import (
     solve_tsvd,
 )
 from lslkit.rom import field_transform
-from lslkit.wavesim import SolverSettings, background_stacks, simulate_transfer
+from lslkit.wavesim import BackgroundBands, SolverSettings, background_stacks, simulate_transfer
 from reference import (
+    StackBands,
     apply_transform,
     background,
     convolution_rows,
@@ -399,7 +400,9 @@ class TestForwardLift:
         fields, kernels = rng.standard_normal(shape), rng.standard_normal(shape)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
         identity = identity_blocks(sources.count, axis.n)
-        lifted = forward_lift(fields, identity, q_est, kernels, bg.data, data, grid)
+        # 31 grid rows: two full bands of 13 and a partial one of 5
+        bands = StackBands(fields, kernels, size=13)
+        lifted = forward_lift(bands, identity, q_est, bg.data, data, grid)
         assert lifted.num_samples == axis.n
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
@@ -436,7 +439,8 @@ class TestForwardLift:
             transform = rng.standard_normal((1, K * steps, K * steps)) / np.sqrt(K * steps)
             fields = apply_transform(transform[0], background)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        lifted = forward_lift(background, transform, q_est, kernels, bg.data, data, grid)
+        bands = StackBands(background, kernels)
+        lifted = forward_lift(bands, transform, q_est, bg.data, data, grid)
         assert_per_pair_lift(lifted, fields, kernels, q_est, bg.data, grid)
 
     def test_transform_must_fit_sources(self):
@@ -452,20 +456,20 @@ class TestForwardLift:
             identity_blocks(K, 11),  # more samples than the stacks hold
         ):
             with pytest.raises(DimensionError):
-                forward_lift(bg.fields, transform, zero, w0, bg.data, data, grid)
-        # both stacks must live on the fine grid passed with them
+                forward_lift(StackBands(bg.fields, w0), transform, zero, bg.data, data, grid)
+        # both bands must live on the fine grid passed with them
         identity = identity_blocks(K, n)
         coarse_w0, coarse_u0 = on_inversion_grid(bg)
         for u0, kernels in ((coarse_u0, w0), (bg.fields, coarse_w0)):
-            with pytest.raises(DimensionError, match="stack has shape"):
-                forward_lift(u0, identity, zero, kernels, bg.data, data, grid)
+            with pytest.raises(DimensionError, match="band of rows 0:8 has shape"):
+                forward_lift(StackBands(u0, kernels), identity, zero, bg.data, data, grid)
 
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = zero_potential(inv_grid)
         identity = identity_blocks(sources.count, axis.n)
         lifted = forward_lift(
-            bg.fields, identity, zero, bg.antiderivatives, bg.data, data, grid
+            StackBands(bg.fields, bg.antiderivatives), identity, zero, bg.data, data, grid
         )
         # the reciprocal mean of the background record, bit for bit
         K = sources.count
@@ -484,7 +488,7 @@ class TestForwardLift:
         size = sources.count * axis.n
         transform = np.random.default_rng(14).standard_normal((1, size, size)) / np.sqrt(size)
         lifted = forward_lift(
-            bg.fields, transform, q_est, bg.antiderivatives, bg.data, data, grid
+            StackBands(bg.fields, bg.antiderivatives), transform, q_est, bg.data, data, grid
         )
         assert lifted.reciprocity_defect() == 0.0
         for i in range(sources.count):
@@ -502,7 +506,7 @@ class TestForwardLift:
         )  # inversion grid = field grid here
         q_vals = potential.values
         lifted = forward_lift(
-            fields, identity, potential, bg.antiderivatives, bg.data, data, grid
+            StackBands(fields, bg.antiderivatives), identity, potential, bg.data, data, grid
         )
         K, n = sources.count, axis.n
         for j in range(K):
@@ -528,7 +532,7 @@ class TestForwardLift:
         combo = Potential(inv_grid, 2.0 * np.asarray(q1.values) - 0.5 * np.asarray(q2.values))
         identity = identity_blocks(sources.count, axis.n)
         lift = lambda q: forward_lift(
-            bg.fields, identity, q, bg.antiderivatives, bg.data, data, grid
+            StackBands(bg.fields, bg.antiderivatives), identity, q, bg.data, data, grid
         )
         r1 = bg.data.values[:, :, : axis.n] - lift(q1).values
         r2 = bg.data.values[:, :, : axis.n] - lift(q2).values
@@ -547,10 +551,9 @@ class TestForwardLift:
             for i in range(ctx.sources.count)
         ])
         lifted = forward_lift(
-            true_fields,
+            StackBands(true_fields, two_target_run.background.antiderivatives),
             identity_blocks(ctx.sources.count, n),
             two_target_run.q_true,
-            two_target_run.background.antiderivatives,
             ctx.background,
             two_target_run.measured,
             ctx.sim_grid,
@@ -585,7 +588,7 @@ class TestForwardLift:
             q_est = Potential(inv_grid, restrict(values, grid, inv_grid))
             identity = identity_blocks(K, n)
             lifted = forward_lift(
-                fields, identity, q_est, bg.antiderivatives, bg.data, data, grid
+                StackBands(fields, bg.antiderivatives), identity, q_est, bg.data, data, grid
             )
             off = ~np.eye(K, dtype=bool)
             truth = mimo.values[off][:, :n]
@@ -596,10 +599,9 @@ class TestForwardLift:
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         with pytest.raises(PreconditionError):
             forward_lift(
-                bg.fields,
+                StackBands(bg.fields, bg.antiderivatives),
                 identity_blocks(sources.count, axis.n),
                 zero_potential(inv_grid),
-                bg.antiderivatives,
                 data,  # diagonal-only record cannot provide off-diagonal reference
                 data,
                 grid,
@@ -612,9 +614,10 @@ def replaced_history(w0, j, history):
 
 
 class TestPerSourceHistories:
-    """Both directions read w0 one source at a time: the evaluator's
-    per-source iterator and the whole (K, N, ...) stack give bitwise the
-    same system and the same lifted record."""
+    """Assembly reads w0 one source at a time and the lift reads the
+    background in row bands: the evaluator's per-source iterator gives
+    bitwise the system of the whole (K, N, ...) stack, and its bands give
+    the lifted record of the whole stacks' bands to roundoff."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -637,20 +640,36 @@ class TestPerSourceHistories:
 
     def test_lift(self, setup):
         grid, _, sources, axis, settings, data, bg, transform, q_est = setup
-        u0, histories = background_stacks(grid, sources, axis, settings, grid)
-        assert np.array_equal(u0, bg.fields)
-        records = [forward_lift(u0, transform, q_est, kernels, bg.data, data, grid)
-                   for kernels in (histories, bg.antiderivatives)]
-        assert np.array_equal(records[0].values, records[1].values)
+        records = [forward_lift(bands, transform, q_est, bg.data, data, grid)
+                   for bands in (BackgroundBands(grid, sources, axis, settings),
+                                 StackBands(bg.fields, bg.antiderivatives))]
+        integral = bg.data.values[:, :, : axis.n] - records[1].values
+        assert np.abs(records[0].values - records[1].values).max() <= (
+            1e-13 * np.abs(integral).max())
         assert np.array_equal(records[0].mask, records[1].mask)
 
 
+class ChangedBands(StackBands):
+    """`StackBands` of 8 rows with `change` applied to band 1's w0."""
+
+    def __init__(self, fields, antiderivatives, change):
+        super().__init__(fields, antiderivatives)
+        self.change = change
+
+    def __iter__(self):
+        for index, (rows, u0, w0) in enumerate(super().__iter__()):
+            yield rows, u0, self.change(w0) if index == 1 else w0
+
+
 class TestSharedInputChecks:
-    """Assembly and the lift refuse the same bad inputs with the same
-    messages: both directions run one check of the u0 stack, the source
-    counts, the measured diagonal, the sample interval, the available
-    samples and T, in that order, and then check each w0 history as they
-    read it (its grid and its samples) and the number of histories."""
+    """Assembly and the lift refuse the same bad inputs: both directions run
+    one check of the source counts, the measured diagonal, the sample
+    interval, the available samples and T. Assembly checks its u0 stack
+    first and each w0 history as it reads it (its grid and its samples)
+    and then the number of histories; the lift, which reads the background
+    in row bands, checks each band as it reads it (its rows, its grid, its
+    sources and its samples). Where a fault reads differently in a band,
+    the lift names the band."""
 
     @pytest.fixture(scope="class")
     def inputs(self):
@@ -664,9 +683,9 @@ class TestSharedInputChecks:
         return assemble_system(w0, fields, transform, measured, data0, grid, 1e-2)
 
     @staticmethod
-    def lift(fields, w0, grid, measured, data0, transform):
-        zero = zero_potential(grid)
-        return forward_lift(fields, transform, zero, w0, data0, measured, grid)
+    def lift(fields, w0, grid, measured, data0, transform, change=lambda band: band):
+        bands = ChangedBands(fields, np.stack(list(w0)), change)
+        return forward_lift(bands, transform, zero_potential(grid), data0, measured, grid)
 
     CASES = {
         # both stacks off the grid: the field stack is checked first
@@ -702,10 +721,28 @@ class TestSharedInputChecks:
                           "transform of shape (40, 40) does not fit 4 sources"),
     }
 
+    # the lift's form of a fault where it differs: a stack off the grid is
+    # refused at its first band, and since the sources of a band share one
+    # shape, a fault of one source's history is one of band 1's w0 there
+    LIFT_CASES = {
+        "stack_shape": (None, "field band of rows 0:8 has shape (31, 8, 4, 10), "
+                        "expected (61, 8, K, N)"),
+        "antiderivative_shape": (None, "antiderivative band of rows 0:8 has shape "
+                                 "(31, 8, 4, 10), expected (61, 8, K, N)"),
+        "history_grid": (lambda d: dict(change=lambda w0: w0[:, ::2]),
+                         "antiderivative band of rows 8:16 has shape (61, 4, 4, 10), "
+                         "expected (61, 8, K, N)"),
+        "history_samples": (lambda d: dict(change=lambda w0: w0[..., :9]),
+                            "inputs hold 9 of the 10 transform samples"),
+    }
+
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("direction", ["assemble", "lift"])
     def test_same_refusal(self, inputs, direction, case):
         change, error, message = self.CASES[case]
+        if direction == "lift" and case in self.LIFT_CASES:
+            band_change, message = self.LIFT_CASES[case]
+            change = band_change or change
         with pytest.raises(error) as refused:
             getattr(self, direction)(**{**inputs, **change(inputs)})
         assert str(refused.value) == message

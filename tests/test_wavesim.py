@@ -14,6 +14,7 @@ from lslkit.errors import ConfigurationError, DomainError
 from lslkit.rom import halved_length
 from lslkit.wavesim import (
     CFL_SAFETY,
+    BackgroundBands,
     SolverSettings,
     _dct1_matrix,
     _leapfrog,
@@ -346,6 +347,56 @@ class TestNestedBackground:
         assert all(s.shape == (cfg.source_count, cfg.n) + inv_grid.shape for s in stacks)
         assert peak < 5.0 * stack, f"traced peak {peak / stack:.2f} S"
         assert held <= 2.1 * stack, f"held {held / stack:.2f} S"
+
+
+class TestBackgroundBands:
+    """The lift's row bands against `background_stacks`' u0 and stacked w0
+    on the simulation grid, whatever the budget cuts the rows into."""
+
+    @staticmethod
+    def banded_stacks(bands, grid):
+        """The bands put back into (K, N, ny+1, nx+1) stacks, and each band's row count."""
+        shape = (len(bands), bands.axis.n) + grid.shape
+        fields, antiderivatives = np.full(shape, np.nan), np.full(shape, np.nan)
+        sizes = []
+        for rows, u0, w0 in bands:
+            sizes.append(rows.stop - rows.start)
+            fields[:, :, rows] = u0.transpose(2, 3, 1, 0)
+            antiderivatives[:, :, rows] = w0.transpose(2, 3, 1, 0)
+        return fields, antiderivatives, sizes
+
+    @staticmethod
+    def flat():
+        # three rows of nodes: ny = 2
+        grid = Grid2D(16, 2, 1.0, 0.9)
+        sources = SourceSet(np.column_stack([[4.0, 8.5, 12.0], [1.0, 0.5, 1.2]]), 1.5)
+        return grid, sources, TimeAxis(1.0, 6), SolverSettings(substeps=3)
+
+    @staticmethod
+    def desk():
+        cfg = parse_config(bundled_config_path("two_targets"))
+        return cfg.sim_grid(), cfg.sources(), cfg.axis(), cfg.settings()
+
+    @pytest.mark.parametrize("shape, rows, sizes", [
+        ("desk", 0.5, [1] * 51),  # a budget below one row still takes one
+        ("desk", 1, [1] * 51),
+        ("desk", 4, [4] * 12 + [3]),  # a partial last band
+        ("desk", 60, [51]),  # a budget above the grid: one band
+        ("flat", 1, [1, 1, 1]),
+        ("flat", 2, [2, 1]),
+        ("flat", 4, [3]),
+    ])
+    def test_bands_match_the_stacks(self, monkeypatch, shape, rows, sizes):
+        grid, sources, axis, settings = getattr(self, shape)()
+        row_bytes = 8 * (grid.nx + 1) * sources.count * max(axis.n, grid.ny + 1)
+        monkeypatch.setattr(lk.wavesim, "BAND_BYTES", int(rows * row_bytes))
+        bands = BackgroundBands(grid, sources, axis, settings)
+        assert len(bands) == sources.count
+        *banded, band_rows = self.banded_stacks(bands, grid)
+        assert band_rows == sizes
+        stacks = whole_stacks(background_stacks(grid, sources, axis, settings, grid))
+        for band, stack in zip(banded, stacks):
+            assert np.abs(band - stack).max() <= 1e-14 * np.abs(stack).max()
 
 
 class TestTransfer:
