@@ -198,9 +198,11 @@ class ExperimentConfig:
                 f"sources.depth {self.source_depth} must lie within 3*sigma "
                 f"({3.0 * self.source_sigma}) of the acquisition boundary"
             )
-        xs = self.source_xs()
-        if xs.min() < 0.0 or xs.max() > self.width:
-            raise ConfigurationError("sources.first_x/last_x fall outside the domain")
+        for key, x in zip(("sources.first_x", "sources.last_x"), self.source_xs()[[0, -1]]):
+            if not 0.0 <= x <= self.width:
+                raise ConfigurationError(
+                    f"{key} {x} must be in [0, domain.width] = [0, {self.width}]"
+                )
         length = self.n
         for _ in range(self.iterations):
             length = halved_length(length)

@@ -7,7 +7,7 @@ product the mirror-image Neumann Laplacian is self-adjoint, which every
 data-to-mass-matrix identity downstream relies on.
 
 Fields are dense float64 arrays of shape (ny+1, nx+1), indexed [iy, ix],
-node (ix, iy) sitting at origin + (ix*hx, iy*hy). A wavefield history
+node (ix, iy) sitting at (ix*hx, iy*hy). A wavefield history
 is a plain (K, N, ny+1, nx+1) snapshot stack (see `wavesim`): it carries
 no grid, so each consumer takes the grid it lives on and checks the
 trailing shape with `check_stack`. The containers below freeze their
@@ -42,7 +42,6 @@ class Grid2D:
     ny: int
     hx: float
     hy: float
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -51,8 +50,6 @@ class Grid2D:
             )
         if not (0.0 < self.hx < np.inf and 0.0 < self.hy < np.inf):
             raise ConfigurationError("grid spacing must be positive and finite")
-        if not np.isfinite(self.origin).all():
-            raise ConfigurationError("grid origin must be finite")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,10 +61,10 @@ class Grid2D:
         return (self.nx + 1) * (self.ny + 1)
 
     def xs(self) -> np.ndarray:
-        return self.origin[0] + self.hx * np.arange(self.nx + 1)
+        return self.hx * np.arange(self.nx + 1)
 
     def ys(self) -> np.ndarray:
-        return self.origin[1] + self.hy * np.arange(self.ny + 1)
+        return self.hy * np.arange(self.ny + 1)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.xs(), self.ys())
@@ -89,9 +86,7 @@ class Grid2D:
             raise ConfigurationError(
                 f"cell counts {self.nx}x{self.ny} not divisible by ratio {ratio}"
             )
-        return Grid2D(
-            self.nx // ratio, self.ny // ratio, self.hx * ratio, self.hy * ratio, self.origin
-        )
+        return Grid2D(self.nx // ratio, self.ny // ratio, self.hx * ratio, self.hy * ratio)
 
 
 def refinement_ratio(fine: Grid2D, coarse: Grid2D) -> int:
@@ -103,8 +98,6 @@ def refinement_ratio(fine: Grid2D, coarse: Grid2D) -> int:
         and fine.ny == ratio * coarse.ny
         and abs(coarse.hx - ratio * fine.hx) <= 1e-12 * coarse.hx
         and abs(coarse.hy - ratio * fine.hy) <= 1e-12 * coarse.hy
-        and abs(fine.origin[0] - coarse.origin[0]) <= 1e-9 * max(fine.hx, 1.0)
-        and abs(fine.origin[1] - coarse.origin[1]) <= 1e-9 * max(fine.hy, 1.0)
     )
     if not ok:
         raise ConfigurationError(
@@ -308,14 +301,3 @@ class TransferData:
     def require_full(self) -> None:
         if not self.is_full:
             raise PreconditionError("transfer data has absent entries")
-
-    def reciprocity_defect(self) -> float:
-        """Max |F_ij - F_ji| over present pairs, relative to the data scale."""
-        present = np.asarray(self.mask) != MaskState.ABSENT
-        both = present & present.T
-        if not both.any():
-            return 0.0
-        diff = np.abs(self.values - self.values.transpose(1, 0, 2))
-        diff = diff[both].max()
-        scale = np.abs(self.values[present]).max()
-        return float(diff / scale) if scale > 0 else float(diff)

@@ -4,7 +4,8 @@ LSLF (single field), little endian:
     magic "LSLF" | u32 version=1 | u64 samples_x | u64 samples_y |
     f64 origin_x, origin_y, spacing_x, spacing_y |
     f64 values, row major, rows of constant y from the origin upward
-    (56 header bytes + 8 * samples_x * samples_y)
+    (56 header bytes + 8 * samples_x * samples_y); the origin slots
+    always hold 0.0, as every grid starts at (0, 0)
 
 LSLT (transfer record), little endian:
     magic "LSLT" | u32 version=1 | u64 K | u64 T | f64 tau |
@@ -14,14 +15,14 @@ LSLT (transfer record), little endian:
 
 Both formats round-trip bit exactly. Loading checks the size a header
 implies against the file before allocating it and rejects non-finite
-values, a non-finite origin and a non-finite or non-positive spacing or
-sample interval, so a malformed artifact ends in FormatError. A transfer
-record without its full diagonal is refused before its values are read:
-every writer stores the diagonal and every consumer needs it measured,
-and its K series of T samples tie T to the file size. PGM output is
-16-bit binary (P5, big-endian samples per the format), mapping values
-linearly between two clip percentiles; image rows run from the top of
-the domain downward.
+values, an origin other than (0, 0) and a non-finite or non-positive
+spacing or sample interval, so a malformed artifact ends in
+FormatError. A transfer record without its full diagonal is refused
+before its values are read: every writer stores the diagonal and every
+consumer needs it measured, and its K series of T samples tie T to the
+file size. PGM output is 16-bit binary (P5, big-endian samples per the
+format), mapping values linearly between two clip percentiles; image
+rows run from the top of the domain downward.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def save_field(path: str | Path, grid: Grid2D, values: np.ndarray) -> None:
         _VERSION,
         grid.nx + 1,
         grid.ny + 1,
-        grid.origin[0],
-        grid.origin[1],
+        0.0,
+        0.0,
         grid.hx,
         grid.hy,
     )
@@ -92,12 +93,14 @@ def load_field(path: str | Path) -> tuple[Grid2D, np.ndarray]:
             raise FormatError(f"unsupported field format version {version}")
         if sx < 3 or sy < 3:
             raise FormatError(f"field of {sx}x{sy} samples is too small")
-        if not (np.isfinite([ox, oy]).all() and _positive(hx) and _positive(hy)):
-            raise FormatError(f"bad field geometry: origin ({ox}, {oy}), spacing ({hx}, {hy})")
+        if (ox, oy) != (0.0, 0.0):
+            raise FormatError(f"bad field geometry: origin ({ox}, {oy}) is not (0, 0)")
+        if not (_positive(hx) and _positive(hy)):
+            raise FormatError(f"bad field geometry: spacing ({hx}, {hy})")
         raw = _read_exactly(handle, 8 * sx * sy, "field values")
         if handle.read(1):
             raise FormatError("trailing bytes after field values")
-    grid = Grid2D(int(sx) - 1, int(sy) - 1, hx, hy, (ox, oy))
+    grid = Grid2D(int(sx) - 1, int(sy) - 1, hx, hy)
     return grid, _finite_values(raw, "field values").reshape(sy, sx)
 
 

@@ -286,9 +286,10 @@ def _spectra(grid: Grid2D, sources: SourceSet):
 def _coefficients(dt, lam, theta, steps):
     """The closed form's modal coefficients, laid out as `theta` broadcast
     against the fine step counts `steps` (`lam` as `theta`): first
-    cos(k p theta) for u0, then, in the same memory once the consumer has
-    read that, the w0 growth factor sin(k p theta) / sin(theta) (dt -
-    dt^3 lambda / 6) of the leapfrog from the antiderivative start."""
+    cos(k p theta) for u0, then the w0 growth factor sin(k p theta) /
+    sin(theta) (dt - dt^3 lambda / 6) of the leapfrog from the
+    antiderivative start. The two are distinct arrays: `np.cos` allocates
+    the cosine, and the growth factor overwrites the spent phase array."""
     phase = theta * steps
     yield np.cos(phase)
     # sin(m theta) / sin(theta) -> m on the constant mode, the only one with theta = 0

@@ -11,11 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import lslkit as lk
 from lslkit.config import bundled_config_path, parse_config
-from lslkit.core import restrict
+from lslkit.core import Potential, TransferData, restrict
 from lslkit.pipeline import PipelineContext, invert_born, metrics, stages
-from lslkit.wavesim import simulate_transfer
+from lslkit.wavesim import add_noise, simulate_transfer
 from reference import background, diagonal_record
 
 
@@ -34,7 +33,7 @@ def build_context(cfg, noise_level=None):
     settings = cfg.settings()
     true_mimo = simulate_transfer(q_true, sources, axis, settings)
     level = cfg.noise_level if noise_level is None else noise_level
-    data = lk.add_noise(diagonal_record(true_mimo), level, cfg.seed)
+    data = add_noise(diagonal_record(true_mimo), level, cfg.seed)
     bg = background(grid, sources, axis, settings)
     ctx = PipelineContext(
         grid,
@@ -50,13 +49,13 @@ def build_context(cfg, noise_level=None):
 
 
 def reference_potential(ctx, q_true):
-    return lk.Potential(ctx.inv_grid, restrict(q_true.values, q_true.grid, ctx.inv_grid))
+    return Potential(ctx.inv_grid, restrict(q_true.values, q_true.grid, ctx.inv_grid))
 
 
 def source_record(data, j):
     """Source j's diagonal series as a 1 x 1 full record: its scalar ROM input."""
     pair = (slice(j, j + 1), slice(j, j + 1))
-    return lk.TransferData(data.values[pair], data.mask[pair], data.tau)
+    return TransferData(data.values[pair], data.mask[pair], data.tau)
 
 
 def off_diagonal_error(data, oracle, count):

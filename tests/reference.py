@@ -10,14 +10,15 @@ trapezoid time convolution by FFT, the internal fields u0 * T
 materialized as a stack, the dense matrix of a block-stack T and the
 identity blocks of the Born transform, a reader for the PGM images
 `io.render_pgm` writes, the node-level support check of a true model,
-and the diagonal-only record a monostatic acquisition measures.
+the diagonal-only record a monostatic acquisition measures, and a
+record's reciprocity defect.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from lslkit.core import Potential, TransferData, restrict
+from lslkit.core import MaskState, Potential, TransferData, restrict
 from lslkit.errors import DimensionError
 from lslkit.wavesim import (_angle_sum_record, _modes, _spectra, apply_operator,
                             background_stacks, simulate_background)
@@ -233,3 +234,15 @@ def diagonal_record(data):
     """The measured diagonal of a full record, its off-diagonal series absent:
     what `lslkit simulate` writes as siso.lslt before noise."""
     return TransferData(data.values, np.diag(np.diag(data.mask)), data.tau)
+
+
+def reciprocity_defect(data):
+    """Max |F_ij - F_ji| over present pairs, relative to the data scale."""
+    present = np.asarray(data.mask) != MaskState.ABSENT
+    both = present & present.T
+    if not both.any():
+        return 0.0
+    diff = np.abs(data.values - data.values.transpose(1, 0, 2))
+    diff = diff[both].max()
+    scale = np.abs(data.values[present]).max()
+    return float(diff / scale) if scale > 0 else float(diff)

@@ -28,6 +28,7 @@ from reference import (
     diagonal_record,
     identity_blocks,
     leapfrog_snapshots,
+    reciprocity_defect,
     snapshot_gram,
     zero_potential,
 )
@@ -119,7 +120,7 @@ def test_c03_reciprocity():
     axis = TimeAxis(2.5, 20)
     settings = SolverSettings(substeps=4)
     data = simulate_transfer(potential, sources, axis, settings)
-    defect = data.reciprocity_defect()
+    defect = reciprocity_defect(data)
     report(
         3,
         "simulated full records are reciprocal",

@@ -450,6 +450,20 @@ class TestExitCodes:
         assert run("lift", "--config", config_path, "--q", bad) == 4
         assert "bad field geometry" in capsys.readouterr().err
 
+    def test_field_origin_refused_at_load(self, tmp_path, config_path, capsys):
+        # a field stored at another origin exits 4 naming the origin, never
+        # 2 as a pair of grids that fail to nest, and render refuses it too
+        out = tmp_path / "out"
+        assert run("simulate", "--config", config_path) == 0
+        field = (out / "q_true.lslf").read_bytes()
+        shifted = out / "shifted.lslf"  # origin x, y from byte 24
+        shifted.write_bytes(field[:24] + struct.pack("<2d", 1.0, 0.0) + field[40:])
+        for command, *argv in (("lift", "--q", shifted),
+                               ("compare", "--truth", out / "q_true.lslf", "--in", shifted),
+                               ("render", "--in", shifted)):
+            assert run(command, "--config", config_path, *argv) == 4
+            assert "origin (1.0, 0.0) is not (0, 0)" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, record",
         [("invert", "two_sources"), ("lift", "two_sources"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lslkit.config as config_module
+from lslkit.cli import main
 from lslkit.config import ExperimentConfig, Inclusion, bundled_config_path, parse_config
 from lslkit.errors import ConfigurationError
 from reference import assert_support_margin
@@ -38,6 +39,19 @@ class TestParsing:
             with pytest.raises(ConfigurationError, match=f"unknown config key domain.{key}"):
                 parse_config(write(tmp_path, f"[domain]\n{key} = 0.0\n"))
 
+    @pytest.mark.parametrize("raw, value", [("yes", True), ("0", False)])
+    def test_bool_spellings(self, tmp_path, raw, value):
+        cfg = parse_config(write(tmp_path, f"[inversion]\npositivity = {raw}\n"))
+        assert cfg.positivity is value
+
+    @pytest.mark.parametrize("text, key", [
+        ("[inversion]\npositivity = maybe\n", "inversion.positivity"),
+        ("n = 40\n", "no section headers"),
+    ], ids=["bool", "no_section"])
+    def test_unreadable_value_exits_2(self, tmp_path, capsys, text, key):
+        assert main(["simulate", "--config", str(write(tmp_path, text))]) == 2
+        assert key in capsys.readouterr().err
+
     def test_type_errors_name_the_key(self, tmp_path):
         with pytest.raises(ConfigurationError, match="time.n"):
             parse_config(write(tmp_path, "[time]\nn = fast\n"))
@@ -67,6 +81,18 @@ class TestParsing:
     def test_nameless_inclusion_section(self, tmp_path):
         text = "[model]\ninclusions = blob\n[inclusion ]\nshape = ellipse\n"
         with pytest.raises(ConfigurationError, match=re.escape("[inclusion ]")):
+            parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"depth": "3"}, "unknown config key inclusion blob.depth"),
+        ({"amplitude": None}, "inclusion blob: missing key amplitude"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_inclusion_keys(self, tmp_path, change, message):
+        keys = {"shape": "ellipse", "x": "50", "y": "25", "width": "10", "height": "6",
+                "amplitude": "0.05", **change}
+        text = "[model]\ninclusions = blob\n[inclusion blob]\n" + "".join(
+            f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_config(write(tmp_path, text))
 
     def test_missing_inclusion_section(self, tmp_path):
@@ -130,6 +156,25 @@ class TestParsing:
     def test_bad_ratio(self, tmp_path):
         text = "[simulation]\nnx = 101\nny = 50\n"
         with pytest.raises(ConfigurationError, match="inversion_ratio"):
+            parse_config(write(tmp_path, text))
+
+    def test_ratio_leaves_2x2_inversion_cells(self, tmp_path):
+        # 8x4 cells at ratio 4 nest, but leave a 2x1 inversion grid
+        text = "[simulation]\nnx = 8\nny = 4\ninversion_ratio = {}\n"
+        assert parse_config(write(tmp_path, text.format(2))).inv_grid().ny == 2
+        with pytest.raises(ConfigurationError, match="simulation.inversion_ratio"):
+            parse_config(write(tmp_path, text.format(4)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("first_x", "-0.5"), ("last_x", "100.5"), ("first_x", "101"), ("last_x", "-1"),
+    ])
+    def test_sources_inside_the_domain(self, tmp_path, key, value):
+        # the domain is 100 wide; its walls hold the outermost sources
+        text = "[sources]\nfirst_x = 0\nlast_x = 100\n"
+        assert list(parse_config(write(tmp_path, text)).source_xs()[[0, -1]]) == [0.0, 100.0]
+        text = f"[sources]\n{key} = {value}\n"
+        message = f"sources.{key} {float(value)} must be in [0, domain.width] = [0, 100.0]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             parse_config(write(tmp_path, text))
 
     def test_negative_noise_seed(self, tmp_path):

@@ -1,19 +1,21 @@
 """Every name a module imports is used in it, every package it imports is
 declared, and every public name it defines is read by the package.
 
-A stale import survives refactors silently (the project has no linter), so each
-`src/lslkit/*.py` is parsed with `ast` and its imported names are checked
-against the names its code reads. `__init__.py` is skipped: its imports
-are the package's re-exports, and `lslkit.__all__` must list exactly those.
-Every third-party top-level package imported anywhere in `src/lslkit` must
-be listed in `[project].dependencies` of `pyproject.toml`.
+A stale import survives refactors silently (the project has no linter),
+so each `src/lslkit/*.py` is parsed with `ast` and its imported names are
+checked against the names its code reads. `__init__.py` re-exports
+nothing: it holds the package docstring and `__version__`, every caller
+imports a name from the module that defines it, and an import added there
+reads as unused. Every third-party top-level package imported anywhere in
+`src/lslkit` must be listed in `[project].dependencies` of
+`pyproject.toml`.
 
 `src/` holds what the command line runs: each public function and class
 defined in a module must be read, as a name or an attribute, somewhere
-in the package outside `__init__.py`, and each public method, property
-and dataclass or NamedTuple field as an attribute: a local variable or
-a keyword argument of the same name does not read it. Oracles that
-only tests need live in `tests/reference.py`.
+in the package, and each public method, property and dataclass or
+NamedTuple field as an attribute: a local variable or a keyword argument
+of the same name does not read it. Oracles that only tests need live in
+`tests/reference.py`.
 """
 
 import ast
@@ -23,16 +25,13 @@ from pathlib import Path
 
 import pytest
 
-import lslkit
-
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lslkit"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
 #: public names no code in the package reads, each kept for a reason
 UNREAD_ALLOWED = {
     "bundled_config_path": "README's entry point to the shipped configs",
-    "TransferData.reciprocity_defect": "the tests' reciprocity check; no stage reports it yet",
     **dict.fromkeys(
         ("RegularizationRecord.applied", "RegularizationRecord.eps0",
          "Regularized.regularization"),
@@ -53,16 +52,6 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
-
-
-def imported_names(source: str) -> list[str]:
-    tree = ast.parse(source)
-    return [
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
 
 
 def third_party_imports(source: str) -> set[str]:
@@ -156,12 +145,6 @@ def test_every_public_definition_is_read():
     assert sorted(unread) == sorted(UNREAD_ALLOWED)
 
 
-def test_exports_are_the_package_imports():
-    names = imported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    assert sorted(lslkit.__all__) == sorted(names + ["__version__"])
-    assert len(set(lslkit.__all__)) == len(lslkit.__all__)
-
-
 def test_detects_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .core import Grid2D, Potential\nnp.ones(Grid2D)\n"
     assert unused_imports(source) == ["os (line 1)", "Potential (line 3)"]
@@ -185,5 +168,5 @@ def test_imports_are_declared_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
                 for dep in project["dependencies"]}
     imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
-                             for p in PACKAGE.glob("*.py")))
+                             for p in MODULES))
     assert imported <= declared, f"undeclared: {sorted(imported - declared)}"

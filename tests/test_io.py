@@ -6,12 +6,12 @@ import pytest
 from lslkit.core import Grid2D, MaskState, TransferData
 from lslkit.errors import DomainError, FormatError
 from lslkit.io import load_field, load_transfer, render_pgm, save_field, save_transfer
-from reference import load_pgm
+from reference import load_pgm, reciprocity_defect
 
 
 @pytest.fixture
 def grid():
-    return Grid2D(6, 4, 0.5, 0.25, origin=(-1.0, 2.0))
+    return Grid2D(6, 4, 0.5, 0.25)
 
 
 class TestFieldFormat:
@@ -62,6 +62,19 @@ class TestFieldFormat:
         save_field(path, grid, np.zeros(grid.shape))
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
+            load_field(path)
+
+    @pytest.mark.parametrize("origin", [(1.0, 0.0), (0.0, -2.5), (np.nan, 0.0)],
+                             ids=["x", "y", "nan"])
+    def test_origin_other_than_zero_rejected(self, tmp_path, grid, origin):
+        # every grid starts at (0, 0): a field stored elsewhere is refused as
+        # it loads, not later as a pair of grids that fail to nest
+        path = tmp_path / "field.lslf"
+        save_field(path, grid, np.zeros(grid.shape))
+        blob = path.read_bytes()
+        assert blob[24:40] == bytes(16)  # save_field writes the origin as 0.0, 0.0
+        path.write_bytes(blob[:24] + struct.pack("<2d", *origin) + blob[40:])
+        with pytest.raises(FormatError, match=r"origin \(.*\) is not \(0, 0\)"):
             load_field(path)
 
     def test_empty_grid_rejected(self, tmp_path):
@@ -122,7 +135,7 @@ class TestTransferFormat:
         blob[offset : offset + 8] = np.float64(99.0).tobytes()
         path.write_bytes(bytes(blob))
         loaded = load_transfer(path)
-        assert loaded.reciprocity_defect() > 0.5
+        assert reciprocity_defect(loaded) > 0.5
 
     def test_bad_magic_and_truncation(self, tmp_path):
         data = self.make_data()
@@ -138,6 +151,16 @@ class TestTransferFormat:
         with pytest.raises(FormatError, match="truncated"):
             load_transfer(path)
 
+
+    @pytest.mark.parametrize("K, T", [(0, 5), (2, 0)])
+    def test_empty_record_rejected(self, tmp_path, K, T):
+        # with the header alone to go by, K = 0 or T = 0 would load as a
+        # record with nothing in it
+        path = tmp_path / "empty.lslt"
+        mask = np.eye(K, dtype=np.uint8).tobytes()
+        path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, K, T, 1.0) + mask)
+        with pytest.raises(FormatError, match=f"degenerate transfer record {K}x{T}"):
+            load_transfer(path)
 
     def test_absent_diagonal_rejected(self, tmp_path):
         # K = 1 and T = 2^61 with the one series absent: no value bytes

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-import lslkit as lk
 from lslkit.core import (
     Grid2D,
+    MaskState,
     Potential,
     SourceSet,
     TimeAxis,
@@ -36,6 +38,7 @@ from reference import (
     diagonal_record,
     identity_blocks,
     leapfrog_snapshots,
+    reciprocity_defect,
     whole_stacks,
     zero_potential,
 )
@@ -318,6 +321,14 @@ class TestSolveTsvd:
         system = LSSystem(np.eye(m), np.zeros(m), grid, 0.5)
         assert np.all(solve_tsvd(system).values == 0.0)
 
+    def test_zero_system(self):
+        # every eigenvalue of G G^T is 0: no cut level keeps any of them
+        grid = Grid2D(4, 4, 1.0, 1.0)
+        m = grid.num_nodes
+        system = LSSystem(np.zeros((6, m)), np.ones(6), grid, 0.5)
+        with pytest.raises(OverRegularizationError, match="system matrix is zero"):
+            solve_tsvd(system)
+
     def test_over_regularization(self):
         grid = Grid2D(4, 4, 1.0, 1.0)
         m = grid.num_nodes
@@ -464,6 +475,20 @@ class TestForwardLift:
             with pytest.raises(DimensionError, match="band of rows 0:8 has shape"):
                 forward_lift(StackBands(u0, kernels), identity, zero, bg.data, data, grid)
 
+    @pytest.mark.parametrize("order, message", [
+        (lambda bands: [bands[1], bands[0], *bands[2:]],
+         "band of rows 8:16 does not follow rows 0:0 of 31"),
+        (lambda bands: bands[:-1], "bands hold rows 0:24 of 31"),
+    ], ids=["out_of_order", "short"])
+    def test_bands_must_cover_the_grid_in_order(self, order, message):
+        # C0 sums the bands' nodes: bands out of order would pass unseen,
+        # and bands that stop short would drop the last rows' nodes
+        grid, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=10)
+        bands = ReorderedBands(bg.fields, bg.antiderivatives, order)
+        identity = identity_blocks(sources.count, axis.n)
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            forward_lift(bands, identity, zero_potential(inv_grid), bg.data, data, grid)
+
     def test_zero_estimate_returns_background(self):
         grid, inv_grid, potential, sources, axis, settings, data, bg = wave_setup(n=10)
         zero = zero_potential(inv_grid)
@@ -490,11 +515,11 @@ class TestForwardLift:
         lifted = forward_lift(
             StackBands(bg.fields, bg.antiderivatives), transform, q_est, bg.data, data, grid
         )
-        assert lifted.reciprocity_defect() == 0.0
+        assert reciprocity_defect(lifted) == 0.0
         for i in range(sources.count):
             assert np.array_equal(lifted.values[i, i], data.values[i, i, : axis.n])
-            assert lifted.mask[i, i] == lk.MaskState.MEASURED
-            assert lifted.mask[i, (i + 1) % sources.count] == lk.MaskState.LIFTED
+            assert lifted.mask[i, i] == MaskState.MEASURED
+            assert lifted.mask[i, (i + 1) % sources.count] == MaskState.LIFTED
 
     def test_adjoint_consistency_with_assembly(self):
         # identical inputs: assembled row dotted with q equals the lift residual
@@ -659,6 +684,17 @@ class ChangedBands(StackBands):
     def __iter__(self):
         for index, (rows, u0, w0) in enumerate(super().__iter__()):
             yield rows, u0, self.change(w0) if index == 1 else w0
+
+
+class ReorderedBands(StackBands):
+    """`StackBands` of 8 rows, the list of its bands passed through `order`."""
+
+    def __init__(self, fields, antiderivatives, order):
+        super().__init__(fields, antiderivatives)
+        self.order = order
+
+    def __iter__(self):
+        return iter(self.order(list(super().__iter__())))
 
 
 class TestSharedInputChecks:

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import lslkit as lk
 import lslkit.pipeline
-from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis, TransferData, refinement_ratio
+from lslkit.core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
+                         refinement_ratio)
 from lslkit.errors import DegenerateDataError, IterationBudgetError
 from lslkit.lippmann import assemble_system, field_samples, residual_norm, solve_tsvd
 from lslkit.pipeline import (
@@ -89,7 +89,7 @@ class TestSchedule:
         # lift lengths 16, 8, 4, 2, 1: a full record belongs to the first
         # round whose lift length it holds; an empty one ends the search too
         K = ctx.sources.count
-        full = np.full((K, K), lk.MaskState.LIFTED, np.int8)
+        full = np.full((K, K), MaskState.LIFTED, np.int8)
         rounds = {31: 1, 16: 1, 15: 2, 8: 2, 5: 3, 2: 4, 1: 5, 0: 5}
         for length, expected in rounds.items():
             record = TransferData(np.zeros((K, K, length)), full, ctx.axis.tau)
@@ -315,7 +315,7 @@ class TestStages:
         # controlled comparison: completed step fed the exact record
         ctx = two_target_run.ctx
         truth = two_target_run.true_mimo
-        first_n = lk.TransferData(truth.values[:, :, : ctx.axis.n], truth.mask, ctx.axis.tau)
+        first_n = TransferData(truth.values[:, :, : ctx.axis.n], truth.mask, ctx.axis.tau)
         record = run_lsl_step(ctx, first_n)
         assert record.name == "mimo-1"
         err_true = metrics(record.potential, two_target_run.q_ref).global_rel_l2
