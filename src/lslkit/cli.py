@@ -28,7 +28,10 @@ inversion succeeds. Default names follow the round in every command:
 `invert` writes the q of its record's round, `lift` reads the q of the
 round of --data and writes the record of the next round.
 `--iterations` is validated like `inversion.iterations`, before
-anything is simulated.
+anything is simulated. Every record `invert` and `lift` read passes
+`pipeline`'s one gate (`_check_fit`) before any ROM or background is
+evaluated: one that does not fit the config, or whose diagonal is not
+measured, exits 2 and writes nothing.
 
 Nothing else is stored. The zero-potential background is a function of
 the config, recomputed in closed form by every command: its record F0

@@ -192,7 +192,10 @@ class ExperimentConfig:
                 f"counts {self.nx}x{self.ny}"
             )
         if self.nx // self.inversion_ratio < 2 or self.ny // self.inversion_ratio < 2:
-            raise ConfigurationError("simulation.inversion_ratio leaves fewer than 2x2 cells")
+            raise ConfigurationError(
+                f"simulation.inversion_ratio {self.inversion_ratio} must leave at least 2x2 "
+                f"inversion cells of {self.nx}x{self.ny}"
+            )
         if not 0 <= self.source_depth <= 3.0 * self.source_sigma:
             raise ConfigurationError(
                 f"sources.depth {self.source_depth} must lie within 3*sigma "

@@ -9,9 +9,9 @@ data-to-mass-matrix identity downstream relies on.
 Fields are dense float64 arrays of shape (ny+1, nx+1), indexed [iy, ix],
 node (ix, iy) sitting at (ix*hx, iy*hy). A wavefield history
 is a plain (K, N, ny+1, nx+1) snapshot stack (see `wavesim`): it carries
-no grid, so each consumer takes the grid it lives on and checks the
-trailing shape with `check_stack`. The containers below freeze their
-arrays after construction and are safe to share between threads.
+no grid, so each consumer is handed the grid it lives on with it. The
+containers below freeze their arrays after construction and are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -114,16 +114,6 @@ def _check_field(grid: Grid2D, values: np.ndarray, name: str) -> np.ndarray:
             f"{name} has shape {values.shape}, grid expects {grid.shape}"
         )
     return values
-
-
-def check_stack(grid: Grid2D, stack: np.ndarray, name: str) -> np.ndarray:
-    """A (K, N, ny+1, nx+1) snapshot stack on `grid`, or raise."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 4 or stack.shape[2:] != grid.shape:
-        raise DimensionError(
-            f"{name} stack has shape {stack.shape}, expected (K, N)+{grid.shape}"
-        )
-    return stack
 
 
 def inner_product(grid: Grid2D, f: np.ndarray, g: np.ndarray) -> float:

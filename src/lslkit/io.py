@@ -110,10 +110,8 @@ def save_transfer(path: str | Path, data: TransferData) -> None:
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4sIQQd", _TRANSFER_MAGIC, _VERSION, K, T, data.tau))
         handle.write(mask.tobytes())
-        for i in range(K):
-            for j in range(K):
-                if mask[i, j] != MaskState.ABSENT:
-                    handle.write(np.ascontiguousarray(data.values[i, j], dtype="<f8").tobytes())
+        # boolean indexing walks the present pairs in row-major order
+        handle.write(data.values[mask != MaskState.ABSENT].astype("<f8", copy=False).tobytes())
 
 
 def load_transfer(path: str | Path) -> TransferData:

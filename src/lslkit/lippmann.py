@@ -30,6 +30,13 @@ Assembly mixes u0 by block g's columns one source at a time while it
 writes that source's rows; the lift applies the blocks to the Gram
 matrix of the background. No (K, N, ...) stack of internal fields
 exists on either grid, and no stack of w0 need exist.
+
+Neither direction checks the records, T or background it is handed.
+`pipeline` refuses a record that does not fit the config before any ROM
+or background is evaluated (`pipeline._check_fit`), then builds T from
+that record and the background over T's samples on the grid it passes,
+so the inputs fit by construction. Both directions read the first N
+samples of what they are handed.
 """
 
 from __future__ import annotations
@@ -39,19 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid2D, MaskState, Potential, TransferData, check_stack, prolong
-from .errors import (
-    DegenerateDataError,
-    DimensionError,
-    OverRegularizationError,
-    PreconditionError,
-)
+from .core import Grid2D, MaskState, Potential, TransferData, prolong
+from .errors import DegenerateDataError, OverRegularizationError, PreconditionError
 
-#: smallest relative truncation level `solve_tsvd` accepts: its eigenvalue
-#: cut then sits at 1e-8 * lambda_max of the Gram matrix, far above roundoff
+#: smallest relative truncation level the config's `inversion.tsvd` takes:
+#: `solve_tsvd`'s eigenvalue cut then sits at 1e-8 * lambda_max of the Gram
+#: matrix, far above roundoff
 TSVD_MIN_THRESHOLD = 1e-4
-
-_SOURCE_COUNTS = "source counts of fields, antiderivatives and data differ"
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,8 @@ class LSSystem:
     tsvd_threshold: float
 
     def __post_init__(self):
-        if self.matrix.shape[0] != self.rhs.shape[0]:
-            raise DimensionError("system rows and rhs disagree")
-        if self.matrix.shape[1] != self.grid.num_nodes:
-            raise DimensionError("system columns do not match the inversion grid")
         if not np.isfinite(self.matrix).all() or not np.isfinite(self.rhs).all():
             raise PreconditionError("system contains non-finite entries")
-        if not self.tsvd_threshold >= TSVD_MIN_THRESHOLD:
-            raise PreconditionError(
-                f"TSVD threshold {self.tsvd_threshold} is below the floor {TSVD_MIN_THRESHOLD}"
-            )
 
 
 def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -> None:
@@ -98,51 +91,6 @@ def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -
 def field_samples(transform: np.ndarray, num_sources: int) -> int:
     """N, the samples per internal field of a (B, G N, G N) block stack T over K sources."""
     return transform.shape[-1] * len(transform) // num_sources
-
-
-def _checked_records(K, measured, data0, transform, *held):
-    """Both directions' checks of the records and T: the source counts, the
-    measured diagonal, one tau, and T a (B, G N, G N) block stack over
-    K = B G sources whose N samples the records and the `held` sample
-    counts of the background all hold. Returns N."""
-    if measured.num_sources != K or data0.num_sources != K:
-        raise DimensionError(_SOURCE_COUNTS)
-    measured.require_measured_diagonal()
-    if not abs(data0.tau - measured.tau) <= 1e-12 * measured.tau:
-        raise DimensionError(f"sample intervals differ: {measured.tau} vs {data0.tau}")
-    available = min(measured.num_samples, data0.num_samples, *held)
-    blocks, side = len(transform), transform.shape[-1]
-    square = transform.shape == (blocks, side, side)
-    if not square or not blocks or K % blocks or side % (K // blocks):
-        raise DimensionError(f"transform of shape {transform.shape} does not fit {K} sources")
-    steps = field_samples(transform, K)
-    _check_samples(available, steps)
-    return steps
-
-
-def _check_samples(held, steps):
-    if held < steps:
-        raise DimensionError(f"inputs hold {held} of the {steps} transform samples")
-
-
-def _histories(w0, grid, K, steps):
-    """Source j's w0 history, its first `steps` samples as (steps, nodes),
-    for j = 0 .. K-1 as the consumer asks for them. Each is checked when it
-    arrives, the count when the K+1-th arrives or the iterable ends short."""
-    count = 0
-    for count, history in enumerate(w0, start=1):
-        history = np.asarray(history, dtype=np.float64)
-        if count > K:
-            raise DimensionError(_SOURCE_COUNTS)
-        if history.ndim != 3 or history.shape[1:] != grid.shape:
-            raise DimensionError(
-                f"source {count - 1}'s antiderivative stack has shape {history.shape}, "
-                f"expected (N,)+{grid.shape}"
-            )
-        _check_samples(len(history), steps)
-        yield history[:steps].reshape(steps, -1)
-    if count != K:
-        raise DimensionError(_SOURCE_COUNTS)
 
 
 def assemble_system(
@@ -168,11 +116,9 @@ def assemble_system(
     `forward_lift` also takes, are written straight into the preallocated
     matrix. The right-hand side uses measured diagonal data only.
     """
-    u0 = check_stack(inv_grid, u0, "field")
     K = len(u0)
-    num = _checked_records(K, data, data0, transform, u0.shape[1])
+    num = field_samples(transform, K)
     u0 = np.ascontiguousarray(u0[:, :num])  # a view when it holds just N
-    w0 = _histories(w0, inv_grid, K, num)
     group = K // len(transform)
     weights = inv_grid.node_weights.ravel()
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
@@ -182,7 +128,7 @@ def assemble_system(
         rows = slice(j * (num - 1), (j + 1) * (num - 1))
         u0_flat = u0[g * group : (g + 1) * group].reshape(group * num, -1)
         field = transform[g][:, i * num : (i + 1) * num].T @ u0_flat
-        _trapezoid_rows(history * weights, field, data.tau, matrix[rows])
+        _trapezoid_rows(history[:num].reshape(num, -1) * weights, field, data.tau, matrix[rows])
         rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
@@ -198,9 +144,9 @@ def solve_tsvd(system: LSSystem) -> Potential:
     G^T U_k Lambda_k^{-1/2} the solution is x = G^T U_k Lambda_k^{-1}
     U_k^T b; the right singular vectors are never formed. Forming G G^T
     squares the condition number, but eigenvalues come out accurate to
-    about machine epsilon times lambda_max, and the floor
-    `TSVD_MIN_THRESHOLD` keeps the cut at or above 1e-8 * lambda_max,
-    so every kept eigenpair lies far above roundoff.
+    about machine epsilon times lambda_max, and the config's floor on
+    `inversion.tsvd`, `TSVD_MIN_THRESHOLD`, keeps the cut at or above
+    1e-8 * lambda_max, so every kept eigenpair lies far above roundoff.
     """
     matrix = system.matrix
     lam, u = np.linalg.eigh(matrix @ matrix.T)
@@ -238,40 +184,6 @@ def residual_norm(system: LSSystem, potential: Potential) -> float:
     return residual
 
 
-def _bands(fields, grid, K, steps):
-    """The bands (rows, u0, w0) of `fields`, each checked as it arrives:
-    its rows follow the last band's, and both arrays are (nx+1, |rows|, K,
-    N') with N' >= `steps`, of which it yields the first `steps` samples.
-    The rows must end on the grid's last one."""
-    height, width = grid.shape
-    covered = 0
-    for rows, u0, w0 in fields:
-        if rows.start != covered or not covered < rows.stop <= height:
-            raise DimensionError(
-                f"background band of rows {rows.start}:{rows.stop} does not follow rows "
-                f"0:{covered} of {height}"
-            )
-        covered = rows.stop
-        yield rows, *(_checked_band(band, name, rows, width, K, steps)
-                      for name, band in (("field", u0), ("antiderivative", w0)))
-        del u0, w0  # freed before the next band is evaluated
-    if covered != height:
-        raise DimensionError(f"background bands hold rows 0:{covered} of {height}")
-
-
-def _checked_band(band, name, rows, width, K, steps):
-    band = np.asarray(band, dtype=np.float64)
-    if band.ndim != 4 or band.shape[:2] != (width, rows.stop - rows.start):
-        raise DimensionError(
-            f"{name} band of rows {rows.start}:{rows.stop} has shape {band.shape}, "
-            f"expected ({width}, {rows.stop - rows.start}, K, N)"
-        )
-    if band.shape[2] != K:
-        raise DimensionError(_SOURCE_COUNTS)
-    _check_samples(band.shape[3], steps)
-    return band[..., :steps]
-
-
 def forward_lift(
     fields,
     transform: np.ndarray,
@@ -285,8 +197,9 @@ def forward_lift(
     `fields` is the background on `grid` in row bands: its length is the
     source count K, and it yields (rows, u0, w0) for consecutive slices of
     grid rows that cover the grid, u0 and w0 of shape (nx+1, |rows|, K,
-    N) holding node (y, x) at [x, y - rows.start], as
-    `wavesim.BackgroundBands` evaluates them; each band is read once. The
+    N >= steps) holding node (y, x) at [x, y - rows.start], as
+    `wavesim.BackgroundBands` evaluates them; each band is read once, and
+    `data0` is the full background record F0. The
     internal fields are u0 * T with T = `transform`, a (B, G steps, G
     steps) stack of diagonal blocks in the source-major order of
     `rom.field_transform`. Evaluates the forward integral on `grid` (the
@@ -307,8 +220,7 @@ def forward_lift(
     C over a + b = k, the quadrature of `_trapezoid_rows`.
     """
     K = len(fields)
-    steps = _checked_records(K, measured, data0, transform)
-    data0.require_full()
+    steps = field_samples(transform, K)
     tau = measured.tau
     size = K * steps
     weighted_q = grid.node_weights * prolong(q_est.values, q_est.grid, grid)
@@ -318,7 +230,8 @@ def forward_lift(
     gram0 = np.zeros((size, size))
     gram = np.empty((K, steps, K, steps))
     product = gram.reshape(size, size)
-    for rows, u0, w0 in _bands(fields, grid, K, steps):
+    for rows, u0, w0 in fields:
+        u0, w0 = u0[..., :steps], w0[..., :steps]
         w0 = (w0 * weighted_q[rows].T[..., None, None]).reshape(-1, size)
         gram0 += np.matmul(w0.T, u0.reshape(-1, size), out=product)
         del u0, w0  # freed before the next band is evaluated

@@ -28,6 +28,14 @@ passes `wavesim.BackgroundBands`, which it evaluates one band of rows
 at a time, so no simulation-grid stack exists. A context holds F0 and
 no stack, so nothing outlives its step, and `stages` makes exactly the
 calls of chaining the steps by hand.
+
+Every record a step reads passes one gate, `_check_fit`, before any ROM
+or background is evaluated: its source count and sample interval must be
+the config's, it must hold the samples the step reads, and its diagonal
+must be measured (`internal_transform` also caps a full record at 2n-1
+samples). Past the gate nothing is checked again: T comes from the
+record and the background is evaluated over T's samples, so `lippmann`
+takes both as they are handed over.
 """
 
 from __future__ import annotations
@@ -113,7 +121,8 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     mass matrix is passed through `regularize_spd`, which returns
     (matrix, record), and its matrix is factored; no stage keeps the
     record yet. A record that does not fit the context raises
-    DimensionError naming the config key (`_check_fit`).
+    DimensionError naming the config key, and one whose diagonal is not
+    measured PreconditionError (`_check_fit`).
     """
     n, K = ctx.axis.n, ctx.sources.count
     length, limit, full = data.num_samples, ctx.axis.total_samples, data.is_full
@@ -122,7 +131,6 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
         raise DimensionError(f"record holds {length} samples, time.n {n} takes at most {limit}")
     background = ctx.background
     if not full:
-        data.require_measured_diagonal()
         return np.stack(
             [_rom_transform(_source(data, j), _source(background, j), limit) for j in range(K)]
         )
@@ -134,9 +142,10 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
 
 
 def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
-    """Refuse a record whose source count or sample interval is not the
+    """The gate of every record a step reads, before any ROM or stack is
+    evaluated: refuse one whose source count or sample interval is not the
     config's, or that holds fewer than `fewest` samples, naming the key,
-    before any stack is evaluated."""
+    and then one whose diagonal is not measured."""
     K, tau, n, length = ctx.sources.count, ctx.axis.tau, ctx.axis.n, data.num_samples
     if data.num_sources != K:
         raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
@@ -144,6 +153,7 @@ def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
         raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
     if length < fewest:
         raise DimensionError(f"record holds {length} samples, time.n {n} takes at least {fewest}")
+    data.require_measured_diagonal()
 
 
 def _source(data: TransferData, j: int) -> TransferData:

@@ -530,59 +530,40 @@ class TestExitCodes:
         config = parse_config(config_path)
         assert built == [config.inv_grid(), config.sim_grid()]
 
-    @pytest.mark.parametrize(
-        "case, message",
-        [("fewer", "source counts of fields, antiderivatives and data differ"),
-         ("more", "source counts of fields, antiderivatives and data differ"),
-         ("grid", "source 1's antiderivative stack has shape"),
-         ("samples", "inputs hold 11 of the 12 transform samples")],
-    )
-    def test_bad_histories_exit_2_before_any_output(self, tmp_path, config_path, capsys,
-                                                    monkeypatch, case, message):
-        # w0 reaches assembly one source at a time and the lift in row
-        # bands; histories or a band's sources too few or too many, on
-        # another grid or short of T's samples end the step with exit 2 and
-        # write nothing. A band names itself where it is off the grid
+    @pytest.mark.parametrize("command", [("invert", "--method", "born"),
+                                         ("invert", "--method", "lsl"), ("lift",)],
+                             ids=["born", "lsl", "lift"])
+    def test_lifted_diagonal_refused_before_any_stack(self, tmp_path, config_path, capsys,
+                                                      monkeypatch, command):
+        # a full record whose diagonal is tagged lifted: every step refuses
+        # it at the one gate, before any background is evaluated or written
         out = tmp_path / "out"
-        common = ("--config", config_path)
-        assert run("simulate", *common) == 0
-        assert run("invert", "--method", "lsl", *common, "--q-out", tmp_path / "q.lslf") == 0
-        evaluate = lslkit.pipeline.background_stacks
-        bad_band = {"fewer": lambda w0: w0[:, :, :-1],
-                    "more": lambda w0: np.concatenate([w0, w0[:, :, :1]], axis=2),
-                    "grid": lambda w0: w0[::2],
-                    "samples": lambda w0: w0[..., :-1]}[case]
+        assert run("simulate", "--config", config_path) == 0
+        assert run("invert", "--method", "lsl", "--config", config_path) == 0
+        mimo = load_transfer(out / "mimo.lslt")
+        lifted = np.full_like(mimo.mask, MaskState.LIFTED)
+        save_transfer(out / "relabeled.lslt", TransferData(mimo.values, lifted, mimo.tau))
+        built = []
+        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
 
-        class BadBands(lslkit.pipeline.BackgroundBands):
-            def __iter__(self):
-                for rows, u0, w0 in super().__iter__():
-                    yield rows, u0, bad_band(w0)
+        def counting_stacks(*args, **kwargs):
+            built.append("stacks")
+            return evaluate(*args, **kwargs)
 
-        def bad_stacks(*args):
-            u0, w0 = evaluate(*args)
-            histories = list(w0)
-            if case == "fewer":
-                histories.pop()
-            elif case == "more":
-                histories.append(histories[0])
-            elif case == "grid":
-                histories[1] = histories[1][:, ::2, ::2]
-            else:
-                histories[1] = histories[1][:-1]
-            return u0, iter(histories)
+        def counting_bands(*args):
+            built.append("bands")
+            return bands(*args)
 
-        monkeypatch.setattr(lslkit.pipeline, "background_stacks", bad_stacks)
-        monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", BadBands)
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
+        monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", counting_bands)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
-        assert run("invert", "--method", "lsl", *common) == 2
-        assert run("lift", *common, "--q", tmp_path / "q.lslf") == 2
-        errors = capsys.readouterr().err.splitlines()
-        lift_message = "antiderivative band of rows 0:" if case == "grid" else message
-        assert len(errors) == 2
-        assert errors[0].startswith(f"error: {message}")
-        assert errors[1].startswith(f"error: {lift_message}")
-        assert not (out / "q_siso.lslf").exists()
-        assert not (out / "lifted.lslt").exists()
+        argv = ("--q", out / "q_siso.lslf") if command == ("lift",) else ()
+        assert run(*command, "--config", config_path, "--data", out / "relabeled.lslt",
+                   *argv) == 2
+        assert capsys.readouterr().err == "error: diagonal transfer entries must be measured\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert built == []
 
     @pytest.mark.parametrize("record", ["short_diagonal", "long_full", "born_short_full"])
     def test_record_length_names_time_n(self, tmp_path, config_path, capsys, record):

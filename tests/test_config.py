@@ -162,8 +162,11 @@ class TestParsing:
         # 8x4 cells at ratio 4 nest, but leave a 2x1 inversion grid
         text = "[simulation]\nnx = 8\nny = 4\ninversion_ratio = {}\n"
         assert parse_config(write(tmp_path, text.format(2))).inv_grid().ny == 2
-        with pytest.raises(ConfigurationError, match="simulation.inversion_ratio"):
+        with pytest.raises(ConfigurationError) as refused:
             parse_config(write(tmp_path, text.format(4)))
+        assert str(refused.value) == (
+            "simulation.inversion_ratio 4 must leave at least 2x2 inversion cells of 8x4"
+        )
 
     @pytest.mark.parametrize("key, value", [
         ("first_x", "-0.5"), ("last_x", "100.5"), ("first_x", "101"), ("last_x", "-1"),

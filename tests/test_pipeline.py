@@ -7,7 +7,7 @@ import pytest
 import lslkit.pipeline
 from lslkit.core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
                          refinement_ratio)
-from lslkit.errors import DegenerateDataError, IterationBudgetError
+from lslkit.errors import DegenerateDataError, DimensionError, IterationBudgetError
 from lslkit.lippmann import assemble_system, field_samples, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
@@ -173,6 +173,38 @@ class TestInternalFields:
                 for d in (measured, ctx.background)
             )
             assert np.array_equal(blocks[j], field_transform(basis, basis0, 1))
+
+    def test_transform_is_zero_below_its_time_diagonal(self):
+        # field sample b mixes background samples a' <= b only: T of the
+        # per-source ROM and of the block ROM is exactly zero where a' > b
+        ctx, measured = tiny_context()
+        siso, mimo = stages(ctx, measured, iterations=1)
+        K, n, steps = ctx.sources.count, siso.active_length, mimo.active_length
+        below = lambda size: np.tril(np.ones((size, size), dtype=bool), -1)  # a' > b
+        assert siso.transform.shape == (K, n, n)
+        assert (siso.transform[:, below(n)] == 0.0).all()
+        assert mimo.transform.shape == (1, K * steps, K * steps)
+        blocks = mimo.transform[0].reshape(K, steps, K, steps).transpose(0, 2, 1, 3)
+        assert (blocks[:, :, below(steps)] == 0.0).all()  # [l, i, a', b]
+
+
+class TestGate:
+    @pytest.mark.parametrize("step", [run_lsl_step, invert_born], ids=["lsl", "born"])
+    def test_nan_sample_interval_refused_before_any_stack(self, monkeypatch, step):
+        # NaN compares false both ways, so the gate must not pass it: a NaN
+        # tau forced past the record's own check is refused, naming the
+        # config key, before a stack is evaluated
+        ctx, measured = tiny_context()
+        record = TransferData(measured.values, measured.mask, measured.tau)
+        object.__setattr__(record, "tau", np.nan)
+
+        def forbidden(*args):
+            raise AssertionError("a background stack was evaluated")
+
+        monkeypatch.setattr(lslkit.pipeline, "background_stacks", forbidden)
+        with pytest.raises(DimensionError) as refused:
+            step(ctx, record)
+        assert str(refused.value) == "record sample interval nan differs from time.tau 2.0"
 
 
 class TestZeroPotential:

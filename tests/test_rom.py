@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData
 from lslkit.errors import DegenerateDataError, DimensionError, FactorizationError, PreconditionError
@@ -191,10 +190,12 @@ class TestCholesky:
         assert err <= 1e-12 * np.linalg.norm(spd)
 
     def test_matches_scipy_upper_factor(self):
+        from scipy.linalg import cholesky
+
         a = np.random.default_rng(7).standard_normal((12, 12))
         spd = a @ a.T + 0.5 * np.eye(12)
         upper = cholesky_upper(spd)
-        expected = scipy.linalg.cholesky(spd, lower=False)
+        expected = cholesky(spd, lower=False)
         assert np.abs(upper - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_failure_advises_regularization(self):
@@ -202,16 +203,18 @@ class TestCholesky:
             cholesky_upper(np.diag([1.0, -1.0]))
 
     def test_block_diagonal_decouples(self):
+        from scipy.linalg import block_diag, cholesky
+
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
         block_a = a @ a.T + 2.0 * np.eye(2)
         block_b = b @ b.T + 2.0 * np.eye(2)
-        full = scipy.linalg.block_diag(block_a, block_b)
+        full = block_diag(block_a, block_b)
         upper = cholesky_upper(full)
         assert upper[:2, 2:] == pytest.approx(0.0)
-        assert upper[:2, :2] == pytest.approx(scipy.linalg.cholesky(block_a))
-        assert upper[2:, 2:] == pytest.approx(scipy.linalg.cholesky(block_b))
+        assert upper[:2, :2] == pytest.approx(cholesky(block_a))
+        assert upper[2:, 2:] == pytest.approx(cholesky(block_b))
 
 
 class TestSynthesize:
@@ -251,6 +254,8 @@ class TestSynthesize:
     def test_source_major_transform_matches_time_major_sum(self):
         # u_i(b) = sum over (a, l) of X[a K + l, b K + i] u0_l(a) with X
         # the time-major triangular solve: T is X permuted, nothing more
+        from scipy.linalg import solve_triangular
+
         rng = np.random.default_rng(12)
         K, steps = 3, 5
         m = K * steps
@@ -262,7 +267,7 @@ class TestSynthesize:
         basis, basis0 = random_basis(), random_basis()
         stack = rng.standard_normal((K, steps + 2, 4, 6))
         got = apply_transform(field_transform(basis, basis0, K), stack)
-        time_major = scipy.linalg.solve_triangular(basis0, basis, lower=False)
+        time_major = solve_triangular(basis0, basis, lower=False)
         expected = np.zeros((K, steps, 4, 6))
         for i in range(K):
             for b in range(steps):
