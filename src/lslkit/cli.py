@@ -28,10 +28,11 @@ inversion succeeds. Default names follow the round in every command:
 `invert` writes the q of its record's round, `lift` reads the q of the
 round of --data and writes the record of the next round.
 `--iterations` is validated like `inversion.iterations`, before
-anything is simulated. Every record `invert` and `lift` read passes
-`pipeline`'s one gate (`_check_fit`) before any ROM or background is
-evaluated: one that does not fit the config, or whose diagonal is not
-measured, exits 2 and writes nothing.
+anything is simulated: `_load_config` re-runs `validate` after each
+override. Every record `invert` and `lift` read passes `pipeline`'s
+gate (`_check_fit`) before any ROM or background is evaluated, and
+before `lift` reads --q: one that does not fit the config, or whose
+diagonal is not measured, exits 2 and writes nothing (`errors`).
 
 Nothing else is stored. The zero-potential background is a function of
 the config, recomputed in closed form by every command: its record F0
@@ -219,9 +220,10 @@ def _cmd_lift(args) -> int:
     out = _out_dir(config)
     data = lio.load_transfer(Path(args.data) if args.data else out / "siso.lslt")
     ctx = _context(config)
+    transform = internal_transform(ctx, data)  # the record's gate, before --q is read
     q_path = Path(args.q) if args.q else out / _names(stage_round(ctx, data))[0]
     grid, values = lio.load_field(q_path)
-    lifted = run_lift_step(ctx, Potential(grid, values), data, internal_transform(ctx, data))
+    lifted = run_lift_step(ctx, Potential(grid, values), data, transform)
     data_out = Path(args.data_out) if args.data_out else out / _names(stage_round(ctx, lifted))[1]
     lio.save_transfer(data_out, lifted)
     print(f"lifted record ({lifted.num_samples} samples) -> {data_out}")

@@ -10,8 +10,9 @@ Fields are dense float64 arrays of shape (ny+1, nx+1), indexed [iy, ix],
 node (ix, iy) sitting at (ix*hx, iy*hy). A wavefield history
 is a plain (K, N, ny+1, nx+1) snapshot stack (see `wavesim`): it carries
 no grid, so each consumer is handed the grid it lives on with it. The
-containers below freeze their arrays after construction and are safe to
-share between threads.
+containers below keep their invariants and freeze their arrays after
+construction, safe to share between threads; the functions on them check
+only the nesting of two grids (`refinement_ratio`), nothing else (`errors`).
 """
 
 from __future__ import annotations
@@ -118,17 +119,12 @@ def _check_field(grid: Grid2D, values: np.ndarray, name: str) -> np.ndarray:
 
 def inner_product(grid: Grid2D, f: np.ndarray, g: np.ndarray) -> float:
     """Domain inner product of two nodal fields under trapezoidal weights."""
-    f = _check_field(grid, f, "first field")
-    g = _check_field(grid, g, "second field")
     return float(np.einsum("ij,ij,ij->", grid.node_weights, f, g))
 
 
 def restrict(values: np.ndarray, fine: Grid2D, coarse: Grid2D) -> np.ndarray:
     """Pointwise injection of a (..., ny+1, nx+1) array on `fine`, a field or
     a snapshot stack, at the coincident coarse nodes: a view, never a copy."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-2:] != fine.shape:
-        raise DimensionError(f"field has shape {values.shape}, grid expects (...)+{fine.shape}")
     ratio = refinement_ratio(fine, coarse)
     return values[..., ::ratio, ::ratio]
 
@@ -140,7 +136,6 @@ def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
     bit for bit (signed zeros too): restrict(prolong(f)) == f exactly,
     and prolong onto the same grid is the identity.
     """
-    values = _check_field(coarse, values, "field")
     ratio = refinement_ratio(fine, coarse)
     iy = np.arange(fine.ny + 1)
     ix = np.arange(fine.nx + 1)
@@ -166,7 +161,7 @@ def prolong(values: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
 class Potential:
     """Scattering coefficient sampled on grid nodes.
 
-    True models are nonnegative, which the simulation checks;
+    True models are nonnegative, which the config guarantees;
     reconstructions are sign-unconstrained.
     """
 
@@ -287,7 +282,3 @@ class TransferData:
     def require_measured_diagonal(self) -> None:
         if np.any(np.diag(self.mask) != MaskState.MEASURED):
             raise PreconditionError("diagonal transfer entries must be measured")
-
-    def require_full(self) -> None:
-        if not self.is_full:
-            raise PreconditionError("transfer data has absent entries")

@@ -1,10 +1,16 @@
 """Exception hierarchy shared across the toolkit.
 
 The command line maps these onto exit codes: configuration-type errors
-(ConfigurationError, DimensionError, DomainError, PreconditionError)
-exit with 2, numerical failures (DegenerateDataError, FactorizationError,
+(ConfigurationError, DimensionError, PreconditionError) exit with 2,
+numerical failures (DegenerateDataError, FactorizationError,
 OverRegularizationError, IterationBudgetError) with 3, and file problems
 (FormatError, OSError) with 4.
+
+Input is refused at three boundaries: `ExperimentConfig.validate` (each
+key, re-run after every override), `io.load_*` (each artifact) and
+`pipeline._check_fit` (each record a step reads). Types keep their own
+invariants; nothing behind a boundary checks again, so `rom` and
+`lippmann` fail only numerically.
 """
 
 
@@ -18,10 +24,6 @@ class ConfigurationError(LslError):
 
 class DimensionError(LslError):
     """Mismatched array shapes, grids, or time axes."""
-
-
-class DomainError(LslError):
-    """Input violates a mathematical precondition (e.g. negative potential)."""
 
 
 class PreconditionError(LslError):
@@ -48,7 +50,7 @@ class FormatError(LslError):
     """Malformed or truncated artifact file."""
 
 
-CONFIG_ERRORS = (ConfigurationError, DimensionError, DomainError, PreconditionError)
+CONFIG_ERRORS = (ConfigurationError, DimensionError, PreconditionError)
 NUMERICAL_ERRORS = (
     DegenerateDataError,
     FactorizationError,

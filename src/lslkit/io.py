@@ -20,9 +20,10 @@ spacing or sample interval, so a malformed artifact ends in
 FormatError. A transfer record without its full diagonal is refused
 before its values are read: every writer stores the diagonal and every
 consumer needs it measured, and its K series of T samples tie T to the
-file size. PGM output is 16-bit binary (P5, big-endian samples per the
-format), mapping values linearly between two clip percentiles; image
-rows run from the top of the domain downward.
+file size. The writers re-check nothing (`errors`). PGM output is 16-bit
+binary (P5, big-endian samples per the format), mapping values linearly
+between two clip percentiles; image rows run from the top of the domain
+downward.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Grid2D, MaskState, TransferData
-from .errors import DomainError, FormatError
+from .errors import FormatError
 
 _FIELD_MAGIC = b"LSLF"
 _TRANSFER_MAGIC = b"LSLT"
@@ -42,9 +43,6 @@ _VERSION = 1
 
 
 def save_field(path: str | Path, grid: Grid2D, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise FormatError(f"field shape {values.shape} does not match grid {grid.shape}")
     header = struct.pack(
         "<4sIQQ4d",
         _FIELD_MAGIC,
@@ -148,9 +146,6 @@ def render_pgm(
     clip_percentiles: tuple[float, float] = (1.0, 99.0),
 ) -> None:
     """16-bit grayscale PGM with a linear map between two percentiles."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DomainError("cannot render a field with non-finite values")
     lo, hi = np.percentile(values, clip_percentiles)
     if hi > lo:
         scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)

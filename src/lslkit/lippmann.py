@@ -31,12 +31,9 @@ writes that source's rows; the lift applies the blocks to the Gram
 matrix of the background. No (K, N, ...) stack of internal fields
 exists on either grid, and no stack of w0 need exist.
 
-Neither direction checks the records, T or background it is handed.
-`pipeline` refuses a record that does not fit the config before any ROM
-or background is evaluated (`pipeline._check_fit`), then builds T from
-that record and the background over T's samples on the grid it passes,
-so the inputs fit by construction. Both directions read the first N
-samples of what they are handed.
+Neither direction checks what it is handed (`errors`): `pipeline` builds
+T from a record its gate passed and the background over T's samples, on
+the grid it passes. Both read the first N samples of what they are handed.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid2D, MaskState, Potential, TransferData, prolong
-from .errors import DegenerateDataError, OverRegularizationError, PreconditionError
+from .errors import DegenerateDataError, OverRegularizationError
 
 #: smallest relative truncation level the config's `inversion.tsvd` takes:
 #: `solve_tsvd`'s eigenvalue cut then sits at 1e-8 * lambda_max of the Gram
@@ -61,7 +58,7 @@ class LSSystem:
 
     `assemble_system` stacks its rows source by source, times 1 .. N-1
     within each; columns follow the row-major node order of `grid`, so a
-    solution vector reshapes straight onto the grid.
+    solution vector reshapes straight onto the grid. Overflow raises DegenerateDataError.
     """
 
     matrix: np.ndarray
@@ -71,7 +68,7 @@ class LSSystem:
 
     def __post_init__(self):
         if not np.isfinite(self.matrix).all() or not np.isfinite(self.rhs).all():
-            raise PreconditionError("system contains non-finite entries")
+            raise DegenerateDataError("system contains non-finite entries")
 
 
 def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -> None:

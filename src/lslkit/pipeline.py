@@ -31,11 +31,9 @@ calls of chaining the steps by hand.
 
 Every record a step reads passes one gate, `_check_fit`, before any ROM
 or background is evaluated: its source count and sample interval must be
-the config's, it must hold the samples the step reads, and its diagonal
-must be measured (`internal_transform` also caps a full record at 2n-1
-samples). Past the gate nothing is checked again: T comes from the
-record and the background is evaluated over T's samples, so `lippmann`
-takes both as they are handed over.
+the config's, it must hold the samples the step reads (a full one at
+most 2n-1), and its diagonal must be measured. Nothing behind the gate
+checks again (`errors`): `rom` and `lippmann` take what it passes.
 """
 
 from __future__ import annotations
@@ -231,8 +229,6 @@ def stages(
     evaluates the stacks it reads and only the record passes on, so the
     rounds make the calls of `lslkit invert` and `lslkit lift` chained by hand.
     """
-    if iterations < 0:
-        raise IterationBudgetError("iteration count must be nonnegative")
     record = run_lsl_step(ctx, measured)
     yield record
     for _ in range(iterations):

@@ -25,7 +25,9 @@ is pushed back to SPD by eigenvalue thresholding before factorization.
 
 The ROM works on plain arrays: a mass matrix and its factor are square
 float64 ndarrays, and only `regularize_spd` returns more, the pair
-(matrix, RegularizationRecord).
+(matrix, RegularizationRecord). It re-checks no input (`errors`):
+`pipeline` hands over full records of at least n samples, so the ROM
+fails only numerically.
 """
 
 from __future__ import annotations
@@ -36,11 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import TransferData
-from .errors import (
-    DegenerateDataError,
-    DimensionError,
-    FactorizationError,
-)
+from .errors import DegenerateDataError, FactorizationError
 
 #: eigenvalue floor is the geometric mean of lambda_min+ and RIDGE * lambda_max+
 SPD_RIDGE = 1.0e-12
@@ -65,17 +63,12 @@ def halved_length(n: int) -> int:
 
 
 def block_mass_from_data(data: TransferData, n: int) -> np.ndarray:
-    """Block mass matrix of a full transfer record over its first n samples.
+    """Block mass matrix of a full transfer record over its first n >= 1 samples.
 
     Blocks (k, l) for k, l < `halved_length(n)` are the symmetrized
     transfer matrices combined by the angle-sum rule. A one-source record
     gives the scalar mass matrix of its series exactly: 0.5 (v + v) = v.
     """
-    data.require_full()
-    if n < 1 or n > data.num_samples:
-        raise DimensionError(
-            f"requested {n} samples, transfer record holds {data.num_samples}"
-        )
     nb = halved_length(n)
     K = data.num_sources
     sym = 0.5 * (data.values[:, :, :n] + data.values[:, :, :n].transpose(1, 0, 2))
@@ -142,10 +135,6 @@ def field_transform(upper: np.ndarray, upper0: np.ndarray, K: int) -> np.ndarray
     T[l S + a, i S + b] u0_l(a tau). Identical factors give the identity.
     """
     size = upper.shape[0]
-    if upper0.shape != upper.shape or size % K:
-        raise DimensionError(
-            f"factor shapes differ: {upper.shape} vs {upper0.shape} of {K} sources"
-        )
     # partial pivoting makes no row swaps on the upper-triangular U0
     transform = np.linalg.solve(upper0, upper)
     # source-major position l S + a holds time-major index a K + l

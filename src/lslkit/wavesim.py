@@ -15,7 +15,9 @@ snapshot inner products obey the same angle-sum identities as the
 continuum cosine solution. Downstream, that turns the data-to-mass-matrix
 step into an identity for synthetic data instead of an approximation.
 Stability requires dt^2 * rho(A_h) < 4; `check_cfl` keeps the fine step
-below `CFL_SAFETY` of that bound.
+below `CFL_SAFETY` of that bound. `config.ExperimentConfig.validate` runs
+it at the model's largest amplitude, which bounds the true medium and the
+zero background alike, so nothing here re-checks it (`errors`).
 
 For the zero potential the recurrence need not be run: DCT-I
 diagonalizes the mirror-Neumann A_h under trapezoidal weights (Strang,
@@ -63,7 +65,7 @@ import numpy as np
 
 from .core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
                    refinement_ratio)
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 #: the largest fine step `check_cfl` accepts, as a fraction of the stability bound
 CFL_SAFETY = 0.9
@@ -217,10 +219,7 @@ def simulate_transfer(
     `_angle_sum_record` gives the 2n-1 record samples from them. Every
     entry is tagged measured.
     """
-    if not (np.isfinite(potential.values).all() and (potential.values >= 0.0).all()):
-        raise DomainError("simulation requires a finite, nonnegative potential")
     grid = potential.grid
-    check_cfl(grid, potential.values, axis.tau, settings)
     dt = axis.tau / settings.substeps
     g = sources.fields(grid)
     start1 = g - 0.5 * dt * dt * apply_operator(grid, potential.values, g)
@@ -232,20 +231,15 @@ def simulate_transfer(
 
 def add_noise(data: TransferData, level: float, seed: int) -> TransferData:
     """Perturb measured entries with Gaussian noise of std level*RMS(measured)."""
-    if not (np.isfinite(level) and level >= 0.0):
-        raise ConfigurationError("noise level must be finite and nonnegative")
     if level == 0.0:
         return data
-    mask = np.asarray(data.mask)
-    measured = np.argwhere(mask == MaskState.MEASURED)
-    if measured.size == 0:
-        return data
+    measured = np.argwhere(data.mask == MaskState.MEASURED)
     values = np.array(data.values)
     sel = tuple(measured.T)
     rms = float(np.sqrt(np.mean(values[sel] ** 2)))
     rng = np.random.default_rng(seed)
     values[sel] += level * rms * rng.standard_normal((measured.shape[0], data.num_samples))
-    return TransferData(values, mask, data.tau)
+    return TransferData(values, data.mask, data.tau)
 
 
 def _dct1_matrix(size: int) -> np.ndarray:
@@ -267,8 +261,7 @@ def _modes(grid: Grid2D, axis: TimeAxis, settings: SolverSettings):
     per DCT-I mode cos(pi a ix / nx) cos(pi b iy / ny), the eigenvalue
     lambda of the zero-potential A_h and the angle theta = arccos(1 -
     dt^2 lambda / 2) of one fine step; and the fine step counts k p of
-    the n samples. A step past the CFL bound is refused first."""
-    check_cfl(grid, np.zeros(grid.shape), axis.tau, settings)
+    the n samples."""
     dt = axis.tau / settings.substeps
     sx = np.sin(np.pi * np.arange(grid.nx + 1) / (2 * grid.nx))
     sy = np.sin(np.pi * np.arange(grid.ny + 1) / (2 * grid.ny))

@@ -412,6 +412,14 @@ class TestExitCodes:
         blob[-8:] = struct.pack("<d", np.inf)
         (out / "inf.lslf").write_bytes(bytes(blob))
         assert run("lift", "--config", config_path, "--q", out / "inf.lslf") == 4
+        capsys.readouterr()
+        # the loader refuses the field before `render` or `compare` reads a value
+        for argv in (("render", "--in", out / "inf.lslf"),
+                     ("compare", "--truth", out / "q_true.lslf", "--in", out / "inf.lslf")):
+            assert run(*argv, "--config", config_path) == 4
+            captured = capsys.readouterr()
+            assert "non-finite" in captured.err and not captured.out
+        assert not (out / "inf.pgm").exists()
 
     @pytest.mark.parametrize("level", [
         pytest.param(1e308, marks=pytest.mark.filterwarnings(
@@ -531,12 +539,14 @@ class TestExitCodes:
         assert built == [config.inv_grid(), config.sim_grid()]
 
     @pytest.mark.parametrize("command", [("invert", "--method", "born"),
-                                         ("invert", "--method", "lsl"), ("lift",)],
-                             ids=["born", "lsl", "lift"])
+                                         ("invert", "--method", "lsl"),
+                                         ("lift", "--q", "q_siso.lslf"), ("lift",)],
+                             ids=["born", "lsl", "lift", "lift_default_q"])
     def test_lifted_diagonal_refused_before_any_stack(self, tmp_path, config_path, capsys,
                                                       monkeypatch, command):
         # a full record whose diagonal is tagged lifted: every step refuses
-        # it at the one gate, before any background is evaluated or written
+        # it at the one gate, before any background is evaluated or written;
+        # lift refuses it before it reads --q, whose default q_mimo.lslf is absent
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
         assert run("invert", "--method", "lsl", "--config", config_path) == 0
@@ -558,9 +568,8 @@ class TestExitCodes:
         monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", counting_bands)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
-        argv = ("--q", out / "q_siso.lslf") if command == ("lift",) else ()
-        assert run(*command, "--config", config_path, "--data", out / "relabeled.lslt",
-                   *argv) == 2
+        command = [out / arg if arg.endswith(".lslf") else arg for arg in command]
+        assert run(*command, "--config", config_path, "--data", out / "relabeled.lslt") == 2
         assert capsys.readouterr().err == "error: diagonal transfer entries must be measured\n"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
         assert built == []

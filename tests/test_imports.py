@@ -16,6 +16,11 @@ in the package, and each public method, property and dataclass or
 NamedTuple field as an attribute: a local variable or a keyword argument
 of the same name does not read it. Oracles that only tests need live in
 `tests/reference.py`.
+
+Input is refused at the boundaries (config validation, the artifact
+loaders, `pipeline`'s gate) and nowhere behind them, so `rom` and
+`lippmann` read none of the exit-2 classes of `errors.CONFIG_ERRORS`:
+they can only fail numerically.
 """
 
 import ast
@@ -24,6 +29,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lslkit.errors import CONFIG_ERRORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lslkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -170,3 +177,21 @@ def test_imports_are_declared_dependencies():
     imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
                              for p in MODULES))
     assert imported <= declared, f"undeclared: {sorted(imported - declared)}"
+
+
+def input_errors_read(source: str) -> set[str]:
+    """The exit-2 error classes a module imports or reads as an attribute."""
+    tree = ast.parse(source)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return (imported | read_names(source)[1]) & {cls.__name__ for cls in CONFIG_ERRORS}
+
+
+def test_detects_an_input_error():
+    source = "from .errors import DimensionError\nfrom . import errors\nerrors.PreconditionError\n"
+    assert input_errors_read(source) == {"DimensionError", "PreconditionError"}
+
+
+@pytest.mark.parametrize("name", ["rom.py", "lippmann.py"])
+def test_numerical_layers_refuse_no_input(name):
+    assert input_errors_read((PACKAGE / name).read_text(encoding="utf-8")) == set()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lslkit.core import Grid2D, MaskState, TransferData
-from lslkit.errors import DomainError, FormatError
+from lslkit.errors import FormatError
 from lslkit.io import load_field, load_transfer, render_pgm, save_field, save_transfer
 from reference import load_pgm, reciprocity_defect
 
@@ -83,10 +83,6 @@ class TestFieldFormat:
         path.write_bytes(header + b"\x00" * (8 * 4))
         with pytest.raises(FormatError, match="too small"):
             load_field(path)
-
-    def test_shape_mismatch_on_save(self, tmp_path, grid):
-        with pytest.raises(FormatError):
-            save_field(tmp_path / "x.lslf", grid, np.zeros((2, 2)))
 
 
 class TestTransferFormat:
@@ -196,12 +192,6 @@ class TestPgm:
         render_pgm(values, path, clip_percentiles=(0.0, 100.0))
         pixels = load_pgm(path)
         assert pixels[0, 0] == 65535
-
-    def test_non_finite_rejected(self, tmp_path):
-        bad = np.zeros((3, 3))
-        bad[1, 1] = np.nan
-        with pytest.raises(DomainError):
-            render_pgm(bad, tmp_path / "bad.pgm")
 
     def test_two_target_reconstruction_blobs(self, tmp_path, two_target_run):
         # the completed reconstruction renders as two bright blobs whose

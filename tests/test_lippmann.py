@@ -10,7 +10,7 @@ from lslkit.core import (
     prolong,
     restrict,
 )
-from lslkit.errors import DimensionError, OverRegularizationError
+from lslkit.errors import DegenerateDataError, DimensionError, OverRegularizationError
 from lslkit.lippmann import (
     LSSystem,
     assemble_system,
@@ -260,6 +260,18 @@ class TestSolveTsvd:
         system = LSSystem(np.zeros((6, m)), np.ones(6), grid, 0.5)
         with pytest.raises(OverRegularizationError, match="system matrix is zero"):
             solve_tsvd(system)
+
+    def test_non_finite_entry_is_a_numerical_failure(self):
+        # an overflowed system exits 3, like residual_norm's overflow
+        grid = Grid2D(4, 4, 1.0, 1.0)
+        m = grid.num_nodes
+        matrix, rhs = np.eye(m), np.ones(m)
+        matrix[2, 3] = np.inf
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            LSSystem(matrix, np.ones(m), grid, 0.5)
+        rhs[3] = np.inf
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            LSSystem(np.eye(m), rhs, grid, 0.5)
 
     def test_over_regularization(self):
         grid = Grid2D(4, 4, 1.0, 1.0)

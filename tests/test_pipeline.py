@@ -100,8 +100,6 @@ class TestSchedule:
         # n=4 -> 2 -> halved 2... next round leaves a single usable sample
         with pytest.raises(IterationBudgetError):
             list(stages(ctx, measured, iterations=3))
-        with pytest.raises(IterationBudgetError):
-            list(stages(ctx, measured, iterations=-1))
 
 
 class TestInternalFields:

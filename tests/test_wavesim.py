@@ -11,7 +11,7 @@ import lslkit.wavesim
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
                          inner_product)
-from lslkit.errors import ConfigurationError, DomainError
+from lslkit.errors import ConfigurationError
 from lslkit.rom import halved_length
 from lslkit.wavesim import (
     CFL_SAFETY,
@@ -187,23 +187,6 @@ class TestSnapshots:
             )
         energies = np.array(energies)
         assert np.abs(energies - energies[0]).max() <= 1e-12 * abs(energies[0])
-
-    def test_cfl_and_domain_errors(self):
-        grid, potential, sources, axis, _ = small_setup()
-        with pytest.raises(ConfigurationError, match="substeps"):
-            simulate_transfer(potential, sources, axis, SolverSettings(substeps=1))
-        bad = Potential(potential.grid, potential.values - 1.0)
-        with pytest.raises(DomainError):
-            simulate_transfer(bad, sources, axis, SolverSettings(substeps=8))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_potential_must_be_finite_and_nonnegative(self, bad):
-        # refused before the CFL check, which NaN would pass and inf would overflow
-        grid, potential, sources, axis, settings = small_setup(q_amp=0.1)
-        values = np.array(potential.values)
-        values[7, 20] = bad
-        with pytest.raises(DomainError, match="finite, nonnegative"):
-            simulate_transfer(Potential(grid, values), sources, axis, settings)
 
     def test_zero_potential_matches_background_path(self):
         grid, potential, sources, axis, settings = small_setup()
@@ -530,11 +513,6 @@ class TestNoise:
     def test_zero_level_identity(self):
         data = self.make_data()
         assert add_noise(data, 0.0, 123) is data
-
-    @pytest.mark.parametrize("level", [np.nan, np.inf, -1.0])
-    def test_level_must_be_finite_and_nonnegative(self, level):
-        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
-            add_noise(self.make_data(), level, 0)
 
     def test_determinism(self):
         data = self.make_data()
