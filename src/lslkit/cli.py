@@ -29,10 +29,11 @@ inversion succeeds. Default names follow the round in every command:
 round of --data and writes the record of the next round.
 `--iterations` is validated like `inversion.iterations`, before
 anything is simulated: `_load_config` re-runs `validate` after each
-override. Every record `invert` and `lift` read passes `pipeline`'s
-gate (`_check_fit`) before any ROM or background is evaluated, and
-before `lift` reads --q: one that does not fit the config, or whose
-diagonal is not measured, exits 2 and writes nothing (`errors`).
+override. Every record `invert` and `lift` read must fit the config:
+its loader checks the source count and at most 2n-1 samples, and then
+`pipeline`'s gate (`_check_fit`) the rest, before any ROM or background
+is evaluated and before `lift` reads --q. A record that does not fit,
+or whose diagonal is not measured, exits 2 and writes nothing (`errors`).
 
 Nothing else is stored. The zero-potential background is a function of
 the config, recomputed in closed form by every command: its record F0
@@ -199,7 +200,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_invert(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    data = lio.load_transfer(Path(args.data) if args.data else out / "siso.lslt")
+    path = Path(args.data) if args.data else out / "siso.lslt"
+    data = lio.load_transfer(path, config.source_count, config.axis())
     ctx = _context(config)
 
     if args.method == "born":
@@ -218,7 +220,8 @@ def _cmd_invert(args) -> int:
 def _cmd_lift(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    data = lio.load_transfer(Path(args.data) if args.data else out / "siso.lslt")
+    path = Path(args.data) if args.data else out / "siso.lslt"
+    data = lio.load_transfer(path, config.source_count, config.axis())
     ctx = _context(config)
     transform = internal_transform(ctx, data)  # the record's gate, before --q is read
     q_path = Path(args.q) if args.q else out / _names(stage_round(ctx, data))[0]

@@ -227,7 +227,7 @@ class ExperimentConfig:
                 )
         # the CFL check uses the worst-case amplitude over the model
         qmax = max((inc.amplitude for inc in self.inclusions), default=0.0)
-        check_cfl(self.sim_grid(), np.asarray([qmax]), self.tau, self.settings())
+        check_cfl(self.sim_grid(), qmax, self.tau, self.settings())
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

@@ -20,10 +20,13 @@ spacing or sample interval, so a malformed artifact ends in
 FormatError. A transfer record without its full diagonal is refused
 before its values are read: every writer stores the diagonal and every
 consumer needs it measured, and its K series of T samples tie T to the
-file size. The writers re-check nothing (`errors`). PGM output is 16-bit
-binary (P5, big-endian samples per the format), mapping values linearly
-between two clip percentiles; image rows run from the top of the domain
-downward.
+file size. One whose K is not the config's `sources`, or whose T exceeds
+the 2n-1 samples of its `axis`, is refused with DimensionError (exit 2)
+right after its header, before its mask is read. The writers re-check
+nothing (`errors`).
+PGM output is 16-bit binary (P5, big-endian samples per the format),
+mapping values linearly between two clip percentiles; image rows run
+from the top of the domain downward.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid2D, MaskState, TransferData
-from .errors import FormatError
+from .core import Grid2D, MaskState, TimeAxis, TransferData
+from .errors import DimensionError, FormatError
 
 _FIELD_MAGIC = b"LSLF"
 _TRANSFER_MAGIC = b"LSLT"
@@ -112,7 +115,7 @@ def save_transfer(path: str | Path, data: TransferData) -> None:
         handle.write(data.values[mask != MaskState.ABSENT].astype("<f8", copy=False).tobytes())
 
 
-def load_transfer(path: str | Path) -> TransferData:
+def load_transfer(path: str | Path, sources: int, axis: TimeAxis) -> TransferData:
     with open(path, "rb") as handle:
         header = _read_exactly(handle, 32, "transfer header")
         magic, version, K, T, tau = struct.unpack("<4sIQQd", header)
@@ -124,6 +127,12 @@ def load_transfer(path: str | Path) -> TransferData:
             raise FormatError(f"degenerate transfer record {K}x{T}")
         if not _positive(tau):
             raise FormatError(f"sample interval {tau} is not a positive finite number")
+        if K != sources:
+            raise DimensionError(f"record has {K} sources, sources.count is {sources}")
+        if T > axis.total_samples:
+            raise DimensionError(
+                f"record holds {T} samples, time.n {axis.n} takes at most {axis.total_samples}"
+            )
         mask = np.frombuffer(_read_exactly(handle, K * K, "mask"), dtype=np.uint8)
         mask = mask.reshape(K, K)
         if not np.isin(mask, (0, 1, 2)).all():

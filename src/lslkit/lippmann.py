@@ -32,8 +32,8 @@ matrix of the background. No (K, N, ...) stack of internal fields
 exists on either grid, and no stack of w0 need exist.
 
 Neither direction checks what it is handed (`errors`): `pipeline` builds
-T from a record its gate passed and the background over T's samples, on
-the grid it passes. Both read the first N samples of what they are handed.
+T from a record its gate passed and the background over T's N samples,
+on the grid it passes.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def assemble_system(
 ) -> LSSystem:
     """Rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `u0` is the background (K, N', ny+1, nx+1) stack on `inv_grid` and
-    `w0` an iterable of the K (N', ny+1, nx+1) histories of its
+    `u0` is the background (K, N, ny+1, nx+1) stack on `inv_grid` and
+    `w0` an iterable of the K (N, ny+1, nx+1) histories of its
     antiderivative there, read one source at a time. The internal fields
     are u0 * T with T = `transform`, a (B, G N, G N) stack of diagonal
     blocks in the source-major order of `rom.field_transform`, N samples
@@ -115,7 +115,6 @@ def assemble_system(
     """
     K = len(u0)
     num = field_samples(transform, K)
-    u0 = np.ascontiguousarray(u0[:, :num])  # a view when it holds just N
     group = K // len(transform)
     weights = inv_grid.node_weights.ravel()
     matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
@@ -125,7 +124,7 @@ def assemble_system(
         rows = slice(j * (num - 1), (j + 1) * (num - 1))
         u0_flat = u0[g * group : (g + 1) * group].reshape(group * num, -1)
         field = transform[g][:, i * num : (i + 1) * num].T @ u0_flat
-        _trapezoid_rows(history[:num].reshape(num, -1) * weights, field, data.tau, matrix[rows])
+        _trapezoid_rows(history.reshape(num, -1) * weights, field, data.tau, matrix[rows])
         rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
     return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
 
@@ -194,7 +193,7 @@ def forward_lift(
     `fields` is the background on `grid` in row bands: its length is the
     source count K, and it yields (rows, u0, w0) for consecutive slices of
     grid rows that cover the grid, u0 and w0 of shape (nx+1, |rows|, K,
-    N >= steps) holding node (y, x) at [x, y - rows.start], as
+    steps) holding node (y, x) at [x, y - rows.start], as
     `wavesim.BackgroundBands` evaluates them; each band is read once, and
     `data0` is the full background record F0. The
     internal fields are u0 * T with T = `transform`, a (B, G steps, G
@@ -228,7 +227,6 @@ def forward_lift(
     gram = np.empty((K, steps, K, steps))
     product = gram.reshape(size, size)
     for rows, u0, w0 in fields:
-        u0, w0 = u0[..., :steps], w0[..., :steps]
         w0 = (w0 * weighted_q[rows].T[..., None, None]).reshape(-1, size)
         gram0 += np.matmul(w0.T, u0.reshape(-1, size), out=product)
         del u0, w0  # freed before the next band is evaluated

@@ -21,7 +21,9 @@ diagonal blocks that `lippmann` describes; the Born inversion is K
 identity blocks. Assembly and the lift both take the background and T:
 assembly on the inversion grid (injection commutes with T), the lift on
 the simulation grid. Every step evaluates the closed form on the grid
-it reads, over the N samples its T reads. An inversion evaluates
+it reads, over the N samples its T reads, and hands it over as it is:
+every u0, w0 history and band holds exactly those N samples, so
+`lippmann` cuts no background by sample. An inversion evaluates
 `wavesim.background_stacks`: it holds the u0 stack, evaluates w0 one
 source at a time as it reads it, and frees u0 before its TSVD. A lift
 passes `wavesim.BackgroundBands`, which it evaluates one band of rows
@@ -30,10 +32,12 @@ no stack, so nothing outlives its step, and `stages` makes exactly the
 calls of chaining the steps by hand.
 
 Every record a step reads passes one gate, `_check_fit`, before any ROM
-or background is evaluated: its source count and sample interval must be
-the config's, it must hold the samples the step reads (a full one at
-most 2n-1), and its diagonal must be measured. Nothing behind the gate
-checks again (`errors`): `rom` and `lippmann` take what it passes.
+or background is evaluated: its sample interval must be the config's, it
+must hold the samples the step reads, and its diagonal must be measured.
+Its source count and its length of at most 2n-1 samples are the loader's
+to refuse (`io.load_transfer`); a record the steps make has both. Nothing
+behind the gate checks again (`errors`): `rom` and `lippmann` take what
+it passes.
 """
 
 from __future__ import annotations
@@ -111,42 +115,38 @@ class StageRecord:
 def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     """ROM transform T of a transfer record: its internal fields are u0 * T.
 
-    A diagonal-only record of at least 2n-1 samples gets the ROM of each
-    source's 1 x 1 record over 2n-1 samples, so T is the (K, n, n) stack
-    of their blocks. A full record of N <= 2n-1 samples gets the block
-    ROM over all N, leaving N' = floor((N-1)/2) + 1 samples per field,
-    and T is one (K N', K N') block. The ROM works on plain arrays: every
-    mass matrix is passed through `regularize_spd`, which returns
+    A diagonal-only record of 2n-1 samples gets the ROM of each source's
+    1 x 1 record, so T is the (K, n, n) stack of their blocks. A full
+    record of N <= 2n-1 samples gets the block ROM over all N, leaving N'
+    = floor((N-1)/2) + 1 samples per field, and T is one (K N', K N')
+    block. The ROM works on plain arrays: it reads the records' values,
+    every mass matrix is passed through `regularize_spd`, which returns
     (matrix, record), and its matrix is factored; no stage keeps the
     record yet. A record that does not fit the context raises
     DimensionError naming the config key, and one whose diagonal is not
     measured PreconditionError (`_check_fit`).
     """
-    n, K = ctx.axis.n, ctx.sources.count
-    length, limit, full = data.num_samples, ctx.axis.total_samples, data.is_full
-    _check_fit(ctx, data, 0 if full else limit)
-    if full and length > limit:
-        raise DimensionError(f"record holds {length} samples, time.n {n} takes at most {limit}")
-    background = ctx.background
-    if not full:
-        return np.stack(
-            [_rom_transform(_source(data, j), _source(background, j), limit) for j in range(K)]
-        )
+    K, limit, length = ctx.sources.count, ctx.axis.total_samples, data.num_samples
+    _check_fit(ctx, data, 0 if data.is_full else limit)
+    values, values0 = data.values, ctx.background.values
+    if not data.is_full:
+        return np.stack([
+            _rom_transform(values[j : j + 1, j : j + 1], values0[j : j + 1, j : j + 1], limit)
+            for j in range(K)
+        ])
     if halved_length(length) < 2:
         raise IterationBudgetError(
             f"time axis exhausted: {length} samples leave no usable equations"
         )
-    return _rom_transform(data, background, length)[np.newaxis]
+    return _rom_transform(values, values0, length)[np.newaxis]
 
 
 def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
     """The gate of every record a step reads, before any ROM or stack is
-    evaluated: refuse one whose source count or sample interval is not the
-    config's, or that holds fewer than `fewest` samples, naming the key,
-    and then one whose diagonal is not measured."""
-    K, tau, n, length = ctx.sources.count, ctx.axis.tau, ctx.axis.n, data.num_samples
-    if data.num_sources != K:
-        raise DimensionError(f"record has {data.num_sources} sources, sources.count is {K}")
+    evaluated: refuse one whose sample interval is not the config's, or
+    that holds fewer than `fewest` samples, naming the key, and then one
+    whose diagonal is not measured."""
+    tau, n, length = ctx.axis.tau, ctx.axis.n, data.num_samples
     if not abs(data.tau - tau) <= 1e-12 * tau:
         raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
     if length < fewest:
@@ -154,18 +154,12 @@ def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
     data.require_measured_diagonal()
 
 
-def _source(data: TransferData, j: int) -> TransferData:
-    """The 1 x 1 record of source j's diagonal series."""
-    pair = (slice(j, j + 1), slice(j, j + 1))
-    return TransferData(data.values[pair], data.mask[pair], data.tau)
-
-
-def _rom_transform(data: TransferData, data0: TransferData, length: int) -> np.ndarray:
-    """T of the block ROM of `data` against the background record `data0`
-    over the same sources and their first `length` samples."""
-    upper = _factor(block_mass_from_data(data, length))
-    upper0 = _factor(block_mass_from_data(data0, length))
-    return field_transform(upper, upper0, data.num_sources)
+def _rom_transform(values: np.ndarray, values0: np.ndarray, length: int) -> np.ndarray:
+    """T of the block ROM of record values `values` against the background's
+    `values0`, both (K, K, T), over their first `length` samples."""
+    upper = _factor(block_mass_from_data(values, length))
+    upper0 = _factor(block_mass_from_data(values0, length))
+    return field_transform(upper, upper0, len(values))
 
 
 def stage_round(ctx: PipelineContext, data: TransferData) -> int:

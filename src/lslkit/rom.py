@@ -23,11 +23,11 @@ materialized.
 A lifted transfer matrix is not a true Gram matrix, so its mass matrix
 is pushed back to SPD by eigenvalue thresholding before factorization.
 
-The ROM works on plain arrays: a mass matrix and its factor are square
-float64 ndarrays, and only `regularize_spd` returns more, the pair
-(matrix, RegularizationRecord). It re-checks no input (`errors`):
-`pipeline` hands over full records of at least n samples, so the ROM
-fails only numerically.
+The ROM works on plain arrays: a record is its (K, K, T) values, a mass
+matrix and its factor are square float64 ndarrays, and only
+`regularize_spd` returns more, the pair (matrix, RegularizationRecord).
+It re-checks no input (`errors`): `pipeline` hands over the values of
+full records of at least n samples, so the ROM fails only numerically.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TransferData
 from .errors import DegenerateDataError, FactorizationError
 
 #: eigenvalue floor is the geometric mean of lambda_min+ and RIDGE * lambda_max+
@@ -62,16 +61,16 @@ def halved_length(n: int) -> int:
     return (n - 1) // 2 + 1
 
 
-def block_mass_from_data(data: TransferData, n: int) -> np.ndarray:
-    """Block mass matrix of a full transfer record over its first n >= 1 samples.
+def block_mass_from_data(values: np.ndarray, n: int) -> np.ndarray:
+    """Block mass matrix of a full record's (K, K, T) values over the first n >= 1 samples.
 
     Blocks (k, l) for k, l < `halved_length(n)` are the symmetrized
     transfer matrices combined by the angle-sum rule. A one-source record
     gives the scalar mass matrix of its series exactly: 0.5 (v + v) = v.
     """
     nb = halved_length(n)
-    K = data.num_sources
-    sym = 0.5 * (data.values[:, :, :n] + data.values[:, :, :n].transpose(1, 0, 2))
+    K = len(values)
+    sym = 0.5 * (values[:, :, :n] + values[:, :, :n].transpose(1, 0, 2))
     k = np.arange(nb)
     blocks = 0.5 * (sym[:, :, np.abs(k[:, None] - k)] + sym[:, :, k[:, None] + k])
     return blocks.transpose(2, 0, 3, 1).reshape(nb * K, nb * K)

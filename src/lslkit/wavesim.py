@@ -82,11 +82,10 @@ class SolverSettings:
             raise ConfigurationError("solver substeps must be a positive integer")
 
 
-def check_cfl(grid: Grid2D, q_values: np.ndarray, tau: float, settings: SolverSettings) -> None:
+def check_cfl(grid: Grid2D, qmax: float, tau: float, settings: SolverSettings) -> None:
     dt = tau / settings.substeps
-    qmax = float(np.max(q_values)) if q_values.size else 0.0
-    # rho(A_h) <= 4/hx^2 + 4/hy^2 + max(q, 0)
-    limit = 2.0 * CFL_SAFETY / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2 + max(qmax, 0.0))
+    # rho(A_h) <= 4/hx^2 + 4/hy^2 + qmax for 0 <= q <= qmax
+    limit = 2.0 * CFL_SAFETY / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2 + qmax)
     if dt >= limit:
         need = int(np.ceil(tau / limit))
         if tau / need >= limit:
@@ -111,19 +110,14 @@ def apply_operator(
     a padded copy of f: the mirror ghost doubles the one difference at
     either wall. A constant f has zero differences, so A_h 1 = 0
     exactly. The differences go into `scratch`, first along x, then
-    along y. Each buffer that is not given is allocated; a given one
-    must be a C-contiguous float64 array of f's shape that shares no
-    memory with f or with the other buffer, so a caller that passes
-    both allocates nothing.
+    along y. Each buffer that is not given is allocated; a given one is
+    a C-contiguous float64 array of f's shape that shares no memory with
+    f or with the other buffer, as `_leapfrog`'s own are, so a caller
+    that passes both allocates nothing.
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
     out = np.empty(f.shape) if out is None else out
     scratch = np.empty(f.shape) if scratch is None else scratch
-    for buffer in (out, scratch):
-        if not buffer.flags.c_contiguous or buffer.dtype != np.float64 or buffer.shape != f.shape:
-            raise ValueError("apply_operator needs C-contiguous float64 buffers of f's shape")
-    if any(np.may_share_memory(a, b) for a, b in ((out, f), (scratch, f), (scratch, out))):
-        raise ValueError("apply_operator buffers must not share memory with f or each other")
     np.multiply(q_values, f, out=out)
     # x neighbours are adjacent in memory: one pass over the flat arrays
     # (far faster than row-offset slices), with the differences that

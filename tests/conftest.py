@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lslkit.config import bundled_config_path, parse_config
-from lslkit.core import Potential, TransferData, restrict
+from lslkit.core import Potential, restrict
 from lslkit.pipeline import PipelineContext, invert_born, metrics, stages
 from lslkit.wavesim import add_noise, simulate_transfer
 from reference import background, diagonal_record
@@ -52,10 +52,10 @@ def reference_potential(ctx, q_true):
     return Potential(ctx.inv_grid, restrict(q_true.values, q_true.grid, ctx.inv_grid))
 
 
-def source_record(data, j):
-    """Source j's diagonal series as a 1 x 1 full record: its scalar ROM input."""
-    pair = (slice(j, j + 1), slice(j, j + 1))
-    return TransferData(data.values[pair], data.mask[pair], data.tau)
+def source_values(data, j):
+    """Source j's diagonal series as the (1, 1, T) values of a full record:
+    its scalar ROM input, as `pipeline.internal_transform` passes it."""
+    return data.values[j : j + 1, j : j + 1]
 
 
 def off_diagonal_error(data, oracle, count):

@@ -21,7 +21,7 @@ from lslkit.rom import (
     regularize_spd,
 )
 from lslkit.wavesim import SolverSettings, simulate_transfer
-from conftest import off_diagonal_error, source_record
+from conftest import off_diagonal_error, source_values
 from reference import (
     apply_transform,
     background as zero_background,
@@ -58,7 +58,7 @@ def test_c01_exact_mass_identity():
     data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
     worst = 0.0
     for j in range(sources.count):
-        mass = block_mass_from_data(source_record(data, j), axis.total_samples)
+        mass = block_mass_from_data(source_values(data, j), axis.total_samples)
         snaps = leapfrog_snapshots(potential, sources, j, axis, settings, axis.n)
         gram = snapshot_gram(snaps[None], grid)
         worst = max(
@@ -88,7 +88,7 @@ def test_c02_zero_potential_round_trip():
     worst_field = 0.0
     for j in range(sources.count):
         basis, basis0 = (
-            cholesky_upper(block_mass_from_data(source_record(d, j), axis.total_samples))
+            cholesky_upper(block_mass_from_data(source_values(d, j), axis.total_samples))
             for d in (data, background.data)
         )
         transform = field_transform(basis, basis0, 1)

@@ -17,7 +17,7 @@ import lslkit.pipeline
 import lslkit.wavesim
 from lslkit.cli import main
 from lslkit.config import bundled_config_path, parse_config
-from lslkit.core import MaskState, TransferData
+from lslkit.core import MaskState, TimeAxis, TransferData
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from lslkit.rom import halved_length
 from reference import load_pgm, whole_stacks
@@ -70,15 +70,20 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def load_record(path):
+    """A record the commands write under SMALL_CONFIG: 3 sources, n = 12."""
+    return load_transfer(path, 3, TimeAxis(2.0, 12))
+
+
 class TestSurface:
     def test_simulate_artifacts(self, tmp_path, config_path):
         assert run("simulate", "--config", config_path) == 0
         out = tmp_path / "out"
         # the background is recomputed by every command, never stored
         assert sorted(p.name for p in out.iterdir()) == ["mimo.lslt", "q_true.lslf", "siso.lslt"]
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         assert not siso.is_full
-        mimo = load_transfer(out / "mimo.lslt")
+        mimo = load_record(out / "mimo.lslt")
         assert mimo.is_full
 
     @pytest.mark.parametrize("flags", [(), ("--positivity",)], ids=["plain", "positivity"])
@@ -193,19 +198,19 @@ class TestSurface:
             SMALL_CONFIG + f"\n[noise]\nlevel = 0.05\n[output]\ndirectory = {tmp_path / 'n1'}\n"
         )
         assert run("simulate", "--config", noisy_cfg, "--seed", 1) == 0
-        a = load_transfer(tmp_path / "n1" / "siso.lslt")
+        a = load_record(tmp_path / "n1" / "siso.lslt")
         assert run("simulate", "--config", noisy_cfg, "--seed", 2, "--out", tmp_path / "n2") == 0
-        b = load_transfer(tmp_path / "n2" / "siso.lslt")
+        b = load_record(tmp_path / "n2" / "siso.lslt")
         assert not np.array_equal(a.values, b.values)
         assert run("simulate", "--config", noisy_cfg, "--seed", 1, "--out", tmp_path / "n3") == 0
-        c = load_transfer(tmp_path / "n3" / "siso.lslt")
+        c = load_record(tmp_path / "n3" / "siso.lslt")
         assert np.array_equal(a.values, c.values)
 
     def test_siso_is_the_mimo_diagonal(self, tmp_path, config_path):
         # noise-free: the measured record is the diagonal of the one simulation
         assert run("simulate", "--config", config_path) == 0
-        siso = load_transfer(tmp_path / "out" / "siso.lslt")
-        mimo = load_transfer(tmp_path / "out" / "mimo.lslt")
+        siso = load_record(tmp_path / "out" / "siso.lslt")
+        mimo = load_record(tmp_path / "out" / "mimo.lslt")
         K = mimo.num_sources
         for i in range(K):
             assert np.array_equal(siso.values[i, i], mimo.values[i, i])
@@ -217,7 +222,7 @@ class TestSurface:
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
         assert run("invert", "--method", "born", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         save_transfer(out / "scaled.lslt", TransferData(1.3 * siso.values, siso.mask, siso.tau))
         assert run("invert", "--method", "born", "--config", config_path,
                    "--data", out / "scaled.lslt", "--q-out", out / "q_scaled.lslf") == 0
@@ -237,9 +242,9 @@ class TestSurface:
         assert run("invert", "--method", "lsl", *common, "--data", out / "lifted.lslt") == 0
         calls = []
 
-        def counting_load(path):
+        def counting_load(path, *config):
             calls.append(path)
-            return load_transfer(path)
+            return load_transfer(path, *config)
 
         monkeypatch.setattr(lslkit.cli.lio, "load_transfer", counting_load)
         method = ("--method", "lsl") if command == "invert" else ()
@@ -401,7 +406,7 @@ class TestExitCodes:
     def test_non_finite_artifacts(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         values = np.array(siso.values)
         values[1, 1, 5] = np.nan
         save_transfer(out / "nan.lslt", TransferData(values, siso.mask, siso.tau))
@@ -434,7 +439,7 @@ class TestExitCodes:
         message = {1e308: "non-finite", 1e200: "positive definite"}[level]
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         values = np.zeros_like(siso.values)
         values[np.eye(3, dtype=bool)] = level
         save_transfer(out / "huge.lslt", TransferData(values, siso.mask, siso.tau))
@@ -482,7 +487,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
         assert run("invert", "--method", "lsl", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         if record == "two_sources":
             bad = TransferData(siso.values[:2, :2], siso.mask[:2, :2], siso.tau)
         elif record == "four_sources":
@@ -550,7 +555,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
         assert run("invert", "--method", "lsl", "--config", config_path) == 0
-        mimo = load_transfer(out / "mimo.lslt")
+        mimo = load_record(out / "mimo.lslt")
         lifted = np.full_like(mimo.mask, MaskState.LIFTED)
         save_transfer(out / "relabeled.lslt", TransferData(mimo.values, lifted, mimo.tau))
         built = []
@@ -580,8 +585,8 @@ class TestExitCodes:
         # most 23, and Born reads 12 of either (lifted_2.lslt holds 6)
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
-        mimo = load_transfer(out / "mimo.lslt")
+        siso = load_record(out / "siso.lslt")
+        mimo = load_record(out / "mimo.lslt")
         if record == "short_diagonal":
             bad = TransferData(siso.values[:, :, :20], siso.mask, siso.tau)
         elif record == "long_full":
@@ -672,16 +677,30 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_header(self, tmp_path, config_path, capsys):
+        # a header that does not fit the config (3 sources, n = 12) is refused
+        # before its mask is read: K = 100000 would ask for a 10 GB mask and
+        # 80 GB of zeros per sample, K = 3 and T = 2^40 for 72 TiB
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
-        # K=3 and T=2^40 would ask for 72 TiB; the file holds a few bytes
-        header = struct.pack("<4sIQQd", b"LSLT", 1, 3, 2**40, 2.0)
-        (out / "huge.lslt").write_bytes(header + bytes([1, 0, 0, 0, 1, 0, 0, 0, 1]) + b"\0" * 64)
+        header = lambda K, T: struct.pack("<4sIQQd", b"LSLT", 1, K, T, 2.0)
+        (out / "wide.lslt").write_bytes(header(100000, 23))
+        (out / "long.lslt").write_bytes(header(3, 2**40) + bytes([1, 0, 0, 0, 1, 0, 0, 0, 1]))
+        capsys.readouterr()
+        for name, message in (("wide", "record has 100000 sources, sources.count is 3"),
+                              ("long", "record holds 1099511627776 samples, time.n 12 "
+                                       "takes at most 23")):
+            for command in (("invert", "--method", "lsl"), ("invert", "--method", "born"),
+                            ("lift",)):
+                assert run(*command, "--config", config_path,
+                           "--data", out / f"{name}.lslt") == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
+        # a header that fits but a file that holds a few bytes, and a fitting
+        # header with the diagonal absent: refused before any value is read
+        (out / "short.lslt").write_bytes(header(3, 23) + bytes([1, 0, 0, 0, 1, 0, 0, 0, 1]))
         assert run("invert", "--method", "lsl", "--config", config_path,
-                   "--data", out / "huge.lslt") == 4
+                   "--data", out / "short.lslt") == 4
         assert "truncated" in capsys.readouterr().err
-        # K=1 and T=2^61 with the diagonal absent: refused before allocating
-        (out / "bare.lslt").write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, 1, 2**61, 2.0) + b"\0")
+        (out / "bare.lslt").write_bytes(header(3, 23) + bytes(9))
         assert run("invert", "--method", "born", "--config", config_path,
                    "--data", out / "bare.lslt") == 4
         assert "diagonal" in capsys.readouterr().err
@@ -843,7 +862,7 @@ class TestMutatedArtifacts:
         # ROM and the TSVD run, but the misfit norm overflows
         out = tmp_path / "out"
         assert run("simulate", "--config", config_path) == 0
-        siso = load_transfer(out / "siso.lslt")
+        siso = load_record(out / "siso.lslt")
         values = np.array(siso.values)
         values[1, 1, 7] = 1.47e292
         save_transfer(out / "huge.lslt", TransferData(values, siso.mask, siso.tau))

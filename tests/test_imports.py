@@ -20,7 +20,8 @@ of the same name does not read it. Oracles that only tests need live in
 Input is refused at the boundaries (config validation, the artifact
 loaders, `pipeline`'s gate) and nowhere behind them, so `rom` and
 `lippmann` read none of the exit-2 classes of `errors.CONFIG_ERRORS`:
-they can only fail numerically.
+they can only fail numerically. The ROM works on plain arrays, so `rom`
+imports nothing from `core`.
 """
 
 import ast
@@ -195,3 +196,27 @@ def test_detects_an_input_error():
 @pytest.mark.parametrize("name", ["rom.py", "lippmann.py"])
 def test_numerical_layers_refuse_no_input(name):
     assert input_errors_read((PACKAGE / name).read_text(encoding="utf-8")) == set()
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """The names a module imports from the package's `module`, and `module`
+    itself where the whole module is imported."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"lslkit.{module}"):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names
+                      if alias.name in (module, f"lslkit.{module}")}
+    return names
+
+
+def test_detects_a_name_imported_from_core():
+    source = ("from .core import Grid2D\nfrom . import core, errors\n"
+              "import lslkit.core\nfrom .errors import LslError\n")
+    assert names_imported_from(source, "core") == {"Grid2D", "core", "lslkit.core"}
+
+
+def test_rom_imports_nothing_from_core():
+    # the ROM reads a record's (K, K, T) values, never the record
+    assert names_imported_from((PACKAGE / "rom.py").read_text(encoding="utf-8"), "core") == set()

@@ -3,10 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from lslkit.core import Grid2D, MaskState, TransferData
-from lslkit.errors import FormatError
+from lslkit.core import Grid2D, MaskState, TimeAxis, TransferData
+from lslkit.errors import DimensionError, FormatError
 from lslkit.io import load_field, load_transfer, render_pgm, save_field, save_transfer
 from reference import load_pgm, reciprocity_defect
+
+
+def load_fitting(path, K=3, T=5):
+    """The record at `path` under a config it fits: K sources, and n = T,
+    so its 2n-1 samples bound T from above."""
+    return load_transfer(path, K, TimeAxis(1.0, T))
 
 
 @pytest.fixture
@@ -103,7 +109,7 @@ class TestTransferFormat:
             data = self.make_data(full=full)
             path = tmp_path / f"t{full}.lslt"
             save_transfer(path, data)
-            loaded = load_transfer(path)
+            loaded = load_fitting(path, data.num_sources, data.num_samples)
             assert loaded.values.tobytes() == data.values.tobytes()
             assert np.array_equal(loaded.mask, data.mask)
             assert loaded.tau == data.tau
@@ -130,7 +136,7 @@ class TestTransferFormat:
         offset = 32 + 9 + 8 * 6 + 8 * 2  # third sample of series (0, 1)
         blob[offset : offset + 8] = np.float64(99.0).tobytes()
         path.write_bytes(bytes(blob))
-        loaded = load_transfer(path)
+        loaded = load_fitting(path, 3, 6)
         assert reciprocity_defect(loaded) > 0.5
 
     def test_bad_magic_and_truncation(self, tmp_path):
@@ -141,11 +147,11 @@ class TestTransferFormat:
         blob[:4] = b"WHAT"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="magic"):
-            load_transfer(path)
+            load_fitting(path)
         save_transfer(path, data)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
-            load_transfer(path)
+            load_fitting(path)
 
 
     @pytest.mark.parametrize("K, T", [(0, 5), (2, 0)])
@@ -156,7 +162,7 @@ class TestTransferFormat:
         mask = np.eye(K, dtype=np.uint8).tobytes()
         path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, K, T, 1.0) + mask)
         with pytest.raises(FormatError, match=f"degenerate transfer record {K}x{T}"):
-            load_transfer(path)
+            load_fitting(path)
 
     def test_absent_diagonal_rejected(self, tmp_path):
         # K = 1 and T = 2^61 with the one series absent: no value bytes
@@ -165,7 +171,21 @@ class TestTransferFormat:
         path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, 1, 2**61, 1.0) + b"\0")
         assert path.stat().st_size == 33
         with pytest.raises(FormatError, match="diagonal"):
-            load_transfer(path)
+            load_fitting(path, 1, 2**61)
+
+    @pytest.mark.parametrize(
+        "K, T, message",
+        [(100000, 5, "record has 100000 sources, sources.count is 3"),
+         (3, 2**40, "record holds 1099511627776 samples, time.n 5 takes at most 9")],
+        ids=["sources", "samples"],
+    )
+    def test_misfit_header_refused_before_its_mask(self, tmp_path, K, T, message):
+        # the header alone: a K^2 mask or K^2 T values are never read or allocated
+        path = tmp_path / "misfit.lslt"
+        path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, K, T, 1.0))
+        with pytest.raises(DimensionError) as refused:
+            load_fitting(path)
+        assert str(refused.value) == message
 
 class TestPgm:
     def test_constant_field_mid_gray(self, tmp_path):

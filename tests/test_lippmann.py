@@ -189,8 +189,6 @@ class TestAssemble:
         _, inv_grid, _, sources, axis, _, data, bg = wave_setup(n=20)
         K, n = sources.count, axis.n
         rng = np.random.default_rng(13)
-        shape = (K, n) + inv_grid.shape
-        w0, u0 = rng.standard_normal(shape), rng.standard_normal(shape)
         steps = n
         if kind.startswith("siso"):  # one scalar ROM per source: K blocks
             transform = np.stack([
@@ -201,7 +199,7 @@ class TestAssemble:
                 transform = dense_transform(transform)
         elif kind == "pairs":  # two blocks, each mixing two sources
             transform = rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(2 * n)
-        elif kind == "dense":  # mixes sources, and takes fewer samples than the stacks hold
+        elif kind == "dense":  # mixes sources, over fewer samples than n
             steps = 13
             transform = rng.standard_normal((1, K * steps, K * steps)) / np.sqrt(K * steps)
         elif kind == "two-samples":  # the smallest T: one row per source
@@ -209,6 +207,9 @@ class TestAssemble:
             transform = rng.standard_normal((K, steps, steps))
         else:
             transform = identity_blocks(K, n)
+        # the stacks hold exactly the samples T reads, as `pipeline` hands them
+        shape = (K, steps) + inv_grid.shape
+        w0, u0 = rng.standard_normal(shape), rng.standard_normal(shape)
         system = assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
 
         weights = inv_grid.node_weights.ravel()
@@ -216,8 +217,8 @@ class TestAssemble:
         def rows(fields):
             return np.vstack([
                 convolution_rows(
-                    w0[j, :steps].reshape(steps, -1),
-                    fields[j, :steps].reshape(steps, -1),
+                    w0[j].reshape(steps, -1),
+                    fields[j].reshape(steps, -1),
                     weights,
                     data.tau,
                     steps,

@@ -29,7 +29,7 @@ from lslkit.rom import (
     regularize_spd,
 )
 from lslkit.wavesim import SolverSettings, background_stacks, simulate_background, simulate_transfer
-from conftest import source_record
+from conftest import source_values
 from reference import (apply_transform, background, convolution_rows, diagonal_record,
                        zero_potential)
 
@@ -105,20 +105,20 @@ class TestSchedule:
 class TestInternalFields:
     @staticmethod
     def assert_restricted(ctx, measured, transform, reference):
-        """The system assembled from the injected background and T, as
-        `run_lsl_step` assembles it, against the rows of the fine
-        reference fields injected onto the inversion grid."""
+        """The system assembled from the injected background over the
+        samples T reads, as `run_lsl_step` assembles it, against the rows
+        of the fine reference fields injected onto the inversion grid."""
         ratio = refinement_ratio(ctx.sim_grid, ctx.inv_grid)
+        steps = len(reference[0])
         bg = background(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings)
-        w0 = bg.antiderivatives[:, :, ::ratio, ::ratio]
-        u0 = bg.fields[:, :, ::ratio, ::ratio]
+        w0 = bg.antiderivatives[:, :steps, ::ratio, ::ratio]
+        u0 = np.ascontiguousarray(bg.fields[:, :steps, ::ratio, ::ratio])
         system = assemble_system(
             w0, u0, transform, measured, ctx.background, ctx.inv_grid, 1e-2
         )
-        steps = len(reference[0])
         rows = np.vstack([
             convolution_rows(
-                w0[j, :steps].reshape(steps, -1),
+                w0[j].reshape(steps, -1),
                 ref[:, ::ratio, ::ratio].reshape(steps, -1),
                 ctx.inv_grid.node_weights.ravel(),
                 ctx.axis.tau,
@@ -140,7 +140,7 @@ class TestInternalFields:
         reference = []
         for j in range(K):
             basis, basis0 = (
-                factor(block_mass_from_data(source_record(d, j), length))
+                factor(block_mass_from_data(source_values(d, j), length))
                 for d in (measured, ctx.background)
             )
             transform = field_transform(basis, basis0, 1)
@@ -150,8 +150,8 @@ class TestInternalFields:
         siso = run_lsl_step(ctx, measured)
         lifted = run_lift_step(ctx, siso.potential, measured, siso.transform)
         record = lifted.num_samples
-        basis = factor(block_mass_from_data(lifted, record))
-        basis0 = factor(block_mass_from_data(ctx.background, record))
+        basis = factor(block_mass_from_data(lifted.values, record))
+        basis0 = factor(block_mass_from_data(ctx.background.values, record))
         reference = apply_transform(field_transform(basis, basis0, K), bg.fields)
         steps = self.assert_restricted(ctx, measured, internal_transform(ctx, lifted), reference)
         assert steps == halved_length(record)
@@ -167,7 +167,7 @@ class TestInternalFields:
         assert blocks.shape == (K, n, n)
         for j in range(K):
             basis, basis0 = (
-                factor(block_mass_from_data(source_record(d, j), length))
+                factor(block_mass_from_data(source_values(d, j), length))
                 for d in (measured, ctx.background)
             )
             assert np.array_equal(blocks[j], field_transform(basis, basis0, 1))
@@ -289,6 +289,55 @@ class TestStages:
             # the default level would give another estimate: the level is read
             system = replace(system, tsvd_threshold=1e-2)
             assert not np.array_equal(solve_tsvd(system).values, potential.values)
+
+    def test_every_step_hands_exactly_the_samples_t_reads(self, monkeypatch):
+        # `pipeline` evaluates each background over the N = field_samples(T, K)
+        # samples its T reads and hands it over as it is: every u0 stack, w0
+        # history and lift band holds exactly N samples, and u0 is C-contiguous,
+        # so assembly and the lift read it without a cut or a copy
+        ctx, measured = tiny_context(n=16)
+        K = ctx.sources.count
+        assemble, lift = lslkit.pipeline.assemble_system, lslkit.pipeline.forward_lift
+        handed = []  # (step, N, the samples of every array it was handed)
+
+        def recorded(items, sizes, samples):
+            """`items` handed on one by one, with their length, appending the
+            samples of each item the consumer reads to `sizes`."""
+            class Recorded:
+                def __len__(self):
+                    return len(items)
+
+                def __iter__(self):
+                    for item in items:
+                        sizes.extend(samples(item))
+                        yield item
+            return Recorded()
+
+        def assembling(w0, u0, transform, *args):
+            assert u0.flags.c_contiguous
+            sizes = [u0.shape[1]]
+            system = assemble(recorded(w0, sizes, lambda h: [len(h)]), u0, transform, *args)
+            handed.append(("assemble", field_samples(transform, K), sizes))
+            return system
+
+        def lifting(fields, transform, *args):
+            sizes = []
+            bands = recorded(fields, sizes, lambda band: [band[1].shape[-1], band[2].shape[-1]])
+            record = lift(bands, transform, *args)
+            handed.append(("lift", field_samples(transform, K), sizes))
+            return record
+
+        monkeypatch.setattr(lslkit.pipeline, "assemble_system", assembling)
+        monkeypatch.setattr(lslkit.pipeline, "forward_lift", lifting)
+        invert_born(ctx, measured)
+        list(stages(ctx, measured, iterations=2))
+        # born, siso, lift, mimo-1, lift, mimo-2: N halves after each lift
+        assert [(step, num) for step, num, _ in handed] == [
+            ("assemble", 16), ("assemble", 16), ("lift", 16),
+            ("assemble", 8), ("lift", 8), ("assemble", 4),
+        ]
+        for step, num, sizes in handed:  # u0 and each history, or u0 and w0 of each band
+            assert len(sizes) >= 2 and sizes == [num] * len(sizes), step
 
     def test_positivity_clamps_each_estimate_before_its_residual(self):
         # the clamped estimate is the one a stage reports, fits and lifts from

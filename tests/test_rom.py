@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lslkit.core import Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData
+from lslkit.core import Grid2D, Potential, SourceSet, TimeAxis
 from lslkit.errors import DegenerateDataError, FactorizationError
 from lslkit.rom import (
     block_mass_from_data,
@@ -10,12 +10,12 @@ from lslkit.rom import (
     regularize_spd,
 )
 from lslkit.wavesim import SolverSettings, simulate_transfer
-from conftest import source_record
+from conftest import source_values
 from reference import apply_transform, leapfrog_snapshots, snapshot_gram, zero_potential
 
 
-def series_record(series):
-    return TransferData(np.reshape(series, (1, 1, -1)), np.ones((1, 1), dtype=np.int8), 1.0)
+def series_values(series):
+    return np.reshape(series, (1, 1, -1))
 
 
 def wave_setup(nx=40, ny=20, K=3, n=10, tau=2.0, q_amp=0.25):
@@ -33,7 +33,7 @@ def wave_setup(nx=40, ny=20, K=3, n=10, tau=2.0, q_amp=0.25):
 class TestSisoMass:
     def test_first_entries_match_series(self):
         series = np.arange(1.0, 12.0)
-        mass = block_mass_from_data(series_record(series), 7)
+        mass = block_mass_from_data(series_values(series), 7)
         assert mass.shape == (4, 4)
         assert mass[0, 0] == series[0]
         assert mass[0, 1] == series[1]
@@ -44,7 +44,7 @@ class TestSisoMass:
         grid, potential, sources, axis, settings = wave_setup()
         data = simulate_transfer(potential, sources, axis, settings)
         for j in range(sources.count):
-            mass = block_mass_from_data(source_record(data, j), axis.total_samples)
+            mass = block_mass_from_data(source_values(data, j), axis.total_samples)
             snaps = leapfrog_snapshots(potential, sources, j, axis, settings, axis.n)
             gram = snapshot_gram(snaps[None], grid)
             dev = np.abs(mass - gram).max()
@@ -55,9 +55,7 @@ class TestBlockMass:
     def test_first_block_is_symmetrized_matrix(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((3, 3, 8))
-        mask = np.full((3, 3), MaskState.MEASURED, dtype=np.int8)
-        data = TransferData(values, mask, 1.0)
-        mass = block_mass_from_data(data, 5)
+        mass = block_mass_from_data(values, 5)
         sym0 = 0.5 * (values[:, :, 0] + values[:, :, 0].T)
         assert mass[:3, :3] == pytest.approx(sym0)
         assert mass.shape == (9, 9)
@@ -66,7 +64,7 @@ class TestBlockMass:
     def test_single_source_reduces_to_scalar_formula(self):
         rng = np.random.default_rng(1)
         series = rng.standard_normal(15)
-        block = block_mass_from_data(series_record(series), 15)
+        block = block_mass_from_data(series_values(series), 15)
         k = np.arange(8)
         scalar = 0.5 * (series[np.abs(k[:, None] - k[None, :])] + series[k[:, None] + k[None, :]])
         assert np.array_equal(block, scalar)
@@ -76,8 +74,7 @@ class TestBlockMass:
         rng = np.random.default_rng(7)
         K, n = 3, 9
         values = rng.standard_normal((K, K, 11))
-        data = TransferData(values, np.full((K, K), MaskState.LIFTED, dtype=np.int8), 1.0)
-        mass = block_mass_from_data(data, n)
+        mass = block_mass_from_data(values, n)
         nb = (n - 1) // 2 + 1
         sym = 0.5 * (values[:, :, :n] + values[:, :, :n].transpose(1, 0, 2))
         reference = np.empty((nb * K, nb * K))
@@ -91,7 +88,7 @@ class TestBlockMass:
     def test_matches_mimo_gram(self):
         grid, potential, sources, axis, settings = wave_setup(K=3, n=9)
         data = simulate_transfer(potential, sources, axis, settings)
-        mass = block_mass_from_data(data, axis.n)
+        mass = block_mass_from_data(data.values, axis.n)
         steps = mass.shape[0] // sources.count
         snaps = np.stack([
             leapfrog_snapshots(potential, sources, j, axis, settings, steps)
@@ -212,7 +209,7 @@ class TestSynthesize:
         grid, potential, sources, axis, settings = wave_setup(q_amp=0.0)
         bg = leapfrog_snapshots(potential, sources, 0, axis, settings, 6)
         data = simulate_transfer(potential, sources, axis, settings)
-        basis = cholesky_upper(block_mass_from_data(source_record(data, 0), 11))
+        basis = cholesky_upper(block_mass_from_data(source_values(data, 0), 11))
         out = apply_transform(field_transform(basis, basis, 1), bg[None])[0]
         scale = np.abs(bg).max()
         assert np.abs(out - bg).max() <= 1e-13 * scale
@@ -224,8 +221,8 @@ class TestSynthesize:
         bg_pot = zero_potential(grid)
         data0 = simulate_transfer(bg_pot, sources, axis, settings)
         bg = leapfrog_snapshots(bg_pot, sources, 0, axis, settings, axis.n)
-        basis = cholesky_upper(block_mass_from_data(source_record(data, 0), axis.total_samples))
-        basis0 = cholesky_upper(block_mass_from_data(source_record(data0, 0), axis.total_samples))
+        basis = cholesky_upper(block_mass_from_data(source_values(data, 0), axis.total_samples))
+        basis0 = cholesky_upper(block_mass_from_data(source_values(data0, 0), axis.total_samples))
         out = apply_transform(field_transform(basis, basis0, 1), bg[None])[0]
         g = sources.field(grid, 0)
         assert np.abs(out[0] - g).max() <= 1e-10 * np.abs(g).max()
@@ -266,7 +263,7 @@ class TestSynthesize:
         # the fine field through the reference path, from the bases the
         # SISO step factors; the stage itself carries only their transform
         basis, basis0 = (
-            cholesky_upper(regularize_spd(block_mass_from_data(source_record(d, j), 2 * n - 1))[0])
+            cholesky_upper(regularize_spd(block_mass_from_data(source_values(d, j), 2 * n - 1))[0])
             for d in (two_target_run.measured, ctx.background)
         )
         transform = field_transform(basis, basis0, 1)
@@ -299,7 +296,7 @@ class TestSynthesize:
         grid, _, sources, axis, settings = wave_setup(q_amp=0.0, K=2, n=8)
         zero = zero_potential(grid)
         data = simulate_transfer(zero, sources, axis, settings)
-        mass, _ = regularize_spd(block_mass_from_data(data, axis.n))
+        mass, _ = regularize_spd(block_mass_from_data(data.values, axis.n))
         basis = cholesky_upper(mass)
         bg = np.stack([
             leapfrog_snapshots(zero, sources, j, axis, settings, mass.shape[0] // 2)

@@ -79,9 +79,6 @@ class TestOperator:
         scale = np.abs(reference).max()
         assert np.abs(out - reference).max() <= 1e-14 * scale
         assert np.abs(apply_operator(grid, q, stack[1]) - reference[1]).max() <= 1e-14 * scale
-        strided = np.empty(stack.shape[:-1] + (2 * stack.shape[-1],))[..., ::2]
-        with pytest.raises(ValueError, match="contiguous"):
-            apply_operator(grid, q, stack, out=strided)
 
     def operands(self):
         grid = Grid2D(13, 8, 0.7, 0.45)
@@ -97,37 +94,6 @@ class TestOperator:
             out = np.full_like(stack, np.nan)
             assert apply_operator(grid, q, f, out=out, scratch=scratch) is out
             assert np.array_equal(out, expected)
-
-    def test_refuses_output_aliasing_input(self):
-        # in place, the first pass writes q f over f, and the differences are taken of that
-        grid, q, stack = self.operands()
-        with pytest.raises(ValueError, match="share memory"):
-            apply_operator(grid, q, stack, out=stack)
-
-    def test_refuses_scratch_aliasing_input(self):
-        grid, q, stack = self.operands()
-        with pytest.raises(ValueError, match="share memory"):
-            apply_operator(grid, q, stack, scratch=stack)
-
-    def test_refuses_scratch_aliasing_output(self):
-        grid, q, stack = self.operands()
-        out = np.empty_like(stack)
-        with pytest.raises(ValueError, match="share memory"):
-            apply_operator(grid, q, stack, out=out, scratch=out)
-
-    def test_refuses_strided_scratch(self):
-        # reshape(-1) of a strided scratch would be a copy, and the x pass would be lost
-        grid, q, stack = self.operands()
-        strided = np.empty(stack.shape[:-1] + (2 * stack.shape[-1],))[..., ::2]
-        with pytest.raises(ValueError, match="contiguous"):
-            apply_operator(grid, q, stack, scratch=strided)
-
-    def test_refuses_scratch_of_other_shape(self):
-        grid, q, stack = self.operands()
-        with pytest.raises(ValueError, match="shape"):
-            apply_operator(grid, q, stack, scratch=np.empty((4,) + grid.shape))
-        with pytest.raises(ValueError, match="float64"):
-            apply_operator(grid, q, stack, scratch=np.empty(stack.shape, dtype=np.float32))
 
 
 class TestSnapshots:
@@ -541,12 +507,13 @@ class TestNoise:
 
 def test_cfl_limit_scaling():
     grid = Grid2D(10, 10, 0.5, 0.5)
-    q = np.zeros(grid.shape)
-    # the bare bound 2 / sqrt(rho), rho <= 4/hx^2 + 4/hy^2 for q = 0
-    limit = 2.0 / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2)
-    assert limit == pytest.approx(2.0 / np.sqrt(32.0))
-    # check_cfl keeps every fine step below CFL_SAFETY = 0.9 of the bare bound
+    # the bare bound 2 / sqrt(rho), rho <= 4/hx^2 + 4/hy^2 + qmax; check_cfl
+    # keeps every fine step below CFL_SAFETY = 0.9 of it. At qmax = 8 the
+    # last step refused would pass a bound that left qmax out
     assert CFL_SAFETY == 0.9
-    check_cfl(grid, q, 0.9 * limit * 3.9, SolverSettings(substeps=4))
-    with pytest.raises(ConfigurationError):
-        check_cfl(grid, q, 0.9 * limit * 4.1, SolverSettings(substeps=4))
+    for qmax, rho in ((0.0, 32.0), (8.0, 40.0)):
+        limit = 2.0 / np.sqrt(4.0 / grid.hx**2 + 4.0 / grid.hy**2 + qmax)
+        assert limit == pytest.approx(2.0 / np.sqrt(rho))
+        check_cfl(grid, qmax, 0.9 * limit * 3.9, SolverSettings(substeps=4))
+        with pytest.raises(ConfigurationError):
+            check_cfl(grid, qmax, 0.9 * limit * 4.1, SolverSettings(substeps=4))
