@@ -39,13 +39,11 @@ Nothing else is stored. The zero-potential background is a function of
 the config, recomputed in closed form by every command: its record F0
 (`wavesim.simulate_background`) when the command starts, and its u0 and
 w0 by the step that reads them, on the grid it reads and over the
-samples its ROM transform T reads. Every inversion evaluates the
-inversion grid's stacks (`wavesim.background_stacks`): it holds the u0
-stack, evaluates w0 one source at a time, and frees u0 before the TSVD.
-Every lift, after its inputs are loaded, evaluates the simulation
-grid's u0 and w0 one band of rows at a time (`wavesim.BackgroundBands`),
-so no simulation-grid stack exists. No stack outlives its step, in
-`pipeline` as in the chain.
+samples its ROM transform T reads, one band of rows at a time
+(`wavesim.BackgroundBands`): every inversion on the inversion grid, and
+every lift, after its inputs are loaded, on the simulation grid. No
+(K, N, ...) stack exists on either grid, and no band outlives its step,
+in `pipeline` as in the chain.
 The internal fields that go with an estimate are the background times
 T of the record they came from (`lift --data`), and T is recomputed
 from that record. `pipeline` is byte-identical to chaining simulate,
@@ -151,7 +149,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 
 def _context(config: ExperimentConfig) -> PipelineContext:
-    """The context of one command: F0, and no background stack (a step
+    """The context of one command: F0, and no background bands (a step
     evaluates its own)."""
     grid = config.sim_grid()
     sources = config.sources()

@@ -14,22 +14,19 @@ for all source pairs at once to predict the unmeasured off-diagonal
 series. Replacing the unknown internal field u by the background field
 gives the Born linearization; replacing it by the data-generated field
 u = u0 * T (`rom.field_transform`) gives the sharper variant. Both
-directions take the background and T, passed with the grid they live
-on, in the form each reads. Assembly takes the stack u0, (K, N, ny+1,
-nx+1), and w0 as any iterable of its K per-source (N, ny+1, nx+1)
-histories, read one source at a time, in source order (a whole (K, N,
-...) stack iterates the same way). The lift reads every node once, so it
-takes u0 and w0 together in row bands (`forward_lift`) and holds no
-stack of either.
+directions take T and the background, passed with the grid it lives on,
+in one form: u0 and w0 together in row bands (`wavesim.BackgroundBands`),
+each band read once, so neither holds a (K, N, ny+1, nx+1) stack. Each
+sizes its bands from a module constant of its own.
 
 T has one layout: a (B, G N, G N) stack of the diagonal blocks of a
 block-diagonal source-major matrix, block g mixing the G = K / B
 sources g G .. (g+1) G - 1 among themselves. The per-source ROM gives
 B = K, the ROM of a full record B = 1, and Born K identity blocks.
-Assembly mixes u0 by block g's columns one source at a time while it
-writes that source's rows; the lift applies the blocks to the Gram
-matrix of the background. No (K, N, ...) stack of internal fields
-exists on either grid, and no stack of w0 need exist.
+Assembly mixes each band's u0 by the blocks while it writes the band's
+columns; the lift applies the blocks to the Gram matrix of the
+background. No (K, N, ...) stack of internal fields exists on either
+grid.
 
 Neither direction checks what it is handed (`errors`): `pipeline` builds
 T from a record its gate passed and the background over T's N samples,
@@ -38,7 +35,6 @@ on the grid it passes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +46,14 @@ from .errors import DegenerateDataError, OverRegularizationError
 #: `solve_tsvd`'s eigenvalue cut then sits at 1e-8 * lambda_max of the Gram
 #: matrix, far above roundoff
 TSVD_MIN_THRESHOLD = 1e-4
+
+#: the budget of `assemble_system`'s bands on the inversion grid: each band's
+#: u0 and w0 hold at most this many bytes (`wavesim.BackgroundBands.bands`)
+SYSTEM_BAND_BYTES = 2**20
+
+#: the same for `forward_lift` on the simulation grid: its bands are taller,
+#: as it adds each band to C0 in one GEMM
+LIFT_BAND_BYTES = 3 * 2**20
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,36 @@ def _trapezoid_rows(w: np.ndarray, u: np.ndarray, tau: float, out: np.ndarray) -
     out *= tau
 
 
+def _band_rows(u0: np.ndarray, w0: np.ndarray, weights: np.ndarray, transform: np.ndarray,
+               tau: float) -> np.ndarray:
+    """The (N-1, K, |rows| (nx+1)) entries of the system in one band's
+    columns, from the band's u0 and w0 as `assemble_system` reads them and
+    its (|rows|, nx+1) node weights. Block g's G sources' columns of u0
+    times T[g] give the fields [g, (x, y), (i, b)]; they and the weighted
+    w0 are copied time-outermost, [b, j, (y, x)], for one `_trapezoid_rows`
+    over every node of every source."""
+    width, height, K, num = u0.shape
+    blocks = len(transform)
+    mixed = np.matmul(u0.reshape(-1, blocks, transform.shape[-1]).transpose(1, 0, 2), transform)
+    # a C-ordered copy: with one row and G = 1 a reshape alone would be a
+    # transposed view, which the anti-diagonal sums read far slower
+    field = np.ascontiguousarray(
+        mixed.reshape(blocks, width, height, K // blocks, num).transpose(4, 0, 3, 2, 1)
+    ).reshape(num, -1)
+    del mixed
+    kernel = np.multiply(w0.transpose(3, 2, 1, 0), weights, order="C").reshape(num, -1)
+    out = np.empty((num - 1, K, height * width))
+    _trapezoid_rows(kernel, field, tau, out.reshape(num - 1, -1))
+    return out
+
+
 def field_samples(transform: np.ndarray, num_sources: int) -> int:
     """N, the samples per internal field of a (B, G N, G N) block stack T over K sources."""
     return transform.shape[-1] * len(transform) // num_sources
 
 
 def assemble_system(
-    w0: Iterable[np.ndarray],
-    u0: np.ndarray,
+    fields,
     transform: np.ndarray,
     data: TransferData,
     data0: TransferData,
@@ -101,32 +127,30 @@ def assemble_system(
 ) -> LSSystem:
     """Rows (source j, time k) for k = 1 .. N-1 on the inversion grid.
 
-    `u0` is the background (K, N, ny+1, nx+1) stack on `inv_grid` and
-    `w0` an iterable of the K (N, ny+1, nx+1) histories of its
-    antiderivative there, read one source at a time. The internal fields
-    are u0 * T with T = `transform`, a (B, G N, G N) stack of diagonal
-    blocks in the source-major order of `rom.field_transform`, N samples
-    each; identity blocks give the Born system. Source j = g G + i is
-    mixed from its block's G sources alone, T[g][:, iN:(i+1)N]^T times
-    u0[gG:(g+1)G], and its rows, the trapezoid sums over the
-    anti-diagonals a + b = k of that field and w0's history j, which
-    `forward_lift` also takes, are written straight into the preallocated
-    matrix. The right-hand side uses measured diagonal data only.
+    `fields` is the background on `inv_grid` in row bands, read as
+    `forward_lift` reads its own, at the budget `SYSTEM_BAND_BYTES`. The
+    internal fields are u0 * T with T = `transform`, a (B, G N, G N) stack
+    of diagonal blocks in the source-major order of `rom.field_transform`,
+    N samples each; identity blocks give the Born system. Per band, one
+    batched product of u0 with the blocks gives the fields of all K
+    sources, source j = g G + i mixed from its block's G sources by T[g]'s
+    columns i N .. (i+1) N - 1. The fields and the weighted w0 are laid
+    out time-outermost, and one `_trapezoid_rows` over the band's nodes of
+    all K sources sums each node over the anti-diagonals a + b = k; the
+    result goes into the band's columns of the preallocated matrix. The
+    right-hand side uses measured diagonal data only.
     """
-    K = len(u0)
+    K = len(fields)
     num = field_samples(transform, K)
-    group = K // len(transform)
-    weights = inv_grid.node_weights.ravel()
-    matrix = np.empty((K * (num - 1), inv_grid.num_nodes))
-    rhs = np.empty(K * (num - 1))
-    for j, history in enumerate(w0):
-        g, i = divmod(j, group)
-        rows = slice(j * (num - 1), (j + 1) * (num - 1))
-        u0_flat = u0[g * group : (g + 1) * group].reshape(group * num, -1)
-        field = transform[g][:, i * num : (i + 1) * num].T @ u0_flat
-        _trapezoid_rows(history.reshape(num, -1) * weights, field, data.tau, matrix[rows])
-        rhs[rows] = data0.values[j, j, 1:num] - data.values[j, j, 1:num]
-    return LSSystem(matrix, rhs, inv_grid, tsvd_threshold)
+    width = inv_grid.nx + 1
+    matrix = np.empty((K, num - 1, inv_grid.num_nodes))
+    for rows, u0, w0 in fields.bands(SYSTEM_BAND_BYTES):
+        band = _band_rows(u0, w0, inv_grid.node_weights[rows], transform, data.tau)
+        matrix[:, :, rows.start * width : rows.stop * width] = band.transpose(1, 0, 2)
+        del u0, w0, band  # freed before the next band is evaluated
+    diagonal = np.arange(K)
+    rhs = data0.values[diagonal, diagonal, 1:num] - data.values[diagonal, diagonal, 1:num]
+    return LSSystem(matrix.reshape(K * (num - 1), -1), rhs.ravel(), inv_grid, tsvd_threshold)
 
 
 def solve_tsvd(system: LSSystem) -> Potential:
@@ -191,11 +215,11 @@ def forward_lift(
     """Predict off-diagonal transfer data from a potential estimate.
 
     `fields` is the background on `grid` in row bands: its length is the
-    source count K, and it yields (rows, u0, w0) for consecutive slices of
-    grid rows that cover the grid, u0 and w0 of shape (nx+1, |rows|, K,
-    steps) holding node (y, x) at [x, y - rows.start], as
-    `wavesim.BackgroundBands` evaluates them; each band is read once, and
-    `data0` is the full background record F0. The
+    source count K, and its `bands(LIFT_BAND_BYTES)` yields (rows, u0, w0)
+    for consecutive slices of grid rows that cover the grid, u0 and w0 of
+    shape (nx+1, |rows|, K, steps) holding node (y, x) at [x, y -
+    rows.start], as `wavesim.BackgroundBands` evaluates them; each band is
+    read once, and `data0` is the full background record F0. The
     internal fields are u0 * T with T = `transform`, a (B, G steps, G
     steps) stack of diagonal blocks in the source-major order of
     `rom.field_transform`. Evaluates the forward integral on `grid` (the
@@ -226,7 +250,7 @@ def forward_lift(
     gram0 = np.zeros((size, size))
     gram = np.empty((K, steps, K, steps))
     product = gram.reshape(size, size)
-    for rows, u0, w0 in fields:
+    for rows, u0, w0 in fields.bands(LIFT_BAND_BYTES):
         w0 = (w0 * weighted_q[rows].T[..., None, None]).reshape(-1, size)
         gram0 += np.matmul(w0.T, u0.reshape(-1, size), out=product)
         del u0, w0  # freed before the next band is evaluated

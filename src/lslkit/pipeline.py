@@ -18,17 +18,14 @@ A data-generated internal field is the background times one matrix,
 u = u0 * T (`rom.field_transform`), and a stage carries only T, in the
 source-major order of the (K, N, ...) background, as the stack of its
 diagonal blocks that `lippmann` describes; the Born inversion is K
-identity blocks. Assembly and the lift both take the background and T:
-assembly on the inversion grid (injection commutes with T), the lift on
-the simulation grid. Every step evaluates the closed form on the grid
-it reads, over the N samples its T reads, and hands it over as it is:
-every u0, w0 history and band holds exactly those N samples, so
-`lippmann` cuts no background by sample. An inversion evaluates
-`wavesim.background_stacks`: it holds the u0 stack, evaluates w0 one
-source at a time as it reads it, and frees u0 before its TSVD. A lift
-passes `wavesim.BackgroundBands`, which it evaluates one band of rows
-at a time, so no simulation-grid stack exists. A context holds F0 and
-no stack, so nothing outlives its step, and `stages` makes exactly the
+identity blocks. Assembly and the lift both take T and the background
+as `wavesim.BackgroundBands`, which they evaluate one band of rows at a
+time: assembly on the inversion grid (injection commutes with T), the
+lift on the simulation grid. Every step passes the closed form on the
+grid it reads, over the N samples its T reads, so every band holds
+exactly those N samples and `lippmann` cuts no background by sample. No
+(K, N, ...) stack exists on either grid. A context holds F0 and no
+background, so nothing outlives its step, and `stages` makes exactly the
 calls of chaining the steps by hand.
 
 Every record a step reads passes one gate, `_check_fit`, before any ROM
@@ -65,14 +62,14 @@ from .rom import (
     halved_length,
     regularize_spd,
 )
-from .wavesim import BackgroundBands, SolverSettings, background_stacks
+from .wavesim import BackgroundBands, SolverSettings
 
 
 @dataclass(frozen=True)
 class PipelineContext:
     """Immutable inputs of every step of one inversion run, no record among
-    them (a step is handed the one it reads), and no background stack (a step
-    evaluates its own); every inversion truncates its TSVD at `tsvd`.
+    them (a step is handed the one it reads), and no background (a step
+    evaluates its own bands); every inversion truncates its TSVD at `tsvd`.
     `background` is the zero-potential record F0."""
 
     sim_grid: Grid2D
@@ -142,7 +139,7 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
 
 
 def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
-    """The gate of every record a step reads, before any ROM or stack is
+    """The gate of every record a step reads, before any ROM or background is
     evaluated: refuse one whose sample interval is not the config's, or
     that holds fewer than `fewest` samples, naming the key, and then one
     whose diagonal is not measured."""
@@ -183,10 +180,9 @@ def _samples(ctx: PipelineContext, transform: np.ndarray) -> TimeAxis:
 def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
     """TSVD fit of the measured diagonal of `data` at `ctx.tsvd` with the fields
     u0 * T, clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
-    axis = _samples(ctx, transform)
-    u0, w0 = background_stacks(ctx.sim_grid, ctx.sources, axis, ctx.settings, ctx.inv_grid)
-    system = assemble_system(w0, u0, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
-    del u0, w0  # freed before the TSVD
+    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings,
+                            ctx.inv_grid)
+    system = assemble_system(bands, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
     q_est = solve_tsvd(system)
     if ctx.positivity:
         q_est = Potential(q_est.grid, np.maximum(q_est.values, 0.0))
@@ -209,7 +205,8 @@ def run_lift_step(
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T, T the
     ROM transform of `data`, whose measured diagonal the record copies."""
-    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings)
+    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings,
+                            ctx.sim_grid)
     return forward_lift(bands, transform, potential, ctx.background, data, ctx.sim_grid)
 
 
@@ -220,7 +217,7 @@ def stages(
 
     Yields one record per inversion. Round r's `.data` is the record
     lifted from round r-1's estimate and internal fields. Every step
-    evaluates the stacks it reads and only the record passes on, so the
+    evaluates the background it reads and only the record passes on, so the
     rounds make the calls of `lslkit invert` and `lslkit lift` chained by hand.
     """
     record = run_lsl_step(ctx, measured)

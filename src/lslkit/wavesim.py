@@ -43,17 +43,13 @@ states g_hat cos(k p theta) for the background under the Parseval
 weights node_weights / (4 nx ny), so F0 reads no stack.
 
 This module defines the one wavefield format: a history is a plain
-float64 array. `simulate_background` returns F0, and the background
-over the N samples a step reads comes in the form that step reads.
-An inversion reads `background_stacks` on its inversion grid, nested in
-the simulation grid at ratio r, which takes rows ::r of Cy and columns
-::r of Cx^T and allocates no fine history: u0 is a source-major,
-read-only (K, N, ny+1, nx+1) stack, and w0 is handed out one source at a
-time, each (N, ny+1, nx+1) history evaluated when the step asks for it,
-so an inversion holds u0 and one source of w0. The lift reads every
-simulation-grid node once, so `BackgroundBands` evaluates u0 and w0
-there one band of rows at a time, and no simulation-grid stack exists.
-Both take their modal coefficients from `_coefficients`.
+float64 array. `simulate_background` returns F0, and `BackgroundBands`
+is the one evaluator of u0 and w0 over the N samples a step reads: on
+the grid the step reads, the simulation grid for the lift or the
+inversion grid nested in it at ratio r for an inversion, through rows
+::r of Cy and of Cx, and one band of rows at a time, so no (K, N, ny+1,
+nx+1) stack and no fine history exists on either grid. Each reader
+sizes its bands.
 """
 
 from __future__ import annotations
@@ -289,95 +285,60 @@ def _coefficients(dt, lam, theta, steps):
     yield growth
 
 
-def background_stacks(
-    grid: Grid2D,
-    sources: SourceSet,
-    axis: TimeAxis,
-    settings: SolverSettings,
-    stack_grid: Grid2D,
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """u0 and w0 over the samples of `axis` on `stack_grid`, the simulation
-    grid `grid` or a nested coarsening of it at ratio r.
-
-    u0 is the read-only (K, N, ny+1, nx+1) stack. w0 is never stacked: it
-    is an iterator that evaluates source i's (N, ny+1, nx+1) history when
-    the consumer asks for it, source by source, so a step holds one source
-    of it at a time.
-
-    Source i's samples are the inverse transforms Cy @ (c_k g_hat) @
-    Cx^T / (4 nx ny) of the mode-wise coefficients c_k (`_coefficients`).
-    On `stack_grid` a sample is rows ::r of Cy times c_k g_hat, times
-    columns ::r of Cx^T, one GEMM pair per sample, so its first N samples
-    are bitwise the evaluation over `TimeAxis(tau, N)`.
-    """
-    ratio = refinement_ratio(grid, stack_grid)  # nested, or refused before any work
-    dt, lam, theta, steps = _modes(grid, axis, settings)
-    cy, cx, spectra = _spectra(grid, sources)
-    rows = np.ascontiguousarray(cy[::ratio])
-    # C-ordered, as numpy's stacked matmul runs far slower on a transposed view
-    columns = np.ascontiguousarray(cx[::ratio].T)
-    norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
-    coefficients = _coefficients(dt, lam, theta, steps[:, None, None])
-    modal = np.empty((axis.n,) + grid.shape)
-
-    def history(c, g_hat, out=None):
-        np.multiply(c, g_hat, out=modal)
-        return np.divide((rows @ modal) @ columns, norm, out=out)
-
-    cosine = next(coefficients)
-    fields = np.empty((sources.count, axis.n) + stack_grid.shape)
-    for i, g_hat in enumerate(spectra):
-        history(cosine, g_hat, out=fields[i])
-    fields.setflags(write=False)
-    del cosine
-    growth = next(coefficients)
-    return fields, (history(growth, g_hat) for g_hat in spectra)
-
-
-#: bytes of one array of a band `BackgroundBands` yields; a band holds at least one row
-BAND_BYTES = 3 * 2**20
-
-
 @dataclass(frozen=True)
 class BackgroundBands:
-    """u0 and w0 on the simulation grid `grid` over the samples of `axis`,
-    evaluated band by band of grid rows as the consumer iterates, so no
+    """u0 and w0 over the samples of `axis` on `band_grid`, the simulation
+    grid `grid` or a nested coarsening of it at ratio r, evaluated band by
+    band of `band_grid`'s rows as the consumer iterates `bands`, so no
     (K, N, ny+1, nx+1) stack exists. Its length is the source count K.
 
-    Each band is (rows, u0, w0): a slice of grid rows and two arrays of
-    shape (nx+1, |rows|, K, N), node (y, x) of the band at [x, y -
-    rows.start], and each holds at most `BAND_BYTES`, or one row. A band
-    is the closed form of `background_stacks` with the y transform done
-    first: A[a, (r, i), b] = Cy[r, b] g_hat_i[b, a] holds all K sources,
-    one batched product over the nx+1 x modes gives Y = A @ c for the
-    coefficients c laid out (nx+1, ny+1, N) with 1 / (4 nx ny) folded in,
-    and one GEMM Cx @ Y gives the band, already node-major.
+    Source i's samples are the inverse transforms Cy @ (c_k g_hat_i) @
+    Cx^T / (4 nx ny) of the mode-wise coefficients c_k (`_coefficients`),
+    with rows ::r of Cy and of Cx on a nested grid. A band does the y
+    transform first: A[a, (y, i), b] = Cy[y, b] g_hat_i[b, a] holds all K
+    sources for the band's rows y, one batched product over the nx+1 x
+    modes a gives Y = A @ c for the coefficients c laid out (nx+1, ny+1, N)
+    with 1 / (4 nx ny) folded in, and one GEMM Cx @ Y gives the band,
+    already node-major.
     """
 
     grid: Grid2D
     sources: SourceSet
     axis: TimeAxis
     settings: SolverSettings
+    band_grid: Grid2D
 
     def __len__(self) -> int:
         return self.sources.count
 
-    def __iter__(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    def bands(self, budget: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """Yield (rows, u0, w0) for consecutive slices of `band_grid`'s rows
+        that cover it, u0 and w0 of shape (nx+1, |rows|, K, N) on
+        `band_grid`, node (y, x) at [x, y - rows.start]. A band takes as
+        many rows as keep its u0 and w0 within `budget` bytes each, and at
+        least one. A `band_grid` that is not nested in `grid` is refused
+        before any work."""
         grid, K, N = self.grid, self.sources.count, self.axis.n
+        ratio = refinement_ratio(grid, self.band_grid)
         dt, lam, theta, steps = _modes(grid, self.axis, self.settings)
         cy, cx, spectra = _spectra(grid, self.sources)
-        norm = 4.0 * grid.nx * grid.ny
+        cy, cx = cy[::ratio], cx[::ratio]
+        norm = 4.0 * grid.nx * grid.ny  # idct_1 is dct_1 / (2 (N - 1)) per axis
         coefficients = list(_coefficients(dt, lam.T[..., None], theta.T[..., None], steps))
         for c in coefficients:
             c /= norm
         g_hat = np.ascontiguousarray(spectra.transpose(2, 0, 1))  # [a, i, b]
-        height, width = grid.ny + 1, grid.nx + 1
-        size = max(1, BAND_BYTES // (8 * width * K * max(N, height)))
-        for start in range(0, height, size):
-            rows = slice(start, min(start + size, height))
-            mixed = (g_hat[:, None] * cy[rows, None, :]).reshape(width, -1, height)
-            yield rows, *[(cx @ (mixed @ c).reshape(width, -1)).reshape(width, -1, K, N)
-                          for c in coefficients]
+        modes_x, modes_y = grid.nx + 1, grid.ny + 1
+
+        def band(rows):
+            mixed = (g_hat[:, None] * cy[rows, None, :]).reshape(modes_x, -1, modes_y)
+            return [(cx @ (mixed @ c).reshape(modes_x, -1)).reshape(len(cx), -1, K, N)
+                    for c in coefficients]
+
+        size = max(1, budget // (8 * len(cx) * K * N))
+        for start in range(0, len(cy), size):
+            rows = slice(start, min(start + size, len(cy)))
+            yield rows, *band(rows)  # held by the consumer alone
 
 
 def simulate_background(
@@ -394,8 +355,8 @@ def simulate_background(
     `_angle_sum_record` runs over the modal states g_hat cos(k p theta)
     of all sources, with the Parseval weights node_weights / (4 nx ny)
     under which the DCT-I keeps the trapezoid inner product, as the true
-    medium's record comes from its leapfrog states. The u0 and w0 stacks
-    are `background_stacks`.
+    medium's record comes from its leapfrog states. u0 and w0 are
+    `BackgroundBands`.
     """
     _, _, theta, steps = _modes(grid, axis, settings)
     _, _, spectra = _spectra(grid, sources)

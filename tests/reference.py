@@ -2,9 +2,10 @@
 
 None of these run on the command-line path, so they live with the
 tests: a one-source leapfrog with both starting rules, the whole
-background on the simulation grid, the lift's row bands cut from whole
-stacks, the closed-form stacks built from whole fine histories and then
-injected, the background record read off a
+background on the simulation grid, whole stacks put back together from
+the evaluator's bands, the row bands of assembly and the lift cut from
+whole stacks, the closed-form stacks built from whole fine histories and
+then injected, the background record read off a
 fine u0 stack, the direct snapshot Gram matrix, the
 trapezoid time convolution by FFT, the internal fields u0 * T
 materialized as a stack, the dense matrix of a block-stack T and the
@@ -20,8 +21,8 @@ import numpy as np
 
 from lslkit.core import MaskState, Potential, TransferData, restrict
 from lslkit.errors import DimensionError
-from lslkit.wavesim import (_angle_sum_record, _modes, _spectra, apply_operator,
-                            background_stacks, simulate_background)
+from lslkit.wavesim import (BackgroundBands, _angle_sum_record, _modes, _spectra,
+                            apply_operator, simulate_background)
 
 
 def zero_potential(grid):
@@ -62,19 +63,24 @@ def leapfrog_snapshots(potential, sources, source_index, axis, settings, num_sam
     return samples
 
 
-def whole_stacks(stacks):
-    """`wavesim.background_stacks`' u0 and its per-source w0 histories
-    stacked into one (K, N, ny+1, nx+1) array, which the lift and assembly
-    iterate as they iterate the histories."""
-    fields, antiderivatives = stacks
-    return fields, np.stack(list(antiderivatives))
+def whole_stacks(background, budget=2**20):
+    """The u0 and w0 of a `wavesim.BackgroundBands` as whole (K, N, ny+1,
+    nx+1) stacks on its band grid, put back together from its bands of
+    `budget` bytes; a node no band covers stays NaN."""
+    shape = (len(background), background.axis.n) + background.band_grid.shape
+    fields, antiderivatives = np.full(shape, np.nan), np.full(shape, np.nan)
+    for rows, u0, w0 in background.bands(budget):
+        fields[:, :, rows] = u0.transpose(2, 3, 1, 0)
+        antiderivatives[:, :, rows] = w0.transpose(2, 3, 1, 0)
+    return fields, antiderivatives
 
 
 class StackBands:
     """Row bands cut from whole (K, N, ny+1, nx+1) u0 and w0 stacks, as
-    `lippmann.forward_lift` reads the background: its length is K, and it
-    yields (rows, u0, w0) for `size` rows at a time (the last band may
-    hold fewer), u0 and w0 as (nx+1, |rows|, K, N) views of the stacks."""
+    `lippmann.assemble_system` and `lippmann.forward_lift` read the
+    background: its length is K, and its `bands` yields (rows, u0, w0) for
+    `size` rows at a time whatever the budget (the last band may hold
+    fewer), u0 and w0 as (nx+1, |rows|, K, N) views of the stacks."""
 
     def __init__(self, fields, antiderivatives, size=8):
         self.fields, self.antiderivatives, self.size = fields, antiderivatives, size
@@ -82,7 +88,7 @@ class StackBands:
     def __len__(self):
         return len(self.fields)
 
-    def __iter__(self):
+    def bands(self, budget):
         height = self.fields.shape[2]
         for start in range(0, height, self.size):
             rows = slice(start, min(start + self.size, height))
@@ -93,8 +99,9 @@ class StackBands:
 def background(grid, sources, axis, settings):
     """The zero-potential background on the simulation grid `grid`: its
     record F0 as `data`, and its u0 and w0 stacks as `fields` and
-    `antiderivatives`, w0 stacked from its per-source histories."""
-    fields, antiderivatives = whole_stacks(background_stacks(grid, sources, axis, settings, grid))
+    `antiderivatives`, put back together from its bands."""
+    bands = BackgroundBands(grid, sources, axis, settings, grid)
+    fields, antiderivatives = whole_stacks(bands)
     return SimpleNamespace(data=simulate_background(grid, sources, axis, settings),
                            fields=fields, antiderivatives=antiderivatives)
 
@@ -103,8 +110,8 @@ def injected_stacks(grid, sources, axis, settings, stack_grid):
     """u0 and w0 on `stack_grid`, a nested coarsening of the simulation grid
     `grid`, from whole fine histories: every sample's inverse DCT-I as
     (c_k g_hat) @ Cx^T, then Cy times that, injected by `core.restrict`.
-    The closed form's coefficients as `wavesim.background_stacks` takes
-    them, without its strided cosine matrices."""
+    The closed form's coefficients as `wavesim.BackgroundBands` takes
+    them, without its strided cosine matrices or its bands."""
     dt, lam, theta, steps = _modes(grid, axis, settings)
     phase = np.multiply.outer(steps, theta)
     cosine = np.cos(phase)

@@ -23,6 +23,7 @@ from lslkit.rom import (
 from lslkit.wavesim import SolverSettings, simulate_transfer
 from conftest import off_diagonal_error, source_values
 from reference import (
+    StackBands,
     apply_transform,
     background as zero_background,
     diagonal_record,
@@ -145,9 +146,9 @@ def test_c04_born_linearization_order():
         settings = SolverSettings(substeps=5)
         data = diagonal_record(simulate_transfer(potential, sources, axis, settings))
         background = zero_background(grid, sources, axis, settings)
+        injected = (background.fields[:, :, ::2, ::2], background.antiderivatives[:, :, ::2, ::2])
         system = assemble_system(
-            background.antiderivatives[:, :, ::2, ::2],
-            background.fields[:, :, ::2, ::2],
+            StackBands(*injected),
             identity_blocks(sources.count, axis.n),
             data,
             background.data,

@@ -20,7 +20,7 @@ from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import MaskState, TimeAxis, TransferData
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from lslkit.rom import halved_length
-from reference import load_pgm, whole_stacks
+from reference import load_pgm
 
 SMALL_CONFIG = """
 [domain]
@@ -142,22 +142,16 @@ class TestSurface:
 
     def test_second_round_evaluates_only_its_samples(self, tmp_path, config_path, monkeypatch):
         # round two's T reads halved_length(n) samples per field, and so do
-        # the stacks its inversion evaluates and the bands of its lift;
-        # `pipeline` evaluates exactly the background of the chain, step for step
+        # the bands its inversion and its lift evaluate; `pipeline`
+        # evaluates exactly the background of the chain, step for step
         pipe_dir, chain_dir = tmp_path / "pipe", tmp_path / "chain"
         calls = []
-        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
+        bands = lslkit.pipeline.BackgroundBands
 
-        def recording_stacks(sim_grid, sources, axis, settings, grid):
-            stacks = whole_stacks(evaluate(sim_grid, sources, axis, settings, grid))
-            calls.append((tuple(stack.shape for stack in stacks), axis.n))
-            return stacks
+        def recording_bands(grid, sources, axis, settings, band_grid):
+            calls.append((band_grid.shape, axis.n))
+            return bands(grid, sources, axis, settings, band_grid)
 
-        def recording_bands(grid, sources, axis, settings):
-            calls.append(("bands", axis.n))
-            return bands(grid, sources, axis, settings)
-
-        monkeypatch.setattr(lslkit.pipeline, "background_stacks", recording_stacks)
         monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", recording_bands)
         assert run("pipeline", "--config", config_path, "--iterations", 2,
                    "--out", pipe_dir) == 0
@@ -524,17 +518,12 @@ class TestExitCodes:
     def test_lift_loads_its_inputs_before_any_stack(self, tmp_path, config_path, monkeypatch):
         assert run("simulate", "--config", config_path) == 0
         built = []
-        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
+        bands = lslkit.pipeline.BackgroundBands
 
-        def counting_stacks(*args, **kwargs):
-            built.append(inspect.signature(evaluate).bind(*args, **kwargs).arguments["stack_grid"])
-            return evaluate(*args, **kwargs)
+        def counting_bands(*args):
+            built.append(args[-1])  # the grid the bands cover
+            return bands(*args)
 
-        def counting_bands(grid, *args):
-            built.append(grid)
-            return bands(grid, *args)
-
-        monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
         monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", counting_bands)
         assert run("lift", "--config", config_path, "--q", tmp_path / "missing.lslf") == 4
         assert built == []
@@ -559,17 +548,12 @@ class TestExitCodes:
         lifted = np.full_like(mimo.mask, MaskState.LIFTED)
         save_transfer(out / "relabeled.lslt", TransferData(mimo.values, lifted, mimo.tau))
         built = []
-        evaluate, bands = lslkit.pipeline.background_stacks, lslkit.pipeline.BackgroundBands
-
-        def counting_stacks(*args, **kwargs):
-            built.append("stacks")
-            return evaluate(*args, **kwargs)
+        bands = lslkit.pipeline.BackgroundBands
 
         def counting_bands(*args):
             built.append("bands")
             return bands(*args)
 
-        monkeypatch.setattr(lslkit.pipeline, "background_stacks", counting_stacks)
         monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", counting_bands)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
@@ -749,7 +733,7 @@ class TestBackgroundLifetime:
     def test_lift_holds_no_simulation_grid_stack(self, tmp_path):
         # here S is one (K, n) stack on box's simulation grid, 30.2 MiB. The
         # lift evaluates u0 and w0 in row bands of at most
-        # `wavesim.BAND_BYTES` each (0.1 S) and holds C0 and C (0.3 S
+        # `lippmann.LIFT_BAND_BYTES` each (0.1 S) and holds C0 and C (0.3 S
         # together), the closed form's two (n, modes) coefficient arrays
         # (2 S / K) and a few bands; a whole u0 or w0 stack would add S
         common = ("--config", self.CONFIG, "--seed", 1, "--out", tmp_path)
@@ -913,12 +897,28 @@ class TestTracerContract:
                     monkeypatch.setattr(module, attr, value)
         tracer = tracer_module.Tracer("contract")
         tracer.install()
+        # BackgroundBands has no span: each band counts to the span of the
+        # step that reads it, the inversion's to `lippmann.assemble_system`
+        # and the lift's to `lippmann.forward_lift`
+        read_in = []  # (the grid a band covers, the innermost open span)
+        bands = lslkit.wavesim.BackgroundBands.bands
+
+        def traced_bands(self, budget):
+            for band in bands(self, budget):
+                read_in.append((self.band_grid, tracer.spans[tracer._stack[-1]]["name"]))
+                yield band
+
+        monkeypatch.setattr(lslkit.wavesim.BackgroundBands, "bands", traced_bands)
 
         out = tmp_path / "out"
         common = ("--config", config_path)
         assert lslkit.cli.main([str(a) for a in ("pipeline", *common)]) == 0
-        # the stacks every inversion evaluates are built under a span of their own
-        assert "wavesim.background_stacks" in {span["name"] for span in tracer.spans}
+        config = parse_config(config_path)
+        assert config.inv_grid() != config.sim_grid()
+        assert {(grid, span) for grid, span in read_in} == {
+            (config.inv_grid(), "lippmann.assemble_system"),
+            (config.sim_grid(), "lippmann.forward_lift"),
+        }
         for argv in (("invert", "--method", "born", *common),
                      ("lift", *common),
                      ("compare", *common, "--truth", out / "q_true.lslf",

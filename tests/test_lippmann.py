@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lslkit.lippmann
+
 from lslkit.core import (
     Grid2D,
     MaskState,
@@ -12,6 +14,7 @@ from lslkit.core import (
 )
 from lslkit.errors import DegenerateDataError, DimensionError, OverRegularizationError
 from lslkit.lippmann import (
+    SYSTEM_BAND_BYTES,
     LSSystem,
     assemble_system,
     forward_lift,
@@ -19,7 +22,7 @@ from lslkit.lippmann import (
     solve_tsvd,
 )
 from lslkit.rom import field_transform
-from lslkit.wavesim import BackgroundBands, SolverSettings, background_stacks, simulate_transfer
+from lslkit.wavesim import BackgroundBands, SolverSettings, simulate_transfer
 from reference import (
     StackBands,
     apply_transform,
@@ -30,7 +33,6 @@ from reference import (
     identity_blocks,
     leapfrog_snapshots,
     reciprocity_defect,
-    whole_stacks,
     zero_potential,
 )
 
@@ -58,14 +60,11 @@ def wave_setup(nx=60, ny=30, K=4, n=20, tau=2.0, sigma=2.5, amp=0.05, smooth=Tru
     return grid, inv_grid, potential, sources, axis, settings, data, bg
 
 
-def on_inversion_grid(bg):
-    """The w0 and u0 stacks injected onto `wave_setup`'s inversion grid."""
-    return bg.antiderivatives[:, :, ::2, ::2], bg.fields[:, :, ::2, ::2]
-
-
 def born_inputs(bg):
-    """The injected w0 and u0 stacks and T = I: the Born system's inputs."""
-    return (*on_inversion_grid(bg), identity_blocks(*bg.fields.shape[:2]))
+    """The u0 and w0 stacks injected onto `wave_setup`'s inversion grid, in
+    bands, and T = I: the Born system's inputs."""
+    bands = StackBands(bg.fields[:, :, ::2, ::2], bg.antiderivatives[:, :, ::2, ::2])
+    return bands, identity_blocks(*bg.fields.shape[:2])
 
 
 def random_basis(rng, block_size, steps):
@@ -180,7 +179,7 @@ class TestAssemble:
         "kind", ["siso", "siso-dense", "pairs", "dense", "two-samples", "identity"]
     )
     def test_mixing_matches_materialized_fields(self, kind):
-        # assembly mixes u0 by T source by source and sums the
+        # assembly mixes u0 by T band by band and sums the
         # anti-diagonals directly; the reference materializes the whole
         # field stack u0 * T from the dense zero-filled matrix of T and
         # builds each source's rows from it by FFT.
@@ -207,10 +206,12 @@ class TestAssemble:
             transform = rng.standard_normal((K, steps, steps))
         else:
             transform = identity_blocks(K, n)
-        # the stacks hold exactly the samples T reads, as `pipeline` hands them
+        # the stacks hold exactly the samples T reads, as `pipeline` hands
+        # them; the inversion grid's 16 rows make bands of 5, 5, 5 and 1
         shape = (K, steps) + inv_grid.shape
         w0, u0 = rng.standard_normal(shape), rng.standard_normal(shape)
-        system = assemble_system(w0, u0, transform, data, bg.data, inv_grid, 1e-2)
+        bands = StackBands(u0, w0, size=5)
+        system = assemble_system(bands, transform, data, bg.data, inv_grid, 1e-2)
 
         weights = inv_grid.node_weights.ravel()
 
@@ -233,7 +234,7 @@ class TestAssemble:
         assert np.array_equal(system.rhs, np.concatenate(rhs))
         if kind == "identity":  # u0 I is u0 exactly on either layout of T
             dense = assemble_system(
-                w0, u0, dense_transform(transform), data, bg.data, inv_grid, 1e-2
+                bands, dense_transform(transform), data, bg.data, inv_grid, 1e-2
             )
             assert np.array_equal(system.matrix, dense.matrix)
 
@@ -430,7 +431,7 @@ class TestForwardLift:
         fields = bg.fields
         identity = identity_blocks(sources.count, axis.n)
         system = assemble_system(
-            bg.antiderivatives, fields, identity, data, bg.data, grid, 1e-2
+            StackBands(fields, bg.antiderivatives), identity, data, bg.data, grid, 1e-2
         )  # inversion grid = field grid here
         q_vals = potential.values
         lifted = forward_lift(
@@ -524,35 +525,35 @@ class TestForwardLift:
         assert defects[1] <= defects[0] / 2.0
 
 
-class TestPerSourceHistories:
-    """Assembly reads w0 one source at a time and the lift reads the
-    background in row bands: the evaluator's per-source iterator gives
-    bitwise the system of the whole (K, N, ...) stack, and its bands give
-    the lifted record of the whole stacks' bands to roundoff."""
+class TestBandedBackground:
+    """Assembly and the lift read the evaluator's row bands: the system does
+    not depend on how the rows are cut, bitwise, and the lifted record is
+    that of the whole stacks' bands to roundoff."""
 
-    @pytest.fixture(scope="class")
-    def setup(self):
+    def test_assembly_is_bitwise_across_band_heights(self, two_target_run, monkeypatch):
+        # each node's sum runs over the same terms in the same order in any
+        # band, and here the band products do not depend on the band's
+        # height either: the default bands, whose last is shorter, and
+        # bands of one row give the same system
+        ctx, measured = two_target_run.ctx, two_target_run.measured
+        transform = two_target_run.siso_transform
+        bands = BackgroundBands(ctx.sim_grid, ctx.sources, ctx.axis, ctx.settings, ctx.inv_grid)
+        heights = [rows.stop - rows.start for rows, _, _ in bands.bands(SYSTEM_BAND_BYTES)]
+        assert 1 < heights[-1] < heights[0]
+        args = (transform, measured, ctx.background, ctx.inv_grid, ctx.tsvd)
+        default = assemble_system(bands, *args)
+        monkeypatch.setattr(lslkit.lippmann, "SYSTEM_BAND_BYTES", 1)
+        one_row = assemble_system(bands, *args)
+        assert np.array_equal(default.matrix, one_row.matrix)
+        assert np.array_equal(default.rhs, one_row.rhs)
+
+    def test_lift(self):
         grid, inv_grid, _, sources, axis, settings, data, bg = wave_setup(n=12)
-        n = axis.n
         rng = np.random.default_rng(21)
-        transform = rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(2 * n)
+        transform = rng.standard_normal((2, 2 * axis.n, 2 * axis.n)) / np.sqrt(2 * axis.n)
         q_est = Potential(inv_grid, rng.standard_normal(inv_grid.shape))
-        return grid, inv_grid, sources, axis, settings, data, bg, transform, q_est
-
-    def test_assembly(self, setup):
-        grid, inv_grid, sources, axis, settings, data, bg, transform, _ = setup
-        args = (grid, sources, axis, settings, inv_grid)
-        u0, histories = background_stacks(*args)
-        _, w0 = whole_stacks(background_stacks(*args))
-        systems = [assemble_system(kernels, u0, transform, data, bg.data, inv_grid, 1e-2)
-                   for kernels in (histories, w0)]
-        assert np.array_equal(systems[0].matrix, systems[1].matrix)
-        assert np.array_equal(systems[0].rhs, systems[1].rhs)
-
-    def test_lift(self, setup):
-        grid, _, sources, axis, settings, data, bg, transform, q_est = setup
         records = [forward_lift(bands, transform, q_est, bg.data, data, grid)
-                   for bands in (BackgroundBands(grid, sources, axis, settings),
+                   for bands in (BackgroundBands(grid, sources, axis, settings, grid),
                                  StackBands(bg.fields, bg.antiderivatives))]
         integral = bg.data.values[:, :, : axis.n] - records[1].values
         assert np.abs(records[0].values - records[1].values).max() <= (
