@@ -8,8 +8,8 @@ data-to-mass-matrix identity downstream relies on.
 
 Fields are dense float64 arrays of shape (ny+1, nx+1), indexed [iy, ix],
 node (ix, iy) sitting at (ix*hx, iy*hy). A wavefield history
-is a plain (K, N, ny+1, nx+1) snapshot stack (see `wavesim`): it carries
-no grid, so each consumer is handed the grid it lives on with it. The
+is a plain float64 array (see `wavesim`): it carries no grid, so each
+consumer is handed the grid it lives on with it. The
 containers below keep their invariants and freeze their arrays after
 construction, safe to share between threads; the functions on them check
 only the nesting of two grids (`refinement_ratio`), nothing else (`errors`).

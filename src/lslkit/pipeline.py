@@ -172,16 +172,16 @@ def _factor(mass: np.ndarray) -> np.ndarray:
     return cholesky_upper(matrix)
 
 
-def _samples(ctx: PipelineContext, transform: np.ndarray) -> TimeAxis:
-    """The time axis of the samples T = `transform` reads."""
-    return TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
+def _background(ctx: PipelineContext, transform: np.ndarray, grid: Grid2D) -> BackgroundBands:
+    """u0 and w0 on `grid` over the samples T = `transform` reads."""
+    axis = TimeAxis(ctx.axis.tau, field_samples(transform, ctx.sources.count))
+    return BackgroundBands(ctx.sim_grid, ctx.sources, axis, ctx.settings, grid)
 
 
 def _invert(ctx: PipelineContext, data: TransferData, transform: np.ndarray):
     """TSVD fit of the measured diagonal of `data` at `ctx.tsvd` with the fields
     u0 * T, clamped to q >= 0 under `ctx.positivity` before its residual is taken."""
-    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings,
-                            ctx.inv_grid)
+    bands = _background(ctx, transform, ctx.inv_grid)
     system = assemble_system(bands, transform, data, ctx.background, ctx.inv_grid, ctx.tsvd)
     q_est = solve_tsvd(system)
     if ctx.positivity:
@@ -205,8 +205,7 @@ def run_lift_step(
 ) -> TransferData:
     """The full record of an estimate whose internal fields are u0 * T, T the
     ROM transform of `data`, whose measured diagonal the record copies."""
-    bands = BackgroundBands(ctx.sim_grid, ctx.sources, _samples(ctx, transform), ctx.settings,
-                            ctx.sim_grid)
+    bands = _background(ctx, transform, ctx.sim_grid)
     return forward_lift(bands, transform, potential, ctx.background, data, ctx.sim_grid)
 
 
