@@ -2,8 +2,10 @@
 
 Subcommands: simulate, invert, lift, pipeline, compare, render. Global
 flags --config/--seed/--out apply to each, and `_load_config` applies
-every override to the config. Exit codes: 0 on success, 2 for
-configuration problems, 3 for numerical failures, 4 for file/I-O problems.
+every override to the config. Exit codes, one `errors` class each: 0 on
+success, 2 for configuration problems (ConfigurationError), 3 for
+numerical failures (DegenerateDataError), 4 for file/I-O problems
+(FormatError or OSError).
 
 Artifact names inside the output directory:
 
@@ -63,7 +65,7 @@ import numpy as np
 from . import io as lio
 from .config import ExperimentConfig, parse_config
 from .core import Potential, TransferData
-from .errors import CONFIG_ERRORS, NUMERICAL_ERRORS, ConfigurationError, FormatError
+from .errors import ConfigurationError, DegenerateDataError, FormatError
 from .pipeline import (
     PipelineContext,
     internal_transform,
@@ -167,13 +169,10 @@ def _context(config: ExperimentConfig) -> PipelineContext:
     )
 
 
-def _save_potential(path: Path, potential: Potential) -> None:
-    lio.save_field(path, potential.grid, potential.values)
-
-
-def _simulate_artifacts(config: ExperimentConfig, out: Path) -> TransferData:
-    """Shared by `simulate` and `pipeline` so both produce identical bytes;
-    the measured record is the diagonal of the one true-medium simulation."""
+def _simulate_artifacts(config: ExperimentConfig, out: Path) -> tuple[Potential, TransferData]:
+    """Shared by `simulate` and `pipeline` so both produce identical bytes:
+    the true model and the measured record, the diagonal of the one
+    true-medium simulation."""
     q_true = config.true_potential()
     sources = config.sources()
     axis = config.axis()
@@ -184,7 +183,7 @@ def _simulate_artifacts(config: ExperimentConfig, out: Path) -> TransferData:
     siso = TransferData(mimo.values, np.diag(np.diag(mimo.mask)), mimo.tau)
     siso = add_noise(siso, config.noise_level, config.seed)
     lio.save_transfer(out / "siso.lslt", siso)
-    return siso
+    return q_true, siso
 
 
 def _cmd_simulate(args) -> int:
@@ -210,7 +209,7 @@ def _cmd_invert(args) -> int:
         potential, name = record.potential, _names(record.round)[0]
         summary = f"stage {record.name}, N={record.active_length}, residual {record.residual:.3e}"
     q_path = Path(args.q_out) if args.q_out else out / name
-    _save_potential(q_path, potential)
+    lio.save_field(q_path, potential.grid, potential.values)
     print(f"{args.method} reconstruction -> {q_path} ({summary})")
     return EXIT_OK
 
@@ -234,9 +233,8 @@ def _cmd_lift(args) -> int:
 def _cmd_pipeline(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    measured = _simulate_artifacts(config, out)
+    q_true, measured = _simulate_artifacts(config, out)
     ctx = _context(config)
-    q_true = config.true_potential()
     regions = config.regions()
 
     lines = []
@@ -244,14 +242,14 @@ def _cmd_pipeline(args) -> int:
         q_name, lifted_name = _names(record.round)
         if record.round:
             lio.save_transfer(out / lifted_name, record.data)
-        _save_potential(out / q_name, record.potential)
+        lio.save_field(out / q_name, record.potential.grid, record.potential.values)
         report = metrics(record.potential, q_true, regions)
         line = (f"stage={record.name} N={record.active_length} "
                 f"residual={record.residual:.6e} rel_l2={report.global_rel_l2:.6f}")
         for name, value in report.region_rel_l2.items():
             line += f" {name}={value:.6f}"
         lines.append(line + "\n")
-    _save_potential(out / "q_final.lslf", record.potential)
+    lio.save_field(out / "q_final.lslf", record.potential.grid, record.potential.values)
     print("".join(lines), end="")
     (out / "metrics.txt").write_text("".join(lines), encoding="utf-8")
     print(f"final reconstruction -> {out / 'q_final.lslf'}")
@@ -300,10 +298,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CONFIG_ERRORS as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
+    except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FormatError, OSError) as exc:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, PreconditionError
+from .errors import ConfigurationError
 
 #: sources are hard-truncated at this many standard deviations
 SOURCE_CUTOFF_SIGMAS = 6.0
@@ -111,7 +111,7 @@ def refinement_ratio(fine: Grid2D, coarse: Grid2D) -> int:
 def _check_field(grid: Grid2D, values: np.ndarray, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape != grid.shape:
-        raise DimensionError(
+        raise ConfigurationError(
             f"{name} has shape {values.shape}, grid expects {grid.shape}"
         )
     return values
@@ -252,13 +252,13 @@ class TransferData:
         values = np.asarray(self.values, dtype=np.float64)
         mask = np.asarray(self.mask, dtype=np.int8)
         if values.ndim != 3 or values.shape[0] != values.shape[1]:
-            raise DimensionError(f"transfer values must be (K, K, T), got {values.shape}")
+            raise ConfigurationError(f"transfer values must be (K, K, T), got {values.shape}")
         if mask.shape != values.shape[:2]:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"mask shape {mask.shape} does not match pair count {values.shape[:2]}"
             )
         if not np.isin(mask, (0, 1, 2)).all():
-            raise PreconditionError("mask entries must be absent/measured/lifted")
+            raise ConfigurationError("mask entries must be absent/measured/lifted")
         if not 0.0 < self.tau < np.inf:
             raise ConfigurationError("sample interval tau must be positive and finite")
         values = np.array(values, dtype=np.float64, order="C", copy=True)
@@ -281,4 +281,4 @@ class TransferData:
 
     def require_measured_diagonal(self) -> None:
         if np.any(np.diag(self.mask) != MaskState.MEASURED):
-            raise PreconditionError("diagonal transfer entries must be measured")
+            raise ConfigurationError("diagonal transfer entries must be measured")

@@ -1,10 +1,8 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit: one class per exit code.
 
-The command line maps these onto exit codes: configuration-type errors
-(ConfigurationError, DimensionError, PreconditionError) exit with 2,
-numerical failures (DegenerateDataError, FactorizationError,
-OverRegularizationError, IterationBudgetError) with 3, and file problems
-(FormatError, OSError) with 4.
+The command line reads an error for its exit code alone:
+ConfigurationError exits with 2, DegenerateDataError with 3 and
+FormatError (or an OSError) with 4.
 
 Input is refused at three boundaries: `ExperimentConfig.validate` (each
 key, re-run after every override), `io.load_*` (each artifact) and
@@ -19,41 +17,12 @@ class LslError(Exception):
 
 
 class ConfigurationError(LslError):
-    """Invalid configuration value or incompatible grids/settings."""
-
-
-class DimensionError(LslError):
-    """Mismatched array shapes, grids, or time axes."""
-
-
-class PreconditionError(LslError):
-    """Required data entries are missing or inconsistent."""
+    """Input that does not fit the config or the toolkit's invariants (exit 2)."""
 
 
 class DegenerateDataError(LslError):
-    """Data admits no positive-definite or no finite interpretation."""
-
-
-class FactorizationError(LslError):
-    """Matrix factorization failed; regularization may be required."""
-
-
-class OverRegularizationError(LslError):
-    """Truncation removed every usable singular value."""
-
-
-class IterationBudgetError(LslError):
-    """Time axis exhausted by the halving schedule."""
+    """A numerical step failed (exit 3)."""
 
 
 class FormatError(LslError):
-    """Malformed or truncated artifact file."""
-
-
-CONFIG_ERRORS = (ConfigurationError, DimensionError, PreconditionError)
-NUMERICAL_ERRORS = (
-    DegenerateDataError,
-    FactorizationError,
-    OverRegularizationError,
-    IterationBudgetError,
-)
+    """Malformed or truncated artifact file (exit 4)."""

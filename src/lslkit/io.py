@@ -21,7 +21,7 @@ FormatError. A transfer record without its full diagonal is refused
 before its values are read: every writer stores the diagonal and every
 consumer needs it measured, and its K series of T samples tie T to the
 file size. One whose K is not the config's `sources`, or whose T exceeds
-the 2n-1 samples of its `axis`, is refused with DimensionError (exit 2)
+the 2n-1 samples of its `axis`, is refused with ConfigurationError (exit 2)
 right after its header, before its mask is read. The writers re-check
 nothing (`errors`).
 PGM output is 16-bit binary (P5, big-endian samples per the format),
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Grid2D, MaskState, TimeAxis, TransferData
-from .errors import DimensionError, FormatError
+from .errors import ConfigurationError, FormatError
 
 _FIELD_MAGIC = b"LSLF"
 _TRANSFER_MAGIC = b"LSLT"
@@ -128,9 +128,9 @@ def load_transfer(path: str | Path, sources: int, axis: TimeAxis) -> TransferDat
         if not _positive(tau):
             raise FormatError(f"sample interval {tau} is not a positive finite number")
         if K != sources:
-            raise DimensionError(f"record has {K} sources, sources.count is {sources}")
+            raise ConfigurationError(f"record has {K} sources, sources.count is {sources}")
         if T > axis.total_samples:
-            raise DimensionError(
+            raise ConfigurationError(
                 f"record holds {T} samples, time.n {axis.n} takes at most {axis.total_samples}"
             )
         mask = np.frombuffer(_read_exactly(handle, K * K, "mask"), dtype=np.uint8)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid2D, MaskState, Potential, TransferData, prolong
-from .errors import DegenerateDataError, OverRegularizationError
+from .errors import DegenerateDataError
 
 #: smallest relative truncation level the config's `inversion.tsvd` takes:
 #: `solve_tsvd`'s eigenvalue cut then sits at 1e-8 * lambda_max of the Gram
@@ -172,10 +172,10 @@ def solve_tsvd(system: LSSystem) -> Potential:
     lam, u = np.linalg.eigh(matrix @ matrix.T)
     lam, u = lam[::-1], u[:, ::-1]  # descending, like singular values
     if lam.size == 0 or lam[0] <= 0.0:
-        raise OverRegularizationError("system matrix is zero")
+        raise DegenerateDataError("system matrix is zero")
     keep = lam >= system.tsvd_threshold**2 * lam[0]
     if not keep.any():
-        raise OverRegularizationError(
+        raise DegenerateDataError(
             f"threshold {system.tsvd_threshold} removed all "
             f"{lam.size} singular values"
         )

@@ -53,7 +53,7 @@ from .core import (
     inner_product,
     restrict,
 )
-from .errors import DegenerateDataError, DimensionError, IterationBudgetError
+from .errors import ConfigurationError, DegenerateDataError
 from .lippmann import assemble_system, field_samples, forward_lift, residual_norm, solve_tsvd
 from .rom import (
     block_mass_from_data,
@@ -119,9 +119,9 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
     block. The ROM works on plain arrays: it reads the records' values,
     every mass matrix is passed through `regularize_spd`, which returns
     (matrix, record), and its matrix is factored; no stage keeps the
-    record yet. A record that does not fit the context raises
-    DimensionError naming the config key, and one whose diagonal is not
-    measured PreconditionError (`_check_fit`).
+    record yet. A record that does not fit the context, or whose diagonal
+    is not measured, raises ConfigurationError (exit 2, `_check_fit`), and
+    one too short to halve DegenerateDataError (exit 3).
     """
     K, limit, length = ctx.sources.count, ctx.axis.total_samples, data.num_samples
     _check_fit(ctx, data, 0 if data.is_full else limit)
@@ -132,7 +132,7 @@ def internal_transform(ctx: PipelineContext, data: TransferData) -> np.ndarray:
             for j in range(K)
         ])
     if halved_length(length) < 2:
-        raise IterationBudgetError(
+        raise DegenerateDataError(
             f"time axis exhausted: {length} samples leave no usable equations"
         )
     return _rom_transform(values, values0, length)[np.newaxis]
@@ -142,12 +142,14 @@ def _check_fit(ctx: PipelineContext, data: TransferData, fewest: int) -> None:
     """The gate of every record a step reads, before any ROM or background is
     evaluated: refuse one whose sample interval is not the config's, or
     that holds fewer than `fewest` samples, naming the key, and then one
-    whose diagonal is not measured."""
+    whose diagonal is not measured, each with ConfigurationError (exit 2)."""
     tau, n, length = ctx.axis.tau, ctx.axis.n, data.num_samples
     if not abs(data.tau - tau) <= 1e-12 * tau:
-        raise DimensionError(f"record sample interval {data.tau} differs from time.tau {tau}")
+        raise ConfigurationError(f"record sample interval {data.tau} differs from time.tau {tau}")
     if length < fewest:
-        raise DimensionError(f"record holds {length} samples, time.n {n} takes at least {fewest}")
+        raise ConfigurationError(
+            f"record holds {length} samples, time.n {n} takes at least {fewest}"
+        )
     data.require_measured_diagonal()
 
 

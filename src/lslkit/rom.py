@@ -27,7 +27,8 @@ The ROM works on plain arrays: a record is its (K, K, T) values, a mass
 matrix and its factor are square float64 ndarrays, and only
 `regularize_spd` returns more, the pair (matrix, RegularizationRecord).
 It re-checks no input (`errors`): `pipeline` hands over the values of
-full records of at least n samples, so the ROM fails only numerically.
+full records of at least n samples, so the ROM fails only numerically,
+with DegenerateDataError (exit 3).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, FactorizationError
+from .errors import DegenerateDataError
 
 #: eigenvalue floor is the geometric mean of lambda_min+ and RIDGE * lambda_max+
 SPD_RIDGE = 1.0e-12
@@ -119,7 +120,7 @@ def cholesky_upper(mass: np.ndarray) -> np.ndarray:
         # the transposed lower factor: numpy's `upper=` needs numpy >= 2.0
         return np.linalg.cholesky(mass).T
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
+        raise DegenerateDataError(
             f"mass matrix is not numerically positive definite ({exc}); "
             "apply regularize_spd first"
         ) from exc

@@ -111,7 +111,6 @@ def apply_operator(
     f or with the other buffer, as `_leapfrog`'s own are, so a caller
     that passes both allocates nothing.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
     out = np.empty(f.shape) if out is None else out
     scratch = np.empty(f.shape) if scratch is None else scratch
     np.multiply(q_values, f, out=out)

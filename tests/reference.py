@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from lslkit.core import MaskState, Potential, TransferData, restrict
-from lslkit.errors import DimensionError
+from lslkit.errors import ConfigurationError
 from lslkit.wavesim import (BackgroundBands, _angle_sum_record, _modes, _spectra,
                             apply_operator, simulate_background)
 
@@ -166,12 +166,12 @@ def convolution_rows(
     directly over the anti-diagonals; the FFT here is their oracle.
     """
     if w0_samples.shape[0] < num_out or field_samples.shape[0] < num_out:
-        raise DimensionError(
+        raise ConfigurationError(
             f"need {num_out} samples, have {w0_samples.shape[0]} antiderivative "
             f"and {field_samples.shape[0]} field samples"
         )
     if w0_samples.shape[1] != field_samples.shape[1] or w0_samples.shape[1] != node_weights.size:
-        raise DimensionError("kernel inputs live on different grids")
+        raise ConfigurationError("kernel inputs live on different grids")
     w = w0_samples[:num_out] * node_weights
     u = field_samples[:num_out]
     if num_out == 1:

@@ -18,6 +18,7 @@ import lslkit.wavesim
 from lslkit.cli import main
 from lslkit.config import bundled_config_path, parse_config
 from lslkit.core import MaskState, TimeAxis, TransferData
+from lslkit.errors import ConfigurationError, DegenerateDataError, FormatError, LslError
 from lslkit.io import load_field, load_transfer, save_field, save_transfer
 from lslkit.rom import halved_length
 from reference import load_pgm
@@ -354,6 +355,20 @@ class TestSurface:
 
 
 class TestExitCodes:
+    def test_one_error_class_per_exit_code(self):
+        assert set(LslError.__subclasses__()) == {ConfigurationError, DegenerateDataError,
+                                                  FormatError}
+
+    @pytest.mark.parametrize("error, code", [(ConfigurationError, 2), (DegenerateDataError, 3),
+                                             (FormatError, 4)])
+    def test_error_class_maps_to_its_code(self, monkeypatch, capsys, error, code):
+        def failing(args):
+            raise error("the handler failed")
+
+        monkeypatch.setitem(lslkit.cli._HANDLERS, "simulate", failing)
+        assert main(["simulate", "--config", "unread.cfg"]) == code
+        assert capsys.readouterr().err == "error: the handler failed\n"
+
     def test_config_error(self, tmp_path, capsys):
         assert run("simulate", "--config", tmp_path / "missing.cfg") == 2
         assert "error:" in capsys.readouterr().err

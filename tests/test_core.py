@@ -13,11 +13,7 @@ from lslkit.core import (
     refinement_ratio,
     restrict,
 )
-from lslkit.errors import (
-    ConfigurationError,
-    DimensionError,
-    PreconditionError,
-)
+from lslkit.errors import ConfigurationError
 from reference import reciprocity_defect
 
 
@@ -207,9 +203,9 @@ class TestContainers:
         data = TransferData(values, mask, 0.5)
         assert not data.is_full
         data.require_measured_diagonal()
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigurationError, match="transfer values must be"):
             TransferData(np.zeros((2, 3, 5)), mask, 0.5)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ConfigurationError, match="mask entries"):
             TransferData(values, np.full((2, 2), 7, dtype=np.int8), 0.5)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 0.0, -1.0])

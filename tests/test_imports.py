@@ -19,8 +19,8 @@ of the same name does not read it. Oracles that only tests need live in
 
 Input is refused at the boundaries (config validation, the artifact
 loaders, `pipeline`'s gate) and nowhere behind them, so `rom` and
-`lippmann` read none of the exit-2 classes of `errors.CONFIG_ERRORS`:
-they can only fail numerically. The ROM works on plain arrays, so `rom`
+`lippmann` read no `errors.ConfigurationError`, the exit-2 class: they
+can only fail numerically. The ROM works on plain arrays, so `rom`
 imports nothing from `core`.
 """
 
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from lslkit.errors import CONFIG_ERRORS
+from lslkit.errors import ConfigurationError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lslkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -181,16 +181,18 @@ def test_imports_are_declared_dependencies():
 
 
 def input_errors_read(source: str) -> set[str]:
-    """The exit-2 error classes a module imports or reads as an attribute."""
+    """The exit-2 error class, if a module imports it or reads it as an attribute."""
     tree = ast.parse(source)
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    return (imported | read_names(source)[1]) & {cls.__name__ for cls in CONFIG_ERRORS}
+    return (imported | read_names(source)[1]) & {ConfigurationError.__name__}
 
 
 def test_detects_an_input_error():
-    source = "from .errors import DimensionError\nfrom . import errors\nerrors.PreconditionError\n"
-    assert input_errors_read(source) == {"DimensionError", "PreconditionError"}
+    for source in ("from .errors import ConfigurationError\n",
+                   "from . import errors\nerrors.ConfigurationError\n"):
+        assert input_errors_read(source) == {"ConfigurationError"}
+    assert input_errors_read("from .errors import DegenerateDataError, LslError\n") == set()
 
 
 @pytest.mark.parametrize("name", ["rom.py", "lippmann.py"])

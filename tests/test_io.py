@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lslkit.core import Grid2D, MaskState, TimeAxis, TransferData
-from lslkit.errors import DimensionError, FormatError
+from lslkit.errors import ConfigurationError, FormatError
 from lslkit.io import load_field, load_transfer, render_pgm, save_field, save_transfer
 from reference import load_pgm, reciprocity_defect
 
@@ -183,7 +183,7 @@ class TestTransferFormat:
         # the header alone: a K^2 mask or K^2 T values are never read or allocated
         path = tmp_path / "misfit.lslt"
         path.write_bytes(struct.pack("<4sIQQd", b"LSLT", 1, K, T, 1.0))
-        with pytest.raises(DimensionError) as refused:
+        with pytest.raises(ConfigurationError) as refused:
             load_fitting(path)
         assert str(refused.value) == message
 

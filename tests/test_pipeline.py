@@ -7,7 +7,7 @@ import pytest
 import lslkit.pipeline
 from lslkit.core import (Grid2D, MaskState, Potential, SourceSet, TimeAxis, TransferData,
                          refinement_ratio)
-from lslkit.errors import DegenerateDataError, DimensionError, IterationBudgetError
+from lslkit.errors import ConfigurationError, DegenerateDataError
 from lslkit.lippmann import assemble_system, field_samples, residual_norm, solve_tsvd
 from lslkit.pipeline import (
     ErrorReport,
@@ -100,7 +100,7 @@ class TestSchedule:
     def test_budget_exhaustion(self):
         ctx, measured = tiny_context(n=4)
         # n=4 -> 2 -> halved 2... next round leaves a single usable sample
-        with pytest.raises(IterationBudgetError):
+        with pytest.raises(DegenerateDataError, match="time axis exhausted"):
             list(stages(ctx, measured, iterations=3))
 
 
@@ -202,7 +202,7 @@ class TestGate:
             raise AssertionError("a background was evaluated")
 
         monkeypatch.setattr(lslkit.pipeline, "BackgroundBands", forbidden)
-        with pytest.raises(DimensionError) as refused:
+        with pytest.raises(ConfigurationError) as refused:
             step(ctx, record)
         assert str(refused.value) == "record sample interval nan differs from time.tau 2.0"
 
